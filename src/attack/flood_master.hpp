@@ -28,6 +28,9 @@ class FloodMaster final : public sim::Component {
   void connect(bus::MasterEndpoint& endpoint) noexcept { port_ = &endpoint; }
 
   void tick(sim::Cycle now) override;
+  // Wakes to drain a response or to issue the next write; no per-cycle
+  // bookkeeping, so the default (empty) skip() is exact.
+  [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
   void reset() override;
 
   [[nodiscard]] std::uint64_t issued() const noexcept { return issued_; }

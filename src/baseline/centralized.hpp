@@ -96,6 +96,10 @@ class CentralizedMasterGate final : public sim::Component {
   }
 
   void tick(sim::Cycle now) override;
+  // Same wake/skip rule as core::LocalFirewall: the manager's verdict
+  // latency counts down.
+  [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
+  void skip(sim::Cycle now, sim::Cycle n) override;
   void reset() override;
 
   [[nodiscard]] const core::FirewallStats& stats() const noexcept { return stats_; }

@@ -1,5 +1,7 @@
 #include "bus/system_bus.hpp"
 
+#include <algorithm>
+
 #include "obs/registry.hpp"
 #include "util/assert.hpp"
 
@@ -16,6 +18,7 @@ MasterEndpoint& SystemBus::attach_master(sim::MasterId id, std::string master_na
   MasterStats ms;
   ms.name = std::move(master_name);
   master_stats_.push_back(std::move(ms));
+  requesting_.push_back(false);
   return *endpoints_.back();
 }
 
@@ -37,10 +40,14 @@ void SystemBus::book(sim::Cycle start, sim::Cycle end) {
   bookings_.emplace_back(start, end);
 }
 
-bool SystemBus::booked_at(sim::Cycle now) noexcept {
+void SystemBus::prune_bookings(sim::Cycle now) noexcept {
   while (!bookings_.empty() && bookings_.front().second <= now) {
     bookings_.pop_front();
   }
+}
+
+bool SystemBus::booked_at(sim::Cycle now) noexcept {
+  prune_bookings(now);
   return !bookings_.empty() && bookings_.front().first <= now;
 }
 
@@ -103,17 +110,16 @@ void SystemBus::tick(sim::Cycle now) {
         ++stats_.busy_cycles;
         return;
       }
-      std::vector<bool> requesting(endpoints_.size(), false);
       bool any = false;
       for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-        requesting[i] = !endpoints_[i]->request.empty();
-        any = any || requesting[i];
+        requesting_[i] = !endpoints_[i]->request.empty();
+        any = any || requesting_[i];
       }
       if (!any) {
         ++stats_.idle_cycles;
         return;
       }
-      const int granted = arbiter_->pick(requesting);
+      const int granted = arbiter_->pick(requesting_);
       SECBUS_ASSERT(granted >= 0, "arbiter returned no grant despite requests");
       start_transaction(now, static_cast<std::size_t>(granted));
       ++stats_.busy_cycles;
@@ -153,6 +159,40 @@ void SystemBus::tick(sim::Cycle now) {
       break;
     }
   }
+}
+
+sim::Cycle SystemBus::next_wake(sim::Cycle now) const {
+  if (state_ == State::kDataAndSlave) return now + phase_remaining_ - 1;
+  if (no_requests_waiting()) return sim::kNeverCycle;
+  // A waiting request is granted once no booked window covers the cycle;
+  // windows may abut, so walk the chain that starts at or before `now`.
+  sim::Cycle t = now;
+  for (const auto& [start, end] : bookings_) {
+    if (end <= t) continue;
+    if (start > t) break;
+    t = end;
+  }
+  return t;
+}
+
+void SystemBus::skip(sim::Cycle now, sim::Cycle n) {
+  if (state_ == State::kDataAndSlave) {
+    stats_.busy_cycles += n;
+    phase_remaining_ -= n;
+    return;
+  }
+  // Idle segment: cycles inside booked windows are busy, the rest idle.
+  const sim::Cycle end = now + n;
+  sim::Cycle booked = 0;
+  for (const auto& [start, stop] : bookings_) {
+    if (start >= end) break;
+    const sim::Cycle lo = std::max(start, now);
+    const sim::Cycle hi = std::min(stop, end);
+    if (hi > lo) booked += hi - lo;
+  }
+  stats_.busy_cycles += booked;
+  stats_.idle_cycles += n - booked;
+  prune_bookings(end);
 }
 
 void SystemBus::reset_stats() noexcept {

@@ -125,6 +125,12 @@ class SystemBus final : public sim::Component {
 
   // --- simulation ------------------------------------------------------
   void tick(sim::Cycle now) override;
+  // Wakes when the data phase completes, or, with a request waiting, at the
+  // first cycle not covered by a booked window; idle until input otherwise.
+  [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
+  // Counts down the data phase, charges skipped cycles to busy_cycles
+  // (data phase or booked window) or idle_cycles, and prunes bookings.
+  void skip(sim::Cycle now, sim::Cycle n) override;
   void reset() override;
 
   // Zeroes the segment and per-master statistics (master names survive)
@@ -153,6 +159,8 @@ class SystemBus final : public sim::Component {
 
   // True when a booked crossing window covers `now`; prunes expired windows.
   [[nodiscard]] bool booked_at(sim::Cycle now) noexcept;
+  // Drops the windows that end at or before `now`.
+  void prune_bookings(sim::Cycle now) noexcept;
   [[nodiscard]] bool no_requests_waiting() const noexcept;
   void start_transaction(sim::Cycle now, std::size_t master_index);
   void finish_transaction(sim::Cycle now);
@@ -176,6 +184,8 @@ class SystemBus final : public sim::Component {
   std::size_t current_master_ = 0;
   sim::Cycle phase_remaining_ = 0;
   AccessResult pending_result_;
+  // Arbitration input, one flag per master; reused across cycles.
+  std::vector<bool> requesting_;
   BusStats stats_;
 };
 

@@ -120,6 +120,10 @@ class LocalFirewall final : public sim::Component {
   void set_trace(sim::EventTrace* trace) noexcept { trace_ = trace; }
 
   void tick(sim::Cycle now) override;
+  // Wakes on the last cycle of the SB check in flight, or when a response
+  // or request is waiting; skipped cycles count the check down.
+  [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
+  void skip(sim::Cycle now, sim::Cycle n) override;
   void reset() override;
 
   [[nodiscard]] const FirewallStats& stats() const noexcept { return stats_; }

@@ -93,6 +93,11 @@ void DmaEngine::tick(sim::Cycle now) {
   }
 }
 
+sim::Cycle DmaEngine::next_wake(sim::Cycle now) const {
+  if (port_ == nullptr || state_ == State::kIdle) return sim::kNeverCycle;
+  return pending_issue_ || !port_->response.empty() ? now : sim::kNeverCycle;
+}
+
 void DmaEngine::contribute_metrics(obs::Registry& reg,
                                    const std::string& prefix) const {
   reg.counter(prefix + ".bursts", stats_.bursts);

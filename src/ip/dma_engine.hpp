@@ -42,6 +42,9 @@ class DmaEngine final : public sim::Component {
   void start(const Job& job);
 
   void tick(sim::Cycle now) override;
+  // Wakes to issue the next burst or to take its response; no per-cycle
+  // bookkeeping, so the default (empty) skip() is exact.
+  [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
   void reset() override;
 
   [[nodiscard]] bool busy() const noexcept { return state_ != State::kIdle; }

@@ -114,6 +114,24 @@ void Processor::tick(sim::Cycle now) {
   }
 }
 
+sim::Cycle Processor::next_wake(sim::Cycle now) const {
+  if (port_ == nullptr) return sim::kNeverCycle;
+  if (state_ == State::kComputing) {
+    return done() ? sim::kNeverCycle : now + compute_remaining_;
+  }
+  return port_->response.empty() ? sim::kNeverCycle : now;
+}
+
+void Processor::skip(sim::Cycle /*now*/, sim::Cycle n) {
+  if (port_ == nullptr) return;
+  if (state_ == State::kWaiting) {
+    stats_.stall_cycles += n;
+  } else if (!done()) {
+    stats_.compute_cycles += n;
+    compute_remaining_ -= n;
+  }
+}
+
 void Processor::contribute_metrics(obs::Registry& reg,
                                    const std::string& prefix) const {
   reg.counter(prefix + ".issued", stats_.issued);

@@ -80,6 +80,10 @@ class Processor final : public sim::Component {
   void connect(bus::MasterEndpoint& endpoint) noexcept { port_ = &endpoint; }
 
   void tick(sim::Cycle now) override;
+  // Wakes when the compute gap runs out or a response is waiting; skipped
+  // cycles accrue compute_cycles (computing) or stall_cycles (waiting).
+  [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
+  void skip(sim::Cycle now, sim::Cycle n) override;
   void reset() override;
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

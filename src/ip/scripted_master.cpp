@@ -69,6 +69,23 @@ void ScriptedMaster::tick(sim::Cycle now) {
   }
 }
 
+sim::Cycle ScriptedMaster::next_wake(sim::Cycle now) const {
+  if (port_ == nullptr) return sim::kNeverCycle;
+  switch (state_) {
+    case State::kIdle:
+      return next_step_ < script_.size() ? now : sim::kNeverCycle;
+    case State::kDelay:
+      return now + delay_remaining_;
+    case State::kWaiting:
+      return port_->response.empty() ? sim::kNeverCycle : now;
+  }
+  return now;
+}
+
+void ScriptedMaster::skip(sim::Cycle /*now*/, sim::Cycle n) {
+  if (state_ == State::kDelay) delay_remaining_ -= n;
+}
+
 void ScriptedMaster::reset() {
   next_step_ = 0;
   delay_remaining_ = 0;

@@ -60,6 +60,23 @@ void TraceReplayer::tick(sim::Cycle now) {
   }
 }
 
+sim::Cycle TraceReplayer::next_wake(sim::Cycle now) const {
+  if (port_ == nullptr) return sim::kNeverCycle;
+  switch (state_) {
+    case State::kIdle:
+      return next_ < trace_.size() ? now : sim::kNeverCycle;
+    case State::kDelay:
+      return now + delay_remaining_;
+    case State::kWaiting:
+      return port_->response.empty() ? sim::kNeverCycle : now;
+  }
+  return now;
+}
+
+void TraceReplayer::skip(sim::Cycle /*now*/, sim::Cycle n) {
+  if (state_ == State::kDelay) delay_remaining_ -= n;
+}
+
 void TraceReplayer::reset() {
   next_ = 0;
   delay_remaining_ = 0;

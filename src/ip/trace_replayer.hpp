@@ -26,6 +26,9 @@ class TraceReplayer final : public sim::Component {
   void connect(bus::MasterEndpoint& endpoint) noexcept { port_ = &endpoint; }
 
   void tick(sim::Cycle now) override;
+  // Same wake/skip rule as ScriptedMaster: the record's delay counts down.
+  [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
+  void skip(sim::Cycle now, sim::Cycle n) override;
   void reset() override;
 
   [[nodiscard]] bool done() const noexcept {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "ip/scripted_master.hpp"
 #include "sim/kernel.hpp"
 
 namespace secbus::bus {
@@ -16,11 +20,12 @@ class FakeSlave final : public SlaveDevice {
     } else {
       t.data.assign(t.payload_bytes(), 0x5A);
     }
-    return {1, TransStatus::kOk};
+    return {latency, TransStatus::kOk};
   }
   [[nodiscard]] std::string_view slave_name() const override { return "fake"; }
 
   int accesses = 0;
+  sim::Cycle latency = 1;
   std::vector<std::uint8_t> last_write;
 };
 
@@ -167,6 +172,88 @@ TEST(Fabric, CrossSegmentLatencyGrowsWithHopCount) {
   }
   EXPECT_LT(completed[0], completed[1]);
   EXPECT_LT(completed[1], completed[2]);
+}
+
+// Everything a mesh run's bus accounting produced, in one kernel mode.
+struct MeshAccounting {
+  sim::Cycle cycles = 0;
+  std::uint64_t cycles_skipped = 0;
+  std::vector<std::uint64_t> counters;  // busy/idle/transactions/bridged_in
+  std::vector<double> waits;            // per-master wait mean/max
+
+  bool operator==(const MeshAccounting& o) const {
+    return cycles == o.cycles && counters == o.counters && waits == o.waits;
+  }
+};
+
+MeshAccounting run_mesh_with_bookings(bool lockstep) {
+  sim::set_lockstep_for_testing(lockstep);
+  // Segment layout: 0 1
+  //                 2 3
+  // "remote" on segment 0 reads a slow memory on segment 3, crossing
+  // 0 -> 1 -> 3: each crossing books a ~45-cycle window on segments 1 and
+  // 3. "local" on segment 1 reads a memory on its own segment and collides
+  // with those windows; between bursts every component sleeps, so jumps
+  // start and end inside booked windows.
+  Fabric fabric(FabricTopology::mesh(2, 2));
+  FakeSlave far_mem;
+  far_mem.latency = 40;
+  FakeSlave seg1_mem;
+  seg1_mem.latency = 3;
+  fabric.map_region(0x0000, 0x1000, fabric.add_slave(far_mem, 3), "far");
+  fabric.map_region(0x1000, 0x1000, fabric.add_slave(seg1_mem, 1), "seg1");
+  ip::ScriptedMaster remote("remote", 0);
+  ip::ScriptedMaster local("local", 1);
+  remote.connect(fabric.attach_master(0, 0, "remote"));
+  local.connect(fabric.attach_master(1, 1, "local"));
+  fabric.finalize();
+
+  sim::SimKernel kernel;
+  kernel.add(remote);
+  kernel.add(local);
+  fabric.register_components(kernel);
+  for (const sim::Cycle delay : {0, 200, 7, 300}) {
+    remote.enqueue_read(delay, 0x40, DataFormat::kWord, 4);
+  }
+  for (const sim::Cycle delay : {3, 150, 2, 210, 1, 90}) {
+    local.enqueue_read(delay, 0x1040);
+  }
+  const bool done = kernel.run_until(
+      [&] { return remote.done() && local.done() && fabric.idle(); },
+      100'000);
+  sim::set_lockstep_for_testing(false);
+  EXPECT_TRUE(done);
+
+  MeshAccounting acc;
+  acc.cycles = kernel.now();
+  acc.cycles_skipped = kernel.cycles_skipped();
+  for (std::size_t seg = 0; seg < fabric.segment_count(); ++seg) {
+    const SystemBus::BusStats& st = fabric.segment(seg).stats();
+    acc.counters.insert(acc.counters.end(), {st.busy_cycles, st.idle_cycles,
+                                             st.transactions, st.bridged_in});
+  }
+  for (const char* name : {"remote", "local"}) {
+    const SystemBus::MasterStats* ms = fabric.find_master(name);
+    EXPECT_NE(ms, nullptr);
+    if (ms == nullptr) continue;
+    acc.waits.insert(acc.waits.end(),
+                     {ms->wait_cycles.mean(), ms->wait_cycles.max(),
+                      ms->total_cycles.mean()});
+  }
+  return acc;
+}
+
+TEST(Fabric, BookingsStraddlingAJumpChargeBusyCyclesExactly) {
+  const MeshAccounting oracle = run_mesh_with_bookings(/*lockstep=*/true);
+  const MeshAccounting fast = run_mesh_with_bookings(/*lockstep=*/false);
+  EXPECT_EQ(oracle.cycles_skipped, 0u);
+  EXPECT_GT(fast.cycles_skipped, oracle.cycles / 2);
+  // Segments 1 and 3 received crossings, so bookings were charged there.
+  EXPECT_EQ(oracle.counters[4 * 1 + 3], 4u);
+  EXPECT_EQ(oracle.counters[4 * 3 + 3], 4u);
+  // Something had to wait for a booked window, or nothing was tested.
+  EXPECT_GT(oracle.waits[4], 0.0) << "local never waited on a booking";
+  EXPECT_EQ(oracle, fast);
 }
 
 }  // namespace
