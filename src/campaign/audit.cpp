@@ -39,6 +39,14 @@ util::Json audit_record_to_json(const AuditRecord& record) {
   j.set("worker", util::Json::string(record.worker));
   if (!record.detail.empty())
     j.set("detail", util::Json::string(record.detail));
+  if (!record.campaign.empty()) {
+    j.set("campaign", util::Json::string(record.campaign));
+    j.set("shards",
+          util::Json::number(static_cast<std::uint64_t>(record.shards)));
+    j.set("jobs", util::Json::number(static_cast<std::uint64_t>(record.jobs)));
+    j.set("grid_fp", util::Json::number(record.grid_fp));
+  }
+  if (!record.file.empty()) j.set("file", util::Json::string(record.file));
   return j;
 }
 
@@ -73,13 +81,28 @@ bool audit_record_from_json(const util::Json& j, AuditRecord& out,
   if (const util::Json* detail = j.find("detail");
       detail != nullptr && detail->is_string())
     record.detail = detail->as_string();
+  // Identity and file are optional: only server_start and commit carry
+  // them. A partial identity reads as none, so replay never trusts it.
+  if (const util::Json* campaign = j.find("campaign");
+      campaign != nullptr && campaign->is_string()) {
+    const util::Json* shards = j.find("shards");
+    const util::Json* jobs = j.find("jobs");
+    const util::Json* grid_fp = j.find("grid_fp");
+    std::uint64_t shards_u = 0;
+    std::uint64_t jobs_u = 0;
+    if (shards != nullptr && jobs != nullptr && grid_fp != nullptr &&
+        shards->to_u64(shards_u) && jobs->to_u64(jobs_u) &&
+        grid_fp->to_u64(record.grid_fp)) {
+      record.campaign = campaign->as_string();
+      record.shards = static_cast<std::size_t>(shards_u);
+      record.jobs = static_cast<std::size_t>(jobs_u);
+    }
+  }
+  if (const util::Json* file = j.find("file");
+      file != nullptr && file->is_string())
+    record.file = file->as_string();
   out = std::move(record);
   return true;
-}
-
-bool AuditLog::append(const AuditRecord& record) {
-  if (!writer_.is_open()) return true;
-  return writer_.append(audit_record_to_json(record));
 }
 
 std::string audit_file_name(const std::string& campaign) {
@@ -96,6 +119,51 @@ bool read_audit_log(const std::string& path, std::vector<AuditRecord>& out,
     AuditRecord record;
     if (audit_record_from_json(line, record)) out.push_back(std::move(record));
   }
+  return true;
+}
+
+bool replay_lease_log(const std::vector<AuditRecord>& records,
+                      LeaseLogState& out, std::string* error) {
+  const auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = "lease log " + why;
+    return false;
+  };
+  LeaseLogState state;
+  for (const AuditRecord& record : records) {
+    if (record.event == AuditEvent::kServerStart) {
+      if (record.campaign.empty() || record.shards == 0) continue;
+      if (!state.any_epoch) {
+        state.any_epoch = true;
+        state.campaign = record.campaign;
+        state.shards = record.shards;
+        state.jobs = record.jobs;
+        state.grid_fp = record.grid_fp;
+        state.last_epoch = record.epoch;
+        continue;
+      }
+      if (record.campaign != state.campaign ||
+          record.shards != state.shards || record.jobs != state.jobs ||
+          record.grid_fp != state.grid_fp) {
+        return fail("mixes different campaigns or grids; refusing to resume "
+                    "from it");
+      }
+      if (record.epoch < state.last_epoch) {
+        return fail("epoch went backwards (" + std::to_string(record.epoch) +
+                    " after " + std::to_string(state.last_epoch) + ")");
+      }
+      state.last_epoch = record.epoch;
+    } else if (record.event == AuditEvent::kCommit && !record.file.empty()) {
+      if (state.any_epoch && record.shard >= state.shards) {
+        return fail("commit for shard " + std::to_string(record.shard) +
+                    " of a " + std::to_string(state.shards) +
+                    "-shard campaign");
+      }
+      state.committed[record.shard] =
+          LeaseCommit{record.epoch, record.generation, record.worker,
+                      record.file};
+    }
+  }
+  out = std::move(state);
   return true;
 }
 

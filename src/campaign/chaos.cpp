@@ -155,13 +155,13 @@ void chaos_maybe_die(const ChaosOptions& chaos, std::uint64_t executed_jobs) {
 }
 
 void chaos_maybe_kill_server(const ChaosOptions& chaos,
-                             std::uint64_t journaled_commits) {
+                             std::uint64_t logged_commits) {
   if (chaos.kill_server_after == 0) return;
-  if (journaled_commits < chaos.kill_server_after) return;
+  if (logged_commits < chaos.kill_server_after) return;
   std::fprintf(stderr,
-               "chaos: killing fleet server after %llu journaled commit(s) "
+               "chaos: killing fleet server after %llu logged commit(s) "
                "(SECBUS_CHAOS kill_server_after)\n",
-               static_cast<unsigned long long>(journaled_commits));
+               static_cast<unsigned long long>(logged_commits));
   std::fflush(stderr);
   std::_Exit(kChaosExitCode);
 }

@@ -11,7 +11,7 @@
 //     as a process can do to itself), which is exactly the torn state the
 //     JSONL replay and lease machinery must absorb.
 //   * kill_server_after:<n> — the fleet *server* dies right after its n-th
-//     shard commit is journaled (campaign/journal.hpp). Restarting with
+//     shard commit is in the lease log (campaign/audit.hpp). Restarting with
 //     `campaign serve --resume` must recover the fleet byte-identically.
 //   * net:<k=v,...>         — seeded network faults on the process's fleet
 //     transport (net/chaos_transport.hpp): drop=<p>, dup=<p>, trunc=<p>,
@@ -50,7 +50,7 @@ struct ChaosOptions {
   Kind kind = Kind::kNone;
   std::uint64_t kill_after = 0;
   // Server-side kill switch: _Exit(kChaosExitCode) right after the n-th
-  // journal commit of this process flushes (0 = disabled).
+  // lease-log commit of this process flushes (0 = disabled).
   std::uint64_t kill_server_after = 0;
   // Seeded network faults for this process's fleet transport.
   net::ChaosNetOptions net;
@@ -75,11 +75,11 @@ struct ChaosOptions {
 // the death on stderr first so logs show the kill was injected, not a bug.
 void chaos_maybe_die(const ChaosOptions& chaos, std::uint64_t executed_jobs);
 
-// Server-side twin: call after every journaled shard commit with the
-// number of commits this process has journaled. Dies (exit 42) when
-// kill_server_after is reached — after the journal record flushed, so the
+// Server-side twin: call after every logged shard commit with the
+// number of commits this process has logged. Dies (exit 42) when
+// kill_server_after is reached — after the commit record flushed, so the
 // restarted server replays everything this one durably recorded.
 void chaos_maybe_kill_server(const ChaosOptions& chaos,
-                             std::uint64_t journaled_commits);
+                             std::uint64_t logged_commits);
 
 }  // namespace secbus::campaign

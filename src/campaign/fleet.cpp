@@ -309,98 +309,92 @@ FleetServer::FleetServer(net::Transport& transport,
   std::filesystem::create_directories(options_.out_dir, ec);
   start_ms_ = transport_.now_ms();
 
-  // Lease journal first: a refused start must not touch the audit log or
-  // progress sidecars. A constructor cannot return false, so failures park
-  // in init_error_ and the first step() reports them.
-  if (options_.journal) {
-    journal_path_ = (std::filesystem::path(options_.out_dir) /
-                     journal_file_name(campaign_name_))
-                        .string();
-    const bool have_file = std::filesystem::exists(journal_path_);
-    FleetJournalState prior;
-    std::string journal_error;
-    if (options_.resume) {
-      if (!have_file) {
-        init_error_ = journal_path_ + ": no lease journal to resume from";
-      } else if (!read_fleet_journal(journal_path_, prior, &journal_error)) {
-        init_error_ = journal_error;
-      } else if (!prior.any_epoch) {
-        init_error_ =
-            journal_path_ + ": journal holds no epoch record; nothing to "
-                            "resume (delete it to start fresh)";
-      } else if (prior.campaign != campaign_name_ ||
-                 prior.shards != options_.shards ||
-                 prior.jobs != specs_.size() || prior.grid_fp != grid_fp_) {
-        init_error_ =
-            journal_path_ + ": journal describes a different campaign "
-                            "(name, shard count, job count, or grid "
-                            "fingerprint mismatch); refusing to resume";
-      } else {
-        epoch_ = prior.last_epoch + 1;
-        for (const auto& [shard, commit] : prior.committed) {
-          // Trust the journal only as far as the shard file it points at
-          // still reads back as this campaign's shard; anything less and
-          // the shard simply re-runs.
-          ShardResultFile file;
-          std::string read_error;
-          if (read_shard_file(commit.file, file, &read_error) &&
-              file.campaign == campaign_name_ && file.shard == shard &&
-              file.shards == options_.shards && file.grid_fp == grid_fp_) {
-            leases_.mark_done(shard, commit.generation);
-            shard_paths_[shard] = commit.file;
-            ++resumed_shards_;
-          } else {
-            std::fprintf(stderr,
-                         "fleet: journaled shard %zu result %s no longer "
-                         "reads back (%s); returning the shard to the "
-                         "pending pool\n",
-                         shard, commit.file.c_str(),
-                         read_error.empty() ? "identity mismatch"
-                                            : read_error.c_str());
-          }
+  // Validate the lease log before writing anything: a refused start must
+  // not touch the log or the progress sidecars. A constructor cannot
+  // return false, so failures park in init_error_ and the first step()
+  // reports them.
+  audit_path_ = (std::filesystem::path(options_.out_dir) /
+                 audit_file_name(campaign_name_))
+                    .string();
+  const bool have_log = std::filesystem::exists(audit_path_);
+  LeaseLogState prior;
+  std::string log_error;
+  const auto replay = [&]() {
+    std::vector<AuditRecord> records;
+    return read_audit_log(audit_path_, records, &log_error) &&
+           replay_lease_log(records, prior, &log_error);
+  };
+  if (options_.resume) {
+    if (!have_log) {
+      init_error_ = audit_path_ + ": no lease log to resume from";
+    } else if (!replay()) {
+      init_error_ = audit_path_ + ": " + log_error;
+    } else if (!prior.any_epoch) {
+      init_error_ =
+          audit_path_ + ": lease log holds no server_start with a campaign "
+                        "identity; nothing to resume (delete it to start "
+                        "fresh)";
+    } else if (prior.campaign != campaign_name_ ||
+               prior.shards != options_.shards ||
+               prior.jobs != specs_.size() || prior.grid_fp != grid_fp_) {
+      init_error_ =
+          audit_path_ + ": lease log describes a different campaign (name, "
+                        "shard count, job count, or grid fingerprint "
+                        "mismatch); refusing to resume";
+    } else {
+      epoch_ = prior.last_epoch + 1;
+      for (const auto& [shard, commit] : prior.committed) {
+        // Trust the log only as far as the shard file it points at still
+        // reads back as this campaign's shard; anything less and the shard
+        // simply re-runs.
+        ShardResultFile file;
+        std::string read_error;
+        if (read_shard_file(commit.file, file, &read_error) &&
+            file.campaign == campaign_name_ && file.shard == shard &&
+            file.shards == options_.shards && file.grid_fp == grid_fp_) {
+          leases_.mark_done(shard, commit.generation);
+          shard_paths_[shard] = commit.file;
+          ++resumed_shards_;
+        } else {
+          std::fprintf(stderr,
+                       "fleet: logged shard %zu result %s no longer reads "
+                       "back (%s); returning the shard to the pending pool\n",
+                       shard, commit.file.c_str(),
+                       read_error.empty() ? "identity mismatch"
+                                          : read_error.c_str());
         }
       }
-    } else if (have_file) {
-      if (read_fleet_journal(journal_path_, prior, &journal_error) &&
-          prior.any_epoch && prior.complete()) {
-        // A finished run's journal: this serve is a genuinely new campaign
-        // run, so the old journal (and its done-ness) must not leak in.
-        std::filesystem::remove(journal_path_, ec);
-      } else {
-        init_error_ =
-            journal_path_ + ": a previous serve left an incomplete lease "
-                            "journal; restart with --resume to recover its "
-                            "commits, or delete the journal to start over";
-      }
     }
-    if (init_error_.empty()) {
-      if (!journal_.open(journal_path_) ||
-          !journal_.append_epoch(epoch_, campaign_name_, options_.shards,
-                                 specs_.size(), grid_fp_)) {
-        init_error_ = journal_path_ + ": cannot write the lease journal";
-      }
-    }
-    if (!init_error_.empty()) return;
-  }
-
-  if (options_.audit) {
-    audit_path_ = (std::filesystem::path(options_.out_dir) /
-                   audit_file_name(campaign_name_))
-                      .string();
-    if (!audit_.open(audit_path_)) {
-      std::fprintf(stderr,
-                   "fleet: cannot open lease audit log %s; auditing "
-                   "disabled for this run\n",
-                   audit_path_.c_str());
-      audit_path_.clear();
+  } else if (have_log) {
+    if (replay() && prior.complete()) {
+      // A finished run's log: this serve is a genuinely new campaign run,
+      // so the old log (and its done-ness) must not leak in.
+      std::filesystem::remove(audit_path_, ec);
+    } else {
+      init_error_ =
+          audit_path_ + ": a previous serve left an incomplete lease log; "
+                        "restart with --resume to recover its commits, or "
+                        "delete the log to start over";
     }
   }
-  // Epoch boundary marker: the timeline closes any span the previous
-  // incarnation left open as "lost" when it sees this record.
-  audit(AuditEvent::kServerStart, 0, 0, std::string(),
-        resumed_shards_ == 0
-            ? std::string()
-            : std::to_string(resumed_shards_) + " shard(s) resumed done");
+  if (!init_error_.empty()) return;
+  // Epoch boundary marker, carrying the identity a later --resume checks:
+  // the timeline closes any span the previous incarnation left open as
+  // "lost" when it sees this record.
+  AuditRecord start;
+  start.event = AuditEvent::kServerStart;
+  start.epoch = epoch_;
+  start.campaign = campaign_name_;
+  start.shards = options_.shards;
+  start.jobs = specs_.size();
+  start.grid_fp = grid_fp_;
+  if (resumed_shards_ != 0) {
+    start.detail = std::to_string(resumed_shards_) + " shard(s) resumed done";
+  }
+  if (!audit_.open(audit_path_) || !audit_.append(start)) {
+    init_error_ = audit_path_ + ": cannot write the lease log";
+    return;
+  }
 
   Json msg = Json::object();
   msg.set("type", Json::string("campaign"));
@@ -417,10 +411,9 @@ FleetServer::FleetServer(net::Transport& transport,
 
 FleetServer::~FleetServer() = default;
 
-void FleetServer::audit(AuditEvent event, std::size_t shard,
+bool FleetServer::audit(AuditEvent event, std::size_t shard,
                         std::uint64_t generation, const std::string& worker,
-                        std::string detail) {
-  if (!audit_.is_open()) return;
+                        std::string detail, std::string file) {
   AuditRecord record;
   const std::uint64_t now = transport_.now_ms();
   record.t_ms = now > start_ms_ ? now - start_ms_ : 0;
@@ -430,7 +423,8 @@ void FleetServer::audit(AuditEvent event, std::size_t shard,
   record.epoch = epoch_;
   record.worker = worker;
   record.detail = std::move(detail);
-  audit_.append(record);
+  record.file = std::move(file);
+  return audit_.append(record);
 }
 
 FleetServer::WorkerInfo& FleetServer::worker_info(const std::string& worker) {
@@ -791,9 +785,7 @@ void FleetServer::handle_shard_done(net::ConnId conn, const Json& message,
     return;
   }
   leases_.complete(peer.worker, static_cast<std::size_t>(shard), generation);
-  audit(AuditEvent::kCommit, static_cast<std::size_t>(shard), generation,
-        peer.worker,
-        std::to_string(file.results.size()) + " result(s)");
+  const std::size_t result_count = file.results.size();
   ProgressRecord final_progress;
   const Json* progress = message.find("progress");
   const bool have_progress =
@@ -810,21 +802,20 @@ void FleetServer::handle_shard_done(net::ConnId conn, const Json& message,
                      error)) {
     return;  // fatal: error set (disk full etc.)
   }
-  // Journal the commit only after the shard file is durably on disk — the
+  // Log the commit only after the shard file is durably on disk — the
   // record is a pointer, and a restart trusts it only as far as the file
   // reads back. The flushed record is the crash-safety line: everything
   // after it survives a SIGKILL, which is exactly where the chaos hook
   // murders the server in the restart CI leg.
-  if (journal_.is_open()) {
-    if (!journal_.append_commit(epoch_, static_cast<std::size_t>(shard),
-                                generation, peer.worker,
-                                shard_paths_[static_cast<std::size_t>(shard)])) {
-      fail(error, journal_path_ + ": lease journal write failed");
-      return;
-    }
-    ++commits_journaled_;
-    chaos_maybe_kill_server(options_.chaos, commits_journaled_);
+  const std::size_t index = static_cast<std::size_t>(shard);
+  if (!audit(AuditEvent::kCommit, index, generation, peer.worker,
+             std::to_string(result_count) + " result(s)",
+             shard_paths_[index])) {
+    fail(error, audit_path_ + ": lease log write failed");
+    return;
   }
+  ++commits_logged_;
+  chaos_maybe_kill_server(options_.chaos, commits_logged_);
 }
 
 bool FleetServer::accept_result(const std::string& worker,

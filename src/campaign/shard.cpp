@@ -1,7 +1,5 @@
 #include "campaign/shard.hpp"
 
-#include <cstdio>
-#include <filesystem>
 #include <optional>
 #include <utility>
 
@@ -12,14 +10,6 @@
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 #include "util/fileio.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define SECBUS_HAS_FORK 1
-#include <sys/wait.h>
-#include <unistd.h>
-#else
-#define SECBUS_HAS_FORK 0
-#endif
 
 namespace secbus::campaign {
 
@@ -402,196 +392,6 @@ ShardResultFile to_shard_file(const std::string& campaign,
     file.results.push_back(outcome.results[i]);
   }
   return file;
-}
-
-// --- local multi-process orchestration --------------------------------------
-
-namespace {
-
-struct ShardPaths {
-  std::string result;
-  std::string checkpoint;  // empty when checkpointing is off
-  std::string progress;    // empty when telemetry is off
-};
-
-ShardPaths shard_paths(const SpawnOptions& options,
-                       const std::string& campaign, std::size_t shard) {
-  const std::filesystem::path dir(options.out_dir);
-  ShardPaths paths;
-  paths.result =
-      (dir / shard_file_name(campaign, shard, options.shards)).string();
-  if (options.checkpoint) {
-    paths.checkpoint =
-        (dir / checkpoint_file_name(campaign, shard, options.shards))
-            .string();
-  }
-  if (options.telemetry) {
-    paths.progress =
-        (dir / progress_file_name(campaign, shard, options.shards)).string();
-  }
-  return paths;
-}
-
-// One shard, start to finish: run (checkpoint-resumed), write the result
-// file. Returns false on simulation-incomplete jobs only if writing fails —
-// timeouts are data, not errors — and on any I/O failure.
-bool run_one_shard(const std::string& campaign,
-                   const std::vector<scenario::ScenarioSpec>& specs,
-                   const SpawnOptions& options, std::size_t shard,
-                   std::uint64_t grid_fp, const ChaosOptions& chaos,
-                   std::string* error) {
-  const ShardPaths paths = shard_paths(options, campaign, shard);
-  ShardRunOptions run;
-  run.shard = shard;
-  run.shards = options.shards;
-  run.threads = options.threads_per_shard;
-  run.checkpoint_path = paths.checkpoint;
-  run.progress_path = paths.progress;
-  run.campaign = campaign;
-  run.collect_metrics = options.collect_metrics;
-  run.chaos = chaos;
-  if (!options.quiet) {
-    run.on_job_done = [shard](const scenario::JobResult&, std::size_t n,
-                              std::size_t total) {
-      // Line-buffered progress; lines from sibling processes interleave
-      // whole.
-      std::printf("  [shard %zu] %zu/%zu\n", shard, n, total);
-      std::fflush(stdout);
-    };
-  }
-  const ShardRunOutcome outcome = run_shard(specs, run);
-  if (!outcome.checkpoint_ok) {
-    return fail(error, paths.checkpoint + ": checkpoint write failed");
-  }
-  return write_shard_file(
-      paths.result,
-      to_shard_file(campaign, outcome, shard, options.shards, grid_fp),
-      error);
-}
-
-}  // namespace
-
-bool run_campaign_sharded_local(const std::string& campaign_name,
-                                const std::vector<scenario::ScenarioSpec>& specs,
-                                const SpawnOptions& options,
-                                std::vector<scenario::JobResult>* merged,
-                                std::vector<std::string>* shard_files,
-                                std::string* error) {
-  if (options.shards < 1) return fail(error, "need at least one shard");
-  std::error_code ec;
-  std::filesystem::create_directories(options.out_dir, ec);
-
-  const std::uint64_t grid_fp = grid_fingerprint(specs);
-  std::vector<std::string> paths;
-  paths.reserve(options.shards);
-  for (std::size_t s = 0; s < options.shards; ++s) {
-    paths.push_back(shard_paths(options, campaign_name, s).result);
-  }
-
-#if SECBUS_HAS_FORK
-  // Forks one worker per listed shard; returns the shards whose worker
-  // exited abnormally (non-zero status, signal, or wait failure).
-  const auto fork_and_wait =
-      [&](const std::vector<std::size_t>& shards, const ChaosOptions& chaos,
-          std::vector<std::size_t>& failed, std::string* fork_error) {
-        // Flush before forking so children don't re-emit inherited buffers
-        // on their own exit path.
-        std::fflush(nullptr);
-        std::vector<pid_t> children;
-        children.reserve(shards.size());
-        for (const std::size_t s : shards) {
-          const pid_t pid = fork();
-          if (pid < 0) {
-            for (const pid_t child : children) {
-              int ignored = 0;
-              waitpid(child, &ignored, 0);
-            }
-            return fail(fork_error,
-                        "fork failed for shard " + std::to_string(s));
-          }
-          if (pid == 0) {
-            // Worker process: run the shard and leave without unwinding
-            // the parent's inherited state (_exit skips atexit/stdio
-            // flushing).
-            std::string child_error;
-            const bool ok = run_one_shard(campaign_name, specs, options, s,
-                                          grid_fp, chaos, &child_error);
-            if (!ok) {
-              std::fprintf(stderr, "shard %zu failed: %s\n", s,
-                           child_error.c_str());
-              std::fflush(stderr);
-            }
-            _exit(ok ? 0 : 1);
-          }
-          children.push_back(pid);
-        }
-        for (std::size_t i = 0; i < children.size(); ++i) {
-          int status = 0;
-          if (waitpid(children[i], &status, 0) < 0 || !WIFEXITED(status) ||
-              WEXITSTATUS(status) != 0) {
-            failed.push_back(shards[i]);
-          }
-        }
-        return true;
-      };
-
-  std::vector<std::size_t> all_shards;
-  all_shards.reserve(options.shards);
-  for (std::size_t s = 0; s < options.shards; ++s) all_shards.push_back(s);
-
-  std::vector<std::size_t> failed;
-  if (!fork_and_wait(all_shards, options.chaos, failed, error)) return false;
-
-  if (!failed.empty()) {
-    // Restart each failed shard once, chaos-free. With checkpointing on
-    // this is a resume — the dead worker's completed jobs replay from its
-    // checkpoint and only the remainder re-executes.
-    for (const std::size_t s : failed) {
-      std::fprintf(stderr,
-                   "shard worker %zu exited abnormally; restarting it once"
-                   "%s\n",
-                   s,
-                   options.checkpoint ? " (resuming from its checkpoint)"
-                                      : "");
-    }
-    std::fflush(stderr);
-    std::vector<std::size_t> failed_again;
-    if (!fork_and_wait(failed, ChaosOptions{}, failed_again, error)) {
-      return false;
-    }
-    if (!failed_again.empty()) {
-      const std::size_t s = failed_again.front();
-      const ShardPaths paths = shard_paths(options, campaign_name, s);
-      return fail(error,
-                  "shard " + std::to_string(s) + " of " +
-                      std::to_string(options.shards) +
-                      " failed twice (worker exited abnormally on the "
-                      "restart too); its checkpoint is " +
-                      (paths.checkpoint.empty() ? std::string("disabled")
-                                                : paths.checkpoint) +
-                      " — re-run to resume, or inspect the worker stderr "
-                      "above");
-    }
-  }
-#else
-  // No fork(): degrade to sequential in-process shards — identical files
-  // and merge semantics, no process parallelism (and no chaos: a killed
-  // "worker" here would be the orchestrator itself).
-  for (std::size_t s = 0; s < options.shards; ++s) {
-    if (!run_one_shard(campaign_name, specs, options, s, grid_fp,
-                       ChaosOptions{}, error)) {
-      return false;
-    }
-  }
-#endif
-
-  if (shard_files != nullptr) *shard_files = paths;
-  std::string merged_name;
-  if (!merge_shard_files(paths, &merged_name, merged, error)) return false;
-  if (merged_name != campaign_name) {
-    return fail(error, "merged campaign name mismatch");
-  }
-  return true;
 }
 
 }  // namespace secbus::campaign

@@ -8,9 +8,8 @@
 // never see errno.
 //
 // On platforms without BSD sockets every operation fails cleanly with
-// "sockets unsupported on this platform" (mirroring the SECBUS_HAS_FORK
-// degradation in campaign/shard.cpp), so the library still links and the
-// fleet state machine stays unit-testable through net::FakeTransport.
+// "sockets unsupported on this platform", so the library still links and
+// the fleet state machine stays unit-testable through net::FakeTransport.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,11 @@
-// Lease audit log + fleet timeline + /status document, pinned over
+// Lease log + fleet timeline + /status document, pinned over
 // FakeTransport's manual clock: a full grant -> heartbeat -> expiry ->
 // reassignment -> zombie-refusal -> commit story must leave exactly the
-// expected audit record sequence behind, the Chrome-trace timeline built
-// from it must reconcile (unmatched == 0), and the status/registry
-// surfaces the HTTP plane serves must reflect the same state.
+// expected record sequence behind, the Chrome-trace timeline built from it
+// must reconcile (unmatched == 0), the resume replay must refuse logs that
+// contradict themselves, a commit must never be logged for a shard file
+// that did not land, and the status/registry surfaces the HTTP plane
+// serves must reflect the same state.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +16,7 @@
 
 #include "campaign/audit.hpp"
 #include "campaign/fleet.hpp"
+#include "campaign/shard.hpp"
 #include "campaign/telemetry.hpp"
 #include "net/fake_transport.hpp"
 #include "obs/exposition.hpp"
@@ -57,6 +60,11 @@ TEST(AuditRecordIo, RoundTripsAllFields) {
   record.epoch = 2;
   record.worker = "w-9";
   record.detail = "previous lease expired";
+  record.campaign = "camp";
+  record.shards = 4;
+  record.jobs = 12;
+  record.grid_fp = 0xfeedu;
+  record.file = "/tmp/camp.shard-1-of-4.json";
   AuditRecord back;
   ASSERT_TRUE(audit_record_from_json(audit_record_to_json(record), back));
   EXPECT_EQ(back.t_ms, record.t_ms);
@@ -66,6 +74,11 @@ TEST(AuditRecordIo, RoundTripsAllFields) {
   EXPECT_EQ(back.epoch, record.epoch);
   EXPECT_EQ(back.worker, record.worker);
   EXPECT_EQ(back.detail, record.detail);
+  EXPECT_EQ(back.campaign, record.campaign);
+  EXPECT_EQ(back.shards, record.shards);
+  EXPECT_EQ(back.jobs, record.jobs);
+  EXPECT_EQ(back.grid_fp, record.grid_fp);
+  EXPECT_EQ(back.file, record.file);
 }
 
 TEST(AuditRecordIo, EpochDefaultsToZeroOnOldLogs) {
@@ -81,10 +94,14 @@ TEST(AuditRecordIo, EpochDefaultsToZeroOnOldLogs) {
   EXPECT_EQ(back.epoch, 0u);
 }
 
-TEST(AuditRecordIo, DetailOmittedWhenEmpty) {
+TEST(AuditRecordIo, OptionalFieldsOmittedWhenEmpty) {
   AuditRecord record;
   record.worker = "w";
-  EXPECT_EQ(audit_record_to_json(record).find("detail"), nullptr);
+  const Json j = audit_record_to_json(record);
+  for (const char* field :
+       {"detail", "campaign", "shards", "jobs", "grid_fp", "file"}) {
+    EXPECT_EQ(j.find(field), nullptr) << field;
+  }
 }
 
 TEST(AuditRecordIo, EveryEventNameRoundTrips) {
@@ -102,6 +119,97 @@ TEST(AuditRecordIo, EveryEventNameRoundTrips) {
 
 TEST(AuditRecordIo, FileNameConvention) {
   EXPECT_EQ(audit_file_name("ci_smoke"), "ci_smoke.fleet-audit.jsonl");
+}
+
+// --- resume replay ------------------------------------------------------------
+
+AuditRecord server_start(std::uint64_t epoch, const std::string& campaign,
+                         std::size_t shards) {
+  AuditRecord r;
+  r.event = AuditEvent::kServerStart;
+  r.epoch = epoch;
+  r.campaign = campaign;
+  r.shards = shards;
+  r.jobs = 4;
+  r.grid_fp = 7;
+  return r;
+}
+
+AuditRecord commit(std::uint64_t epoch, std::size_t shard,
+                   const std::string& file) {
+  AuditRecord r;
+  r.event = AuditEvent::kCommit;
+  r.epoch = epoch;
+  r.shard = shard;
+  r.generation = 2;
+  r.worker = "w1";
+  r.file = file;
+  return r;
+}
+
+TEST(LeaseLogReplay, RestoresIdentityEpochAndCommits) {
+  AuditRecord grant;
+  grant.event = AuditEvent::kGrant;
+  grant.shard = 1;
+  LeaseLogState state;
+  std::string error;
+  ASSERT_TRUE(replay_lease_log(
+      {server_start(0, "camp", 2), grant, commit(0, 1, "/tmp/s1"),
+       server_start(1, "camp", 2), commit(1, 0, "/tmp/s0")},
+      state, &error))
+      << error;
+  EXPECT_TRUE(state.any_epoch);
+  EXPECT_EQ(state.last_epoch, 1u);
+  EXPECT_EQ(state.campaign, "camp");
+  EXPECT_EQ(state.shards, 2u);
+  EXPECT_EQ(state.jobs, 4u);
+  EXPECT_EQ(state.grid_fp, 7u);
+  ASSERT_EQ(state.committed.size(), 2u);
+  EXPECT_EQ(state.committed.at(1).epoch, 0u);
+  EXPECT_EQ(state.committed.at(1).generation, 2u);
+  EXPECT_EQ(state.committed.at(1).worker, "w1");
+  EXPECT_EQ(state.committed.at(0).file, "/tmp/s0");
+  EXPECT_TRUE(state.complete());
+}
+
+TEST(LeaseLogReplay, RefusesMixedCampaigns) {
+  LeaseLogState state;
+  std::string error;
+  EXPECT_FALSE(replay_lease_log(
+      {server_start(0, "camp_a", 2), server_start(1, "camp_b", 2)}, state,
+      &error));
+  EXPECT_NE(error.find("mixes different campaigns"), std::string::npos);
+}
+
+TEST(LeaseLogReplay, RefusesEpochGoingBackwards) {
+  LeaseLogState state;
+  std::string error;
+  EXPECT_FALSE(replay_lease_log(
+      {server_start(3, "camp", 2), server_start(2, "camp", 2)}, state,
+      &error));
+  EXPECT_NE(error.find("backwards"), std::string::npos);
+}
+
+TEST(LeaseLogReplay, RefusesCommitForOutOfRangeShard) {
+  LeaseLogState state;
+  std::string error;
+  EXPECT_FALSE(replay_lease_log(
+      {server_start(0, "camp", 2), commit(0, 5, "/tmp/s5")}, state, &error));
+  EXPECT_NE(error.find("shard 5"), std::string::npos);
+}
+
+TEST(LeaseLogReplay, LogWithoutIdentityIsNotResumable) {
+  // A server_start with no campaign identity (and a commit with no file)
+  // carries nothing a resume could trust.
+  AuditRecord bare_start;
+  bare_start.event = AuditEvent::kServerStart;
+  LeaseLogState state;
+  std::string error;
+  ASSERT_TRUE(replay_lease_log({bare_start, commit(0, 0, "")}, state, &error))
+      << error;
+  EXPECT_FALSE(state.any_epoch);
+  EXPECT_TRUE(state.committed.empty());
+  EXPECT_FALSE(state.complete());
 }
 
 // --- the server's audit trail over FakeTransport ----------------------------
@@ -153,8 +261,10 @@ class FleetAuditTest : public ::testing::Test {
     return grant;
   }
 
-  void run_and_submit(FleetServer& server, ConnId conn,
-                      const LeaseGrant& grant) {
+  // Runs the granted shard for real and submits it; false (with `error`)
+  // when the server's step fails.
+  bool try_submit(FleetServer& server, ConnId conn, const LeaseGrant& grant,
+                  std::string* error) {
     ShardRunOptions run;
     run.shard = grant.shard;
     run.shards = server.leases().shard_count();
@@ -170,7 +280,13 @@ class FleetAuditTest : public ::testing::Test {
     fake_.client_send(conn, fleet_msg::shard_done(grant.shard,
                                                   grant.generation, record,
                                                   file));
-    step(server);
+    return server.step(0, error);
+  }
+
+  void run_and_submit(FleetServer& server, ConnId conn,
+                      const LeaseGrant& grant) {
+    std::string error;
+    ASSERT_TRUE(try_submit(server, conn, grant, &error)) << error;
   }
 
   std::vector<AuditRecord> read_log(const FleetServer& server) {
@@ -285,16 +401,75 @@ TEST_F(FleetAuditTest, DisconnectIsAuditedAsRelease) {
   EXPECT_EQ(stats.unmatched, 0u);
 }
 
-TEST_F(FleetAuditTest, AuditCanBeDisabled) {
-  TempDir dir("disabled");
+TEST_F(FleetAuditTest, CommitIsLoggedOnlyAfterTheShardFileLands) {
+  TempDir dir("unwritable");
+  const std::string shard0 =
+      (std::filesystem::path(dir.path()) / shard_file_name(spec_.name, 0, 2))
+          .string();
+  {
+    FleetServer server(fake_, spec_, options(2, dir));
+    ASSERT_TRUE(server.init_error().empty()) << server.init_error();
+    const ConnId w1 = handshake(server, "w1");
+    const LeaseGrant grant = grant_via(server, w1);
+    ASSERT_EQ(grant.shard, 0u);
+    // A directory where the shard file belongs: the write fails like a
+    // full disk would.
+    std::filesystem::create_directory(shard0);
+    std::string error;
+    EXPECT_FALSE(try_submit(server, w1, grant, &error));
+    EXPECT_NE(error.find(shard0), std::string::npos) << error;
+
+    for (const AuditRecord& r : read_log(server)) {
+      EXPECT_FALSE(r.event == AuditEvent::kCommit && r.shard == 0)
+          << "commit logged for a shard file that never landed";
+    }
+  }
+
+  // The restarted server finds no commit for shard 0 and re-runs it.
+  std::filesystem::remove(shard0);
+  FakeTransport fake;
+  FleetServerOptions resume = options(2, dir);
+  resume.resume = true;
+  FleetServer server(fake, spec_, resume);
+  ASSERT_TRUE(server.init_error().empty()) << server.init_error();
+  EXPECT_EQ(server.epoch(), 1u);
+  EXPECT_EQ(server.resumed_shards(), 0u);
+  EXPECT_EQ(server.leases().state(0), LeaseManager::ShardState::kPending);
+}
+
+TEST_F(FleetAuditTest, UnwritableLogRefusesToServe) {
+  TempDir dir("no-log");
+  // A directory where the log belongs: it can be neither replayed nor
+  // opened, and the server must not run without it.
+  std::filesystem::create_directory(std::filesystem::path(dir.path()) /
+                                    audit_file_name(spec_.name));
+  FleetServer server(fake_, spec_, options(1, dir));
+  EXPECT_FALSE(server.init_error().empty());
+  std::string error;
+  EXPECT_FALSE(server.step(0, &error));
+  EXPECT_EQ(error, server.init_error());
+}
+
+TEST_F(FleetAuditTest, LogWithoutIdentityCannotBeResumed) {
+  TempDir dir("no-identity");
+  {
+    // What a server that predates the identity fields would have left.
+    AuditLog log;
+    ASSERT_TRUE(log.open(dir.path() + "/" + audit_file_name(spec_.name)));
+    AuditRecord start;
+    start.event = AuditEvent::kServerStart;
+    ASSERT_TRUE(log.append(start));
+  }
   FleetServerOptions opt = options(1, dir);
-  opt.audit = false;
-  FleetServer server(fake_, spec_, opt);
-  EXPECT_TRUE(server.audit_path().empty());
-  const ConnId w1 = handshake(server, "w1");
-  (void)grant_via(server, w1);
-  EXPECT_FALSE(std::filesystem::exists(
-      std::filesystem::path(dir.path()) / audit_file_name(spec_.name)));
+  opt.resume = true;
+  FleetServer resumed(fake_, spec_, opt);
+  EXPECT_NE(resumed.init_error().find("nothing to resume"), std::string::npos)
+      << resumed.init_error();
+  // Nor does a fresh serve silently start over it.
+  FakeTransport fake;
+  FleetServer fresh(fake, spec_, options(1, dir));
+  EXPECT_NE(fresh.init_error().find("--resume"), std::string::npos)
+      << fresh.init_error();
 }
 
 // --- /status + fleet registry ----------------------------------------------

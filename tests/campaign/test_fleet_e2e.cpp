@@ -123,9 +123,8 @@ TEST(FleetE2E, ChaosKilledWorkerIsReassignedAndOutputIsByteIdentical) {
   serve_opt.heartbeat_ms = 200;
   serve_opt.out_dir = dir.path();
   serve_opt.quiet = true;
-  // The plane under test: lease auditing on, per-job metrics on (the
-  // registries must survive the shard files byte-for-byte).
-  serve_opt.audit = true;
+  // Per-job metrics on: the registries must survive the shard files
+  // byte-for-byte.
   serve_opt.grid.collect_metrics = true;
 
   net::TcpServerTransport transport;

@@ -1,7 +1,8 @@
 // Exhaustive torn-tail tolerance for the crash-safe JSONL sidecars.
 //
 // A chaos-killed (or power-cut) worker can leave its checkpoint or
-// progress file truncated at *any* byte. These tests take real files
+// progress file — and a killed server its lease log — truncated at *any*
+// byte. These tests take real files
 // written by the real writers and replay a copy truncated at every byte
 // offset of the final records: replay must never crash, must restore
 // exactly the records whose content bytes survived in full, and must
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/audit.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/shard.hpp"
 #include "campaign/telemetry.hpp"
@@ -222,6 +224,84 @@ TEST(TornTail, WriterReopenWeldsTornTailAndReplayStaysSane) {
   EXPECT_EQ(records[0].done, 1u);
   EXPECT_TRUE(records[1].finished);
   EXPECT_EQ(records[1].done, 3u);
+}
+
+// The server's crash-safety property: for EVERY byte-length prefix of a
+// lease log, replay succeeds and recovers exactly the state the complete
+// records describe — no error, no phantom commit, nothing lost before the
+// tear.
+TEST(TornTail, LeaseLogReplayAtEveryTruncationOffset) {
+  TempDir dir("lease");
+  const std::string path = dir.file("torn.fleet-audit.jsonl");
+  const auto start = [](std::uint64_t epoch) {
+    AuditRecord r;
+    r.event = AuditEvent::kServerStart;
+    r.epoch = epoch;
+    r.campaign = "camp";
+    r.shards = 3;
+    r.jobs = 9;
+    r.grid_fp = 0xabcdu;
+    return r;
+  };
+  const auto record = [](AuditEvent event, std::uint64_t epoch,
+                         std::size_t shard, const std::string& file) {
+    AuditRecord r;
+    r.event = event;
+    r.epoch = epoch;
+    r.shard = shard;
+    r.generation = 1;
+    r.worker = "w1";
+    r.file = file;
+    return r;
+  };
+  {
+    AuditLog log;
+    ASSERT_TRUE(log.open(path));
+    ASSERT_TRUE(log.append(start(0)));
+    ASSERT_TRUE(log.append(record(AuditEvent::kGrant, 0, 0, "")));
+    ASSERT_TRUE(log.append(record(AuditEvent::kCommit, 0, 0, "/tmp/s0")));
+    ASSERT_TRUE(log.append(record(AuditEvent::kCommit, 0, 2, "/tmp/s2")));
+    ASSERT_TRUE(log.append(start(1)));
+    ASSERT_TRUE(log.append(record(AuditEvent::kCommit, 1, 1, "/tmp/s1")));
+  }
+  std::string text;
+  std::string error;
+  ASSERT_TRUE(util::read_file(path, text, &error)) << error;
+  ASSERT_EQ(text.back(), '\n');
+
+  // The state replay must reach once each line (in file order) is whole.
+  struct Expect {
+    std::uint64_t last_epoch;
+    std::size_t commits;
+  };
+  const std::vector<Expect> after_line = {
+      {0, 0}, {0, 0}, {0, 1}, {0, 2}, {1, 2}, {1, 3},
+  };
+
+  const std::string torn = dir.file("torn-copy.fleet-audit.jsonl");
+  for (std::size_t keep = 0; keep <= text.size(); ++keep) {
+    write_truncated(torn, text, keep);
+    std::vector<AuditRecord> records;
+    LeaseLogState state;
+    ASSERT_TRUE(read_audit_log(torn, records, &error)) << error;
+    ASSERT_TRUE(replay_lease_log(records, state, &error))
+        << "truncated at byte " << keep << ": " << error;
+    const std::size_t lines = complete_lines_within(text, keep);
+    ASSERT_EQ(records.size(), lines) << "truncated at byte " << keep;
+    if (lines == 0) {
+      EXPECT_FALSE(state.any_epoch) << "truncated at byte " << keep;
+      EXPECT_TRUE(state.committed.empty()) << "truncated at byte " << keep;
+      continue;
+    }
+    const Expect& want = after_line[lines - 1];
+    EXPECT_TRUE(state.any_epoch) << "truncated at byte " << keep;
+    EXPECT_EQ(state.last_epoch, want.last_epoch)
+        << "truncated at byte " << keep;
+    EXPECT_EQ(state.committed.size(), want.commits)
+        << "truncated at byte " << keep;
+    EXPECT_EQ(state.complete(), want.commits == 3)
+        << "truncated at byte " << keep;
+  }
 }
 
 }  // namespace

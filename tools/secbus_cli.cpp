@@ -14,6 +14,9 @@
 //       Expands the named scenario over its default sweep axes and executes
 //       the jobs on a worker pool. Emits a per-job table plus aggregate
 //       stats, and mirrors the batch as CSV and JSON reports.
+//     --report          print the full per-component report (firewall
+//                       violation table, bus and memory statistics) of
+//                       the run; the scenario must expand to one job
 //     --jobs N          worker threads (default 1; 0 = all hardware threads)
 //     --repeats N       run every job N times with derived seeds
 //     --csv PATH        CSV report path   (default <scenario>.csv)
@@ -58,21 +61,18 @@
 //                       instead of the aggregate reports; shard runs
 //                       checkpoint to <out>/<name>.shard-i-of-N.ckpt.jsonl
 //                       by default, so re-running resumes after a crash
-//     --spawn N         fork N local single-shard worker processes, wait,
-//                       merge their shard files and emit the normal reports
-//                       (byte-identical to an unsharded run)
 //     --checkpoint PATH crash-safe JSONL checkpoint (resume + append).
-//                       Checkpointing is on by default for --shard/--spawn
-//                       (per-shard paths derived under --out; an explicit
-//                       PATH is rejected with --spawn) and opt-in via this
-//                       flag for plain runs
+//                       Checkpointing is on by default for --shard
+//                       (per-shard path derived under --out) and opt-in
+//                       via this flag for plain runs
 //     --no-checkpoint   disable checkpointing
 //     --no-setup-cache  disable the per-process SoC-setup memo cache
 //                       (formatted hash trees / memory images); results are
 //                       bit-identical either way — this exists for baseline
 //                       benchmarking
 //       plus --jobs/--repeats/--no-files/--max-cycles/--quiet (--jobs is
-//       threads per process; with --spawn it applies to each worker).
+//       the thread count: the one way to run a campaign in parallel on one
+//       host; --shard + merge and the fleet spread it across hosts).
 //
 //   secbus_cli campaign merge <shard.json>... [--out DIR] [options]
 //       Recombines shard result files (all N of them) into the identical
@@ -86,7 +86,7 @@
 //
 //   secbus_cli campaign status [DIR]
 //       Scans DIR (default bench/out) for shard progress sidecars
-//       (*.progress.jsonl, written by --shard/--spawn workers) and renders
+//       (*.progress.jsonl, written by --shard runs and the fleet) and renders
 //       each shard's latest record: done/total, throughput, setup-cache hit
 //       rate, finished/running. Exit 1 when no sidecars are found.
 //
@@ -114,13 +114,9 @@
 //                         GET /status (JSON lease table) on this port,
 //                         polled from the same loop as the fleet socket
 //                         (0 = ephemeral; printed on an "http:" line)
-//     --no-audit          skip the <out>/<name>.fleet-audit.jsonl lease
-//                         audit log (pure observability; artifacts are
-//                         identical either way)
-//     --no-journal        skip the <out>/<name>.fleet-journal.jsonl lease
-//                         journal (disables --resume for this run)
-//     --resume            recover a killed server from its lease journal:
-//                         journaled shard commits stay done, everything
+//     --resume            recover a killed server from its lease log
+//                         (<out>/<name>.fleet-audit.jsonl, always written):
+//                         logged shard commits stay done, everything
 //                         else returns to pending, and the server epoch
 //                         bumps so results minted under the dead
 //                         incarnation are refused (zombie fencing)
@@ -128,7 +124,7 @@
 //       repeats/max-cycles/metrics shape the grid and are announced to
 //       workers, which verify the resulting grid fingerprint.
 //       SECBUS_CHAOS=kill_server_after:<n> _Exit()s the server right after
-//       the n-th journaled commit (fault injection for --resume);
+//       the n-th logged commit (fault injection for --resume);
 //       net:drop=..,delay_ms=a..b,... makes the server's side of every
 //       connection lossy too.
 //
@@ -158,14 +154,9 @@
 //       the campaign finishes, 1 when the server becomes unreachable.
 //
 //   secbus_cli campaign timeline <audit.jsonl> [--out PATH]
-//       Converts a fleet lease audit log into a Chrome trace-event JSON
-//       fleet timeline (one track per worker, one span per lease, instants
-//       for expiries and refusals) for Perfetto / chrome://tracing.
-//
-// Legacy single-run mode (kept for scripts): secbus_cli [--cpus N]
-//   [--security M] [--protection L] [--external F] [--transactions N]
-//   [--compute N] [--extra-rules N] [--line-bytes N] [--seed N]
-//   [--max-cycles N] [--reconfig] [--report] [--quiet]
+//       Converts a fleet lease log into a Chrome trace-event JSON fleet
+//       timeline (one track per worker, one span per lease, instants for
+//       expiries and refusals) for Perfetto / chrome://tracing.
 //
 // Exit status: 0 when every executed job completed, 1 on timeout or usage
 // error.
@@ -211,13 +202,13 @@ namespace {
       "       %s crypto-info\n"
       "       %s run <scenario> [--jobs N] [--repeats N] [--csv PATH]\n"
       "              [--json PATH] [--no-files] [--max-cycles N] [--quiet]\n"
-      "              [--metrics] [--trace PATH]\n"
+      "              [--metrics] [--trace PATH] [--report]\n"
       "       %s sweep [--scenario NAME] [--topology A,B] [--cpus A,B]\n"
       "              [--security A,B] [--protection A,B] [--seeds A,B]\n"
       "              [--extra-rules A,B] [--line-bytes A,B] [--external A,B]\n"
       "              [run options]\n"
       "       %s campaign run <file.json> [--out DIR] [--cells-csv PATH]\n"
-      "              [--shard i/N] [--spawn N] [--checkpoint PATH]\n"
+      "              [--shard i/N] [--checkpoint PATH]\n"
       "              [--no-checkpoint] [--no-setup-cache] [run options]\n"
       "       %s campaign merge <shard.json>... [--out DIR] [run options]\n"
       "       %s campaign validate <file.json>...\n"
@@ -226,20 +217,14 @@ namespace {
       "       %s campaign serve <file.json> [--port N] [--shards N]\n"
       "              [--out DIR] [--lease-timeout MS] [--heartbeat MS]\n"
       "              [--listen-any] [--cells-csv PATH] [--http-port N]\n"
-      "              [--no-audit] [--no-journal] [--resume] [run options]\n"
+      "              [--resume] [run options]\n"
       "       %s campaign worker <host:port> [--jobs N] [--out DIR]\n"
       "              [--id NAME] [--reconnect N] [--backoff MS]\n"
       "              [--no-checkpoint] [--no-setup-cache] [--quiet]\n"
       "       %s campaign top <host:port> [--interval MS] [--once]\n"
-      "       %s campaign timeline <audit.jsonl> [--out PATH]\n"
-      "       %s [--cpus N] [--topology flat|starN|meshRxC]\n"
-      "          [--security none|distributed|centralized]\n"
-      "          [--protection plaintext|cipher|full] [--external F]\n"
-      "          [--transactions N] [--compute N] [--extra-rules N]\n"
-      "          [--line-bytes N] [--seed N] [--max-cycles N]\n"
-      "          [--reconfig] [--report] [--quiet]\n",
+      "       %s campaign timeline <audit.jsonl> [--out PATH]\n",
       argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-      argv0, argv0, argv0, argv0);
+      argv0, argv0, argv0);
   std::exit(1);
 }
 
@@ -288,6 +273,8 @@ struct BatchCliOptions {
   // Non-empty: run only the first expanded job, single-threaded, with a
   // large event-trace ring, and export a Chrome/Perfetto trace here.
   std::string trace_path;
+  // `run --report`: print soc::render_full_report for the (single) job.
+  bool report = false;
 };
 
 // Tries to consume argv[i] as a shared batch option; advances i past any
@@ -326,7 +313,7 @@ bool parse_batch_option(int argc, char** argv, int& i, BatchCliOptions& opt) {
 
 // Applies the shared CLI post-processing to an expanded spec list: seed
 // replication and the cycle-cap override. Every execution path — plain,
-// sharded, spawned — prepares specs identically, so shard fingerprints and
+// sharded, fleet — prepares specs identically, so shard fingerprints and
 // job order agree across processes and invocations.
 std::vector<scenario::ScenarioSpec> prepare_specs(
     std::vector<scenario::ScenarioSpec> specs, const BatchCliOptions& opt) {
@@ -389,6 +376,12 @@ std::vector<scenario::JobResult> execute_specs(
           static_cast<unsigned long long>(st.lifecycle_spans),
           static_cast<unsigned long long>(st.instants),
           static_cast<unsigned long long>(st.alert_instants));
+      std::fflush(stdout);
+    };
+  }
+  if (opt.report) {
+    batch.hooks.inspect = [](soc::Soc& sys, const scenario::JobResult&) {
+      std::fputs(soc::render_full_report(sys).c_str(), stdout);
       std::fflush(stdout);
     };
   }
@@ -487,9 +480,26 @@ int cmd_run(int argc, char** argv) {
   }
   BatchCliOptions opt;
   for (int i = 3; i < argc; ++i) {
-    if (!parse_batch_option(argc, argv, i, opt)) usage(argv[0]);
+    if (std::strcmp(argv[i], "--report") == 0) {
+      opt.report = true;
+    } else if (!parse_batch_option(argc, argv, i, opt)) {
+      usage(argv[0]);
+    }
   }
-  return run_jobs(name, scenario::expand(entry->spec, entry->axes), opt);
+  std::vector<scenario::ScenarioSpec> specs =
+      scenario::expand(entry->spec, entry->axes);
+  if (opt.report && !opt.trace_path.empty()) {
+    std::fprintf(stderr, "error: --report does not combine with --trace\n");
+    return 1;
+  }
+  if (opt.report && specs.size() * opt.repeats != 1) {
+    std::fprintf(stderr,
+                 "error: --report renders one SoC; '%s' expands to %zu "
+                 "job(s)\n",
+                 name.c_str(), specs.size() * opt.repeats);
+    return 1;
+  }
+  return run_jobs(name, std::move(specs), opt);
 }
 
 int cmd_sweep(int argc, char** argv) {
@@ -576,8 +586,8 @@ int cmd_sweep(int argc, char** argv) {
 
 // Renders + writes the campaign outputs (table or quiet line; cells CSV,
 // campaign JSON, per-job CSV) for a complete submission-order result
-// vector. Shared by the plain run, --spawn and `campaign merge` so all
-// three emit byte-identical artifacts from identical results.
+// vector. Shared by the plain run, the fleet server and `campaign merge` so
+// all three emit byte-identical artifacts from identical results.
 int emit_campaign_outputs(const std::string& name,
                           const std::vector<scenario::JobResult>& results,
                           const BatchCliOptions& opt,
@@ -686,7 +696,6 @@ int cmd_campaign_run(int argc, char** argv) {
   std::string cells_csv_path;
   std::size_t shard_index = 0;
   std::size_t shard_total = 0;  // 0 = not sharded
-  std::size_t spawn = 0;        // 0 = no worker processes
   std::string checkpoint_path;
   bool no_checkpoint = false;
   for (int i = 4; i < argc; ++i) {
@@ -704,10 +713,6 @@ int cmd_campaign_run(int argc, char** argv) {
       if (!parse_shard_selector(next(), shard_index, shard_total)) {
         usage(argv[0]);
       }
-    } else if (arg == "--spawn") {
-      std::uint64_t u = 0;
-      if (!parse_u64(next(), u) || u < 1 || u > 64) usage(argv[0]);
-      spawn = static_cast<std::size_t>(u);
     } else if (arg == "--checkpoint") {
       checkpoint_path = next();
     } else if (arg == "--no-checkpoint") {
@@ -718,22 +723,9 @@ int cmd_campaign_run(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (shard_total != 0 && spawn != 0) {
-    std::fprintf(stderr, "error: --shard and --spawn are mutually exclusive\n");
-    return 1;
-  }
   if (!opt.trace_path.empty()) {
     std::fprintf(stderr,
                  "error: --trace applies to `run`/`sweep`, not campaigns\n");
-    return 1;
-  }
-  if (spawn != 0 && !checkpoint_path.empty()) {
-    // Spawned workers each need their own checkpoint; a single shared path
-    // would be silently ignored. Per-shard files derive under --out.
-    std::fprintf(stderr,
-                 "error: --checkpoint PATH does not combine with --spawn "
-                 "(workers checkpoint per shard under --out; use "
-                 "--no-checkpoint to disable)\n");
     return 1;
   }
 
@@ -752,39 +744,6 @@ int cmd_campaign_run(int argc, char** argv) {
                  static_cast<unsigned long long>(opt.repeats),
                  campaign::kMaxCampaignJobs);
     return 1;
-  }
-
-  // --- spawn: N local worker processes over the shards, then merge -------
-  if (spawn != 0) {
-    const std::vector<scenario::ScenarioSpec> specs =
-        prepare_specs(campaign::expand_campaign(spec), opt);
-    campaign::SpawnOptions spawn_opt;
-    spawn_opt.shards = spawn;
-    spawn_opt.threads_per_shard = opt.jobs == 0 ? 1 : opt.jobs;
-    spawn_opt.out_dir = out_dir;
-    spawn_opt.checkpoint = !no_checkpoint;
-    spawn_opt.quiet = opt.quiet;
-    spawn_opt.collect_metrics = opt.metrics;
-    if (!opt.quiet) {
-      std::printf("campaign %s: %zu job(s) across %zu worker process(es), "
-                  "%u thread(s) each\n",
-                  spec.name.c_str(), specs.size(), spawn,
-                  spawn_opt.threads_per_shard);
-    }
-    std::vector<scenario::JobResult> merged;
-    std::vector<std::string> shard_files;
-    if (!campaign::run_campaign_sharded_local(spec.name, specs, spawn_opt,
-                                              &merged, &shard_files, &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    if (!opt.quiet) {
-      for (const std::string& path : shard_files) {
-        std::printf("shard file: %s\n", path.c_str());
-      }
-    }
-    return emit_campaign_outputs(spec.name, merged, opt, out_dir,
-                                 cells_csv_path);
   }
 
   // --- shard worker: run slice i/N, write the shard result file ----------
@@ -1034,20 +993,11 @@ int cmd_campaign_serve(int argc, char** argv) {
     } else if (arg == "--http-port" && parse_u64(next(), u) && u <= 65535) {
       http = true;
       http_port = static_cast<std::uint16_t>(u);
-    } else if (arg == "--no-audit") {
-      serve_opt.audit = false;
-    } else if (arg == "--no-journal") {
-      serve_opt.journal = false;
     } else if (arg == "--resume") {
       serve_opt.resume = true;
     } else {
       usage(argv[0]);
     }
-  }
-  if (serve_opt.resume && !serve_opt.journal) {
-    std::fprintf(stderr, "error: --resume needs the lease journal "
-                         "(drop --no-journal)\n");
-    return 1;
   }
   if (!opt.trace_path.empty()) {
     std::fprintf(stderr,
@@ -1109,7 +1059,7 @@ int cmd_campaign_serve(int argc, char** argv) {
               serve_opt.resume ? " (resumed)" : "");
   if (serve_opt.resume) {
     std::printf("fleet: epoch %llu, %zu shard(s) already committed in the "
-                "journal\n",
+                "lease log\n",
                 static_cast<unsigned long long>(server.epoch()),
                 server.resumed_shards());
   }
@@ -1157,13 +1107,7 @@ int cmd_campaign_serve(int argc, char** argv) {
     return 1;
   }
   http_server.close();
-  if (serve_opt.audit && !server.audit_path().empty()) {
-    std::printf("fleet: lease audit log at %s\n", server.audit_path().c_str());
-  }
-  if (serve_opt.journal && !server.journal_path().empty()) {
-    std::printf("fleet: lease journal at %s\n",
-                server.journal_path().c_str());
-  }
+  std::printf("fleet: lease log at %s\n", server.audit_path().c_str());
   if (server.reassignments() != 0) {
     std::fprintf(stderr, "fleet: %zu lease reassignment(s) during this run\n",
                  server.reassignments());
@@ -1343,88 +1287,6 @@ int cmd_campaign(int argc, char** argv) {
   usage(argv[0]);
 }
 
-int legacy_single_run(int argc, char** argv) {
-  soc::SocConfig cfg = soc::section5_config();
-  cfg.transactions_per_cpu = 300;
-  sim::Cycle max_cycles = 50'000'000;
-  bool full_report = false;
-  bool quiet = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    std::uint64_t u = 0;
-    double d = 0.0;
-    if (arg == "--cpus" && parse_u64(next(), u) && u >= 1 && u <= 63) {
-      cfg.processors = u;
-    } else if (arg == "--topology") {
-      if (!soc::parse_topology(next(), cfg.topology)) usage(argv[0]);
-    } else if (arg == "--security") {
-      if (!soc::parse_security_mode(next(), cfg.security)) usage(argv[0]);
-    } else if (arg == "--protection") {
-      if (!soc::parse_protection_level(next(), cfg.protection)) usage(argv[0]);
-    } else if (arg == "--external" && parse_double(next(), d) && d >= 0.0 &&
-               d <= 1.0) {
-      cfg.external_fraction = d;
-    } else if (arg == "--transactions" && parse_u64(next(), u) && u >= 1) {
-      cfg.transactions_per_cpu = u;
-    } else if (arg == "--compute" && parse_u64(next(), u)) {
-      cfg.compute_min = u;
-      cfg.compute_max = u + 8;
-    } else if (arg == "--extra-rules" && parse_u64(next(), u) && u <= 1024) {
-      cfg.extra_rules = u;
-    } else if (arg == "--line-bytes" && parse_u64(next(), u) &&
-               (u == 16 || u == 32 || u == 64 || u == 128)) {
-      cfg.line_bytes = u;
-    } else if (arg == "--seed" && parse_u64(next(), u)) {
-      cfg.seed = u;
-    } else if (arg == "--max-cycles" && parse_u64(next(), u) && u >= 1) {
-      max_cycles = u;
-    } else if (arg == "--reconfig") {
-      cfg.enable_reconfig = true;
-    } else if (arg == "--report") {
-      full_report = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      usage(argv[0]);
-    }
-  }
-
-  if (!quiet) {
-    std::printf(
-        "secbus: %zu CPU%s, security=%s, protection=%s, external=%.0f%%, "
-        "%llu txn/cpu, seed=%llu\n",
-        cfg.processors, cfg.processors == 1 ? "" : "s",
-        to_string(cfg.security), to_string(cfg.protection),
-        100.0 * cfg.external_fraction,
-        static_cast<unsigned long long>(cfg.transactions_per_cpu),
-        static_cast<unsigned long long>(cfg.seed));
-  }
-
-  soc::Soc system(cfg);
-  const soc::SocResults results = system.run(max_cycles);
-
-  std::printf(
-      "%s in %llu cycles (%.3f ms @100MHz): %llu ok, %llu failed, "
-      "latency %.1f cyc, bus %.1f%%, alerts %llu\n",
-      results.completed ? "completed" : "TIMED OUT",
-      static_cast<unsigned long long>(results.cycles),
-      cfg.clock.cycles_to_us(results.cycles) / 1000.0,
-      static_cast<unsigned long long>(results.transactions_ok),
-      static_cast<unsigned long long>(results.transactions_failed),
-      results.avg_access_latency, 100.0 * results.bus_occupancy,
-      static_cast<unsigned long long>(results.alerts));
-
-  if (full_report) {
-    std::fputs(soc::render_full_report(system).c_str(), stdout);
-  }
-  return results.completed ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1446,6 +1308,5 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "campaign") == 0) {
     return cmd_campaign(argc, argv);
   }
-  if (argc >= 2 && argv[1][0] != '-') usage(argv[0]);
-  return legacy_single_run(argc, argv);
+  usage(argv[0]);
 }
