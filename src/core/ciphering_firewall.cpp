@@ -293,43 +293,61 @@ bus::AccessResult LocalCipheringFirewall::access(bus::BusTransaction& t,
 void LocalCipheringFirewall::format_protected_region() {
   // Thousands of campaign jobs format the exact same region (the format
   // only depends on geometry + mode + key, never on the attack/protection/
-  // workload axes), so the finished image and tree are memoized per process
-  // (core::FormatCache). The restore path is bit-identical to the computing
-  // path: same stored bytes, same node heap, same versions, same (reset)
-  // stats.
+  // workload axes), so the finished image — and its tree, once a build that
+  // checks integrity has needed it — is memoized per process
+  // (core::FormatCache). Cache hit or miss, the IC formats from the same
+  // snapshot and builds its tree only when something reads it, so a bypass
+  // policy hashes nothing and a hit hashes nothing.
   const bool ciphered = cm_ == ConfidentialityMode::kCipher;
-  FormatKey cache_key;
-  cache_key.protected_base = cfg_.protected_base;
-  cache_key.protected_size = cfg_.protected_size;
-  cache_key.line_bytes = cfg_.line_bytes;
-  cache_key.ciphered = ciphered;
-  // Plaintext images are key-independent; a zeroed key lets every seed
-  // share the one entry.
-  if (ciphered) cache_key.key = config_mem_->policy(id_).key;
 
   // Snapshots bind version 1 into every leaf, so only a pristine core (a
-  // re-format after traffic advanced versions is legal API use) may take
-  // the restore path; anything else recomputes.
-  FormatCache& cache = FormatCache::instance();
-  if (const std::shared_ptr<const FormatSnapshot> snap =
-          ic_.pristine() ? cache.find(cache_key) : nullptr) {
-    ic_.restore_bulk_format(snap->tree_nodes);
+  // re-format after traffic advanced versions is legal API use) may format
+  // from one; anything else recomputes image and tree in place.
+  if (!ic_.pristine()) {
+    const std::vector<std::uint8_t> image = formatted_image(ciphered);
+    ic_.bulk_update_all(image);
+    inner_->store().write(cfg_.protected_base,
+                          std::span<const std::uint8_t>(image.data(), image.size()));
+  } else {
+    FormatKey cache_key;
+    cache_key.protected_base = cfg_.protected_base;
+    cache_key.protected_size = cfg_.protected_size;
+    cache_key.line_bytes = cfg_.line_bytes;
+    cache_key.ciphered = ciphered;
+    // Plaintext images are key-independent; a zeroed key lets every seed
+    // share the one entry.
+    if (ciphered) cache_key.key = config_mem_->policy(id_).key;
+
+    FormatCache& cache = FormatCache::instance();
+    std::shared_ptr<const FormatSnapshot> snap = cache.find(cache_key);
+    if (snap == nullptr) {
+      auto fresh = std::make_shared<FormatSnapshot>();
+      fresh->image = formatted_image(ciphered);
+      snap = std::move(fresh);
+      cache.insert(cache_key, snap);
+    }
     inner_->store().write(cfg_.protected_base,
                           std::span<const std::uint8_t>(snap->image.data(),
                                                         snap->image.size()));
-    cc_.reset_stats();
-    ic_.reset_stats();
-    return;
+    ic_.format_from(std::move(snap));
+    // Charge the tree to setup when this policy will read it; a bypass
+    // policy defers it until (unless) integrity is switched on.
+    if (im_ == IntegrityMode::kHashTree) ic_.build_tree();
   }
 
-  // Build the whole stored image in one buffer, then let the IC rebuild the
-  // tree bottom-up in one pass: formatting 2^k lines via per-line root
-  // refreshes is O(lines * depth) hashing and used to dominate the cost of
-  // constructing a protected SoC.
-  const bool cacheable = ic_.pristine();  // snapshot must mean "version 1"
-  const std::uint64_t lines = cfg_.protected_size / cfg_.line_bytes;
+  // Formatting is init-time work (the bitstream/loader does it before the
+  // system runs); keep the runtime statistics clean.
+  cc_.reset_stats();
+  ic_.reset_stats();
+}
+
+std::vector<std::uint8_t> LocalCipheringFirewall::formatted_image(
+    bool ciphered) {
+  // Zero lines, enciphered under each line's next version — the version the
+  // format advances it to.
   std::vector<std::uint8_t> image(static_cast<std::size_t>(cfg_.protected_size), 0);
   if (ciphered) {
+    const std::uint64_t lines = cfg_.protected_size / cfg_.line_bytes;
     for (std::uint64_t i = 0; i < lines; ++i) {
       const sim::Addr line_addr = cfg_.protected_base + i * cfg_.line_bytes;
       const std::uint32_t next_version = ic_.version_of(line_addr) + 1;
@@ -338,21 +356,7 @@ void LocalCipheringFirewall::format_protected_region() {
       (void)cc_.encrypt(line_addr, next_version, line, line);
     }
   }
-  ic_.bulk_update_all(image);
-  inner_->store().write(cfg_.protected_base,
-                        std::span<const std::uint8_t>(image.data(), image.size()));
-
-  if (cacheable && cache.enabled()) {
-    auto snap = std::make_shared<FormatSnapshot>();
-    snap->tree_nodes = ic_.tree().nodes();
-    snap->image = std::move(image);
-    cache.insert(cache_key, std::move(snap));
-  }
-
-  // Formatting is init-time work (the bitstream/loader does it before the
-  // system runs); keep the runtime statistics clean.
-  cc_.reset_stats();
-  ic_.reset_stats();
+  return image;
 }
 
 sim::Cycle LocalCipheringFirewall::rotate_key(const crypto::Aes128Key& new_key) {

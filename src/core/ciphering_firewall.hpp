@@ -74,9 +74,11 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
 
   void set_trace(sim::EventTrace* trace) noexcept { trace_ = trace; }
 
-  // Writes encrypted zero lines over the whole protected region (and
-  // rebuilds the tree), so subsequent plaintext reads return zeros. Init-
-  // time operation; charges no simulated cycles.
+  // Writes encrypted zero lines over the whole protected region and
+  // advances every line's version, so subsequent plaintext reads return
+  // zeros. The tree over the new image is built now when the policy checks
+  // integrity, and only once integrity is switched on otherwise. Init-time
+  // operation; charges no simulated cycles.
   void format_protected_region();
 
   // Key rotation (reconfiguration of security services, Section VI):
@@ -115,6 +117,9 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
   [[nodiscard]] bool in_protected_range(sim::Addr addr, std::uint64_t len) const noexcept;
   void refresh_policy_cache();
   void raise_alert(sim::Cycle now, Violation v, const bus::BusTransaction& t);
+  // The stored form of an all-zero protected region (see
+  // format_protected_region); charges the CC, whose stats the format resets.
+  [[nodiscard]] std::vector<std::uint8_t> formatted_image(bool ciphered);
 
   // Raw line transfer to/from the inner DDR; returns the DDR latency.
   sim::Cycle raw_line_read(sim::Addr line_addr, std::span<std::uint8_t> out,

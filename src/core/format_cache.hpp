@@ -2,20 +2,22 @@
 //
 // Every distributed-mode Soc construction formats the LCF's protected
 // region: encrypt `protected_size` bytes of zeros line by line (CM=cipher)
-// and rebuild the whole hash tree — work that is *identical* across every
-// job sharing (region geometry, line size, confidentiality mode, key).
-// Campaign grids cross attack/protection/topology/seed axes over a fixed
-// memory layout, so thousands of jobs repeat the exact same format; for
-// short jobs (the statistical sweet spot: many seeds x few transactions)
-// it dominates wall-clock. This cache keys the finished artifacts — the
-// stored ciphertext image and the post-format tree node heap — and lets
-// later constructions skip both the AES and the SHA passes.
+// and, when the policy checks integrity, build the hash tree over them —
+// work that is *identical* across every job sharing (region geometry, line
+// size, confidentiality mode, key). Campaign grids cross attack/protection/
+// topology/seed axes over a fixed memory layout, so thousands of jobs repeat
+// the exact same format. This cache keys the finished artifacts — the
+// stored image and, once a cipher+integrity build has needed it, the
+// post-format tree node heap — and lets later constructions skip both the
+// AES and the SHA passes. A build whose policy bypasses integrity never
+// asks for the tree, so a snapshot only carries one after some build used
+// it.
 //
 // Bit-identity is the contract, not an optimization target: the key covers
 // every input that reaches the image or the tree, the restore path advances
-// versions and accounts stats exactly like the computing path, and
-// core_test_format_cache + the determinism suite verify results are
-// indistinguishable with the cache on, off, warm or cold.
+// versions exactly like the computing path, and core_test_format_cache +
+// the determinism suite verify results are indistinguishable with the cache
+// on, off, warm or cold.
 //
 // The cache is per process (shard workers each warm their own), bounded
 // (FIFO eviction), and thread-safe: batch-runner workers constructing SoCs
@@ -55,11 +57,26 @@ struct FormatKey {
   bool operator==(const FormatKey&) const = default;
 };
 
-// The finished format: what the DDR backing store holds and what the hash
-// tree's node heap contains immediately after bulk_update_all(image).
+// The finished format: what the DDR backing store holds and, built on
+// demand, what the hash tree's node heap contains immediately after
+// bulk_update_all(image) on a pristine core (every leaf at version 1).
+// Shared read-only between the cache and every Integrity Core formatted
+// from it.
 struct FormatSnapshot {
   std::vector<std::uint8_t> image;
-  std::vector<crypto::Sha256Digest> tree_nodes;
+
+  // The post-format node heap. The first caller runs `build` (which hashes
+  // and returns the heap) and every later caller, on any thread, gets the
+  // stored result without hashing.
+  template <typename Build>
+  const std::vector<crypto::Sha256Digest>& tree_nodes(Build&& build) const {
+    std::call_once(tree_once_, [&] { tree_nodes_ = build(); });
+    return tree_nodes_;
+  }
+
+ private:
+  mutable std::once_flag tree_once_;
+  mutable std::vector<crypto::Sha256Digest> tree_nodes_;
 };
 
 class FormatCache {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/format_cache.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 
@@ -46,6 +47,7 @@ sim::Cycle IntegrityCore::cost_for_bits(std::uint64_t bits) const noexcept {
 
 IntegrityCore::UpdateOutcome IntegrityCore::update_line(
     sim::Addr line_addr, std::span<const std::uint8_t> line) {
+  build_tree();
   const std::size_t leaf = leaf_of(line_addr);
   std::uint32_t& version = versions_[leaf];
   if (version == 0xFFFFFFFFu) {
@@ -64,6 +66,7 @@ IntegrityCore::UpdateOutcome IntegrityCore::update_line(
 
 IntegrityCore::VerifyOutcome IntegrityCore::verify_line(
     sim::Addr line_addr, std::span<const std::uint8_t> line) {
+  build_tree();
   const std::size_t leaf = leaf_of(line_addr);
   const auto result = tree_.verify(leaf, line, versions_[leaf]);
   ++stats_.verifies;
@@ -85,6 +88,7 @@ void IntegrityCore::bulk_update_all(std::span<const std::uint8_t> image) {
     if (version == 0xFFFFFFFFu) ++stats_.version_wraps;
     ++version;
   }
+  deferred_format_ = nullptr;
   tree_.rebuild(image, std::span<const std::uint32_t>(versions_.data(),
                                                       versions_.size()));
   stats_.updates += versions_.size();
@@ -98,21 +102,31 @@ bool IntegrityCore::pristine() const noexcept {
   return true;
 }
 
-void IntegrityCore::restore_bulk_format(
-    const std::vector<crypto::Sha256Digest>& nodes) {
+void IntegrityCore::format_from(std::shared_ptr<const FormatSnapshot> snap) {
   SECBUS_ASSERT(pristine(),
-                "restore_bulk_format on a used core: snapshot binds "
-                "version 1");
-  for (std::uint32_t& version : versions_) {
-    if (version == 0xFFFFFFFFu) ++stats_.version_wraps;
-    ++version;
-  }
-  tree_.restore_nodes(nodes);
-  stats_.updates += versions_.size();
-  stats_.hash_invocations += 2 * tree_.leaf_count() - 1;
+                "format_from on a used core: snapshot binds version 1");
+  SECBUS_ASSERT(snap != nullptr && snap->image.size() == cfg_.protected_size,
+                "format snapshot from a differently-shaped region");
+  std::fill(versions_.begin(), versions_.end(), 1);
+  deferred_format_ = std::move(snap);
+}
+
+void IntegrityCore::build_tree() const {
+  if (deferred_format_ == nullptr) return;
+  // Moving out leaves deferred_format_ empty: the tree is built once.
+  const std::shared_ptr<const FormatSnapshot> snap = std::move(deferred_format_);
+  bool hashed = false;
+  const std::vector<crypto::Sha256Digest>& nodes = snap->tree_nodes([&] {
+    const std::vector<std::uint32_t> format_versions(tree_.leaf_count(), 1);
+    tree_.rebuild(snap->image, format_versions);
+    hashed = true;
+    return tree_.nodes();
+  });
+  if (!hashed) tree_.restore_nodes(nodes);
 }
 
 void IntegrityCore::rebuild_from(std::span<const std::uint8_t> image) {
+  deferred_format_ = nullptr;
   std::fill(versions_.begin(), versions_.end(), 0);
   tree_.rebuild(image, std::span<const std::uint32_t>(versions_.data(),
                                                       versions_.size()));

@@ -7,9 +7,17 @@
 //
 // Timing model: calibrated to Table II — 20 cycles of latency per integrity
 // operation and a sustained 1.31 bits/cycle (131 Mb/s @ 100 MHz).
+//
+// Setup cost: construction hashes nothing. A region format (format_from)
+// advances the versions at once but defers the tree until something reads
+// it — update_line, verify_line, tree() or build_tree(). A core whose
+// policy bypasses integrity (plaintext, cipher-only) only moves versions,
+// so it never pays for a tree; if a later policy switches integrity on,
+// the first read builds exactly the format-time tree.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -17,6 +25,8 @@
 #include "sim/types.hpp"
 
 namespace secbus::core {
+
+struct FormatSnapshot;
 
 class IntegrityCore {
  public:
@@ -74,15 +84,19 @@ class IntegrityCore {
   // formatting, where per-line root refreshes would be pure waste.
   void bulk_update_all(std::span<const std::uint8_t> image);
 
-  // Cache-hit twin of bulk_update_all(): installs a node heap snapshotted
-  // right after a bulk update on an identically-configured core over the
-  // identical image, without re-hashing anything. Versions advance and
-  // stats account exactly as the hashing path would, so the two paths are
-  // indistinguishable downstream (core::FormatCache relies on this). Only
-  // valid on a pristine core — snapshots bind version 1 into every leaf,
-  // so callers check pristine() and fall back to the hashing path
-  // otherwise.
-  void restore_bulk_format(const std::vector<crypto::Sha256Digest>& nodes);
+  // Deferred twin of bulk_update_all(snap.image) for a pristine core:
+  // advances every line to version 1 now and keeps `snap` until the tree is
+  // first read. The tree is then the snapshot's node heap — copied if
+  // another core already built it, hashed here otherwise — so both paths
+  // are indistinguishable downstream (core::FormatCache relies on this).
+  // Stats are untouched: formatting is init-time work. Only valid on a
+  // pristine core, since snapshots bind version 1 into every leaf; callers
+  // check pristine() and use bulk_update_all() otherwise.
+  void format_from(std::shared_ptr<const FormatSnapshot> snap);
+
+  // Builds a tree deferred by format_from() now; a no-op otherwise. Lets
+  // the LCF charge the tree to setup when its policy checks integrity.
+  void build_tree() const;
 
   // True while no line's version has ever advanced (the state a snapshot
   // taken right after construction + bulk_update_all corresponds to).
@@ -92,7 +106,16 @@ class IntegrityCore {
 
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const crypto::HashTree& tree() const noexcept { return tree_; }
+  // The hash tree, built first if a format deferred it.
+  [[nodiscard]] const crypto::HashTree& tree() const {
+    build_tree();
+    return tree_;
+  }
+  // Geometry and hash work of the tree, read without building it.
+  [[nodiscard]] std::size_t tree_depth() const noexcept { return tree_.depth(); }
+  [[nodiscard]] std::uint64_t tree_hash_count() const noexcept {
+    return tree_.hash_count();
+  }
   [[nodiscard]] std::uint64_t line_count() const noexcept { return versions_.size(); }
   void reset_stats() noexcept { stats_ = {}; }
 
@@ -103,7 +126,9 @@ class IntegrityCore {
   [[nodiscard]] std::size_t leaf_of(sim::Addr line_addr) const;
 
   Config cfg_;
-  crypto::HashTree tree_;
+  // Mutable so const reads can build a deferred tree (see format_from).
+  mutable crypto::HashTree tree_;
+  mutable std::shared_ptr<const FormatSnapshot> deferred_format_;
   std::vector<std::uint32_t> versions_;  // on-chip time-stamp tags, per line
   Stats stats_;
 };

@@ -12,8 +12,25 @@ HashTree::HashTree(const Config& cfg) : cfg_(cfg) {
                 "leaf_count must be a power of two >= 2");
   SECBUS_ASSERT(cfg.block_bytes > 0, "block_bytes must be nonzero");
   depth_ = util::log2_pow2(cfg.leaf_count);
-  nodes_.assign(2 * cfg.leaf_count, Sha256Digest{});
-  rebuild_zero();
+}
+
+std::vector<Sha256Digest>& HashTree::heap() const {
+  if (nodes_.empty()) {
+    nodes_.resize(2 * cfg_.leaf_count);
+    const std::vector<std::uint8_t> zero_block(cfg_.block_bytes, 0);
+    for (std::size_t leaf = 0; leaf < cfg_.leaf_count; ++leaf) {
+      nodes_[cfg_.leaf_count + leaf] =
+          leaf_hash(leaf, std::span<const std::uint8_t>(zero_block), 0);
+    }
+    rebuild_parents();
+  }
+  return nodes_;
+}
+
+void HashTree::rebuild_parents() const {
+  for (std::size_t n = cfg_.leaf_count - 1; n >= 1; --n) {
+    nodes_[n] = parent_hash(nodes_[2 * n], nodes_[2 * n + 1]);
+  }
 }
 
 Sha256Digest HashTree::leaf_hash(std::size_t leaf,
@@ -22,6 +39,7 @@ Sha256Digest HashTree::leaf_hash(std::size_t leaf,
   std::uint8_t binder[12];
   util::store_be64(binder, leaf_addr(leaf));
   util::store_be32(binder + 8, version);
+  ++hashes_;
   // Fused one-shot: leaf/parent hashes are the Integrity Core's hot loop and
   // digest_parts compresses message+padding in a single batched call.
   return Sha256::digest_parts(
@@ -29,7 +47,8 @@ Sha256Digest HashTree::leaf_hash(std::size_t leaf,
 }
 
 Sha256Digest HashTree::parent_hash(const Sha256Digest& left,
-                                   const Sha256Digest& right) noexcept {
+                                   const Sha256Digest& right) const noexcept {
+  ++hashes_;
   return Sha256::digest_parts(
       {std::span<const std::uint8_t>(left.data(), left.size()),
        std::span<const std::uint8_t>(right.data(), right.size())});
@@ -59,25 +78,13 @@ void HashTree::rebuild(std::span<const std::uint8_t> image,
   SECBUS_ASSERT(image.size() == cfg_.leaf_count * cfg_.block_bytes,
                 "image size mismatch");
   SECBUS_ASSERT(versions.size() == cfg_.leaf_count, "versions size mismatch");
+  nodes_.resize(2 * cfg_.leaf_count);
   for (std::size_t leaf = 0; leaf < cfg_.leaf_count; ++leaf) {
     nodes_[cfg_.leaf_count + leaf] =
         leaf_hash(leaf, image.subspan(leaf * cfg_.block_bytes, cfg_.block_bytes),
                   versions[leaf]);
   }
-  for (std::size_t n = cfg_.leaf_count - 1; n >= 1; --n) {
-    nodes_[n] = parent_hash(nodes_[2 * n], nodes_[2 * n + 1]);
-  }
-}
-
-void HashTree::rebuild_zero() {
-  const std::vector<std::uint8_t> zero_block(cfg_.block_bytes, 0);
-  for (std::size_t leaf = 0; leaf < cfg_.leaf_count; ++leaf) {
-    nodes_[cfg_.leaf_count + leaf] =
-        leaf_hash(leaf, std::span<const std::uint8_t>(zero_block), 0);
-  }
-  for (std::size_t n = cfg_.leaf_count - 1; n >= 1; --n) {
-    nodes_[n] = parent_hash(nodes_[2 * n], nodes_[2 * n + 1]);
-  }
+  rebuild_parents();
 }
 
 HashTree::OpCost HashTree::update(std::size_t leaf,
@@ -85,14 +92,15 @@ HashTree::OpCost HashTree::update(std::size_t leaf,
                                   std::uint32_t version) {
   SECBUS_ASSERT(leaf < cfg_.leaf_count, "leaf out of range");
   SECBUS_ASSERT(data.size() == cfg_.block_bytes, "data size mismatch");
+  std::vector<Sha256Digest>& nodes = heap();
   OpCost cost;
   std::size_t n = cfg_.leaf_count + leaf;
-  nodes_[n] = leaf_hash(leaf, data, version);
+  nodes[n] = leaf_hash(leaf, data, version);
   cost.hashes += 1;
   cost.nodes_touched += 1;
   while (n > 1) {
     n /= 2;
-    nodes_[n] = parent_hash(nodes_[2 * n], nodes_[2 * n + 1]);
+    nodes[n] = parent_hash(nodes[2 * n], nodes[2 * n + 1]);
     cost.hashes += 1;
     cost.nodes_touched += 3;  // read both children, write parent
   }
@@ -104,6 +112,7 @@ HashTree::VerifyResult HashTree::verify(std::size_t leaf,
                                         std::uint32_t version) const {
   SECBUS_ASSERT(leaf < cfg_.leaf_count, "leaf out of range");
   SECBUS_ASSERT(data.size() == cfg_.block_bytes, "data size mismatch");
+  const std::vector<Sha256Digest>& nodes = heap();
   VerifyResult result;
   result.cost.hashes = 1;
   result.cost.nodes_touched = 1;
@@ -112,7 +121,7 @@ HashTree::VerifyResult HashTree::verify(std::size_t leaf,
   const Sha256Digest computed_leaf = leaf_hash(leaf, data, version);
   std::size_t n = cfg_.leaf_count + leaf;
   if (!util::ct_equal({computed_leaf.data(), computed_leaf.size()},
-                      {nodes_[n].data(), nodes_[n].size()})) {
+                      {nodes[n].data(), nodes[n].size()})) {
     result.ok = false;
     result.first_bad_level = 0;
     return result;
@@ -125,15 +134,15 @@ HashTree::VerifyResult HashTree::verify(std::size_t leaf,
   Sha256Digest running = computed_leaf;
   while (n > 1) {
     const std::size_t sibling = n ^ 1;
-    const Sha256Digest& left = (n < sibling) ? running : nodes_[sibling];
-    const Sha256Digest& right = (n < sibling) ? nodes_[sibling] : running;
+    const Sha256Digest& left = (n < sibling) ? running : nodes[sibling];
+    const Sha256Digest& right = (n < sibling) ? nodes[sibling] : running;
     running = parent_hash(left, right);
     result.cost.hashes += 1;
     result.cost.nodes_touched += 2;
     n /= 2;
     ++level;
     if (!util::ct_equal({running.data(), running.size()},
-                        {nodes_[n].data(), nodes_[n].size()})) {
+                        {nodes[n].data(), nodes[n].size()})) {
       result.ok = false;
       result.first_bad_level = level;
       return result;
@@ -144,18 +153,18 @@ HashTree::VerifyResult HashTree::verify(std::size_t leaf,
 }
 
 void HashTree::restore_nodes(const std::vector<Sha256Digest>& nodes) {
-  SECBUS_ASSERT(nodes.size() == nodes_.size(),
+  SECBUS_ASSERT(nodes.size() == 2 * cfg_.leaf_count,
                 "node snapshot from a differently-shaped tree");
   nodes_ = nodes;
 }
 
 void HashTree::poke_node(std::size_t level, std::size_t idx,
                          const Sha256Digest& digest) {
-  nodes_[heap_index(level, idx)] = digest;
+  heap()[heap_index(level, idx)] = digest;
 }
 
 const Sha256Digest& HashTree::peek_node(std::size_t level, std::size_t idx) const {
-  return nodes_[heap_index(level, idx)];
+  return heap()[heap_index(level, idx)];
 }
 
 }  // namespace secbus::crypto

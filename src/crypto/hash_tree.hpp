@@ -14,6 +14,14 @@
 // storage. Intermediate nodes conceptually live off-chip, so verify() walks
 // the whole path to the root; tests can poke_node() to model off-chip node
 // tampering and confirm the walk catches it.
+//
+// Construction hashes nothing. The node heap is filled by whichever comes
+// first: rebuild(), restore_nodes(), or — for a tree read before it is ever
+// built — the all-zero version-0 tree, computed on that first read. SoC
+// setup always formats the tree it uses, so an eager zero tree there would
+// be thrown away. Because reads may build the heap and every hash is
+// counted (hash_count()), even const calls mutate: one tree must not be
+// used from two threads at once.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +62,6 @@ class HashTree {
   void rebuild(std::span<const std::uint8_t> image,
                std::span<const std::uint32_t> versions);
 
-  // Rebuilds assuming all-zero content at version 0.
-  void rebuild_zero();
-
   // Recomputes leaf `leaf` for new data at `version` and refreshes the path
   // up to the root. Called by the Integrity Core on every protected write.
   OpCost update(std::size_t leaf, std::span<const std::uint8_t> data,
@@ -69,7 +74,7 @@ class HashTree {
                                     std::span<const std::uint8_t> data,
                                     std::uint32_t version) const;
 
-  [[nodiscard]] const Sha256Digest& root() const noexcept { return nodes_[1]; }
+  [[nodiscard]] const Sha256Digest& root() const { return heap()[1]; }
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
   [[nodiscard]] std::size_t leaf_count() const noexcept { return cfg_.leaf_count; }
   [[nodiscard]] std::size_t block_bytes() const noexcept { return cfg_.block_bytes; }
@@ -86,10 +91,13 @@ class HashTree {
   // come from an identically-configured tree; content equivalence is the
   // caller's contract (the Integrity Core's format cache keys on everything
   // that determines the image).
-  [[nodiscard]] const std::vector<Sha256Digest>& nodes() const noexcept {
-    return nodes_;
-  }
+  [[nodiscard]] const std::vector<Sha256Digest>& nodes() const { return heap(); }
   void restore_nodes(const std::vector<Sha256Digest>& nodes);
+
+  // Leaf and parent hashes this tree has computed so far: rebuilds, updates,
+  // verifies and the lazy zero tree. Per instance, so setup-cost tests can
+  // prove a build hashed nothing.
+  [[nodiscard]] std::uint64_t hash_count() const noexcept { return hashes_; }
 
   // --- test hooks -----------------------------------------------------
   // Overwrites a stored node, modeling off-chip tree-node corruption.
@@ -101,15 +109,22 @@ class HashTree {
   [[nodiscard]] Sha256Digest leaf_hash(std::size_t leaf,
                                        std::span<const std::uint8_t> data,
                                        std::uint32_t version) const noexcept;
-  [[nodiscard]] static Sha256Digest parent_hash(const Sha256Digest& left,
-                                                const Sha256Digest& right) noexcept;
+  [[nodiscard]] Sha256Digest parent_hash(const Sha256Digest& left,
+                                         const Sha256Digest& right) const noexcept;
   // Flat heap index of (level, idx): leaves live at [leaf_count, 2*leaf_count).
   [[nodiscard]] std::size_t heap_index(std::size_t level, std::size_t idx) const;
+  // The node heap, first filled with the all-zero version-0 tree if nothing
+  // has been built or restored yet.
+  [[nodiscard]] std::vector<Sha256Digest>& heap() const;
+  // Recomputes parents n-1 .. 1 from the leaves already in nodes_.
+  void rebuild_parents() const;
 
   Config cfg_;
   std::size_t depth_ = 0;
   // 1-based heap: nodes_[1] root, children of n at 2n, 2n+1. nodes_[0] unused.
-  std::vector<Sha256Digest> nodes_;
+  // Empty until first built (see heap()).
+  mutable std::vector<Sha256Digest> nodes_;
+  mutable std::uint64_t hashes_ = 0;
 };
 
 }  // namespace secbus::crypto

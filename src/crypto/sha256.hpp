@@ -63,12 +63,6 @@ class Sha256 {
       std::initializer_list<std::span<const std::uint8_t>> parts,
       ShaImpl impl) noexcept;
 
-  // Global count of compression-function invocations (shared across all
-  // contexts); the Integrity Core timing model samples it to charge cycles
-  // proportional to real hashing work.
-  [[nodiscard]] static std::uint64_t compression_count() noexcept;
-  static void reset_compression_count() noexcept;
-
  private:
   // Compresses `nblocks` consecutive 64-byte blocks into state_, dispatching
   // on impl_; the single-block process_block is the nblocks==1 shorthand.

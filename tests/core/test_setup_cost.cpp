@@ -1,0 +1,385 @@
+// SoC setup hashes only what a later step reads: no zero tree at
+// construction, no tree for a policy that bypasses integrity, no re-hash on
+// a FormatCache hit. The per-instance HashTree hash counter measures it;
+// the recorded digests pin that deferring the tree changes no result.
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <set>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "core/ciphering_firewall.hpp"
+#include "core/format_cache.hpp"
+#include "crypto/hash_tree.hpp"
+#include "soc/presets.hpp"
+#include "soc/soc.hpp"
+#include "util/hexdump.hpp"
+
+namespace secbus::core {
+namespace {
+
+std::string hex(const crypto::Sha256Digest& digest) {
+  return util::to_hex({digest.data(), digest.size()});
+}
+
+// --- standalone trees ---------------------------------------------------
+
+constexpr std::size_t kLeaves = 16;
+constexpr std::size_t kBlock = 32;
+constexpr std::uint64_t kBase = 0x8000'0000;
+
+crypto::HashTree fresh_tree() {
+  return crypto::HashTree(crypto::HashTree::Config{kLeaves, kBlock, kBase});
+}
+
+bool verifies_zero_blocks(const crypto::HashTree& tree) {
+  const std::vector<std::uint8_t> zeros(kBlock, 0);
+  for (std::size_t leaf = 0; leaf < kLeaves; ++leaf) {
+    if (!tree.verify(leaf, zeros, 0).ok) return false;
+  }
+  return true;
+}
+
+TEST(SetupCost, TreeConstructionHashesNothing) {
+  const crypto::HashTree tree = fresh_tree();
+  EXPECT_EQ(tree.hash_count(), 0u);
+}
+
+TEST(SetupCost, CopiedAndMovedUnformattedTreesVerifyZeroBlocks) {
+  const crypto::HashTree original = fresh_tree();
+  const crypto::HashTree copy = original;
+  crypto::HashTree source = fresh_tree();
+  const crypto::HashTree moved = std::move(source);
+  EXPECT_TRUE(verifies_zero_blocks(copy));
+  EXPECT_TRUE(verifies_zero_blocks(moved));
+  EXPECT_TRUE(verifies_zero_blocks(original));
+  // The zero tree is built on first read: 16 leaves + 15 parents, then one
+  // leaf + four parents per verify.
+  EXPECT_EQ(copy.hash_count(), 2 * kLeaves - 1 + kLeaves * 5);
+}
+
+// Digests of the eagerly built zero tree, recorded before construction
+// stopped hashing.
+TEST(SetupCost, NeverFormattedTreeReadsTheZeroTree) {
+  const crypto::HashTree tree = fresh_tree();
+  EXPECT_EQ(hex(tree.root()),
+            "f9a2c78f24079f8093253086bc1e642328414042134493ad54279ebe86d7c2c7");
+  const crypto::HashTree peeked = fresh_tree();
+  EXPECT_EQ(hex(peeked.peek_node(1, 3)),
+            "69d6e85a5a0fbabee62a7dfa4e2c4a15ba409c65b2c337e452594a332edf1198");
+  EXPECT_EQ(hex(peeked.peek_node(0, 0)),
+            "c97476b1dd1d2824785943b0a6cc97f1fd75605c0857c09e712dcb80f94d00b3");
+
+  // A poke into a never-read tree lands on the zero tree, not on an empty
+  // heap: the rest of the path still holds zero-tree nodes.
+  crypto::HashTree poked = fresh_tree();
+  crypto::Sha256Digest marker{};
+  marker[31] = 0xAB;
+  poked.poke_node(1, 3, marker);
+  EXPECT_EQ(poked.peek_node(1, 3), marker);
+  EXPECT_EQ(hex(poked.peek_node(0, 0)),
+            "c97476b1dd1d2824785943b0a6cc97f1fd75605c0857c09e712dcb80f94d00b3");
+  const std::vector<std::uint8_t> zeros(kBlock, 0);
+  EXPECT_TRUE(poked.verify(0, zeros, 0).ok);    // leaves 0-1: untouched path
+  EXPECT_FALSE(poked.verify(6, zeros, 0).ok);   // leaves 6-7: under the poke
+}
+
+TEST(SetupCost, NeverFormattedIntegrityCoreReadsTheZeroTree) {
+  IntegrityCore::Config cfg;
+  cfg.protected_base = kBase;
+  cfg.protected_size = 8 * 1024;
+  const IntegrityCore ic(cfg);
+  EXPECT_EQ(ic.tree_hash_count(), 0u);
+  EXPECT_EQ(hex(ic.tree().root()),
+            "df980194adab83feb27ca28e802f2f2701f8a7d86d93d11f604fa1cc67e0f745");
+}
+
+// --- SoC builds -----------------------------------------------------------
+
+// The cache is process-global; every test starts it empty + enabled and
+// leaves it that way for whoever runs next.
+class SetupCostSoc : public ::testing::Test {
+ protected:
+  void SetUp() override { reset_cache(); }
+  void TearDown() override { reset_cache(); }
+  static void reset_cache() {
+    FormatCache::instance().clear();
+    FormatCache::instance().set_enabled(true);
+  }
+  static std::uint64_t hits() { return FormatCache::instance().stats().hits; }
+};
+
+soc::SocConfig distributed_cfg(std::uint64_t seed, soc::ProtectionLevel level) {
+  soc::SocConfig cfg = soc::tiny_test_config();
+  cfg.protection = level;
+  cfg.seed = seed;
+  return cfg;
+}
+
+std::uint64_t build_tree_hashes(soc::Soc& soc) {
+  return soc.lcf()->ic().tree_hash_count();
+}
+
+std::uint64_t full_tree_hashes(const soc::Soc& soc) {
+  const std::uint64_t leaves =
+      soc.config().ddr_protected_size / soc.config().line_bytes;
+  return 2 * leaves - 1;
+}
+
+TEST_F(SetupCostSoc, CacheHitCipherIntegrityBuildHashesNothing) {
+  soc::Soc cold(distributed_cfg(11, soc::ProtectionLevel::kFull));
+  EXPECT_EQ(build_tree_hashes(cold), full_tree_hashes(cold));  // one pass
+
+  const std::uint64_t h = hits();
+  soc::Soc warm(distributed_cfg(11, soc::ProtectionLevel::kFull));
+  EXPECT_EQ(hits(), h + 1);
+  EXPECT_EQ(build_tree_hashes(warm), 0u);
+  EXPECT_EQ(warm.lcf()->ic().tree().root(), cold.lcf()->ic().tree().root());
+  EXPECT_EQ(build_tree_hashes(warm), 0u);  // reading the restored tree
+}
+
+TEST_F(SetupCostSoc, BypassBuildsHashNothingOnMissAndHit) {
+  for (const auto level : {soc::ProtectionLevel::kPlaintext,
+                           soc::ProtectionLevel::kCipherOnly}) {
+    reset_cache();
+    soc::Soc miss(distributed_cfg(12, level));
+    const std::uint64_t h = hits();
+    soc::Soc hit(distributed_cfg(12, level));
+    EXPECT_EQ(hits(), h + 1);
+    EXPECT_EQ(build_tree_hashes(miss), 0u) << static_cast<int>(level);
+    EXPECT_EQ(build_tree_hashes(hit), 0u) << static_cast<int>(level);
+
+    FormatCache::instance().set_enabled(false);
+    soc::Soc uncached(distributed_cfg(12, level));
+    EXPECT_EQ(build_tree_hashes(uncached), 0u) << static_cast<int>(level);
+    FormatCache::instance().set_enabled(true);
+  }
+}
+
+TEST_F(SetupCostSoc, BypassRunHashesNothingAndStillExposesTheFormatTree) {
+  soc::Soc cipher(distributed_cfg(13, soc::ProtectionLevel::kCipherOnly));
+  (void)cipher.run(5'000'000);
+  EXPECT_EQ(build_tree_hashes(cipher), 0u);
+
+  // Reading the tree of a bypass build yields the format-time tree, the
+  // same one a cipher+integrity build of the same key starts from.
+  reset_cache();
+  soc::Soc full(distributed_cfg(13, soc::ProtectionLevel::kFull));
+  EXPECT_EQ(cipher.lcf()->ic().tree().root(), full.lcf()->ic().tree().root());
+}
+
+TEST_F(SetupCostSoc, FullBuildAfterBypassMissHashesOnceThenRestores) {
+  // A cipher-only miss publishes an entry without a tree; the first
+  // cipher+integrity build of that key builds it, later ones copy it.
+  soc::Soc cipher(distributed_cfg(14, soc::ProtectionLevel::kCipherOnly));
+  soc::Soc first(distributed_cfg(14, soc::ProtectionLevel::kFull));
+  soc::Soc second(distributed_cfg(14, soc::ProtectionLevel::kFull));
+  EXPECT_EQ(build_tree_hashes(first), full_tree_hashes(first));
+  EXPECT_EQ(build_tree_hashes(second), 0u);
+  EXPECT_EQ(first.lcf()->ic().tree().root(), second.lcf()->ic().tree().root());
+}
+
+TEST_F(SetupCostSoc, ConcurrentFullBuildsOnATreelessEntryHashOnce) {
+  // Batch-runner shape: threads race to build the tree of one shared
+  // snapshot; exactly one hashes it, the others wait and copy.
+  soc::Soc cipher(distributed_cfg(15, soc::ProtectionLevel::kCipherOnly));
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::uint64_t> hashes(kThreads);
+  std::vector<crypto::Sha256Digest> roots(kThreads);
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([t, &hashes, &roots] {
+      soc::Soc full(distributed_cfg(15, soc::ProtectionLevel::kFull));
+      hashes[t] = build_tree_hashes(full);
+      roots[t] = full.lcf()->ic().tree().root();
+    });
+  }
+  for (auto& th : pool) th.join();
+  std::uint64_t total = 0;
+  for (const std::uint64_t h : hashes) total += h;
+  EXPECT_EQ(total, full_tree_hashes(cipher));
+  for (const auto& root : roots) EXPECT_EQ(root, roots[0]);
+  EXPECT_EQ(roots[0], cipher.lcf()->ic().tree().root());
+}
+
+// --- the LCF on its own -----------------------------------------------------
+
+constexpr sim::Addr kDdrBase = 0x8000'0000;
+constexpr std::uint64_t kDdrSize = 64 * 1024;
+constexpr std::uint64_t kProtSize = 8 * 1024;  // 256 lines of 32 bytes
+constexpr std::uint64_t kLine = 32;
+constexpr FirewallId kFw = 10;
+
+crypto::Aes128Key test_key() {
+  crypto::Aes128Key key{};
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(0xA0 + i);
+  }
+  return key;
+}
+
+SecurityPolicy lcf_policy(ConfidentialityMode cm, IntegrityMode im) {
+  PolicyBuilder b(kFw);
+  b.allow(kDdrBase, kDdrSize, RwAccess::kReadWrite, FormatMask::kAll, "ddr");
+  b.confidentiality(cm);
+  b.integrity(im);
+  b.key(test_key());
+  return b.build();
+}
+
+std::vector<std::uint8_t> pattern(std::size_t len, std::uint8_t salt) {
+  std::vector<std::uint8_t> out(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    out[i] = static_cast<std::uint8_t>(i * 3 + salt + 1);
+  }
+  return out;
+}
+
+struct Lcf {
+  Lcf(ConfidentialityMode cm, IntegrityMode im) {
+    config_mem.install(kFw, lcf_policy(cm, im));
+    mem::DdrMemory::Config ddr_cfg;
+    ddr_cfg.base = kDdrBase;
+    ddr_cfg.size = kDdrSize;
+    ddr = std::make_unique<mem::DdrMemory>("ddr", ddr_cfg);
+    LocalCipheringFirewall::Config cfg;
+    cfg.protected_base = kDdrBase;
+    cfg.protected_size = kProtSize;
+    cfg.line_bytes = kLine;
+    lcf = std::make_unique<LocalCipheringFirewall>("lcf", kFw, config_mem, log,
+                                                   *ddr, cfg);
+    lcf->format_protected_region();
+  }
+
+  bus::TransStatus write(sim::Addr addr, std::vector<std::uint8_t> data) {
+    auto t = bus::make_write(0, addr, std::move(data));
+    return lcf->access(t, 0).status;
+  }
+  bus::TransStatus read_line(std::uint64_t line) {
+    auto t = bus::make_read(0, kDdrBase + line * kLine, bus::DataFormat::kWord,
+                            static_cast<std::uint16_t>(kLine / 4));
+    return lcf->access(t, 0).status;
+  }
+  std::uint32_t version(std::uint64_t line) const {
+    return lcf->ic().version_of(kDdrBase + line * kLine);
+  }
+  std::string root() const { return hex(lcf->ic().tree().root()); }
+
+  ConfigurationMemory config_mem;
+  SecurityEventLog log;
+  std::unique_ptr<mem::DdrMemory> ddr;
+  std::unique_ptr<LocalCipheringFirewall> lcf;
+};
+
+// Expected values recorded on the eager-tree implementation: the tree an
+// integrity switch finds is the version-1 format tree, stale for every line
+// written while integrity was bypassed.
+void check_cipher_only_to_full_switch() {
+  Lcf f(ConfidentialityMode::kCipher, IntegrityMode::kBypass);
+  EXPECT_EQ(f.write(kDdrBase + 3 * kLine, pattern(32, 1)), bus::TransStatus::kOk);
+  EXPECT_EQ(f.write(kDdrBase + 10 * kLine, pattern(32, 2)), bus::TransStatus::kOk);
+  EXPECT_EQ(f.write(kDdrBase + 10 * kLine, pattern(32, 3)), bus::TransStatus::kOk);
+  EXPECT_EQ(f.write(kDdrBase + 20 * kLine + 4, pattern(8, 4)),
+            bus::TransStatus::kOk);
+  EXPECT_EQ(f.lcf->ic().tree_hash_count(), 0u);  // bypass: no tree yet
+
+  f.config_mem.install(
+      kFw, lcf_policy(ConfidentialityMode::kCipher, IntegrityMode::kHashTree));
+  std::set<std::uint64_t> failing;
+  for (std::uint64_t line = 0; line < kProtSize / kLine; ++line) {
+    if (f.read_line(line) != bus::TransStatus::kOk) failing.insert(line);
+  }
+  EXPECT_EQ(failing, (std::set<std::uint64_t>{3, 10, 20}));
+  EXPECT_EQ(f.root(),
+            "13451c4a4f9c279279ab5bc6d43ebbde167eafd9fb0431f226f5b8b79cf645d5");
+  EXPECT_EQ(f.version(3), 2u);
+  EXPECT_EQ(f.version(10), 3u);
+  EXPECT_EQ(f.version(20), 2u);
+  EXPECT_EQ(f.version(0), 1u);
+
+  // A write under integrity re-authenticates the line.
+  EXPECT_EQ(f.write(kDdrBase + 3 * kLine, pattern(32, 5)), bus::TransStatus::kOk);
+  EXPECT_EQ(f.read_line(3), bus::TransStatus::kOk);
+  EXPECT_EQ(f.root(),
+            "817d6243d091c75a253338650bef1cdaf2ef2bc67dab1da8382c4eb300715183");
+  EXPECT_EQ(f.log.alerts().size(), 3u);
+}
+
+TEST_F(SetupCostSoc, CipherOnlyToFullSwitchMatchesEagerTree) {
+  {
+    SCOPED_TRACE("cache miss");
+    check_cipher_only_to_full_switch();
+  }
+  {
+    SCOPED_TRACE("cache hit");
+    check_cipher_only_to_full_switch();
+  }
+  FormatCache::instance().set_enabled(false);
+  {
+    SCOPED_TRACE("cache off");
+    check_cipher_only_to_full_switch();
+  }
+}
+
+struct ModeRoots {
+  ConfidentialityMode cm;
+  IntegrityMode im;
+  const char* format_root;
+  const char* reformat_root;
+  std::uint32_t reformat_v7;
+  const char* rotate_root;
+};
+
+// Roots and versions recorded on the eager-tree implementation.
+constexpr const char* kCipherFormat =
+    "13451c4a4f9c279279ab5bc6d43ebbde167eafd9fb0431f226f5b8b79cf645d5";
+constexpr const char* kCipherReformat =
+    "6a9909c73f13cfd7958c7a445b519ae5781c9d93875009e94392e06e223734cd";
+constexpr const char* kCipherRotate =
+    "9b067ea90e18b7f13a90c7acfb8df062565c02beb831658c998dd5a0c7c336db";
+constexpr const char* kPlainFormat =
+    "f0cbb6c3cf7fa4cf87d35a50f78e1bbc6021d188b3dd2c15478011b13feb7de5";
+constexpr const char* kPlainRotate =
+    "061334850dc90ed3f1190c138e6669cafc978e7b80646ddd200e700250c37069";
+
+TEST_F(SetupCostSoc, ReformatAfterTrafficAndKeyRotationKeepRootsAndVersions) {
+  const ModeRoots modes[] = {
+      {ConfidentialityMode::kCipher, IntegrityMode::kHashTree, kCipherFormat,
+       kCipherReformat, 3, kCipherRotate},
+      {ConfidentialityMode::kCipher, IntegrityMode::kBypass, kCipherFormat,
+       kCipherReformat, 3, kCipherRotate},
+      {ConfidentialityMode::kBypass, IntegrityMode::kHashTree, kPlainFormat,
+       "5a3782989decc6efcb62ee8300a1d76fde9ee1f88ea12339d6b7986edff17397", 3,
+       kPlainRotate},
+      {ConfidentialityMode::kBypass, IntegrityMode::kBypass, kPlainFormat,
+       "9f2f26fa14105ae5000c2b759d1bffa02d1a114c9bb2d05389008210e71febf2", 2,
+       kPlainRotate},
+  };
+  for (const ModeRoots& m : modes) {
+    SCOPED_TRACE(std::string(to_string(m.cm)) + "/" + to_string(m.im));
+    Lcf f(m.cm, m.im);
+    EXPECT_EQ(f.root(), m.format_root);
+
+    // Non-pristine re-format: versions advance from where traffic left them.
+    f.write(kDdrBase + 7 * kLine, pattern(32, 9));
+    f.lcf->format_protected_region();
+    EXPECT_EQ(f.root(), m.reformat_root);
+    EXPECT_EQ(f.version(7), m.reformat_v7);
+    EXPECT_EQ(f.version(0), 2u);
+
+    f.write(kDdrBase + 5 * kLine, pattern(32, 6));
+    crypto::Aes128Key new_key = test_key();
+    new_key[15] ^= 0x55;
+    (void)f.lcf->rotate_key(new_key);
+    EXPECT_EQ(f.root(), m.rotate_root);
+    EXPECT_EQ(f.version(5), 1u);
+    EXPECT_EQ(f.version(0), 1u);
+    EXPECT_EQ(f.read_line(5), bus::TransStatus::kOk);
+  }
+}
+
+}  // namespace
+}  // namespace secbus::core
