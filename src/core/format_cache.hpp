@@ -8,7 +8,7 @@
 // topology/seed axes over a fixed memory layout, so thousands of jobs repeat
 // the exact same format. This cache keys the finished artifacts — the
 // stored image and, once a cipher+integrity build has needed it, the
-// post-format tree node heap — and lets later constructions skip both the
+// post-format hash tree — and lets later constructions skip both the
 // AES and the SHA passes. A build whose policy bypasses integrity never
 // asks for the tree, so a snapshot only carries one after some build used
 // it.
@@ -29,11 +29,12 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "crypto/aes128.hpp"
-#include "crypto/sha256.hpp"
+#include "crypto/hash_tree.hpp"
 #include "sim/types.hpp"
 
 namespace secbus::obs {
@@ -58,25 +59,25 @@ struct FormatKey {
 };
 
 // The finished format: what the DDR backing store holds and, built on
-// demand, what the hash tree's node heap contains immediately after
-// bulk_update_all(image) on a pristine core (every leaf at version 1).
-// Shared read-only between the cache and every Integrity Core formatted
-// from it.
+// demand, the hash tree immediately after bulk_update_all(image) on a
+// pristine core (every leaf at version 1). Shared read-only between the
+// cache and every Integrity Core formatted from it.
 struct FormatSnapshot {
   std::vector<std::uint8_t> image;
 
-  // The post-format node heap. The first caller runs `build` (which hashes
-  // and returns the heap) and every later caller, on any thread, gets the
-  // stored result without hashing.
+  // The post-format tree. The first caller runs `build` (which hashes and
+  // returns the tree) and every later caller, on any thread, gets the
+  // stored tree without hashing; cores take it with HashTree::restore_from,
+  // so its consistency travels with its nodes.
   template <typename Build>
-  const std::vector<crypto::Sha256Digest>& tree_nodes(Build&& build) const {
-    std::call_once(tree_once_, [&] { tree_nodes_ = build(); });
-    return tree_nodes_;
+  const crypto::HashTree& tree(Build&& build) const {
+    std::call_once(tree_once_, [&] { tree_.emplace(build()); });
+    return *tree_;
   }
 
  private:
   mutable std::once_flag tree_once_;
-  mutable std::vector<crypto::Sha256Digest> tree_nodes_;
+  mutable std::optional<crypto::HashTree> tree_;
 };
 
 class FormatCache {

@@ -116,13 +116,13 @@ void IntegrityCore::build_tree() const {
   // Moving out leaves deferred_format_ empty: the tree is built once.
   const std::shared_ptr<const FormatSnapshot> snap = std::move(deferred_format_);
   bool hashed = false;
-  const std::vector<crypto::Sha256Digest>& nodes = snap->tree_nodes([&] {
+  const crypto::HashTree& formatted = snap->tree([&] {
     const std::vector<std::uint32_t> format_versions(tree_.leaf_count(), 1);
     tree_.rebuild(snap->image, format_versions);
     hashed = true;
-    return tree_.nodes();
+    return tree_;
   });
-  if (!hashed) tree_.restore_nodes(nodes);
+  if (!hashed) tree_.restore_from(formatted);
 }
 
 void IntegrityCore::rebuild_from(std::span<const std::uint8_t> image) {

@@ -57,8 +57,10 @@ class IntegrityCore {
   // Current write-version of the line containing `addr`.
   [[nodiscard]] std::uint32_t version_of(sim::Addr line_addr) const;
 
-  // Registers a write of a full line: bumps the version, recomputes the
-  // leaf and the path to the root. Returns (new version, cycles charged).
+  // Registers a write of a full line: bumps the version and recomputes the
+  // leaf; the tree recomputes the path to the root before it is next read
+  // (see crypto::HashTree). Stats charge the whole path either way.
+  // Returns (new version, cycles charged).
   struct UpdateOutcome {
     std::uint32_t version = 0;
     sim::Cycle cycles = 0;
@@ -86,7 +88,7 @@ class IntegrityCore {
 
   // Deferred twin of bulk_update_all(snap.image) for a pristine core:
   // advances every line to version 1 now and keeps `snap` until the tree is
-  // first read. The tree is then the snapshot's node heap — copied if
+  // first read. The tree is then the snapshot's tree — copied if
   // another core already built it, hashed here otherwise — so both paths
   // are indistinguishable downstream (core::FormatCache relies on this).
   // Stats are untouched: formatting is init-time work. Only valid on a

@@ -27,6 +27,18 @@ std::vector<Sha256Digest>& HashTree::heap() const {
   return nodes_;
 }
 
+std::vector<Sha256Digest>& HashTree::flushed_heap() const {
+  std::vector<Sha256Digest>& nodes = heap();
+  if (!dirty_.empty()) {
+    // Descending heap order finishes each level before its parents.
+    for (std::size_t n = cfg_.leaf_count - 1; n >= 1; --n) {
+      if (dirty_[n] != 0) nodes[n] = parent_hash(nodes[2 * n], nodes[2 * n + 1]);
+    }
+    dirty_.clear();
+  }
+  return nodes;
+}
+
 void HashTree::rebuild_parents() const {
   for (std::size_t n = cfg_.leaf_count - 1; n >= 1; --n) {
     nodes_[n] = parent_hash(nodes_[2 * n], nodes_[2 * n + 1]);
@@ -79,6 +91,8 @@ void HashTree::rebuild(std::span<const std::uint8_t> image,
                 "image size mismatch");
   SECBUS_ASSERT(versions.size() == cfg_.leaf_count, "versions size mismatch");
   nodes_.resize(2 * cfg_.leaf_count);
+  dirty_.clear();
+  consistent_ = true;
   for (std::size_t leaf = 0; leaf < cfg_.leaf_count; ++leaf) {
     nodes_[cfg_.leaf_count + leaf] =
         leaf_hash(leaf, image.subspan(leaf * cfg_.block_bytes, cfg_.block_bytes),
@@ -92,18 +106,17 @@ HashTree::OpCost HashTree::update(std::size_t leaf,
                                   std::uint32_t version) {
   SECBUS_ASSERT(leaf < cfg_.leaf_count, "leaf out of range");
   SECBUS_ASSERT(data.size() == cfg_.block_bytes, "data size mismatch");
-  std::vector<Sha256Digest>& nodes = heap();
+  const std::size_t n = cfg_.leaf_count + leaf;
+  heap()[n] = leaf_hash(leaf, data, version);
+  // The parents are recomputed when next read (flushed_heap()). An already
+  // dirty ancestor has dirty ancestors too, so marking stops there.
+  if (dirty_.empty()) dirty_.assign(cfg_.leaf_count, 0);
+  for (std::size_t p = n / 2; p >= 1 && dirty_[p] == 0; p /= 2) dirty_[p] = 1;
+  // The model still refreshes the whole path: the leaf, then per level one
+  // hash that reads both children and writes the parent.
   OpCost cost;
-  std::size_t n = cfg_.leaf_count + leaf;
-  nodes[n] = leaf_hash(leaf, data, version);
-  cost.hashes += 1;
-  cost.nodes_touched += 1;
-  while (n > 1) {
-    n /= 2;
-    nodes[n] = parent_hash(nodes[2 * n], nodes[2 * n + 1]);
-    cost.hashes += 1;
-    cost.nodes_touched += 3;  // read both children, write parent
-  }
+  cost.hashes = 1 + depth_;
+  cost.nodes_touched = 1 + 3 * depth_;
   return cost;
 }
 
@@ -112,7 +125,8 @@ HashTree::VerifyResult HashTree::verify(std::size_t leaf,
                                         std::uint32_t version) const {
   SECBUS_ASSERT(leaf < cfg_.leaf_count, "leaf out of range");
   SECBUS_ASSERT(data.size() == cfg_.block_bytes, "data size mismatch");
-  const std::vector<Sha256Digest>& nodes = heap();
+  // Only a tampered tree reads internal nodes, so only it needs them fresh.
+  const std::vector<Sha256Digest>& nodes = consistent_ ? heap() : flushed_heap();
   VerifyResult result;
   result.cost.hashes = 1;
   result.cost.nodes_touched = 1;
@@ -129,7 +143,14 @@ HashTree::VerifyResult HashTree::verify(std::size_t leaf,
 
   // Walk to the root: recompute each parent from the stored children. With
   // intermediate nodes off-chip, this is what guarantees the chain up to the
-  // trusted on-chip root.
+  // trusted on-chip root. On an untampered tree every step of the walk is
+  // known to match, so only its cost is charged.
+  if (consistent_) {
+    result.ok = true;
+    result.cost.hashes += depth_;
+    result.cost.nodes_touched += 2 * depth_;
+    return result;
+  }
   std::size_t level = 0;
   Sha256Digest running = computed_leaf;
   while (n > 1) {
@@ -152,19 +173,24 @@ HashTree::VerifyResult HashTree::verify(std::size_t leaf,
   return result;
 }
 
-void HashTree::restore_nodes(const std::vector<Sha256Digest>& nodes) {
-  SECBUS_ASSERT(nodes.size() == 2 * cfg_.leaf_count,
-                "node snapshot from a differently-shaped tree");
-  nodes_ = nodes;
+void HashTree::restore_from(const HashTree& other) {
+  SECBUS_ASSERT(other.cfg_.leaf_count == cfg_.leaf_count &&
+                    other.cfg_.block_bytes == cfg_.block_bytes &&
+                    other.cfg_.base_addr == cfg_.base_addr,
+                "restore from a differently-configured tree");
+  nodes_ = other.nodes_;
+  dirty_ = other.dirty_;
+  consistent_ = other.consistent_;
 }
 
 void HashTree::poke_node(std::size_t level, std::size_t idx,
                          const Sha256Digest& digest) {
-  heap()[heap_index(level, idx)] = digest;
+  flushed_heap()[heap_index(level, idx)] = digest;
+  consistent_ = false;
 }
 
 const Sha256Digest& HashTree::peek_node(std::size_t level, std::size_t idx) const {
-  return heap()[heap_index(level, idx)];
+  return flushed_heap()[heap_index(level, idx)];
 }
 
 }  // namespace secbus::crypto

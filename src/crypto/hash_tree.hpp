@@ -11,17 +11,27 @@
 //                     address) changes the hash because the stored version
 //                     advanced. This is the paper's "time stamp tag".
 // Internal nodes are H(left || right); the root is held in trusted on-chip
-// storage. Intermediate nodes conceptually live off-chip, so verify() walks
-// the whole path to the root; tests can poke_node() to model off-chip node
-// tampering and confirm the walk catches it.
+// storage. Intermediate nodes conceptually live off-chip, so the modeled
+// cost (OpCost) of verify() and update() is the whole path to the root.
+//
+// The host hashes that path only when the answer is not already known. The
+// tree tracks whether every internal node equals the hash of its children.
+// rebuild(), the lazy zero tree and update() keep that invariant; only
+// poke_node() (modeled off-chip tampering) breaks it. While it holds, a
+// leaf that matches proves the whole walk would succeed, so verify() hashes
+// the leaf alone and update() only marks the leaf's ancestors dirty. Dirty
+// parents are recomputed bottom-up before anything reads an internal node
+// (root(), nodes(), peek_node(), poke_node()). On a tampered tree verify()
+// walks the whole path, which is how tests confirm the walk catches
+// off-chip node corruption. Verdicts and OpCosts are the same either way.
 //
 // Construction hashes nothing. The node heap is filled by whichever comes
-// first: rebuild(), restore_nodes(), or — for a tree read before it is ever
+// first: rebuild(), restore_from(), or — for a tree read before it is ever
 // built — the all-zero version-0 tree, computed on that first read. SoC
 // setup always formats the tree it uses, so an eager zero tree there would
-// be thrown away. Because reads may build the heap and every hash is
-// counted (hash_count()), even const calls mutate: one tree must not be
-// used from two threads at once.
+// be thrown away. Because reads may build the heap or recompute dirty
+// parents, and every hash is counted (hash_count()), even const calls
+// mutate: one tree must not be used from two threads at once.
 #pragma once
 
 #include <cstdint>
@@ -62,19 +72,21 @@ class HashTree {
   void rebuild(std::span<const std::uint8_t> image,
                std::span<const std::uint32_t> versions);
 
-  // Recomputes leaf `leaf` for new data at `version` and refreshes the path
-  // up to the root. Called by the Integrity Core on every protected write.
+  // Recomputes leaf `leaf` for new data at `version`; the path up to the
+  // root is recomputed before it is next read. Costs the whole path.
+  // Called by the Integrity Core on every protected write.
   OpCost update(std::size_t leaf, std::span<const std::uint8_t> data,
                 std::uint32_t version);
 
-  // Verifies block data against the tree: recomputes the leaf hash and walks
-  // to the root recomputing parents from stored siblings. Called on every
+  // Verifies block data against the tree: recomputes the leaf hash and, in
+  // the model, walks to the root recomputing parents from stored siblings
+  // (the host walks only a tampered tree, see above). Called on every
   // protected read.
   [[nodiscard]] VerifyResult verify(std::size_t leaf,
                                     std::span<const std::uint8_t> data,
                                     std::uint32_t version) const;
 
-  [[nodiscard]] const Sha256Digest& root() const { return heap()[1]; }
+  [[nodiscard]] const Sha256Digest& root() const { return flushed_heap()[1]; }
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
   [[nodiscard]] std::size_t leaf_count() const noexcept { return cfg_.leaf_count; }
   [[nodiscard]] std::size_t block_bytes() const noexcept { return cfg_.block_bytes; }
@@ -86,22 +98,29 @@ class HashTree {
   // Leaf index covering `addr`; addr must lie inside the protected range.
   [[nodiscard]] std::size_t leaf_for_addr(std::uint64_t addr) const;
 
-  // Whole-tree snapshot/restore (setup memoization): nodes() exposes the
-  // flat node heap, restore_nodes() replaces it wholesale. The snapshot must
-  // come from an identically-configured tree; content equivalence is the
-  // caller's contract (the Integrity Core's format cache keys on everything
-  // that determines the image).
-  [[nodiscard]] const std::vector<Sha256Digest>& nodes() const { return heap(); }
-  void restore_nodes(const std::vector<Sha256Digest>& nodes);
+  // The flat node heap (1-based: [1] is the root, leaves last).
+  [[nodiscard]] const std::vector<Sha256Digest>& nodes() const {
+    return flushed_heap();
+  }
+
+  // Replaces this tree's nodes with `other`'s (setup memoization), together
+  // with whether they are consistent and which parents are still pending,
+  // so a heap taken from a tampered tree keeps its tamper verdicts. Hashes
+  // nothing and keeps this tree's hash_count(); `other` is only read, so a
+  // shared tree may be restored from on several threads at once. `other`
+  // must have the same Config.
+  void restore_from(const HashTree& other);
 
   // Leaf and parent hashes this tree has computed so far: rebuilds, updates,
-  // verifies and the lazy zero tree. Per instance, so setup-cost tests can
-  // prove a build hashed nothing.
+  // verifies, dirty parents and the lazy zero tree. Per instance, so
+  // setup-cost tests can prove a build hashed nothing and a job hashed one
+  // leaf per operation.
   [[nodiscard]] std::uint64_t hash_count() const noexcept { return hashes_; }
 
   // --- test hooks -----------------------------------------------------
-  // Overwrites a stored node, modeling off-chip tree-node corruption.
-  // level 0 = leaves, depth() = root; idx indexes nodes within the level.
+  // Overwrites a stored node, modeling off-chip tree-node corruption; from
+  // then on verify() walks the whole path. level 0 = leaves, depth() =
+  // root; idx indexes nodes within the level.
   void poke_node(std::size_t level, std::size_t idx, const Sha256Digest& digest);
   [[nodiscard]] const Sha256Digest& peek_node(std::size_t level, std::size_t idx) const;
 
@@ -116,6 +135,9 @@ class HashTree {
   // The node heap, first filled with the all-zero version-0 tree if nothing
   // has been built or restored yet.
   [[nodiscard]] std::vector<Sha256Digest>& heap() const;
+  // heap() with every dirty parent recomputed: what readers of internal
+  // nodes see.
+  [[nodiscard]] std::vector<Sha256Digest>& flushed_heap() const;
   // Recomputes parents n-1 .. 1 from the leaves already in nodes_.
   void rebuild_parents() const;
 
@@ -124,6 +146,12 @@ class HashTree {
   // 1-based heap: nodes_[1] root, children of n at 2n, 2n+1. nodes_[0] unused.
   // Empty until first built (see heap()).
   mutable std::vector<Sha256Digest> nodes_;
+  // dirty_[n] marks internal node n as stale since an update; a dirty
+  // node's ancestors are all dirty. Empty when no parent is stale.
+  mutable std::vector<std::uint8_t> dirty_;
+  // Every internal node equals the hash of its children (after dirty
+  // parents are recomputed). Cleared by poke_node(), set by rebuilds.
+  bool consistent_ = true;
   mutable std::uint64_t hashes_ = 0;
 };
 

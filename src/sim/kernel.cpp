@@ -77,10 +77,13 @@ void SimKernel::run(Cycle n) {
 bool SimKernel::run_until(const std::function<bool()>& done, Cycle max_cycles) {
   const Cycle end = saturating_end(now_, max_cycles);
   const bool lockstep = g_lockstep.load(std::memory_order_relaxed);
+  // Jumped cycles cannot change what the predicate reads (see the header),
+  // so it is evaluated once up front and then only after a stepped cycle.
+  if (done()) return true;
   while (now_ < end) {
-    if (done()) return true;
     if (!lockstep && jump(end) > 0) continue;
     step();
+    if (done()) return true;
   }
   return done();
 }

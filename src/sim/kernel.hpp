@@ -47,11 +47,12 @@ class SimKernel {
   // Runs exactly n cycles.
   void run(Cycle n);
 
-  // Runs until `done()` returns true (checked at the top of each cycle) or
-  // until `max_cycles` elapse, whichever is first. Returns true when the
-  // predicate fired, false on timeout. The predicate must depend only on
-  // component state that changes in ticks (never on now() or on per-cycle
-  // bookkeeping): jumped cycles do not re-evaluate it.
+  // Runs until `done()` returns true (checked before the first cycle and
+  // after each stepped one) or until `max_cycles` elapse, whichever is
+  // first. Returns true when the predicate fired, false on timeout. The
+  // predicate must depend only on component state that changes in ticks
+  // (never on now() or on per-cycle bookkeeping): jumped cycles do not
+  // re-evaluate it.
   bool run_until(const std::function<bool()>& done, Cycle max_cycles);
 
   // Executes a single cycle (always ticks; never jumps).

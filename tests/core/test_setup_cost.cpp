@@ -14,6 +14,7 @@
 #include "core/ciphering_firewall.hpp"
 #include "core/format_cache.hpp"
 #include "crypto/hash_tree.hpp"
+#include "scenario/scenario.hpp"
 #include "soc/presets.hpp"
 #include "soc/soc.hpp"
 #include "util/hexdump.hpp"
@@ -57,8 +58,9 @@ TEST(SetupCost, CopiedAndMovedUnformattedTreesVerifyZeroBlocks) {
   EXPECT_TRUE(verifies_zero_blocks(moved));
   EXPECT_TRUE(verifies_zero_blocks(original));
   // The zero tree is built on first read: 16 leaves + 15 parents, then one
-  // leaf + four parents per verify.
-  EXPECT_EQ(copy.hash_count(), 2 * kLeaves - 1 + kLeaves * 5);
+  // leaf per verify (an untampered tree needs no parent recomputed; the
+  // modeled OpCost still charges all four).
+  EXPECT_EQ(copy.hash_count(), 2 * kLeaves - 1 + kLeaves);
 }
 
 // Digests of the eagerly built zero tree, recorded before construction
@@ -203,6 +205,46 @@ TEST_F(SetupCostSoc, ConcurrentFullBuildsOnATreelessEntryHashOnce) {
   EXPECT_EQ(total, full_tree_hashes(cipher));
   for (const auto& root : roots) EXPECT_EQ(root, roots[0]);
   EXPECT_EQ(roots[0], cipher.lcf()->ic().tree().root());
+}
+
+// --- host work of a running job ---------------------------------------------
+
+// One write-heavy cipher+integrity job of perfbench's ciphered_datapath
+// workload (job 1 at seed 1): 3 CPUs x 1500 transactions over a 64 KiB
+// protected region, so a 2048-leaf tree of depth 11.
+soc::SocConfig pinned_datapath_cfg() {
+  soc::SocConfig cfg = soc::section5_config();
+  cfg.processors = 3;
+  cfg.transactions_per_cpu = 1500;
+  cfg.external_fraction = 0.6;
+  cfg.ddr_protected_size = 64 * 1024;
+  cfg.protection = soc::ProtectionLevel::kFull;
+  cfg.write_fraction = 0.7;
+  cfg.seed = scenario::derive_seed(1, 1);
+  return cfg;
+}
+
+// The tree hashes each update's leaf and each verify's leaf, and nothing
+// else: on an untampered tree the parents an update dirties are never read
+// during the job, and a verify stops at the trusted leaf. The full-path walk
+// this replaced hashed 1 + depth per operation, 46 284 for this job. The
+// modeled cost (hash_invocations) still charges the whole path.
+TEST_F(SetupCostSoc, PinnedDatapathJobHashesOneLeafPerOperation) {
+  for (const bool cold : {true, false}) {
+    SCOPED_TRACE(cold ? "cache miss" : "cache hit");
+    soc::Soc soc(pinned_datapath_cfg());
+    const auto results = soc.run(30'000'000);
+    ASSERT_TRUE(results.completed);
+    const IntegrityCore& ic = soc.lcf()->ic();
+    EXPECT_EQ(ic.stats().updates, 1594u);
+    EXPECT_EQ(ic.stats().verifies, 2263u);
+    EXPECT_EQ(ic.stats().failures, 0u);
+    EXPECT_EQ(ic.stats().hash_invocations,
+              (1 + ic.tree_depth()) * (ic.stats().updates + ic.stats().verifies));
+    const std::uint64_t format_hashes = cold ? full_tree_hashes(soc) : 0;
+    EXPECT_EQ(ic.tree_hash_count(),
+              format_hashes + ic.stats().updates + ic.stats().verifies);
+  }
 }
 
 // --- the LCF on its own -----------------------------------------------------
