@@ -25,7 +25,10 @@ class FloodMaster final : public sim::Component {
 
   FloodMaster(std::string name, sim::MasterId id, Config cfg);
 
-  void connect(bus::MasterEndpoint& endpoint) noexcept { port_ = &endpoint; }
+  void connect(bus::MasterEndpoint& endpoint) noexcept {
+    port_ = &endpoint;
+    port_->response.set_consumer(*this);
+  }
 
   void tick(sim::Cycle now) override;
   // Wakes to drain a response or to issue the next write; no per-cycle

@@ -46,7 +46,9 @@ CentralizedMasterGate::CentralizedMasterGate(std::string name,
                                              core::FirewallId id,
                                              CentralizedManager& manager,
                                              core::SecurityEventLog& log)
-    : Component(std::move(name)), id_(id), manager_(&manager), log_(&log) {}
+    : Component(std::move(name)), id_(id), manager_(&manager), log_(&log) {
+  ip_side_.request.set_consumer(*this);
+}
 
 void CentralizedMasterGate::tick(sim::Cycle now) {
   // Return path: responses flow straight back to the IP.

@@ -93,6 +93,7 @@ class CentralizedMasterGate final : public sim::Component {
   [[nodiscard]] bus::MasterEndpoint& ip_side() noexcept { return ip_side_; }
   void connect_bus(bus::MasterEndpoint& bus_endpoint) noexcept {
     bus_side_ = &bus_endpoint;
+    bus_side_->response.set_consumer(*this);
   }
 
   void tick(sim::Cycle now) override;

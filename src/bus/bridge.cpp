@@ -33,6 +33,11 @@ Bridge::Bridge(std::string name, SystemBus& far, Config cfg)
 AccessResult Bridge::access(BusTransaction& t, sim::Cycle now) {
   DepthGuard guard;
 
+  // The crossing reads the far segment's countdown (free_at) and books it,
+  // which changes how its skipped cycles split into busy and idle: bring it
+  // up to date first.
+  if (sim::SimKernel* kernel = far_->kernel()) kernel->notify(*far_);
+
   // Queue after the far segment's already-booked crossings. The wait is
   // charged to the *origin* hold only; it is never booked on the far side
   // (see SystemBus::book on why that must not compound).

@@ -13,6 +13,8 @@
 #include <string_view>
 
 #include "bus/transaction.hpp"
+#include "sim/component.hpp"
+#include "sim/kernel.hpp"
 #include "sim/types.hpp"
 
 namespace secbus::bus {
@@ -21,9 +23,24 @@ namespace secbus::bus {
 // clocked components; contents pushed in cycle N are visible to the consumer
 // from its tick in cycle N (ordering inside a cycle follows kernel tick
 // order, which the SoC wiring keeps producer-before-consumer).
+//
+// The consumer registers itself with set_consumer() when it is wired to the
+// channel; every push then notifies it through its kernel, which is how a
+// sleeping component learns that input has arrived (see sim::SimKernel).
 class TransactionChannel {
  public:
-  void push(BusTransaction t) { q_.push_back(std::move(t)); }
+  void push(BusTransaction t) {
+    if (consumer_ != nullptr && consumer_->kernel() != nullptr) {
+      consumer_->kernel()->notify(*consumer_);
+    }
+    q_.push_back(std::move(t));
+  }
+
+  void set_consumer(sim::Component& consumer) noexcept {
+    consumer_ = &consumer;
+  }
+  // The component that pops this channel; null until wired.
+  [[nodiscard]] sim::Component* consumer() const noexcept { return consumer_; }
 
   [[nodiscard]] bool empty() const noexcept { return q_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return q_.size(); }
@@ -42,6 +59,7 @@ class TransactionChannel {
 
  private:
   std::deque<BusTransaction> q_;
+  sim::Component* consumer_ = nullptr;
 };
 
 // Connection point for one bus master.

@@ -14,6 +14,7 @@ SystemBus::SystemBus(std::string name, std::unique_ptr<Arbiter> arbiter)
 
 MasterEndpoint& SystemBus::attach_master(sim::MasterId id, std::string master_name) {
   endpoints_.push_back(std::make_unique<MasterEndpoint>());
+  endpoints_.back()->request.set_consumer(*this);
   master_ids_.push_back(id);
   MasterStats ms;
   ms.name = std::move(master_name);

@@ -150,6 +150,10 @@ class SystemBus final : public sim::Component {
   [[nodiscard]] std::size_t master_count() const noexcept {
     return endpoints_.size();
   }
+  // Endpoint of the i-th attached master (attach order).
+  [[nodiscard]] const MasterEndpoint& endpoint(std::size_t i) const {
+    return *endpoints_.at(i);
+  }
   [[nodiscard]] bool idle() const noexcept {
     return state_ == State::kIdle && no_requests_waiting();
   }

@@ -32,7 +32,9 @@ LocalFirewall::LocalFirewall(std::string name, FirewallId id,
       id_(id),
       cfg_(cfg),
       sb_(config_mem, id, cfg.sb),
-      log_(&log) {}
+      log_(&log) {
+  ip_side_.request.set_consumer(*this);
+}
 
 bool LocalFirewall::idle() const noexcept {
   return !in_check_.has_value() && ip_side_.request.empty() &&

@@ -115,6 +115,7 @@ class LocalFirewall final : public sim::Component {
   // Bus-facing endpoint obtained from SystemBus::attach_master.
   void connect_bus(bus::MasterEndpoint& bus_endpoint) noexcept {
     bus_side_ = &bus_endpoint;
+    bus_side_->response.set_consumer(*this);
   }
 
   void set_trace(sim::EventTrace* trace) noexcept { trace_ = trace; }

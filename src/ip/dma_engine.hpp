@@ -36,7 +36,10 @@ class DmaEngine final : public sim::Component {
 
   DmaEngine(std::string name, sim::MasterId id);
 
-  void connect(bus::MasterEndpoint& endpoint) noexcept { port_ = &endpoint; }
+  void connect(bus::MasterEndpoint& endpoint) noexcept {
+    port_ = &endpoint;
+    port_->response.set_consumer(*this);
+  }
 
   // Starts a copy job; only one job at a time.
   void start(const Job& job);

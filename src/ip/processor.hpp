@@ -77,7 +77,10 @@ class Processor final : public sim::Component {
 
   // Connects the processor to its interface (a Local Firewall's ip_side in a
   // secured SoC, or a raw bus endpoint in the unsecured baseline).
-  void connect(bus::MasterEndpoint& endpoint) noexcept { port_ = &endpoint; }
+  void connect(bus::MasterEndpoint& endpoint) noexcept {
+    port_ = &endpoint;
+    port_->response.set_consumer(*this);
+  }
 
   void tick(sim::Cycle now) override;
   // Wakes when the compute gap runs out or a response is waiting; skipped

@@ -34,7 +34,10 @@ class ScriptedMaster final : public sim::Component {
 
   ScriptedMaster(std::string name, sim::MasterId id);
 
-  void connect(bus::MasterEndpoint& endpoint) noexcept { port_ = &endpoint; }
+  void connect(bus::MasterEndpoint& endpoint) noexcept {
+    port_ = &endpoint;
+    port_->response.set_consumer(*this);
+  }
 
   // Appends a step; steps run strictly in order, each waiting for the
   // previous response.

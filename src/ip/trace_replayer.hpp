@@ -23,7 +23,10 @@ class TraceReplayer final : public sim::Component {
   TraceReplayer(std::string name, sim::MasterId id,
                 std::vector<TraceRecord> trace, std::uint64_t payload_seed = 1);
 
-  void connect(bus::MasterEndpoint& endpoint) noexcept { port_ = &endpoint; }
+  void connect(bus::MasterEndpoint& endpoint) noexcept {
+    port_ = &endpoint;
+    port_->response.set_consumer(*this);
+  }
 
   void tick(sim::Cycle now) override;
   // Same wake/skip rule as ScriptedMaster: the record's delay counts down.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 
 #include "util/assert.hpp"
 
@@ -25,67 +26,189 @@ void set_lockstep_for_testing(bool lockstep) noexcept {
 void SimKernel::add(Component& c) {
   SECBUS_ASSERT(c.kernel_ == nullptr || c.kernel_ == this,
                 "component already registered with another kernel");
+  SECBUS_ASSERT(components_.size() < kNoActive, "too many components");
   c.kernel_ = this;
+  c.index_ = static_cast<std::uint32_t>(components_.size());
+  c.synced_ = now_;
   components_.push_back(&c);
 }
 
-void SimKernel::step() {
-  // Phase 1: due callbacks (scheduled events) run before any component ticks
-  // this cycle, in (cycle, FIFO) order. A callback may schedule more work for
-  // the same cycle; it runs within this phase.
+void SimKernel::fire_callbacks() {
+  // Due callbacks run in (cycle, FIFO) order. A callback may schedule more
+  // work for the same cycle; it runs within this phase.
   while (!pending_.empty() && pending_.front().when <= now_) {
     std::pop_heap(pending_.begin(), pending_.end(), ScheduledLater{});
     Scheduled ev = std::move(pending_.back());
     pending_.pop_back();
     ev.fn();
   }
+}
+
+void SimKernel::step() {
+  // Phase 1: due callbacks run before any component ticks this cycle.
+  fire_callbacks();
   // Phase 2: tick all components in registration order.
-  for (Component* c : components_) c->tick(now_);
+  for (Component* c : components_) {
+    c->tick(now_);
+    c->synced_ = now_ + 1;
+  }
   ticks_executed_ += components_.size();
   ticks_dispatched_ += components_.size();
   ++now_;
 }
 
-Cycle SimKernel::jump(Cycle limit) {
+void SimKernel::sync(Component& c, Cycle through) {
+  if (c.synced_ >= through) return;
+  c.skip(c.synced_, through - c.synced_);
+  c.synced_ = through;
+}
+
+void SimKernel::sync_all() {
+  for (Component* c : components_) sync(*c, now_);
+}
+
+void SimKernel::notify(Component& c) {
+  if (active_ == kNoActive) return;
+  // Lockstep ticks c after the active component (same cycle, new input
+  // visible) or has already ticked it this cycle (with the old state).
+  sync(c, c.index_ <= active_ ? now_ + 1 : now_);
+  if (!c.dirty_) {
+    c.dirty_ = true;
+    dirty_.push_back(&c);
+  }
+}
+
+void SimKernel::refresh(Component& c) {
+  const Cycle wake = c.next_wake(c.synced_);
+  ++wake_reads_;
+  if (wake == c.wake_) return;  // its calendar entry (or due slot) stands
+  c.wake_ = wake;
+  ++c.gen_;
+  if (wake == kNeverCycle) return;
+  calendar_.push_back(Wake{wake, c.index_, c.gen_});
+  std::push_heap(calendar_.begin(), calendar_.end(), WakeLater{});
+}
+
+void SimKernel::refresh_all() {
+  calendar_.clear();
+  for (Component* c : components_) {
+    c->wake_ = c->next_wake(c->synced_);
+    if (c->wake_ != kNeverCycle) {
+      calendar_.push_back(Wake{c->wake_, c->index_, c->gen_});
+    }
+  }
+  wake_reads_ += components_.size();
+  std::make_heap(calendar_.begin(), calendar_.end(), WakeLater{});
+}
+
+void SimKernel::refresh_dirty() {
+  for (Component* c : dirty_) {
+    c->dirty_ = false;
+    refresh(*c);
+  }
+  dirty_.clear();
+}
+
+void SimKernel::collect_due() {
+  while (!calendar_.empty() && calendar_.front().when <= now_) {
+    std::pop_heap(calendar_.begin(), calendar_.end(), WakeLater{});
+    const Wake w = calendar_.back();
+    calendar_.pop_back();
+    if (w.gen != components_[w.index]->gen_) continue;  // stale
+    due_.push_back(w.index);
+    std::push_heap(due_.begin(), due_.end(), std::greater<>{});
+  }
+}
+
+void SimKernel::step_due() {
+  if (!pending_.empty() && pending_.front().when <= now_) {
+    // Callbacks may touch any component: bring all of them up to date
+    // first, and trust no cached wake afterwards.
+    sync_all();
+    fire_callbacks();
+    refresh_all();
+  }
+  collect_due();
+  while (!due_.empty()) {
+    std::pop_heap(due_.begin(), due_.end(), std::greater<>{});
+    Component& c = *components_[due_.back()];
+    due_.pop_back();
+    // Duplicate entry, or a notify re-read moved the wake past this cycle.
+    if (c.synced_ > now_ || c.wake_ > now_) continue;
+    sync(c, now_);
+    c.synced_ = now_ + 1;
+    active_ = c.index_;
+    c.tick(now_);
+    active_ = kNoActive;
+    ++ticks_dispatched_;
+    refresh_dirty();
+    refresh(c);
+    // Components notified above may now be due later in this cycle.
+    collect_due();
+  }
+  ticks_executed_ += components_.size();
+  ++now_;
+}
+
+void SimKernel::jump(Cycle limit) {
   Cycle target = limit;
-  if (!pending_.empty()) {
-    if (pending_.front().when <= now_) return 0;
-    target = std::min(target, pending_.front().when);
+  if (!pending_.empty()) target = std::min(target, pending_.front().when);
+  while (!calendar_.empty()) {
+    const Wake& top = calendar_.front();
+    if (top.gen == components_[top.index]->gen_) {
+      target = std::min(target, top.when);
+      break;
+    }
+    std::pop_heap(calendar_.begin(), calendar_.end(), WakeLater{});
+    calendar_.pop_back();
   }
-  for (const Component* c : components_) {
-    const Cycle wake = c->next_wake(now_);
-    if (wake <= now_) return 0;
-    target = std::min(target, wake);
-  }
-  const Cycle n = target - now_;  // >= 1: every bound above exceeds now_
-  for (Component* c : components_) c->skip(now_, n);
+  if (target <= now_) return;
+  const Cycle n = target - now_;
   now_ = target;
   ticks_executed_ += n * components_.size();
   cycles_skipped_ += n;
-  return n;
 }
 
 void SimKernel::run(Cycle n) {
   const Cycle end = saturating_end(now_, n);
-  const bool lockstep = g_lockstep.load(std::memory_order_relaxed);
-  while (now_ < end) {
-    if (!lockstep && jump(end) > 0) continue;
-    step();
+  if (g_lockstep.load(std::memory_order_relaxed)) {
+    while (now_ < end) step();
+    return;
   }
+  refresh_all();
+  for (;;) {
+    jump(end);
+    if (now_ >= end) break;
+    step_due();
+  }
+  sync_all();
 }
 
 bool SimKernel::run_until(const std::function<bool()>& done, Cycle max_cycles) {
   const Cycle end = saturating_end(now_, max_cycles);
-  const bool lockstep = g_lockstep.load(std::memory_order_relaxed);
   // Jumped cycles cannot change what the predicate reads (see the header),
   // so it is evaluated once up front and then only after a stepped cycle.
   if (done()) return true;
-  while (now_ < end) {
-    if (!lockstep && jump(end) > 0) continue;
-    step();
-    if (done()) return true;
+  if (g_lockstep.load(std::memory_order_relaxed)) {
+    while (now_ < end) {
+      step();
+      if (done()) return true;
+    }
+    return done();
   }
-  return done();
+  refresh_all();
+  bool hit = false;
+  for (;;) {
+    jump(end);
+    if (now_ >= end) break;
+    step_due();
+    if (done()) {
+      hit = true;
+      break;
+    }
+  }
+  sync_all();
+  return hit || done();
 }
 
 void SimKernel::schedule(Cycle delay, std::function<void()> fn) {
@@ -97,10 +220,18 @@ void SimKernel::reset() {
   now_ = 0;
   ticks_executed_ = 0;
   ticks_dispatched_ = 0;
+  wake_reads_ = 0;
   cycles_skipped_ = 0;
   seq_ = 0;
   pending_.clear();
-  for (Component* c : components_) c->reset();
+  calendar_.clear();
+  due_.clear();
+  dirty_.clear();
+  for (Component* c : components_) {
+    c->reset();
+    c->synced_ = 0;
+    c->dirty_ = false;
+  }
 }
 
 }  // namespace secbus::sim

@@ -1,20 +1,38 @@
-// Next-event simulation kernel.
+// Wake-driven simulation kernel.
 //
 // The kernel owns nothing: components are built and owned by the SoC layer
 // (or by tests) and registered here. Each cycle the kernel
 //   1. fires due delayed callbacks (schedule()), in deterministic order, then
-//   2. ticks every registered component in registration order.
+//   2. ticks the components due this cycle, in registration order.
 // Both orders are fixed, so a run is a pure function of (wiring, seeds).
 //
-// run() and run_until() advance time by next-event jumps. At the top of a
-// cycle with no callback due, the kernel asks every component for its
-// next_wake(now). When all of them lie in the future, nothing but per-cycle
-// bookkeeping can happen until the earliest of: that wake, the next pending
-// callback, or the cycle cap. The kernel jumps there in one go, calling
-// skip() on every component for the jumped span, and steps normally from
-// there. A component without next_wake/skip overrides reports "wake now"
-// and so keeps the kernel stepping; results are bit-identical to ticking
-// every cycle (the lockstep oracle, see set_lockstep_for_testing()).
+// run() and run_until() pay per event, not per component:
+//   * Calendar. The kernel caches every component's next_wake() in a
+//     min-heap and re-reads it only after the component ticks, after it is
+//     notified, and at run entry. A cycle in which no component is due and
+//     no callback fires is not visited at all: time jumps to the earliest
+//     cached wake, the next pending callback, or the cycle cap.
+//   * Due set. A stepped cycle ticks only the components whose wake is that
+//     cycle, lowest registration index first, so tick order is the lockstep
+//     order restricted to the components that act.
+//   * Lazy skip. Each component remembers the first cycle it has not
+//     executed. Its skipped bookkeeping is applied in one skip() just before
+//     it ticks, when it is notified, before callbacks run, and for every
+//     component when run()/run_until() returns, so statistics read between
+//     runs (and from callbacks) are exact.
+//   * notify(c). A component that is about to change another component's
+//     state calls notify(target) first; TransactionChannel::push does it for
+//     its consumer. If the target comes later in registration order than the
+//     component ticking, it is synced up to (not including) the current
+//     cycle and may still tick in it; if it comes earlier, lockstep has
+//     already executed its current cycle with the old state, so it is synced
+//     through that cycle and acts at the next one at the earliest. Either
+//     way its wake is re-read once the current tick returns.
+//   * Callbacks. A cycle with schedule() callbacks due syncs every
+//     component, runs the callbacks, then re-reads every wake, so a callback
+//     may mutate any component without notifying.
+// Results are bit-identical to ticking every component on every cycle (the
+// lockstep oracle, see set_lockstep_for_testing()).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +46,7 @@ namespace secbus::sim {
 
 // Test hook: when true, run()/run_until() tick every component on every
 // cycle (no jumps) in kernels of this process. This lockstep mode is the
-// oracle the differential tests compare the next-event kernel against.
+// oracle the differential tests compare the wake-driven kernel against.
 // Takes effect at the next run call; safe to flip between runs only.
 void set_lockstep_for_testing(bool lockstep) noexcept;
 
@@ -52,11 +70,19 @@ class SimKernel {
   // first. Returns true when the predicate fired, false on timeout. The
   // predicate must depend only on component state that changes in ticks
   // (never on now() or on per-cycle bookkeeping): jumped cycles do not
-  // re-evaluate it.
+  // re-evaluate it, and sleeping components' bookkeeping is stale while it
+  // runs.
   bool run_until(const std::function<bool()>& done, Cycle max_cycles);
 
-  // Executes a single cycle (always ticks; never jumps).
+  // Executes a single cycle in lockstep: fires due callbacks, then ticks
+  // every component. Never jumps.
   void step();
+
+  // Announces input to `c`: call it *before* changing c's state from
+  // outside c (the kernel may first apply c's skipped bookkeeping, which
+  // assumes the old state). Outside a tick it does nothing: wakes are
+  // re-read wholesale at run entry and after callbacks.
+  void notify(Component& c);
 
   // Schedules `fn` to run at cycle `now + delay`, before components tick.
   // delay 0 means "at the start of the next step()" when called outside a
@@ -74,9 +100,14 @@ class SimKernel {
   [[nodiscard]] std::uint64_t ticks_executed() const noexcept {
     return ticks_executed_;
   }
-  // tick() calls actually made (stepped cycles x components).
+  // tick() calls actually made: only the due components of each stepped
+  // cycle (every component per cycle in lockstep).
   [[nodiscard]] std::uint64_t ticks_dispatched() const noexcept {
     return ticks_dispatched_;
+  }
+  // next_wake() calls made to maintain the calendar.
+  [[nodiscard]] std::uint64_t wake_reads() const noexcept {
+    return wake_reads_;
   }
   // Cycles advanced by jumps instead of steps.
   [[nodiscard]] std::uint64_t cycles_skipped() const noexcept {
@@ -98,11 +129,36 @@ class SimKernel {
       return a.seq > b.seq;
     }
   };
+  // Calendar entry: valid while `gen` equals the component's generation.
+  struct Wake {
+    Cycle when;
+    std::uint32_t index;
+    std::uint32_t gen;
+  };
+  struct WakeLater {
+    bool operator()(const Wake& a, const Wake& b) const noexcept {
+      return a.when > b.when;
+    }
+  };
 
-  // Jumps from the top of cycle now_ to the next cycle where a callback is
-  // due or a component wakes, capped at `limit`. Returns the cycles jumped
-  // (0 when something happens at now_).
-  Cycle jump(Cycle limit);
+  // Fires the callbacks due at now_, in (cycle, FIFO) order.
+  void fire_callbacks();
+  // Wake-driven counterpart of step(): executes cycle now_ for the due
+  // components only, then advances now_ past it.
+  void step_due();
+  // Jumps now_ to the next cycle with a due component or callback, capped
+  // at `limit`.
+  void jump(Cycle limit);
+  // Applies c's skipped bookkeeping up to (not including) `through`.
+  void sync(Component& c, Cycle through);
+  void sync_all();
+  // Re-reads c's wake into the calendar.
+  void refresh(Component& c);
+  // Re-reads every wake and rebuilds the calendar (run entry, callbacks).
+  void refresh_all();
+  void refresh_dirty();
+  // Moves the calendar entries due at now_ into the due set.
+  void collect_due();
 
   std::vector<Component*> components_;
   // Min-heap over (when, seq) maintained with std::push_heap/pop_heap on a
@@ -111,10 +167,21 @@ class SimKernel {
   // it). The backing storage is also reused across steps instead of being
   // reallocated.
   std::vector<Scheduled> pending_;
+  // Min-heap of cached wakes; stale entries are dropped when they surface.
+  std::vector<Wake> calendar_;
+  // Min-heap of the registration indices due in the cycle being stepped;
+  // may hold duplicates and components that stopped being due.
+  std::vector<std::uint32_t> due_;
+  // Components notified during the current tick, awaiting a wake re-read.
+  std::vector<Component*> dirty_;
+  // Registration index of the component ticking, or kNoActive.
+  static constexpr std::uint32_t kNoActive = UINT32_MAX;
+  std::uint32_t active_ = kNoActive;
   Cycle now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t ticks_executed_ = 0;
   std::uint64_t ticks_dispatched_ = 0;
+  std::uint64_t wake_reads_ = 0;
   std::uint64_t cycles_skipped_ = 0;
 };
 

@@ -256,5 +256,95 @@ TEST(Fabric, BookingsStraddlingAJumpChargeBusyCyclesExactly) {
   EXPECT_EQ(oracle, fast);
 }
 
+// Segment accounting of a star run in one kernel mode.
+struct BookingRun {
+  std::vector<std::uint64_t> counters;  // busy/idle/bridged_in per segment
+  std::vector<sim::Cycle> completed;    // completion cycle per response
+  std::uint64_t ticks_dispatched = 0;
+
+  bool operator==(const BookingRun& o) const {
+    return counters == o.counters && completed == o.completed;
+  }
+};
+
+// star(2): hub 0, leaves 1 and 2. A crossing from `master_seg` books the
+// sleeping segment `slave_seg`, which at the time either idles (no local
+// traffic) or counts down a slow local transaction that free_at() must see.
+BookingRun run_booking(bool lockstep, std::size_t master_seg,
+                       std::size_t slave_seg, bool far_busy) {
+  sim::set_lockstep_for_testing(lockstep);
+  Fabric fabric(FabricTopology::star(2));
+  FakeSlave target;
+  target.latency = 9;
+  FakeSlave slow;
+  slow.latency = 60;
+  fabric.map_region(0x0000, 0x1000, fabric.add_slave(target, slave_seg),
+                    "target");
+  fabric.map_region(0x1000, 0x1000, fabric.add_slave(slow, slave_seg),
+                    "slow");
+  ip::ScriptedMaster crosser("crosser", 0);
+  ip::ScriptedMaster local("local", 1);
+  crosser.connect(fabric.attach_master(master_seg, 0, "crosser"));
+  local.connect(fabric.attach_master(slave_seg, 1, "local"));
+  fabric.finalize();
+
+  sim::SimKernel kernel;
+  kernel.add(crosser);
+  kernel.add(local);
+  fabric.register_components(kernel);
+  // The local read holds the far segment for ~60 cycles from cycle ~2; the
+  // crossings land inside that span and, later, on an idle segment.
+  if (far_busy) local.enqueue_read(1, 0x1040);
+  for (const sim::Cycle delay : {20, 150, 0}) {
+    crosser.enqueue_read(delay, 0x40, DataFormat::kWord, 2);
+  }
+  const bool done = kernel.run_until(
+      [&] { return crosser.done() && local.done() && fabric.idle(); },
+      10'000);
+  kernel.run(25);  // trailing idle cycles after the last booking
+  sim::set_lockstep_for_testing(false);
+  EXPECT_TRUE(done);
+
+  BookingRun run;
+  for (std::size_t seg = 0; seg < fabric.segment_count(); ++seg) {
+    const SystemBus::BusStats& st = fabric.segment(seg).stats();
+    run.counters.insert(run.counters.end(),
+                        {st.busy_cycles, st.idle_cycles, st.bridged_in});
+  }
+  for (const ip::ScriptedMaster* m : {&crosser, &local}) {
+    for (const BusTransaction& t : m->stats().responses) {
+      run.completed.push_back(t.completed_at);
+    }
+  }
+  run.ticks_dispatched = kernel.ticks_dispatched();
+  return run;
+}
+
+void expect_booking_exact(std::size_t master_seg, std::size_t slave_seg) {
+  for (const bool far_busy : {false, true}) {
+    const BookingRun oracle =
+        run_booking(/*lockstep=*/true, master_seg, slave_seg, far_busy);
+    const BookingRun fast =
+        run_booking(/*lockstep=*/false, master_seg, slave_seg, far_busy);
+    EXPECT_EQ(oracle.counters[3 * slave_seg + 2], 3u)
+        << "every crossing must book the far segment";
+    EXPECT_LT(fast.ticks_dispatched * 4, oracle.ticks_dispatched)
+        << "the far segment was not left asleep";
+    EXPECT_EQ(oracle, fast) << "master_seg=" << master_seg
+                            << " slave_seg=" << slave_seg
+                            << " far_busy=" << far_busy;
+  }
+}
+
+TEST(Fabric, BookingOntoALowerIndexSleepingSegmentIsExact) {
+  // Segment 1's bus ticks after segment 0's, so lockstep has already
+  // executed the hub's cycle when the crossing books it.
+  expect_booking_exact(/*master_seg=*/1, /*slave_seg=*/0);
+}
+
+TEST(Fabric, BookingOntoAHigherIndexSleepingSegmentIsExact) {
+  expect_booking_exact(/*master_seg=*/0, /*slave_seg=*/2);
+}
+
 }  // namespace
 }  // namespace secbus::bus

@@ -60,6 +60,63 @@ class Sleeper final : public Component {
   Cycle wake_at_;
 };
 
+// Sleeps until mail arrives. Every executed cycle, ticked or skipped, is
+// bookkeeping: an idle cycle without mail, a handled one with it.
+class Inbox final : public Component {
+ public:
+  Inbox(std::string name, std::vector<std::string>& sink)
+      : Component(std::move(name)), sink_(&sink) {}
+
+  // The sender must call kernel()->notify(*this) first.
+  void deliver() { ++mail_; }
+
+  void tick(Cycle now) override {
+    if (mail_ == 0) {
+      ++idle_cycles;
+      return;
+    }
+    handled += mail_;
+    mail_ = 0;
+    sink_->push_back(name() + "@" + std::to_string(now));
+  }
+  [[nodiscard]] Cycle next_wake(Cycle now) const override {
+    return mail_ > 0 ? now : kNeverCycle;
+  }
+  void skip(Cycle /*now*/, Cycle n) override { idle_cycles += n; }
+
+  std::uint64_t idle_cycles = 0;
+  std::uint64_t handled = 0;
+
+ private:
+  std::vector<std::string>* sink_;
+  std::uint64_t mail_ = 0;
+};
+
+// At each listed cycle, mails every target once (a target listed twice gets
+// two messages, and two notifies, in the same tick).
+class Sender final : public Component {
+ public:
+  Sender(std::string name, std::vector<Cycle> at, std::vector<Inbox*> to)
+      : Component(std::move(name)), at_(std::move(at)), to_(std::move(to)) {}
+
+  void tick(Cycle now) override {
+    if (next_ >= at_.size() || at_[next_] != now) return;
+    for (Inbox* box : to_) {
+      kernel()->notify(*box);
+      box->deliver();
+    }
+    ++next_;
+  }
+  [[nodiscard]] Cycle next_wake(Cycle /*now*/) const override {
+    return next_ < at_.size() ? at_[next_] : kNeverCycle;
+  }
+
+ private:
+  std::vector<Cycle> at_;
+  std::vector<Inbox*> to_;
+  std::size_t next_ = 0;
+};
+
 // Sets the lockstep oracle for one test and restores the default after.
 class LockstepGuard {
  public:
@@ -177,8 +234,9 @@ TEST(Kernel, JumpStopsAtEarliestCallbackWhichFiresAtItsCycle) {
   EXPECT_EQ(fired_at, 500u);
   EXPECT_EQ(order, (std::vector<std::string>{"s@503"}));
   EXPECT_EQ(s.waited, 1000u);
-  // Stepped: 500 (callback), 503 (wake) and 900 (second callback).
-  EXPECT_EQ(k.ticks_dispatched(), 3u);
+  // Stepped: 500 (callback), 503 (wake) and 900 (second callback); only
+  // the wake ticks the sleeper.
+  EXPECT_EQ(k.ticks_dispatched(), 1u);
   EXPECT_EQ(k.cycles_skipped(), 997u);
 }
 
@@ -207,7 +265,9 @@ TEST(Kernel, ComponentWithoutOverrideIsTickedEveryCycle) {
   k.run(3);
   EXPECT_EQ(order, (std::vector<std::string>{"a@0", "a@1", "a@2"}));
   EXPECT_EQ(k.cycles_skipped(), 0u);
-  EXPECT_EQ(k.ticks_dispatched(), 6u);
+  // Every cycle is stepped for `a`, but the sleeper is never ticked.
+  EXPECT_EQ(k.ticks_dispatched(), 3u);
+  EXPECT_EQ(s.waited, 3u);
 }
 
 TEST(Kernel, WorkCountersAddUpAndResetClearsThem) {
@@ -222,12 +282,14 @@ TEST(Kernel, WorkCountersAddUpAndResetClearsThem) {
   // ticks_executed keeps its lockstep meaning: components x cycles.
   EXPECT_EQ(k.ticks_executed(), 200u);
   EXPECT_EQ(k.cycles_skipped(), 98u);
-  EXPECT_EQ(k.ticks_dispatched(), 4u);
-  EXPECT_EQ(k.ticks_executed(),
-            k.ticks_dispatched() + k.cycles_skipped() * k.component_count());
+  // Each stepped cycle ticks only the sleeper that is due.
+  EXPECT_EQ(k.ticks_dispatched(), 2u);
+  EXPECT_LE(k.ticks_dispatched(),
+            (k.now() - k.cycles_skipped()) * k.component_count());
   k.reset();
   EXPECT_EQ(k.ticks_executed(), 0u);
   EXPECT_EQ(k.ticks_dispatched(), 0u);
+  EXPECT_EQ(k.wake_reads(), 0u);
   EXPECT_EQ(k.cycles_skipped(), 0u);
 }
 
@@ -258,6 +320,115 @@ TEST(Kernel, TicksExecutedCountsAllComponents) {
   k.run(10);
   EXPECT_EQ(k.ticks_executed(), 20u);
   EXPECT_EQ(k.component_count(), 2u);
+}
+
+// What a mail run produced, in one kernel mode.
+struct MailRun {
+  std::vector<std::string> log;
+  std::vector<std::uint64_t> counters;  // idle/handled per inbox, then now
+  std::uint64_t ticks_dispatched = 0;
+
+  bool operator==(const MailRun& o) const {
+    return log == o.log && counters == o.counters;
+  }
+};
+
+// Registers `order` (names "box"/"box2"/"tx"/"tx2") and calls run() once
+// per entry of `runs`. Senders mail at `at`; tx mails box (and box again
+// when `twice`), tx2 mails box too. A callback reads box's idle count and
+// delivers to it at `cb_at` when non-zero.
+MailRun run_mail(bool lockstep, const std::vector<std::string>& order,
+                 const std::vector<Cycle>& at, bool twice, Cycle cb_at,
+                 const std::vector<Cycle>& runs) {
+  LockstepGuard guard(lockstep);
+  MailRun out;
+  SimKernel k;
+  Inbox box("box", out.log);
+  Inbox box2("box2", out.log);
+  std::vector<Inbox*> tx_targets{&box};
+  if (twice) tx_targets.push_back(&box);
+  Sender tx("tx", at, tx_targets);
+  Sender tx2("tx2", at, {&box});
+  for (const std::string& name : order) {
+    if (name == "box") k.add(box);
+    if (name == "box2") k.add(box2);
+    if (name == "tx") k.add(tx);
+    if (name == "tx2") k.add(tx2);
+  }
+  if (cb_at != 0) {
+    k.schedule(cb_at, [&box, &out] {
+      // A callback sees every component executed up to its cycle.
+      out.counters.push_back(box.idle_cycles);
+      box.deliver();
+    });
+  }
+  for (const Cycle n : runs) {
+    k.run(n);
+    // Read between runs: every component has executed every cycle so far.
+    out.counters.insert(out.counters.end(),
+                        {box.idle_cycles, box.handled, box2.idle_cycles,
+                         box2.handled, k.now()});
+  }
+  out.ticks_dispatched = k.ticks_dispatched();
+  return out;
+}
+
+TEST(KernelNotify, LaterIndexSleeperTicksInTheSameCycle) {
+  const std::vector<std::string> order{"tx", "box"};
+  const MailRun oracle = run_mail(true, order, {5, 40}, false, 0, {100});
+  const MailRun fast = run_mail(false, order, {5, 40}, false, 0, {100});
+  EXPECT_EQ(fast.log, (std::vector<std::string>{"box@5", "box@40"}));
+  EXPECT_EQ(oracle, fast);
+  EXPECT_EQ(fast.counters[0], 98u);  // idle everywhere but 5 and 40
+  EXPECT_EQ(fast.ticks_dispatched, 4u);
+}
+
+TEST(KernelNotify, EarlierIndexSleeperTicksInTheNextCycle) {
+  const std::vector<std::string> order{"box", "tx"};
+  const MailRun oracle = run_mail(true, order, {5, 40}, false, 0, {100});
+  const MailRun fast = run_mail(false, order, {5, 40}, false, 0, {100});
+  // Lockstep already ticked box in cycle 5 before the mail: that cycle is
+  // bookkeeping, and the mail is handled in cycle 6.
+  EXPECT_EQ(fast.log, (std::vector<std::string>{"box@6", "box@41"}));
+  EXPECT_EQ(oracle, fast);
+  EXPECT_EQ(fast.counters[0], 98u);
+  EXPECT_EQ(fast.ticks_dispatched, 4u);
+}
+
+TEST(KernelNotify, DuplicateNotifiesInOneCycleTickOnce) {
+  // tx notifies box twice and tx2 once more, all in the same cycle; one
+  // sender comes before box and one after it.
+  const std::vector<std::string> order{"tx", "box", "tx2"};
+  const MailRun oracle = run_mail(true, order, {9}, true, 0, {30});
+  const MailRun fast = run_mail(false, order, {9}, true, 0, {30});
+  EXPECT_EQ(fast.log, (std::vector<std::string>{"box@9", "box@10"}));
+  EXPECT_EQ(oracle, fast);
+  EXPECT_EQ(fast.counters[1], 3u);  // every message handled
+  EXPECT_EQ(fast.ticks_dispatched, 4u);
+}
+
+TEST(KernelNotify, CallbackMayMutateASleeperWithoutNotify) {
+  const std::vector<std::string> order{"box2", "box"};
+  const MailRun oracle = run_mail(true, order, {}, false, 30, {50});
+  const MailRun fast = run_mail(false, order, {}, false, 30, {50});
+  EXPECT_EQ(fast.log, (std::vector<std::string>{"box@30"}));
+  EXPECT_EQ(oracle, fast);
+  EXPECT_EQ(fast.counters[0], 30u);  // read by the callback
+  EXPECT_EQ(fast.ticks_dispatched, 1u);
+}
+
+TEST(KernelNotify, StatsReadBetweenRunsAreExact) {
+  const std::vector<std::string> order{"box", "tx", "box2"};
+  const std::vector<Cycle> runs{3, 17, 1, 40};
+  const MailRun oracle = run_mail(true, order, {12, 21, 50}, false, 0, runs);
+  const MailRun fast = run_mail(false, order, {12, 21, 50}, false, 0, runs);
+  ASSERT_EQ(fast.counters.size(), 5u * runs.size());
+  EXPECT_EQ(oracle, fast);
+  // box2 never gets mail: idle for every cycle run so far, at every read.
+  EXPECT_EQ(fast.counters[2], 3u);
+  EXPECT_EQ(fast.counters[7], 20u);
+  EXPECT_EQ(fast.counters[12], 21u);
+  EXPECT_EQ(fast.counters[17], 61u);
 }
 
 }  // namespace
