@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "crypto/backend.hpp"
+#include "net/frame.hpp"
 #include "net/netstats.hpp"
 #include "scenario/sweep.hpp"
 
@@ -125,17 +126,20 @@ Json heartbeat(std::size_t shard, std::uint64_t generation,
   return j;
 }
 
-Json shard_done(std::size_t shard, std::uint64_t generation,
-                const ProgressRecord& progress, const ShardResultFile& file,
-                std::uint64_t epoch) {
-  Json j = Json::object();
-  j.set("type", Json::string("shard_done"));
-  j.set("shard", Json::number(static_cast<std::uint64_t>(shard)));
-  j.set("generation", Json::number(generation));
-  j.set("epoch", Json::number(epoch));
-  j.set("progress", progress_record_to_json(progress));
-  j.set("file", shard_file_to_json(file));
-  return j;
+std::string shard_done(std::size_t shard, std::uint64_t generation,
+                       const ProgressRecord& progress,
+                       const ShardResultFile& file, std::uint64_t epoch) {
+  std::string payload;
+  util::JsonWriter w(payload);
+  w.begin_object()
+      .member("type", "shard_done")
+      .member("shard", shard)
+      .member("generation", generation)
+      .member("epoch", epoch)
+      .member("progress", progress_record_to_json(progress));
+  write_shard_json(w.key("file"), file);
+  w.end_object();
+  return payload;
 }
 
 std::string type_of(const Json& message) {
@@ -1306,10 +1310,10 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
                                             outcome.indices.size(),
                                             /*finished=*/true);
     }
-    const Json done_msg =
+    const std::string done_frame = net::encode_frame(
         fleet_msg::shard_done(grant.shard, grant.generation, final_record,
-                              file, grant.epoch);
-    if (!wire->send(net::kServerConn, done_msg)) {
+                              file, grant.epoch));
+    if (!wire->send_frame(net::kServerConn, done_frame)) {
       // The connection died while we computed. Re-attach and resubmit: a
       // quick reconnect beats the lease deadline and the result is
       // accepted; a slow one gets a refuse and the shard re-runs
@@ -1318,7 +1322,7 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
       // is refused the same way — the replacement server grants the
       // shard afresh and our checkpoint still makes it a resume.
       if (!attach(err)) return false;
-      if (!wire->send(net::kServerConn, done_msg)) {
+      if (!wire->send_frame(net::kServerConn, done_frame)) {
         return fail(err, "fleet worker " + worker_id +
                              ": resubmitting shard " +
                              std::to_string(grant.shard) +

@@ -121,11 +121,13 @@ namespace fleet_msg {
                                    const ProgressRecord& progress,
                                    const obs::Registry* snapshot = nullptr,
                                    std::uint64_t epoch = 0);
-[[nodiscard]] util::Json shard_done(std::size_t shard,
-                                    std::uint64_t generation,
-                                    const ProgressRecord& progress,
-                                    const ShardResultFile& file,
-                                    std::uint64_t epoch = 0);
+// Streamed straight to compact text (the result file is the bulk of it);
+// send with net::encode_frame + send_frame.
+[[nodiscard]] std::string shard_done(std::size_t shard,
+                                     std::uint64_t generation,
+                                     const ProgressRecord& progress,
+                                     const ShardResultFile& file,
+                                     std::uint64_t epoch = 0);
 
 // Message "type" field, or "" for a non-object / untyped message.
 [[nodiscard]] std::string type_of(const util::Json& message);

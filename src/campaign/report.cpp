@@ -178,118 +178,104 @@ void write_cells_csv(util::CsvWriter& csv, const CampaignReport& report) {
 
 namespace {
 
-util::Json cell_to_json(const CellAggregate& cell) {
-  using util::Json;
-  Json j = Json::object();
-  j.set("cell", Json::string(cell.key));
-  j.set("attack", Json::string(cell.attack));
-  j.set("topology", Json::string(cell.topology));
-  j.set("security", Json::string(cell.security));
-  j.set("protection", Json::string(cell.protection));
-  j.set("cpus", Json::number(static_cast<std::uint64_t>(cell.cpus)));
-  j.set("line_bytes", Json::number(cell.line_bytes));
-  j.set("extra_rules",
-        Json::number(static_cast<std::uint64_t>(cell.extra_rules)));
-  j.set("jobs", Json::number(static_cast<std::uint64_t>(cell.jobs)));
-  j.set("completed", Json::number(static_cast<std::uint64_t>(cell.completed)));
-  j.set("attacks_ran",
-        Json::number(static_cast<std::uint64_t>(cell.attacks_ran)));
-  if (cell.attacks_ran > 0) {
-    j.set("detected", Json::number(static_cast<std::uint64_t>(cell.detected)));
-    j.set("detection_rate", Json::number(cell.detection_rate()));
+// Writes `value`, or null when the question was never posed (`defined`
+// false), mirroring the CSV's empty cells.
+template <typename T>
+void value_or_null(util::JsonWriter& w, const char* key, bool defined,
+                   const T& value) {
+  w.key(key);
+  if (defined) {
+    w.value(value);
   } else {
-    j.set("detected", Json::null());
-    j.set("detection_rate", Json::null());
+    w.null();
   }
+}
+
+void write_cell(util::JsonWriter& w, const CellAggregate& cell) {
+  w.begin_object()
+      .member("cell", cell.key)
+      .member("attack", cell.attack)
+      .member("topology", cell.topology)
+      .member("security", cell.security)
+      .member("protection", cell.protection)
+      .member("cpus", cell.cpus)
+      .member("line_bytes", cell.line_bytes)
+      .member("extra_rules", cell.extra_rules)
+      .member("jobs", cell.jobs)
+      .member("completed", cell.completed)
+      .member("attacks_ran", cell.attacks_ran);
+  const bool attacked = cell.attacks_ran > 0;
+  value_or_null(w, "detected", attacked, cell.detected);
+  value_or_null(w, "detection_rate", attacked, cell.detection_rate());
   // Denominators are always present (0 = the question was never posed in
   // this cell); the derived rates go null exactly when their denominator
-  // is 0, mirroring the CSV's empty cells.
-  j.set("containment_checked",
-        Json::number(static_cast<std::uint64_t>(cell.containment_checked)));
-  j.set("containment_rate", cell.containment_checked > 0
-                                ? Json::number(cell.containment_rate())
-                                : Json::null());
-  j.set("victim_checked",
-        Json::number(static_cast<std::uint64_t>(cell.victim_checked)));
-  j.set("victim_intact_rate", cell.victim_checked > 0
-                                  ? Json::number(cell.victim_intact_rate())
-                                  : Json::null());
+  // is 0.
+  w.member("containment_checked", cell.containment_checked);
+  value_or_null(w, "containment_rate", cell.containment_checked > 0,
+                cell.containment_rate());
+  w.member("victim_checked", cell.victim_checked);
+  value_or_null(w, "victim_intact_rate", cell.victim_checked > 0,
+                cell.victim_intact_rate());
+  w.key("detection_latency");
   if (cell.detected > 0) {
-    Json det = Json::object();
-    det.set("p50", Json::number(cell.detection_hist.p50()));
-    det.set("p95", Json::number(cell.detection_hist.p95()));
-    det.set("p99", Json::number(cell.detection_hist.p99()));
-    det.set("max", Json::number(cell.detection_hist.max()));
-    det.set("mean", Json::number(cell.detection_hist.mean()));
-    j.set("detection_latency", std::move(det));
+    w.begin_object()
+        .member("p50", cell.detection_hist.p50())
+        .member("p95", cell.detection_hist.p95())
+        .member("p99", cell.detection_hist.p99())
+        .member("max", cell.detection_hist.max())
+        .member("mean", cell.detection_hist.mean())
+        .end_object();
   } else {
-    j.set("detection_latency", Json::null());
+    w.null();
   }
-  j.set("avg_latency", Json::number(cell.job_latency.mean()));
-  j.set("access_p50", Json::number(cell.access_hist.p50()));
-  j.set("access_p95", Json::number(cell.access_hist.p95()));
-  j.set("access_p99", Json::number(cell.access_hist.p99()));
-  j.set("alerts", Json::number(cell.alerts));
-  j.set("fw_blocked", Json::number(cell.fw_blocked));
-  return j;
+  w.member("avg_latency", cell.job_latency.mean())
+      .member("access_p50", cell.access_hist.p50())
+      .member("access_p95", cell.access_hist.p95())
+      .member("access_p99", cell.access_hist.p99())
+      .member("alerts", cell.alerts)
+      .member("fw_blocked", cell.fw_blocked)
+      .end_object();
 }
 
 }  // namespace
 
 std::string campaign_json(const CampaignReport& report) {
-  using util::Json;
-  Json j = Json::object();
-  j.set("campaign", Json::string(report.name));
-  j.set("jobs_total",
-        Json::number(static_cast<std::uint64_t>(report.batch.jobs_total)));
-  j.set("jobs_completed",
-        Json::number(static_cast<std::uint64_t>(report.batch.jobs_completed)));
-  j.set("cells_total",
-        Json::number(static_cast<std::uint64_t>(report.cells.size())));
-
-  Json cells = Json::array();
-  for (const CellAggregate& cell : report.cells) {
-    cells.push(cell_to_json(cell));
-  }
-  j.set("cells", std::move(cells));
-
-  Json weakest = Json::array();
+  const scenario::BatchAggregate& batch = report.batch;
+  std::string out;
+  util::JsonWriter w(out, 2);
+  w.begin_object()
+      .member("campaign", report.name)
+      .member("jobs_total", batch.jobs_total)
+      .member("jobs_completed", batch.jobs_completed)
+      .member("cells_total", report.cells.size());
+  w.key("cells").begin_array();
+  for (const CellAggregate& cell : report.cells) write_cell(w, cell);
+  w.end_array();
+  w.key("weakest").begin_array();
   for (const std::size_t i : report.ranked_weakest()) {
-    weakest.push(Json::string(report.cells[i].key));
+    w.value(report.cells[i].key);
   }
-  j.set("weakest", std::move(weakest));
+  w.end_array();
 
-  Json agg = Json::object();
-  agg.set("attacks_ran",
-          Json::number(static_cast<std::uint64_t>(report.batch.attacks_ran)));
-  agg.set("attacks_detected",
-          Json::number(
-              static_cast<std::uint64_t>(report.batch.attacks_detected)));
-  agg.set("containment_checked",
-          Json::number(
-              static_cast<std::uint64_t>(report.batch.containment_checked)));
-  agg.set("attacks_contained",
-          Json::number(
-              static_cast<std::uint64_t>(report.batch.attacks_contained)));
-  if (report.batch.attacks_detected > 0) {
-    agg.set("detection_p50", Json::number(report.batch.detection_hist.p50()));
-    agg.set("detection_p95", Json::number(report.batch.detection_hist.p95()));
-    agg.set("detection_p99", Json::number(report.batch.detection_hist.p99()));
-  } else {
-    agg.set("detection_p50", Json::null());
-    agg.set("detection_p95", Json::null());
-    agg.set("detection_p99", Json::null());
-  }
-  agg.set("access_latency_mean",
-          Json::number(report.batch.access_latency.mean()));
-  agg.set("access_p50", Json::number(report.batch.access_p50));
-  agg.set("access_p95", Json::number(report.batch.access_p95));
-  agg.set("access_p99", Json::number(report.batch.access_p99));
-  agg.set("alerts_total",
-          Json::number(static_cast<std::uint64_t>(
-              report.batch.alerts.sum())));
-  j.set("aggregate", std::move(agg));
-  return j.dump();
+  const bool detected = batch.attacks_detected > 0;
+  w.key("aggregate")
+      .begin_object()
+      .member("attacks_ran", batch.attacks_ran)
+      .member("attacks_detected", batch.attacks_detected)
+      .member("containment_checked", batch.containment_checked)
+      .member("attacks_contained", batch.attacks_contained);
+  value_or_null(w, "detection_p50", detected, batch.detection_hist.p50());
+  value_or_null(w, "detection_p95", detected, batch.detection_hist.p95());
+  value_or_null(w, "detection_p99", detected, batch.detection_hist.p99());
+  w.member("access_latency_mean", batch.access_latency.mean())
+      .member("access_p50", batch.access_p50)
+      .member("access_p95", batch.access_p95)
+      .member("access_p99", batch.access_p99)
+      .member("alerts_total", static_cast<std::uint64_t>(batch.alerts.sum()))
+      .end_object()
+      .end_object();
+  out += '\n';
+  return out;
 }
 
 std::string render_campaign_table(const CampaignReport& report,

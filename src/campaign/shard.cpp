@@ -1,6 +1,7 @@
 #include "campaign/shard.hpp"
 
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "campaign/campaign.hpp"
@@ -35,9 +36,23 @@ std::vector<std::size_t> shard_indices(std::size_t job_count,
   return indices;
 }
 
+namespace {
+
+// Streams the spec's canonical compact bytes into `buffer` (reusing its
+// capacity) and hashes them.
+std::uint64_t fingerprint_with(std::string& buffer,
+                               const scenario::ScenarioSpec& spec) {
+  buffer.clear();
+  util::JsonWriter w(buffer);
+  write_spec(w, spec);
+  return util::fnv1a_64(util::kFnv1aOffset, buffer.data(), buffer.size());
+}
+
+}  // namespace
+
 std::uint64_t spec_fingerprint(const scenario::ScenarioSpec& spec) {
-  const std::string canonical = spec_to_json(spec).dump(0);
-  return util::fnv1a_64(util::kFnv1aOffset, canonical.data(), canonical.size());
+  thread_local std::string buffer;
+  return fingerprint_with(buffer, spec);
 }
 
 std::uint64_t grid_fingerprint(
@@ -45,8 +60,9 @@ std::uint64_t grid_fingerprint(
   std::uint64_t h = util::kFnv1aOffset;
   const std::uint64_t count = specs.size();
   h = util::fnv1a_64(h, &count, sizeof count);
+  std::string buffer;
   for (const scenario::ScenarioSpec& spec : specs) {
-    const std::uint64_t fp = spec_fingerprint(spec);
+    const std::uint64_t fp = fingerprint_with(buffer, spec);
     h = util::fnv1a_64(h, &fp, sizeof fp);
   }
   return h;
@@ -74,95 +90,104 @@ std::string checkpoint_file_name(const std::string& campaign,
   return shard_stem(campaign, shard, shards) + ".ckpt.jsonl";
 }
 
-Json shard_file_to_json(const ShardResultFile& file) {
-  Json j = Json::object();
-  j.set("campaign", Json::string(file.campaign));
-  j.set("shard", Json::number(static_cast<std::uint64_t>(file.shard)));
-  j.set("shards", Json::number(static_cast<std::uint64_t>(file.shards)));
-  j.set("jobs_total",
-        Json::number(static_cast<std::uint64_t>(file.jobs_total)));
-  j.set("grid_fingerprint", Json::number(file.grid_fp));
-  Json results = Json::array();
-  for (const scenario::JobResult& r : file.results) {
-    results.push(scenario::job_result_to_json(r));
-  }
-  j.set("results", std::move(results));
-  return j;
+namespace {
+
+// The shard file and checkpoint record documents, each described once for
+// both directions (see scenario/result_io.cpp): `io` is a JsonWriter or a
+// JsonReader; `results`/`result` (de)serialize the job results.
+template <typename Io, typename File>
+bool shard_members(Io& io, File& file, const auto& results) {
+  return io.object([&] {
+    return io.member("campaign", file.campaign) &&
+           io.member("shard", file.shard) && io.member("shards", file.shards) &&
+           io.member("jobs_total", file.jobs_total) &&
+           io.member("grid_fingerprint", file.grid_fp) &&
+           io.member("results", results);
+  });
 }
 
-bool shard_file_from_json(const Json& j, const std::string& context,
-                          ShardResultFile& out, std::string* error) {
-  if (!j.is_object()) return fail(error, context + ": expected an object");
+template <typename Io>
+bool checkpoint_members(Io& io, auto& index, auto& fingerprint,
+                        const auto& result) {
+  return io.object([&] {
+    return io.member("index", index) &&
+           io.member("fingerprint", fingerprint) &&
+           io.member("result", result);
+  });
+}
 
-  ShardResultFile file;
-  const Json* campaign = j.find("campaign");
-  if (campaign == nullptr || !campaign->is_string()) {
-    return fail(error, context + ": missing \"campaign\"");
-  }
-  file.campaign = campaign->as_string();
-  const auto u64_field = [&](const char* name, std::size_t& out_value) {
-    const Json* v = j.find(name);
-    std::uint64_t u = 0;
-    if (v == nullptr || !v->to_u64(u)) {
-      return fail(error, context + ": missing u64 \"" + name + "\"");
+}  // namespace
+
+void write_shard_json(util::JsonWriter& w, const ShardResultFile& file) {
+  shard_members(w, file, [&] {
+    w.begin_array();
+    for (const scenario::JobResult& r : file.results) {
+      scenario::write_job_result(w, r);
     }
-    out_value = static_cast<std::size_t>(u);
+    w.end_array();
     return true;
-  };
-  if (!u64_field("shard", file.shard)) return false;
-  if (!u64_field("shards", file.shards)) return false;
-  if (!u64_field("jobs_total", file.jobs_total)) return false;
-  const Json* fp = j.find("grid_fingerprint");
-  if (fp == nullptr || !fp->to_u64(file.grid_fp)) {
-    return fail(error, context + ": missing u64 \"grid_fingerprint\"");
-  }
+  });
+}
+
+namespace {
+
+bool read_shard_json(util::JsonReader& r, ShardResultFile& out) {
+  ShardResultFile file;
+  const bool read = shard_members(r, file, [&] {
+    if (!r.begin_array()) return false;
+    while (r.next_item()) {
+      if (!scenario::read_job_result(r, file.results.emplace_back())) {
+        return r.context("[" + std::to_string(file.results.size() - 1) + "]");
+      }
+    }
+    return r.ok();
+  });
+  if (!read || !r.finish()) return false;
   if (file.shards == 0 || file.shard >= file.shards) {
-    return fail(error, context + ": shard index outside shard count");
+    return r.fail("shard index outside shard count");
   }
-  // Magnitude sanity before anything is sized from these fields: a corrupt
-  // header must produce a named error, not a bad_alloc.
+  // Magnitude sanity before merge sizes anything from these fields: a
+  // corrupt header must produce a named error, not a bad_alloc.
   if (file.shards > 1024) {
-    return fail(error, context + ": implausible shard count " +
-                           std::to_string(file.shards));
+    return r.fail("implausible shard count " + std::to_string(file.shards));
   }
   if (file.jobs_total > kMaxCampaignJobs) {
-    return fail(error, context + ": jobs_total " +
-                           std::to_string(file.jobs_total) +
-                           " exceeds the " +
-                           std::to_string(kMaxCampaignJobs) + "-job cap");
-  }
-
-  const Json* results = j.find("results");
-  if (results == nullptr || !results->is_array()) {
-    return fail(error, context + ": missing \"results\" array");
-  }
-  file.results.reserve(results->items().size());
-  for (std::size_t i = 0; i < results->items().size(); ++i) {
-    scenario::JobResult r;
-    std::string job_error;
-    if (!scenario::job_result_from_json(results->items()[i], r, &job_error)) {
-      return fail(error, context + ": results[" + std::to_string(i) +
-                             "]: " + job_error);
-    }
-    file.results.push_back(std::move(r));
+    return r.fail("jobs_total " + std::to_string(file.jobs_total) +
+                  " exceeds the " + std::to_string(kMaxCampaignJobs) +
+                  "-job cap");
   }
   out = std::move(file);
   return true;
 }
 
+bool read_shard_text(std::string_view text, const std::string& context,
+                     ShardResultFile& out, std::string* error) {
+  util::JsonReader r(text);
+  return read_shard_json(r, out) || fail(error, context + ": " + r.error());
+}
+
+}  // namespace
+
+bool shard_file_from_json(const Json& j, const std::string& context,
+                          ShardResultFile& out, std::string* error) {
+  return read_shard_text(j.dump(0), context, out, error);
+}
+
 bool write_shard_file(const std::string& path, const ShardResultFile& file,
                       std::string* error) {
-  return util::write_file(path, shard_file_to_json(file).dump(), error);
+  std::string text;
+  text.reserve(2048 * (file.results.size() + 1));  // typical job: ~1.4 KB
+  util::JsonWriter w(text);
+  write_shard_json(w, file);
+  text += '\n';
+  return util::write_file(path, text, error);
 }
 
 bool read_shard_file(const std::string& path, ShardResultFile& out,
                      std::string* error) {
   std::string text;
-  if (!util::read_file(path, text, error)) return false;
-  Json j;
-  std::string detail;
-  if (!Json::parse(text, j, &detail)) return fail(error, path + ": " + detail);
-  return shard_file_from_json(j, path, out, error);
+  return util::read_file(path, text, error) &&
+         read_shard_text(text, path, out, error);
 }
 
 bool merge_shard_files(const std::vector<std::string>& paths,
@@ -245,12 +270,15 @@ bool CheckpointWriter::open(const std::string& path) {
 
 bool CheckpointWriter::append(const scenario::JobResult& result,
                               std::uint64_t fingerprint) {
-  Json record = Json::object();
-  record.set("index", Json::number(static_cast<std::uint64_t>(result.index)));
-  record.set("fingerprint", Json::number(fingerprint));
-  record.set("result", scenario::job_result_to_json(result));
+  std::string line;
+  util::JsonWriter w(line);
+  const std::uint64_t index = result.index;
+  checkpoint_members(w, index, fingerprint, [&] {
+    scenario::write_job_result(w, result);
+    return true;
+  });
   const std::lock_guard<std::mutex> lock(mutex_);
-  return writer_.append(record);
+  return writer_.append_line(std::move(line));
 }
 
 bool CheckpointWriter::ok() {
@@ -269,36 +297,31 @@ std::size_t load_checkpoint(const std::string& path,
                             std::vector<char>& done) {
   SECBUS_ASSERT(results.size() == specs.size() && done.size() == specs.size(),
                 "checkpoint buffers must match the job list");
-  std::vector<Json> records;
-  if (!util::read_jsonl(path, records)) return 0;  // no checkpoint yet
-
   // Fingerprints computed lazily: a checkpoint references only its own
   // shard's indices, no need to hash the whole grid.
   std::vector<std::optional<std::uint64_t>> fingerprints(specs.size());
   std::size_t restored = 0;
-  for (const Json& record : records) {
-    if (!record.is_object()) continue;
-    const Json* index_v = record.find("index");
-    const Json* fp_v = record.find("fingerprint");
-    const Json* result_v = record.find("result");
+  // A missing file (no checkpoint yet) visits no line.
+  (void)util::for_each_jsonl_line(path, [&](std::string_view line) {
+    util::JsonReader r(line);
     std::uint64_t index = 0;
     std::uint64_t fp = 0;
-    if (index_v == nullptr || !index_v->to_u64(index) || fp_v == nullptr ||
-        !fp_v->to_u64(fp) || result_v == nullptr) {
-      continue;  // torn or foreign record
+    scenario::JobResult result;
+    const bool read = checkpoint_members(
+        r, index, fp, [&] { return scenario::read_job_result(r, result); });
+    // Torn or foreign records, and jobs already restored, are skipped.
+    if (!read || !r.finish() ||
+        index >= specs.size() || done[index] || result.index != index) {
+      return;
     }
-    if (index >= specs.size() || done[index]) continue;
     if (!fingerprints[index].has_value()) {
       fingerprints[index] = spec_fingerprint(specs[index]);
     }
-    if (*fingerprints[index] != fp) continue;  // grid drifted: re-run it
-    scenario::JobResult r;
-    if (!scenario::job_result_from_json(*result_v, r, nullptr)) continue;
-    if (r.index != index) continue;
-    results[index] = std::move(r);
+    if (*fingerprints[index] != fp) return;  // grid drifted: re-run it
+    results[index] = std::move(result);
     done[index] = 1;
     ++restored;
-  }
+  });
   return restored;
 }
 

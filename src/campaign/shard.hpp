@@ -52,10 +52,10 @@ namespace secbus::campaign {
                                                      std::size_t shard,
                                                      std::size_t shards);
 
-// FNV-1a64 over the spec's canonical JSON (campaign::spec_to_json, compact
-// dump): any change to any field — soc config, attack shaping, cycle cap,
-// variant label — changes the fingerprint. Guards checkpoints and shard
-// files against grids that drifted between runs.
+// FNV-1a64 over the spec's canonical compact JSON (campaign::write_spec):
+// any change to any field — soc config, attack shaping, cycle cap, variant
+// label — changes the fingerprint. Guards checkpoints and shard files
+// against grids that drifted between runs.
 [[nodiscard]] std::uint64_t spec_fingerprint(
     const scenario::ScenarioSpec& spec);
 
@@ -86,11 +86,14 @@ struct ShardResultFile {
                                                std::size_t shards);
 
 // JSON (de)serialization of a shard result file. The on-disk file and the
-// fleet protocol's shard_done payload are the same document, so a result
-// that traveled over the wire is byte-for-byte the result a local worker
-// would have written. `context` prefixes error messages (file path, or
-// "worker <id>" for wire payloads).
-[[nodiscard]] util::Json shard_file_to_json(const ShardResultFile& file);
+// fleet protocol's shard_done payload are the same document, streamed by
+// write_shard_json, so a result that traveled over the wire is
+// byte-for-byte the result a local worker would have written. Files are
+// written compact; the reader takes any whitespace layout (members in the
+// written order), so pretty-printed files from older builds still read and
+// merge. `context` prefixes error messages (file path, or "worker <id>"
+// for wire payloads).
+void write_shard_json(util::JsonWriter& w, const ShardResultFile& file);
 bool shard_file_from_json(const util::Json& j, const std::string& context,
                           ShardResultFile& out, std::string* error);
 

@@ -138,29 +138,28 @@ constexpr sim::Cycle kDefaultHopLatency = 2;
 
 // --- topology ---------------------------------------------------------------
 
-util::Json topology_to_json(const soc::TopologySpec& topo) {
+void write_topology(util::JsonWriter& w, const soc::TopologySpec& topo) {
   if (topo.hop_latency == kDefaultHopLatency) {
-    return util::Json::string(topo.label());  // compact, parse_topology form
+    w.value(topo.label());  // compact, parse_topology form
+    return;
   }
-  util::Json j = util::Json::object();
-  j.set("kind", util::Json::string(to_string(topo.kind)));
+  w.begin_object().member("kind", to_string(topo.kind));
   switch (topo.kind) {
     case soc::TopologyKind::kFlat:
       break;
     case soc::TopologyKind::kStar:
-      j.set("leaves", util::Json::number(
-                          static_cast<std::uint64_t>(topo.star_leaves)));
+      w.member("leaves", topo.star_leaves);
       break;
     case soc::TopologyKind::kMesh:
-      j.set("rows",
-            util::Json::number(static_cast<std::uint64_t>(topo.mesh_rows)));
-      j.set("cols",
-            util::Json::number(static_cast<std::uint64_t>(topo.mesh_cols)));
+      w.member("rows", topo.mesh_rows).member("cols", topo.mesh_cols);
       break;
   }
-  j.set("hop_latency",
-        util::Json::number(static_cast<std::uint64_t>(topo.hop_latency)));
-  return j;
+  w.member("hop_latency", topo.hop_latency).end_object();
+}
+
+util::Json topology_to_json(const soc::TopologySpec& topo) {
+  return util::written_tree(
+      [&](util::JsonWriter& w) { write_topology(w, topo); });
 }
 
 bool topology_from_json(const util::Json& j, const std::string& path,
@@ -217,51 +216,52 @@ bool topology_from_json(const util::Json& j, const std::string& path,
 
 // --- SocConfig --------------------------------------------------------------
 
-util::Json soc_to_json(const soc::SocConfig& cfg) {
-  using util::Json;
-  Json j = Json::object();
-  j.set("processors", Json::number(static_cast<std::uint64_t>(cfg.processors)));
-  j.set("topology", topology_to_json(cfg.topology));
-  j.set("dedicated_ip", Json::boolean(cfg.dedicated_ip));
-  j.set("memory_segment",
-        Json::number(static_cast<std::uint64_t>(cfg.memory_segment)));
-  const auto auto_or_index = [](std::size_t segment) {
-    return segment == soc::SocConfig::kAutoSegment
-               ? Json::string("auto")
-               : Json::number(static_cast<std::uint64_t>(segment));
+void write_soc(util::JsonWriter& w, const soc::SocConfig& cfg) {
+  w.begin_object().member("processors", cfg.processors);
+  write_topology(w.key("topology"), cfg.topology);
+  w.member("dedicated_ip", cfg.dedicated_ip)
+      .member("memory_segment", cfg.memory_segment);
+  const auto auto_or_index = [&w](const char* key, std::size_t segment) {
+    w.key(key);
+    if (segment == soc::SocConfig::kAutoSegment) {
+      w.value("auto");
+    } else {
+      w.value(segment);
+    }
   };
-  j.set("bram_segment", auto_or_index(cfg.bram_segment));
-  j.set("ddr_segment", auto_or_index(cfg.ddr_segment));
-  j.set("dma_segment", auto_or_index(cfg.dma_segment));
-  j.set("security", Json::string(to_string(cfg.security)));
-  j.set("protection", Json::string(to_string(cfg.protection)));
-  j.set("enable_reconfig", Json::boolean(cfg.enable_reconfig));
-  j.set("trace_capacity",
-        Json::number(static_cast<std::uint64_t>(cfg.trace_capacity)));
-  j.set("bram_base", Json::number(cfg.bram_base));
-  j.set("bram_size", Json::number(cfg.bram_size));
-  j.set("ddr_base", Json::number(cfg.ddr_base));
-  j.set("ddr_size", Json::number(cfg.ddr_size));
-  j.set("ddr_protected_base", Json::number(cfg.ddr_protected_base));
-  j.set("ddr_protected_size", Json::number(cfg.ddr_protected_size));
-  j.set("line_bytes", Json::number(cfg.line_bytes));
-  j.set("clock_hz", Json::number(cfg.clock.freq_hz));
-  j.set("sb_check_cycles", Json::number(cfg.sb_check_cycles));
-  j.set("cc_latency", Json::number(cfg.cc_latency));
-  j.set("cc_bits_per_cycle", Json::number(cfg.cc_bits_per_cycle));
-  j.set("ic_latency", Json::number(cfg.ic_latency));
-  j.set("ic_bits_per_cycle", Json::number(cfg.ic_bits_per_cycle));
-  j.set("seed", Json::number(cfg.seed));
-  j.set("transactions_per_cpu", Json::number(cfg.transactions_per_cpu));
-  j.set("write_fraction", Json::number(cfg.write_fraction));
-  j.set("external_fraction", Json::number(cfg.external_fraction));
-  j.set("compute_min", Json::number(cfg.compute_min));
-  j.set("compute_max", Json::number(cfg.compute_max));
-  j.set("max_burst_beats",
-        Json::number(static_cast<std::uint64_t>(cfg.max_burst_beats)));
-  j.set("extra_rules",
-        Json::number(static_cast<std::uint64_t>(cfg.extra_rules)));
-  return j;
+  auto_or_index("bram_segment", cfg.bram_segment);
+  auto_or_index("ddr_segment", cfg.ddr_segment);
+  auto_or_index("dma_segment", cfg.dma_segment);
+  w.member("security", to_string(cfg.security))
+      .member("protection", to_string(cfg.protection))
+      .member("enable_reconfig", cfg.enable_reconfig)
+      .member("trace_capacity", cfg.trace_capacity)
+      .member("bram_base", cfg.bram_base)
+      .member("bram_size", cfg.bram_size)
+      .member("ddr_base", cfg.ddr_base)
+      .member("ddr_size", cfg.ddr_size)
+      .member("ddr_protected_base", cfg.ddr_protected_base)
+      .member("ddr_protected_size", cfg.ddr_protected_size)
+      .member("line_bytes", cfg.line_bytes)
+      .member("clock_hz", cfg.clock.freq_hz)
+      .member("sb_check_cycles", cfg.sb_check_cycles)
+      .member("cc_latency", cfg.cc_latency)
+      .member("cc_bits_per_cycle", cfg.cc_bits_per_cycle)
+      .member("ic_latency", cfg.ic_latency)
+      .member("ic_bits_per_cycle", cfg.ic_bits_per_cycle)
+      .member("seed", cfg.seed)
+      .member("transactions_per_cpu", cfg.transactions_per_cpu)
+      .member("write_fraction", cfg.write_fraction)
+      .member("external_fraction", cfg.external_fraction)
+      .member("compute_min", cfg.compute_min)
+      .member("compute_max", cfg.compute_max)
+      .member("max_burst_beats", cfg.max_burst_beats)
+      .member("extra_rules", cfg.extra_rules)
+      .end_object();
+}
+
+util::Json soc_to_json(const soc::SocConfig& cfg) {
+  return util::written_tree([&](util::JsonWriter& w) { write_soc(w, cfg); });
 }
 
 bool soc_from_json(const util::Json& j, const std::string& path,
@@ -373,19 +373,20 @@ bool soc_from_json(const util::Json& j, const std::string& path,
 
 // --- AttackPlan -------------------------------------------------------------
 
+void write_attack(util::JsonWriter& w, const scenario::AttackPlan& plan) {
+  w.begin_object()
+      .member("kind", to_string(plan.kind))
+      .member("flood_writes", plan.flood_writes)
+      .member("flood_burst_beats", plan.flood_burst_beats)
+      .member("rate_limit_window", plan.rate_limit_window)
+      .member("rate_limit_max", plan.rate_limit_max)
+      .member("corruption_flips", plan.corruption_flips)
+      .end_object();
+}
+
 util::Json attack_to_json(const scenario::AttackPlan& plan) {
-  using util::Json;
-  Json j = Json::object();
-  j.set("kind", Json::string(to_string(plan.kind)));
-  j.set("flood_writes", Json::number(plan.flood_writes));
-  j.set("flood_burst_beats",
-        Json::number(static_cast<std::uint64_t>(plan.flood_burst_beats)));
-  j.set("rate_limit_window", Json::number(plan.rate_limit_window));
-  j.set("rate_limit_max",
-        Json::number(static_cast<std::uint64_t>(plan.rate_limit_max)));
-  j.set("corruption_flips",
-        Json::number(static_cast<std::uint64_t>(plan.corruption_flips)));
-  return j;
+  return util::written_tree(
+      [&](util::JsonWriter& w) { write_attack(w, plan); });
 }
 
 bool attack_from_json(const util::Json& j, const std::string& path,
@@ -422,16 +423,17 @@ bool attack_from_json(const util::Json& j, const std::string& path,
 
 // --- ScenarioSpec -----------------------------------------------------------
 
+void write_spec(util::JsonWriter& w, const scenario::ScenarioSpec& spec) {
+  w.begin_object().member("name", spec.name);
+  if (!spec.variant.empty()) w.member("variant", spec.variant);
+  w.member("description", spec.description);
+  write_soc(w.key("soc"), spec.soc);
+  write_attack(w.key("attack"), spec.attack);
+  w.member("max_cycles", spec.max_cycles).end_object();
+}
+
 util::Json spec_to_json(const scenario::ScenarioSpec& spec) {
-  using util::Json;
-  Json j = Json::object();
-  j.set("name", Json::string(spec.name));
-  if (!spec.variant.empty()) j.set("variant", Json::string(spec.variant));
-  j.set("description", Json::string(spec.description));
-  j.set("soc", soc_to_json(spec.soc));
-  j.set("attack", attack_to_json(spec.attack));
-  j.set("max_cycles", Json::number(spec.max_cycles));
-  return j;
+  return util::written_tree([&](util::JsonWriter& w) { write_spec(w, spec); });
 }
 
 bool spec_from_json(const util::Json& j, const std::string& path,

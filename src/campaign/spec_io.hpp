@@ -24,6 +24,11 @@
 namespace secbus::campaign {
 
 // --- writers (emit every field; output re-reads to an equal value) ---------
+// write_* stream the canonical document; *_to_json return it as a tree.
+void write_topology(util::JsonWriter& w, const soc::TopologySpec& topo);
+void write_soc(util::JsonWriter& w, const soc::SocConfig& cfg);
+void write_attack(util::JsonWriter& w, const scenario::AttackPlan& plan);
+void write_spec(util::JsonWriter& w, const scenario::ScenarioSpec& spec);
 [[nodiscard]] util::Json topology_to_json(const soc::TopologySpec& topo);
 [[nodiscard]] util::Json soc_to_json(const soc::SocConfig& cfg);
 [[nodiscard]] util::Json attack_to_json(const scenario::AttackPlan& plan);

@@ -10,9 +10,8 @@ namespace {
 
 // Round-trips one message through the real wire format. Returns decoded
 // messages (normally exactly one).
-void push_through(FrameDecoder& decoder, const util::Json& message,
+void push_through(FrameDecoder& decoder, const std::string& frame,
                   std::deque<util::Json>& out) {
-  const std::string frame = encode_frame(message);
   decoder.feed(frame.data(), frame.size());
   util::Json decoded;
   while (decoder.next(decoded)) {
@@ -30,11 +29,16 @@ ConnId FakeTransport::connect_client() {
 }
 
 void FakeTransport::client_send(ConnId conn, const util::Json& message) {
+  client_send(conn, message.dump(0));
+}
+
+void FakeTransport::client_send(ConnId conn, std::string_view payload) {
   const auto it = conns_.find(conn);
   if (it == conns_.end() || !it->second.open_client || !it->second.open_server) {
     return;
   }
-  push_through(it->second.to_server, message, it->second.server_events);
+  push_through(it->second.to_server, encode_frame(payload),
+               it->second.server_events);
 }
 
 void FakeTransport::client_close(ConnId conn) {
@@ -64,7 +68,8 @@ bool FakeTransport::send(ConnId conn, const util::Json& message) {
   if (it == conns_.end() || !it->second.open_server || !it->second.open_client) {
     return false;
   }
-  push_through(it->second.to_client, message, it->second.client_inbox);
+  push_through(it->second.to_client, encode_frame(message),
+               it->second.client_inbox);
   return true;
 }
 

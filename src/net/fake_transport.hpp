@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -30,6 +31,8 @@ class FakeTransport : public Transport {
   // Sends a message from client `conn` to the server (via framing). The
   // server sees kMessage on its next poll. No-op on a closed connection.
   void client_send(ConnId conn, const util::Json& message);
+  // The same for a message already serialized as compact JSON.
+  void client_send(ConnId conn, std::string_view payload);
 
   // Closes from the client side; the server sees kClose on its next poll.
   void client_close(ConnId conn);

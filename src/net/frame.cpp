@@ -7,7 +7,10 @@
 namespace secbus::net {
 
 std::string encode_frame(const util::Json& message) {
-  const std::string payload = message.dump(0);
+  return encode_frame(message.dump(0));
+}
+
+std::string encode_frame(std::string_view payload) {
   const std::uint32_t size = static_cast<std::uint32_t>(payload.size());
   std::string frame;
   frame.reserve(4 + payload.size());

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/json.hpp"
 
@@ -29,6 +30,8 @@ inline constexpr std::uint32_t kMaxFrameBytes = 64u * 1024u * 1024u;
 
 // Compact-serializes `message` and prepends the length prefix.
 [[nodiscard]] std::string encode_frame(const util::Json& message);
+// The same for a message already serialized as compact JSON.
+[[nodiscard]] std::string encode_frame(std::string_view payload);
 
 // Incremental frame decoder over an arbitrary chunking of the stream.
 class FrameDecoder {

@@ -76,7 +76,7 @@ std::string fleet_timeline_json(const std::vector<AuditRecord>& records,
     l += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
     append_u64(l, i + 1);
     l += ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    l += util::Json::quote(track_names[i]);
+    util::JsonWriter(l).value(track_names[i]);
     l += "}}";
   }
 
@@ -95,7 +95,7 @@ std::string fleet_timeline_json(const std::vector<AuditRecord>& records,
     append_u64(l, r.generation);
     if (!r.detail.empty()) {
       l += ",\"detail\":";
-      l += util::Json::quote(r.detail);
+      util::JsonWriter(l).value(r.detail);
     }
     l += "}}";
     ++st.instants;

@@ -1,6 +1,7 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/assert.hpp"
 
@@ -58,42 +59,68 @@ double Registry::value(std::string_view name) const noexcept {
   return m->is_counter ? static_cast<double>(m->count) : m->value;
 }
 
-util::Json Registry::to_json() const {
+void Registry::write_json(util::JsonWriter& w) const {
   std::vector<const Metric*> order;
   order.reserve(metrics_.size());
   for (const Metric& m : metrics_) order.push_back(&m);
   std::sort(order.begin(), order.end(),
             [](const Metric* a, const Metric* b) { return a->name < b->name; });
-  util::Json out = util::Json::object();
+  w.begin_object();
   const Metric* prev = nullptr;
   for (const Metric* m : order) {
     SECBUS_ASSERT(prev == nullptr || prev->name != m->name,
                   m->name.c_str());
     prev = m;
-    out.set(m->name, m->is_counter ? util::Json::number(m->count)
-                                   : util::Json::number(m->value));
+    w.key(m->name);
+    if (m->is_counter) {
+      w.value(m->count);
+    } else {
+      w.value(m->value);
+    }
   }
-  return out;
+  w.end_object();
+}
+
+util::Json Registry::to_json() const {
+  return util::written_tree([this](util::JsonWriter& w) { write_json(w); });
 }
 
 bool Registry::from_json(const util::Json& j, Registry& out,
                          std::string* error) {
+  const std::string text = j.dump(0);
+  util::JsonReader r(text);
+  if (read_json(r, out) && r.finish()) return true;
+  if (error != nullptr) *error = "metrics: " + r.error();
+  return false;
+}
+
+bool Registry::read_json(util::JsonReader& r, Registry& out) {
   out.clear();
-  if (!j.is_object()) {
-    if (error != nullptr) *error = "metrics: expected an object";
-    return false;
-  }
-  for (const auto& [name, value] : j.members()) {
-    if (!value.is_number()) {
-      if (error != nullptr) *error = "metrics." + name + ": expected a number";
-      return false;
-    }
+  if (!r.begin_object()) return false;
+  std::string_view name;
+  while (r.next_key(name)) {
+    std::string key(name);
+    util::Json value;
+    if (!r.read(value)) return r.context(key);
     std::uint64_t u = 0;
     if (value.is_integer() && value.to_u64(u)) {
-      out.counter(name, u);
+      out.counter(std::move(key), u);
+    } else if (value.is_number() && std::isfinite(value.as_double())) {
+      out.gauge(std::move(key), value.as_double());
     } else {
-      out.gauge(name, value.as_double());
+      r.fail("expected a finite number");
+      return r.context(key);
     }
+  }
+  if (!r.ok()) return false;
+  // write_json asserts unique names, so a repeat must not get this far.
+  std::vector<std::string_view> names;
+  names.reserve(out.metrics_.size());
+  for (const Metric& m : out.metrics_) names.push_back(m.name);
+  std::sort(names.begin(), names.end());
+  const auto repeat = std::adjacent_find(names.begin(), names.end());
+  if (repeat != names.end()) {
+    return r.fail("duplicate metric \"" + std::string(*repeat) + "\"");
   }
   return true;
 }

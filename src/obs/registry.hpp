@@ -65,15 +65,20 @@ class Registry {
   // Flat {"a.b.c": n, ...} object with keys sorted lexicographically, so
   // the document is deterministic no matter what order components
   // contributed in. Duplicate names assert (they indicate two components
-  // claiming the same identity).
+  // claiming the same identity). write_json streams it; to_json is the
+  // same document as a tree.
+  void write_json(util::JsonWriter& w) const;
   [[nodiscard]] util::Json to_json() const;
 
   // Inverse of to_json() for result-file round-trips: integer lexemes
   // restore as counters, everything else as gauges. A counter whose value
   // printed without a fraction restores as a counter with the same
   // emitted bytes, so re-serialization is byte-identical either way.
+  // Non-finite gauges (which would print as null) are rejected.
   [[nodiscard]] static bool from_json(const util::Json& j, Registry& out,
                                       std::string* error = nullptr);
+  // The same, decoded straight from the text; a repeated name is an error.
+  [[nodiscard]] static bool read_json(util::JsonReader& r, Registry& out);
 
  private:
   std::vector<Metric> metrics_;

@@ -97,7 +97,7 @@ std::string chrome_trace_json(const sim::EventTrace& trace,
     l += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
     append_u64(l, i + 1);
     l += ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    l += util::Json::quote(track_names[i]);
+    util::JsonWriter(l).value(track_names[i]);
     l += "}}";
   }
 

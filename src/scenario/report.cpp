@@ -1,8 +1,8 @@
 #include "scenario/report.hpp"
 
-#include <cinttypes>
 #include <cstdio>
 
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace secbus::scenario {
@@ -21,107 +21,6 @@ std::string fmt_double(double v) {
   std::snprintf(buf, sizeof buf, "%.6g", v);
   return buf;
 }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// Tiny append-only JSON writer; enough structure for the batch report
-// without dragging in a dependency.
-class JsonBuilder {
- public:
-  void begin_object() { open('{'); }
-  void begin_object(const std::string& key) {
-    key_prefix(key);
-    out_ += '{';
-    fresh_ = true;
-  }
-  void end_object() { close('}'); }
-  void begin_array(const std::string& key) {
-    key_prefix(key);
-    out_ += '[';
-    fresh_ = true;
-  }
-  void begin_object_in_array() { open('{'); }
-  void end_array() { close(']'); }
-
-  void field(const std::string& key, const std::string& value) {
-    key_prefix(key);
-    out_ += '"';
-    out_ += json_escape(value);
-    out_ += '"';
-  }
-  void field(const std::string& key, const char* value) {
-    field(key, std::string(value));
-  }
-  void field(const std::string& key, double value) {
-    key_prefix(key);
-    out_ += fmt_double(value);
-  }
-  void field(const std::string& key, std::uint64_t value) {
-    key_prefix(key);
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-    out_ += buf;
-  }
-  void field(const std::string& key, bool value) {
-    key_prefix(key);
-    out_ += value ? "true" : "false";
-  }
-  void null_field(const std::string& key) {
-    key_prefix(key);
-    out_ += "null";
-  }
-  // Splices pre-serialized JSON (e.g. an obs::Registry document) verbatim.
-  void raw_field(const std::string& key, const std::string& raw_json) {
-    key_prefix(key);
-    out_ += raw_json;
-  }
-
-  [[nodiscard]] std::string str() && { return std::move(out_); }
-
- private:
-  void comma() {
-    if (!fresh_) out_ += ',';
-    fresh_ = false;
-  }
-  void open(char c) {
-    comma();
-    out_ += c;
-    fresh_ = true;
-  }
-  void close(char c) {
-    out_ += c;
-    fresh_ = false;
-  }
-  void key_prefix(const std::string& key) {
-    comma();
-    out_ += '"';
-    out_ += key;
-    out_ += "\":";
-  }
-
-  std::string out_;
-  bool fresh_ = true;
-};
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
@@ -217,115 +116,116 @@ void write_batch_csv(util::CsvWriter& csv, const std::vector<JobResult>& jobs) {
 std::string batch_json(const std::string& scenario_name,
                        const std::vector<JobResult>& jobs,
                        const BatchAggregate& aggregate) {
-  JsonBuilder j;
-  j.begin_object();
-  j.field("scenario", scenario_name);
-  j.field("jobs_total", static_cast<std::uint64_t>(aggregate.jobs_total));
-  j.field("jobs_completed",
-          static_cast<std::uint64_t>(aggregate.jobs_completed));
-  j.begin_array("jobs");
+  std::string out;
+  util::JsonWriter j(out);
+  // Batch reports print doubles as %.6g, spliced in as raw numbers.
+  const auto real = [&j](const char* key, double v) {
+    j.key(key).raw(fmt_double(v));
+  };
+  j.begin_object()
+      .member("scenario", scenario_name)
+      .member("jobs_total", aggregate.jobs_total)
+      .member("jobs_completed", aggregate.jobs_completed);
+  j.key("jobs").begin_array();
   for (const JobResult& job : jobs) {
-    j.begin_object_in_array();
-    j.field("index", static_cast<std::uint64_t>(job.index));
-    j.field("variant", job.variant);
-    j.field("topology", job.topology);
-    j.field("segments", static_cast<std::uint64_t>(job.segments));
-    j.field("max_hops", static_cast<std::uint64_t>(job.max_hops));
-    j.field("cpus", static_cast<std::uint64_t>(job.cpus));
-    j.field("security", job.security);
-    j.field("protection", job.protection);
-    j.field("seed", job.seed);
-    j.field("extra_rules", static_cast<std::uint64_t>(job.extra_rules));
-    j.field("line_bytes", job.line_bytes);
-    j.field("cycles", job.soc.cycles);
-    j.field("completed", job.soc.completed);
-    j.field("txn_ok", job.soc.transactions_ok);
-    j.field("txn_failed", job.soc.transactions_failed);
-    j.field("alerts", job.soc.alerts);
-    j.field("avg_latency", job.soc.avg_access_latency);
-    j.field("latency_p50", job.soc.latency_p50);
-    j.field("latency_p95", job.soc.latency_p95);
-    j.field("latency_p99", job.soc.latency_p99);
-    j.field("latency_max", job.soc.latency_max);
-    j.field("bus_occupancy", job.soc.bus_occupancy);
-    j.field("bytes_moved", job.soc.bytes_moved);
-    j.field("fw_passed", job.fw_passed);
-    j.field("fw_blocked", job.fw_blocked);
-    j.field("attack", job.attack);
+    j.begin_object()
+        .member("index", job.index)
+        .member("variant", job.variant)
+        .member("topology", job.topology)
+        .member("segments", job.segments)
+        .member("max_hops", job.max_hops)
+        .member("cpus", job.cpus)
+        .member("security", job.security)
+        .member("protection", job.protection)
+        .member("seed", job.seed)
+        .member("extra_rules", job.extra_rules)
+        .member("line_bytes", job.line_bytes)
+        .member("cycles", job.soc.cycles)
+        .member("completed", job.soc.completed)
+        .member("txn_ok", job.soc.transactions_ok)
+        .member("txn_failed", job.soc.transactions_failed)
+        .member("alerts", job.soc.alerts);
+    real("avg_latency", job.soc.avg_access_latency);
+    j.member("latency_p50", job.soc.latency_p50)
+        .member("latency_p95", job.soc.latency_p95)
+        .member("latency_p99", job.soc.latency_p99)
+        .member("latency_max", job.soc.latency_max);
+    real("bus_occupancy", job.soc.bus_occupancy);
+    j.member("bytes_moved", job.soc.bytes_moved)
+        .member("fw_passed", job.fw_passed)
+        .member("fw_blocked", job.fw_blocked)
+        .member("attack", job.attack);
     if (job.attack_ran) {
       // One convention for "the question was never posed": an explicit
       // null, mirroring the CSV's empty cells. false is a real negative.
-      j.field("detected", job.detected);
+      j.member("detected", job.detected);
+      j.key("detection_latency");
       if (job.detected) {
-        j.field("detection_latency", job.detection_latency);
+        j.value(job.detection_latency);
       } else {
-        j.null_field("detection_latency");  // never detected, not "cycle 0"
+        j.null();  // never detected, not "cycle 0"
       }
+      j.key("contained");
       if (job.containment_checked) {
-        j.field("contained", job.contained);
+        j.value(job.contained);
       } else {
-        j.null_field("contained");
+        j.null();
       }
+      j.key("victim_intact");
       if (job.victim_checked) {
-        j.field("victim_intact", job.victim_data_intact);
+        j.value(job.victim_data_intact);
       } else {
-        j.null_field("victim_intact");
+        j.null();
       }
     }
     // Populated only under --metrics; omitted otherwise so default batch
     // reports keep their historical bytes.
-    if (!job.metrics.empty()) {
-      j.raw_field("metrics", job.metrics.to_json().dump(0));
-    }
+    if (!job.metrics.empty()) job.metrics.write_json(j.key("metrics"));
     j.end_object();
   }
   j.end_array();
-  j.begin_object("aggregate");
-  j.field("cycles_mean", aggregate.cycles.mean());
-  j.field("cycles_stddev", aggregate.cycles.stddev());
-  j.field("latency_mean", aggregate.latency.mean());
-  j.field("latency_stddev", aggregate.latency.stddev());
-  j.field("access_latency_mean", aggregate.access_latency.mean());
-  j.field("access_latency_stddev", aggregate.access_latency.stddev());
-  j.field("access_latency_max", aggregate.access_latency.max());
-  j.field("access_count",
-          static_cast<std::uint64_t>(aggregate.access_latency.count()));
-  j.field("latency_p50", aggregate.latency_p50);
-  j.field("latency_p95", aggregate.latency_p95);
-  j.field("latency_p99", aggregate.latency_p99);
-  j.field("access_p50", aggregate.access_p50);
-  j.field("access_p95", aggregate.access_p95);
-  j.field("access_p99", aggregate.access_p99);
-  j.field("bus_occupancy_mean", aggregate.bus_occupancy.mean());
-  j.field("alerts_mean", aggregate.alerts.mean());
-  j.field("alerts_total", static_cast<std::uint64_t>(aggregate.alerts.sum()));
-  j.field("fw_blocked_total",
-          static_cast<std::uint64_t>(aggregate.blocked.sum()));
+  j.key("aggregate").begin_object();
+  real("cycles_mean", aggregate.cycles.mean());
+  real("cycles_stddev", aggregate.cycles.stddev());
+  real("latency_mean", aggregate.latency.mean());
+  real("latency_stddev", aggregate.latency.stddev());
+  real("access_latency_mean", aggregate.access_latency.mean());
+  real("access_latency_stddev", aggregate.access_latency.stddev());
+  real("access_latency_max", aggregate.access_latency.max());
+  j.member("access_count", aggregate.access_latency.count());
+  real("latency_p50", aggregate.latency_p50);
+  real("latency_p95", aggregate.latency_p95);
+  real("latency_p99", aggregate.latency_p99);
+  j.member("access_p50", aggregate.access_p50)
+      .member("access_p95", aggregate.access_p95)
+      .member("access_p99", aggregate.access_p99);
+  real("bus_occupancy_mean", aggregate.bus_occupancy.mean());
+  real("alerts_mean", aggregate.alerts.mean());
+  j.member("alerts_total", static_cast<std::uint64_t>(aggregate.alerts.sum()))
+      .member("fw_blocked_total",
+             static_cast<std::uint64_t>(aggregate.blocked.sum()));
   if (aggregate.attacks_ran > 0) {
-    j.field("attacks_ran", static_cast<std::uint64_t>(aggregate.attacks_ran));
-    j.field("attacks_detected",
-            static_cast<std::uint64_t>(aggregate.attacks_detected));
+    j.member("attacks_ran", aggregate.attacks_ran)
+        .member("attacks_detected", aggregate.attacks_detected);
     if (aggregate.containment_checked > 0) {
       // Denominator and numerator together: containment is only evaluated
       // for some attack kinds, so contained/ran would misread the rate.
-      j.field("containment_checked",
-              static_cast<std::uint64_t>(aggregate.containment_checked));
-      j.field("attacks_contained",
-              static_cast<std::uint64_t>(aggregate.attacks_contained));
+      j.member("containment_checked", aggregate.containment_checked)
+          .member("attacks_contained", aggregate.attacks_contained);
     }
     if (aggregate.attacks_detected > 0) {
-      j.field("detection_p50", aggregate.detection_hist.p50());
-      j.field("detection_p95", aggregate.detection_hist.p95());
-      j.field("detection_p99", aggregate.detection_hist.p99());
+      j.member("detection_p50", aggregate.detection_hist.p50())
+          .member("detection_p95", aggregate.detection_hist.p95())
+          .member("detection_p99", aggregate.detection_hist.p99());
     } else {
-      j.null_field("detection_p50");
-      j.null_field("detection_p95");
-      j.null_field("detection_p99");
+      j.key("detection_p50").null();
+      j.key("detection_p95").null();
+      j.key("detection_p99").null();
     }
   }
-  j.end_object();
-  j.end_object();
-  return std::move(j).str() + "\n";
+  j.end_object().end_object();
+  out += '\n';
+  return out;
 }
 
 std::string render_batch_table(const std::string& scenario_name,

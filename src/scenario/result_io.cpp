@@ -1,5 +1,10 @@
 #include "scenario/result_io.hpp"
 
+#include <array>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -8,364 +13,281 @@ namespace secbus::scenario {
 namespace {
 
 using util::Json;
+using util::JsonReader;
+using util::JsonWriter;
 
-bool fail(std::string* error, const std::string& field,
-          const std::string& message) {
-  if (error != nullptr && error->empty()) *error = field + ": " + message;
-  return false;
+// Counts and indices read straight into size_t fields.
+static_assert(std::is_same_v<std::size_t, std::uint64_t>);
+
+// The document types below are each described once, as a template over the
+// direction: `io` is a JsonWriter (emit) or a JsonReader (decode, members
+// in this order). Types with no plain JSON value get one overload per
+// direction.
+
+// security/protection/attack echo static to_string() storage: the reader
+// rebinds through the parser so the const char* keeps pointing at it. The
+// empty string is the JobResult default for security and protection (the
+// job never ran).
+bool enum_name(JsonWriter& w, const char* name, auto /*parse*/,
+               bool /*empty_ok*/) {
+  w.value(name);
+  return true;
 }
 
-Json stat_to_json(const util::RunningStat& stat) {
+template <typename Enum>
+bool enum_name(JsonReader& r, const char*& name,
+               bool (*parse)(std::string_view, Enum&), bool empty_ok) {
+  std::string text;
+  if (!r.read(text)) return false;
+  Enum value{};
+  if (empty_ok && text.empty()) {
+    name = "";
+  } else if (parse(text, value)) {
+    name = to_string(value);
+  } else {
+    return r.fail("unknown value '" + text + "'");
+  }
+  return true;
+}
+
+template <typename Io, typename Snapshot>
+bool stat_members(Io& io, Snapshot& s) {
+  return io.object([&] {
+    return io.member("count", s.count) &&
+           (s.count == 0 ||
+            (io.member("mean", s.mean) && io.member("m2", s.m2) &&
+             io.member("sum", s.sum) && io.member("min", s.min) &&
+             io.member("max", s.max)));
+  });
+}
+
+bool stat(JsonWriter& w, const util::RunningStat& stat) {
   const util::RunningStat::Snapshot snap = stat.snapshot();
-  Json j = Json::object();
-  j.set("count", Json::number(snap.count));
-  if (snap.count > 0) {
-    j.set("mean", Json::number(snap.mean));
-    j.set("m2", Json::number(snap.m2));
-    j.set("sum", Json::number(snap.sum));
-    j.set("min", Json::number(snap.min));
-    j.set("max", Json::number(snap.max));
-  }
-  return j;
+  return stat_members(w, snap);
 }
 
-Json hist_to_json(const util::LatencyHistogram& hist) {
-  Json j = Json::object();
-  j.set("count", Json::number(hist.count()));
-  j.set("overflow", Json::number(hist.overflow()));
-  // The bucket table alone cannot recover the sum (overflow samples only
-  // keep their saturated bucket), so the exact sum travels alongside.
-  j.set("sum", Json::number(hist.sum()));
-  Json buckets = Json::array();
-  const std::vector<std::uint64_t>& counts = hist.buckets();
-  for (std::uint64_t c = 0; c < counts.size(); ++c) {
-    if (counts[c] == 0) continue;
-    Json pair = Json::array();
-    pair.push(Json::number(c));
-    pair.push(Json::number(counts[c]));
-    buckets.push(std::move(pair));
-  }
-  j.set("buckets", std::move(buckets));
-  if (hist.count() > 0) {
-    j.set("min", Json::number(hist.min()));
-    j.set("max", Json::number(hist.max()));
-  }
-  return j;
-}
-
-// --- readers ----------------------------------------------------------------
-
-bool get_u64(const Json& j, const char* field, std::uint64_t& out,
-             std::string* error) {
-  const Json* v = j.find(field);
-  if (v == nullptr) return fail(error, field, "missing field");
-  if (!v->to_u64(out)) return fail(error, field, "expected a u64");
-  return true;
-}
-
-bool get_double(const Json& j, const char* field, double& out,
-                std::string* error) {
-  const Json* v = j.find(field);
-  if (v == nullptr) return fail(error, field, "missing field");
-  if (!v->is_number()) return fail(error, field, "expected a number");
-  out = v->as_double();
-  return true;
-}
-
-bool get_bool(const Json& j, const char* field, bool& out,
-              std::string* error) {
-  const Json* v = j.find(field);
-  if (v == nullptr) return fail(error, field, "missing field");
-  if (!v->is_bool()) return fail(error, field, "expected a bool");
-  out = v->as_bool();
-  return true;
-}
-
-bool get_string(const Json& j, const char* field, std::string& out,
-                std::string* error) {
-  const Json* v = j.find(field);
-  if (v == nullptr) return fail(error, field, "missing field");
-  if (!v->is_string()) return fail(error, field, "expected a string");
-  out = v->as_string();
-  return true;
-}
-
-bool stat_from_json(const Json& j, const char* field,
-                    util::RunningStat& out, std::string* error) {
-  const Json* v = j.find(field);
-  if (v == nullptr || !v->is_object()) {
-    return fail(error, field, "expected a running-stat object");
-  }
+bool stat(JsonReader& r, util::RunningStat& stat) {
   util::RunningStat::Snapshot snap;
-  if (!get_u64(*v, "count", snap.count, error)) return fail(error, field, "");
-  if (snap.count > 0) {
-    if (!get_double(*v, "mean", snap.mean, error) ||
-        !get_double(*v, "m2", snap.m2, error) ||
-        !get_double(*v, "sum", snap.sum, error) ||
-        !get_double(*v, "min", snap.min, error) ||
-        !get_double(*v, "max", snap.max, error)) {
-      return fail(error, field, "");
-    }
-  }
-  out.restore(snap);
+  if (!stat_members(r, snap)) return false;
+  stat.restore(snap);
   return true;
 }
 
-bool hist_from_json(const Json& j, const char* field,
-                    util::LatencyHistogram& out, std::string* error) {
-  const Json* v = j.find(field);
-  if (v == nullptr || !v->is_object()) {
-    return fail(error, field, "expected a histogram object");
-  }
+// A histogram ships as sparse (cycle, count) pairs plus the overflow
+// population. The bucket table alone cannot recover the sum (overflow
+// samples only keep their saturated bucket), so the exact sum travels
+// alongside, and min/max when there are samples.
+template <typename Io, typename Fields>
+bool hist_members(Io& io, Fields& h, auto&& buckets) {
+  return io.object([&] {
+    return io.member("count", h.count) &&
+           io.member("overflow", h.overflow) && io.member("sum", h.sum) &&
+           io.member("buckets", buckets) &&
+           (h.count == 0 ||
+            (io.member("min", h.min) && io.member("max", h.max)));
+  });
+}
+
+struct HistFields {
   std::uint64_t count = 0;
   std::uint64_t overflow = 0;
   std::uint64_t sum = 0;
   std::uint64_t min = 0;
   std::uint64_t max = 0;
-  if (!get_u64(*v, "count", count, error) ||
-      !get_u64(*v, "overflow", overflow, error) ||
-      !get_u64(*v, "sum", sum, error)) {
-    return fail(error, field, "");
-  }
-  if (count > 0) {
-    if (!get_u64(*v, "min", min, error) || !get_u64(*v, "max", max, error)) {
-      return fail(error, field, "");
+};
+
+bool hist(JsonWriter& w, const util::LatencyHistogram& hist) {
+  const HistFields h{hist.count(), hist.overflow(), hist.sum(), hist.min(),
+                     hist.max()};
+  return hist_members(w, h, [&] {
+    w.begin_array();
+    const std::vector<std::uint64_t>& counts = hist.buckets();
+    for (std::uint64_t c = 0; c < counts.size(); ++c) {
+      if (counts[c] != 0) w.begin_array().value(c).value(counts[c]).end_array();
     }
-  }
-  const Json* buckets = v->find("buckets");
-  if (buckets == nullptr || !buckets->is_array()) {
-    return fail(error, field, "expected a buckets array");
-  }
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
-  pairs.reserve(buckets->items().size());
-  for (const Json& pair : buckets->items()) {
-    std::uint64_t cycle = 0;
-    std::uint64_t n = 0;
-    if (!pair.is_array() || pair.items().size() != 2 ||
-        !pair.items()[0].to_u64(cycle) || !pair.items()[1].to_u64(n) ||
-        cycle >= util::LatencyHistogram::kTrackedMax || n == 0) {
-      return fail(error, field, "malformed bucket entry");
+    w.end_array();
+    return true;
+  });
+}
+
+bool hist(JsonReader& r, util::LatencyHistogram& hist) {
+  HistFields h;
+  thread_local std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+  pairs.clear();
+  // The table as a whole must be one a histogram can have written: strictly
+  // ascending cycles (restore() would sum repeats into bytes that no longer
+  // match the file) and a population that adds up to `count` (otherwise
+  // percentiles silently fall through to max and poison every merge).
+  std::uint64_t population = 0;
+  const bool read = hist_members(r, h, [&] {
+    if (!r.begin_array()) return false;
+    while (r.next_item()) {
+      std::uint64_t cycle = 0;
+      std::uint64_t n = 0;
+      if (!r.begin_array() || !r.next_item() || !r.read(cycle) ||
+          !r.next_item() || !r.read(n) || r.next_item()) {
+        return r.fail("malformed bucket entry");
+      }
+      if (cycle >= util::LatencyHistogram::kTrackedMax || n == 0) {
+        return r.fail("bucket entry out of range");
+      }
+      if (!pairs.empty() && cycle <= pairs.back().first) {
+        return r.fail("bucket cycles not strictly ascending");
+      }
+      if (population > UINT64_MAX - n) {
+        return r.fail("bucket counts overflow u64");
+      }
+      population += n;
+      pairs.emplace_back(cycle, n);
     }
-    pairs.emplace_back(cycle, n);
+    return r.ok();
+  });
+  if (!read) return false;
+  if (population > UINT64_MAX - h.overflow ||
+      population + h.overflow != h.count) {
+    return r.fail("buckets + overflow != count");
   }
-  out.restore(pairs, overflow, count, sum, min, max);
+  if (h.min > h.max) return r.fail("min > max");
+  hist.restore(pairs, h.overflow, h.count, h.sum, h.min, h.max);
   return true;
+}
+
+using Violations = std::array<std::uint64_t, core::kViolationKindCount>;
+
+bool violations(JsonWriter& w, const Violations& v) {
+  w.begin_array();
+  for (const std::uint64_t n : v) w.value(n);
+  w.end_array();
+  return true;
+}
+
+bool violations(JsonReader& r, Violations& v) {
+  std::size_t n = 0;
+  bool read = r.begin_array();
+  while (read && r.next_item()) read = n < v.size() && r.read(v[n++]);
+  return (read && r.ok() && n == v.size()) ||
+         r.fail("expected an array of " + std::to_string(v.size()) +
+                " u64 counters");
+}
+
+bool metrics(JsonWriter& w, const obs::Registry& m) {
+  m.write_json(w);
+  return true;
+}
+
+bool metrics(JsonReader& r, obs::Registry& m) {
+  return obs::Registry::read_json(r, m);
+}
+
+template <typename Io, typename Result>
+bool job_result_members(Io& io, Result& j) {
+  return io.object([&] {
+    return io.member("index", j.index) && io.member("name", j.name) &&
+           io.member("variant", j.variant) && io.member("cpus", j.cpus) &&
+           io.member("security",
+                     [&] {
+                       return enum_name(io, j.security,
+                                        soc::parse_security_mode, true);
+                     }) &&
+           io.member("protection",
+                     [&] {
+                       return enum_name(io, j.protection,
+                                        soc::parse_protection_level, true);
+                     }) &&
+           io.member("seed", j.seed) &&
+           io.member("extra_rules", j.extra_rules) &&
+           io.member("line_bytes", j.line_bytes) &&
+           io.member("attack",
+                     [&] {
+                       return enum_name(io, j.attack, parse_attack_kind,
+                                        false);
+                     }) &&
+           io.member("topology", j.topology) &&
+           io.member("segments", j.segments) &&
+           io.member("max_hops", j.max_hops) &&
+           io.member("soc", [&] {
+             return io.object([&] {
+               return io.member("cycles", j.soc.cycles) &&
+                      io.member("completed", j.soc.completed) &&
+                      io.member("transactions_ok", j.soc.transactions_ok) &&
+                      io.member("transactions_failed",
+                                j.soc.transactions_failed) &&
+                      io.member("alerts", j.soc.alerts) &&
+                      io.member("avg_access_latency",
+                                j.soc.avg_access_latency) &&
+                      io.member("bus_occupancy", j.soc.bus_occupancy) &&
+                      io.member("bytes_moved", j.soc.bytes_moved) &&
+                      io.member("latency_p50", j.soc.latency_p50) &&
+                      io.member("latency_p95", j.soc.latency_p95) &&
+                      io.member("latency_p99", j.soc.latency_p99) &&
+                      io.member("latency_max", j.soc.latency_max);
+             });
+           }) &&
+           io.member("cpu_latency", [&] { return stat(io, j.cpu_latency); }) &&
+           io.member("latency_hist",
+                     [&] { return hist(io, j.latency_hist); }) &&
+           io.member("fw_passed", j.fw_passed) &&
+           io.member("fw_blocked", j.fw_blocked) &&
+           io.member("fw_check_cycles", j.fw_check_cycles) &&
+           io.member("violations",
+                     [&] { return violations(io, j.violations); }) &&
+           io.member("attack_ran", j.attack_ran) &&
+           io.member("detected", j.detected) &&
+           io.member("attack_cycle", j.attack_cycle) &&
+           io.member("detection_cycle", j.detection_cycle) &&
+           io.member("detection_latency", j.detection_latency) &&
+           io.member("contained", j.contained) &&
+           io.member("containment_checked", j.containment_checked) &&
+           io.member("victim_data_intact", j.victim_data_intact) &&
+           io.member("victim_checked", j.victim_checked) &&
+           io.member("victim_read_aborted", j.victim_read_aborted) &&
+           io.member("flood_completed", j.flood_completed) &&
+           io.member("flood_blocked", j.flood_blocked) &&
+           io.member("manager_queue_wait", j.manager_queue_wait) &&
+           io.member("sb_check_latency", j.sb_check_latency) &&
+           io.member("lcf", [&] {
+             return io.object([&] {
+               return io.member("protected_reads", j.lcf.protected_reads) &&
+                      io.member("protected_writes", j.lcf.protected_writes) &&
+                      io.member("read_modify_writes",
+                                j.lcf.read_modify_writes) &&
+                      io.member("cc_cycles", j.lcf.cc_cycles) &&
+                      io.member("ic_cycles", j.lcf.ic_cycles) &&
+                      io.member("tree_depth", j.lcf.tree_depth);
+             });
+           }) &&
+           // Only written when collection was on, so legacy results (and
+           // runs without --metrics) serialize byte-identically to before.
+           io.optional("metrics", !j.metrics.empty(),
+                       [&] { return metrics(io, j.metrics); });
+  });
 }
 
 }  // namespace
 
+void write_job_result(JsonWriter& w, const JobResult& r) {
+  job_result_members(w, r);
+}
+
+bool read_job_result(JsonReader& r, JobResult& out) {
+  out = JobResult{};
+  return job_result_members(r, out);
+}
+
 Json job_result_to_json(const JobResult& r) {
-  Json j = Json::object();
-  j.set("index", Json::number(static_cast<std::uint64_t>(r.index)));
-  j.set("name", Json::string(r.name));
-  j.set("variant", Json::string(r.variant));
-  j.set("cpus", Json::number(static_cast<std::uint64_t>(r.cpus)));
-  j.set("security", Json::string(r.security));
-  j.set("protection", Json::string(r.protection));
-  j.set("seed", Json::number(r.seed));
-  j.set("extra_rules", Json::number(static_cast<std::uint64_t>(r.extra_rules)));
-  j.set("line_bytes", Json::number(r.line_bytes));
-  j.set("attack", Json::string(r.attack));
-  j.set("topology", Json::string(r.topology));
-  j.set("segments", Json::number(static_cast<std::uint64_t>(r.segments)));
-  j.set("max_hops", Json::number(static_cast<std::uint64_t>(r.max_hops)));
-
-  Json soc = Json::object();
-  soc.set("cycles", Json::number(r.soc.cycles));
-  soc.set("completed", Json::boolean(r.soc.completed));
-  soc.set("transactions_ok", Json::number(r.soc.transactions_ok));
-  soc.set("transactions_failed", Json::number(r.soc.transactions_failed));
-  soc.set("alerts", Json::number(r.soc.alerts));
-  soc.set("avg_access_latency", Json::number(r.soc.avg_access_latency));
-  soc.set("bus_occupancy", Json::number(r.soc.bus_occupancy));
-  soc.set("bytes_moved", Json::number(r.soc.bytes_moved));
-  soc.set("latency_p50", Json::number(r.soc.latency_p50));
-  soc.set("latency_p95", Json::number(r.soc.latency_p95));
-  soc.set("latency_p99", Json::number(r.soc.latency_p99));
-  soc.set("latency_max", Json::number(r.soc.latency_max));
-  j.set("soc", std::move(soc));
-
-  j.set("cpu_latency", stat_to_json(r.cpu_latency));
-  j.set("latency_hist", hist_to_json(r.latency_hist));
-
-  j.set("fw_passed", Json::number(r.fw_passed));
-  j.set("fw_blocked", Json::number(r.fw_blocked));
-  j.set("fw_check_cycles", Json::number(r.fw_check_cycles));
-  Json violations = Json::array();
-  for (const std::uint64_t v : r.violations) violations.push(Json::number(v));
-  j.set("violations", std::move(violations));
-
-  j.set("attack_ran", Json::boolean(r.attack_ran));
-  j.set("detected", Json::boolean(r.detected));
-  j.set("attack_cycle", Json::number(r.attack_cycle));
-  j.set("detection_cycle", Json::number(r.detection_cycle));
-  j.set("detection_latency", Json::number(r.detection_latency));
-  j.set("contained", Json::boolean(r.contained));
-  j.set("containment_checked", Json::boolean(r.containment_checked));
-  j.set("victim_data_intact", Json::boolean(r.victim_data_intact));
-  j.set("victim_checked", Json::boolean(r.victim_checked));
-  j.set("victim_read_aborted", Json::boolean(r.victim_read_aborted));
-  j.set("flood_completed", Json::number(r.flood_completed));
-  j.set("flood_blocked", Json::number(r.flood_blocked));
-
-  j.set("manager_queue_wait", Json::number(r.manager_queue_wait));
-  j.set("sb_check_latency", Json::number(r.sb_check_latency));
-
-  Json lcf = Json::object();
-  lcf.set("protected_reads", Json::number(r.lcf.protected_reads));
-  lcf.set("protected_writes", Json::number(r.lcf.protected_writes));
-  lcf.set("read_modify_writes", Json::number(r.lcf.read_modify_writes));
-  lcf.set("cc_cycles", Json::number(r.lcf.cc_cycles));
-  lcf.set("ic_cycles", Json::number(r.lcf.ic_cycles));
-  lcf.set("tree_depth",
-          Json::number(static_cast<std::uint64_t>(r.lcf.tree_depth)));
-  j.set("lcf", std::move(lcf));
-
-  // Only written when collection was on, so legacy results (and runs
-  // without --metrics) serialize byte-identically to before.
-  if (!r.metrics.empty()) j.set("metrics", r.metrics.to_json());
-  return j;
+  return util::written_tree([&](JsonWriter& w) { write_job_result(w, r); });
 }
 
 bool job_result_from_json(const Json& j, JobResult& out, std::string* error) {
-  if (!j.is_object()) return fail(error, "$", "expected a job-result object");
-  JobResult r;
-
-  std::uint64_t u = 0;
-  if (!get_u64(j, "index", u, error)) return false;
-  r.index = static_cast<std::size_t>(u);
-  if (!get_string(j, "name", r.name, error)) return false;
-  if (!get_string(j, "variant", r.variant, error)) return false;
-  if (!get_u64(j, "cpus", u, error)) return false;
-  r.cpus = static_cast<std::size_t>(u);
-
-  // security/protection/attack echo static to_string() storage; rebinding
-  // through the parsers keeps the const char* fields pointing at it. The
-  // empty string is the JobResult default (job never ran).
-  std::string text;
-  if (!get_string(j, "security", text, error)) return false;
-  if (!text.empty()) {
-    soc::SecurityMode mode;
-    if (!soc::parse_security_mode(text, mode)) {
-      return fail(error, "security", "unknown security mode '" + text + "'");
-    }
-    r.security = to_string(mode);
+  const std::string text = j.dump(0);
+  JsonReader r(text);
+  JobResult result;
+  if (read_job_result(r, result) && r.finish()) {
+    out = std::move(result);
+    return true;
   }
-  if (!get_string(j, "protection", text, error)) return false;
-  if (!text.empty()) {
-    soc::ProtectionLevel level;
-    if (!soc::parse_protection_level(text, level)) {
-      return fail(error, "protection",
-                  "unknown protection level '" + text + "'");
-    }
-    r.protection = to_string(level);
-  }
-  if (!get_string(j, "attack", text, error)) return false;
-  {
-    AttackKind kind;
-    if (!parse_attack_kind(text, kind)) {
-      return fail(error, "attack", "unknown attack kind '" + text + "'");
-    }
-    r.attack = to_string(kind);
-  }
-
-  if (!get_u64(j, "seed", r.seed, error)) return false;
-  if (!get_u64(j, "extra_rules", u, error)) return false;
-  r.extra_rules = static_cast<std::size_t>(u);
-  if (!get_u64(j, "line_bytes", r.line_bytes, error)) return false;
-  if (!get_string(j, "topology", r.topology, error)) return false;
-  if (!get_u64(j, "segments", u, error)) return false;
-  r.segments = static_cast<std::size_t>(u);
-  if (!get_u64(j, "max_hops", u, error)) return false;
-  r.max_hops = static_cast<std::size_t>(u);
-
-  const Json* soc = j.find("soc");
-  if (soc == nullptr || !soc->is_object()) {
-    return fail(error, "soc", "expected a soc-results object");
-  }
-  if (!get_u64(*soc, "cycles", r.soc.cycles, error) ||
-      !get_bool(*soc, "completed", r.soc.completed, error) ||
-      !get_u64(*soc, "transactions_ok", r.soc.transactions_ok, error) ||
-      !get_u64(*soc, "transactions_failed", r.soc.transactions_failed,
-               error) ||
-      !get_u64(*soc, "alerts", r.soc.alerts, error) ||
-      !get_double(*soc, "avg_access_latency", r.soc.avg_access_latency,
-                  error) ||
-      !get_double(*soc, "bus_occupancy", r.soc.bus_occupancy, error) ||
-      !get_u64(*soc, "bytes_moved", r.soc.bytes_moved, error) ||
-      !get_u64(*soc, "latency_p50", r.soc.latency_p50, error) ||
-      !get_u64(*soc, "latency_p95", r.soc.latency_p95, error) ||
-      !get_u64(*soc, "latency_p99", r.soc.latency_p99, error) ||
-      !get_u64(*soc, "latency_max", r.soc.latency_max, error)) {
-    return false;
-  }
-
-  if (!stat_from_json(j, "cpu_latency", r.cpu_latency, error)) return false;
-  if (!hist_from_json(j, "latency_hist", r.latency_hist, error)) return false;
-
-  if (!get_u64(j, "fw_passed", r.fw_passed, error) ||
-      !get_u64(j, "fw_blocked", r.fw_blocked, error) ||
-      !get_u64(j, "fw_check_cycles", r.fw_check_cycles, error)) {
-    return false;
-  }
-  const Json* violations = j.find("violations");
-  if (violations == nullptr || !violations->is_array() ||
-      violations->items().size() != r.violations.size()) {
-    return fail(error, "violations",
-                "expected an array of " +
-                    std::to_string(r.violations.size()) + " counters");
-  }
-  for (std::size_t i = 0; i < r.violations.size(); ++i) {
-    if (!violations->items()[i].to_u64(r.violations[i])) {
-      return fail(error, "violations", "expected u64 counters");
-    }
-  }
-
-  if (!get_bool(j, "attack_ran", r.attack_ran, error) ||
-      !get_bool(j, "detected", r.detected, error) ||
-      !get_u64(j, "attack_cycle", r.attack_cycle, error) ||
-      !get_u64(j, "detection_cycle", r.detection_cycle, error) ||
-      !get_u64(j, "detection_latency", r.detection_latency, error) ||
-      !get_bool(j, "contained", r.contained, error) ||
-      !get_bool(j, "containment_checked", r.containment_checked, error) ||
-      !get_bool(j, "victim_data_intact", r.victim_data_intact, error) ||
-      !get_bool(j, "victim_checked", r.victim_checked, error) ||
-      !get_bool(j, "victim_read_aborted", r.victim_read_aborted, error) ||
-      !get_u64(j, "flood_completed", r.flood_completed, error) ||
-      !get_u64(j, "flood_blocked", r.flood_blocked, error)) {
-    return false;
-  }
-
-  if (!get_double(j, "manager_queue_wait", r.manager_queue_wait, error) ||
-      !get_u64(j, "sb_check_latency", r.sb_check_latency, error)) {
-    return false;
-  }
-
-  const Json* lcf = j.find("lcf");
-  if (lcf == nullptr || !lcf->is_object()) {
-    return fail(error, "lcf", "expected an lcf-probe object");
-  }
-  if (!get_u64(*lcf, "protected_reads", r.lcf.protected_reads, error) ||
-      !get_u64(*lcf, "protected_writes", r.lcf.protected_writes, error) ||
-      !get_u64(*lcf, "read_modify_writes", r.lcf.read_modify_writes, error) ||
-      !get_u64(*lcf, "cc_cycles", r.lcf.cc_cycles, error) ||
-      !get_u64(*lcf, "ic_cycles", r.lcf.ic_cycles, error) ||
-      !get_u64(*lcf, "tree_depth", u, error)) {
-    return false;
-  }
-  r.lcf.tree_depth = static_cast<std::size_t>(u);
-
-  // Optional: absent in legacy files and in runs without --metrics.
-  const Json* metrics = j.find("metrics");
-  if (metrics != nullptr) {
-    std::string merr;
-    if (!obs::Registry::from_json(*metrics, r.metrics, &merr)) {
-      return fail(error, "metrics", merr);
-    }
-  }
-
-  out = std::move(r);
-  return true;
+  if (error != nullptr && error->empty()) *error = r.error();
+  return false;
 }
 
 }  // namespace secbus::scenario

@@ -5,11 +5,11 @@
 // merge step replays them into the ordinary aggregation pipeline
 // (BatchAggregate / CampaignReport). The contract is *bit*-fidelity, not
 // just value fidelity: every double round-trips to the identical IEEE-754
-// pattern (util::Json emits shortest-round-trip decimals) and the streaming
-// stats (RunningStat moments, LatencyHistogram buckets) restore their exact
-// internal state, so a report built from merged shard files is byte-
-// identical to one built in-process. job_result_io_test locks this down
-// field by field.
+// pattern (util::JsonWriter prints %.15g when that parses back to the same
+// bits, else %.17g) and the streaming stats (RunningStat moments,
+// LatencyHistogram buckets) restore their exact internal state, so a report
+// built from merged shard files is byte-identical to one built in-process.
+// job_result_io_test locks this down field by field.
 #pragma once
 
 #include <string>
@@ -19,12 +19,21 @@
 
 namespace secbus::scenario {
 
-// Emits every JobResult field (histograms as sparse bucket tables).
+// Streams every JobResult field (histograms as sparse bucket tables).
+void write_job_result(util::JsonWriter& w, const JobResult& r);
+// The same document as a tree; its dump(0) is write_job_result's bytes.
 [[nodiscard]] util::Json job_result_to_json(const JobResult& r);
 
-// Parses a job_result_to_json() document. On failure returns false and, when
-// `error` is non-null, names the offending field. `out` is fully reset
-// before parsing, so a partial read never leaks prior state.
+// Decodes one write_job_result() document straight from the text (compact
+// or indented; members in the written order) into `out`, which is reset
+// first. On failure returns false with the offending field path in
+// r.error(), leaving `out` partly filled. Histogram tables must be
+// consistent (ascending cycles, buckets + overflow == count, min <= max)
+// and doubles finite, so whatever is accepted re-serializes to its own
+// bytes.
+bool read_job_result(util::JsonReader& r, JobResult& out);
+// The same for a document already held as a tree; `out` is only assigned
+// on success.
 bool job_result_from_json(const util::Json& j, JobResult& out,
                           std::string* error);
 

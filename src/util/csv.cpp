@@ -1,8 +1,31 @@
 #include "util/csv.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace secbus::util {
+
+namespace {
+
+// RFC-4180: a cell holding a separator, quote or line break is quoted, with
+// its quotes doubled.
+void append_escaped(std::string& out, const std::string& cell) {
+  const auto needs_quotes = [](char c) {
+    return c == ',' || c == '"' || c == '\n' || c == '\r';
+  };
+  if (std::none_of(cell.begin(), cell.end(), needs_quotes)) {
+    out += cell;
+    return;
+  }
+  out.push_back('"');
+  for (char c : cell) {
+    if (c == '"') out.push_back('"');
+    out.push_back(c);
+  }
+  out.push_back('"');
+}
+
+}  // namespace
 
 CsvWriter::CsvWriter(std::string path) : path_(std::move(path)) {}
 
@@ -15,7 +38,7 @@ void CsvWriter::row(const std::vector<std::string>& cells) { emit_line(cells); }
 void CsvWriter::emit_line(const std::vector<std::string>& cells) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i > 0) buffer_.push_back(',');
-    buffer_ += escape(cells[i]);
+    append_escaped(buffer_, cells[i]);
   }
   buffer_.push_back('\n');
 }
@@ -32,17 +55,8 @@ void CsvWriter::flush() {
 }
 
 std::string CsvWriter::escape(const std::string& cell) {
-  const bool needs_quotes =
-      cell.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quotes) return cell;
   std::string out;
-  out.reserve(cell.size() + 2);
-  out.push_back('"');
-  for (char c : cell) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
-  }
-  out.push_back('"');
+  append_escaped(out, cell);
   return out;
 }
 

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include <sys/stat.h>
+
 namespace secbus::util {
 
 namespace {
@@ -20,6 +22,11 @@ bool read_file(const std::string& path, std::string& out,
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return fail(error, path, "cannot open file");
   out.clear();
+  // One allocation for a regular file; the loop still reads to EOF.
+  struct stat st {};
+  if (::fstat(::fileno(f), &st) == 0 && S_ISREG(st.st_mode)) {
+    out.reserve(static_cast<std::size_t>(st.st_size));
+  }
   char buf[4096];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);

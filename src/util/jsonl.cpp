@@ -47,9 +47,8 @@ bool JsonlWriter::open(const std::string& path) {
   return ok_;
 }
 
-bool JsonlWriter::append(const Json& value) {
+bool JsonlWriter::append_line(std::string line) {
   if (file_ == nullptr || !ok_) return false;
-  std::string line = value.dump(0);
   line += '\n';
   errno = 0;
   const std::size_t written =
@@ -76,27 +75,36 @@ void JsonlWriter::close() {
   }
 }
 
-bool read_jsonl(const std::string& path, std::vector<Json>& out,
-                std::string* error) {
+bool for_each_jsonl_line(const std::string& path,
+                         const std::function<void(std::string_view)>& visit,
+                         std::string* error) {
   std::string text;
   if (!read_file(path, text, error)) return false;
-
-  out.clear();
   std::size_t start = 0;
   while (start < text.size()) {
     std::size_t end = text.find('\n', start);
     if (end == std::string::npos) end = text.size();
     const std::string_view line(text.data() + start, end - start);
     start = end + 1;
-    if (line.empty()) continue;
-    Json value;
-    // Records are independent: a line that doesn't parse is a crash
-    // fragment (torn tail, or a welded-over tear from an earlier resume) —
-    // skip it and keep replaying. A complete record whose newline never
-    // made it out parses fine and is kept.
-    if (Json::parse(line, value)) out.push_back(std::move(value));
+    if (!line.empty()) visit(line);
   }
   return true;
+}
+
+bool read_jsonl(const std::string& path, std::vector<Json>& out,
+                std::string* error) {
+  out.clear();
+  // Records are independent: a line that doesn't parse is a crash
+  // fragment (torn tail, or a welded-over tear from an earlier resume) —
+  // skip it and keep replaying. A complete record whose newline never
+  // made it out parses fine and is kept.
+  return for_each_jsonl_line(
+      path,
+      [&out](std::string_view line) {
+        Json value;
+        if (Json::parse(line, value)) out.push_back(std::move(value));
+      },
+      error);
 }
 
 }  // namespace secbus::util

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.hpp"
@@ -39,7 +41,10 @@ class JsonlWriter {
   // bytes (ENOSPC, EDQUOT, a yanked mount) — is reported loudly on stderr
   // with the path and errno; silently shrugging it off would let a
   // "crash-safe" log lose records with no trace.
-  bool append(const Json& value);
+  bool append(const Json& value) { return append_line(value.dump(0)); }
+  // The same for a record serialized by the caller (one compact JSON
+  // document, no newline), e.g. streamed through a JsonWriter.
+  bool append_line(std::string line);
 
   [[nodiscard]] bool is_open() const noexcept { return file_ != nullptr; }
   [[nodiscard]] bool ok() const noexcept { return ok_; }
@@ -61,5 +66,11 @@ class JsonlWriter {
 // checkpoint yet").
 bool read_jsonl(const std::string& path, std::vector<Json>& out,
                 std::string* error = nullptr);
+// The same file walk handing each non-empty line's text to `visit`, for
+// readers that decode records without building a tree; a line that does
+// not decode is theirs to skip.
+bool for_each_jsonl_line(const std::string& path,
+                         const std::function<void(std::string_view)>& visit,
+                         std::string* error = nullptr);
 
 }  // namespace secbus::util

@@ -162,12 +162,16 @@ void LatencyHistogram::restore(
     std::uint64_t overflow, std::uint64_t count, std::uint64_t sum,
     std::uint64_t min, std::uint64_t max) {
   reset();
+  // The table spans exactly the restored cycles (add() grows it on demand),
+  // so restoring and merging a short-latency job touch only its own range.
+  std::uint64_t span = 0;
   for (const auto& [cycle, n] : cycle_counts) {
     SECBUS_ASSERT(cycle < kTrackedMax && n > 0,
                   "histogram restore: bad bucket");
-    ensure_capacity(cycle);
-    counts_[cycle] += n;
+    span = std::max(span, cycle + 1);
   }
+  counts_.assign(span, 0);
+  for (const auto& [cycle, n] : cycle_counts) counts_[cycle] += n;
   overflow_ = overflow;
   count_ = count;
   sum_ = sum;

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "scenario/report.hpp"
 #include "scenario/result_io.hpp"
@@ -225,6 +229,72 @@ TEST(ResultIo, RejectsMalformedDocuments) {
   error.clear();
   EXPECT_FALSE(job_result_from_json(j, parsed, &error));
   EXPECT_NE(error.find("protection"), std::string::npos);
+}
+
+// A bucket table rewritten on the adversarial result's document; the reader
+// must refuse it with an error naming the histogram and the problem.
+void expect_hist_rejected(
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& buckets,
+    std::uint64_t count, std::uint64_t overflow, std::uint64_t min,
+    std::uint64_t max, const std::string& problem) {
+  util::Json j = job_result_to_json(adversarial_result());
+  util::Json hist = *j.find("latency_hist");
+  util::Json table = util::Json::array();
+  for (const auto& [cycle, n] : buckets) {
+    util::Json pair = util::Json::array();
+    pair.push(util::Json::number(cycle));
+    pair.push(util::Json::number(n));
+    table.push(std::move(pair));
+  }
+  hist.set("count", util::Json::number(count));
+  hist.set("overflow", util::Json::number(overflow));
+  hist.set("buckets", std::move(table));
+  hist.set("min", util::Json::number(min));
+  hist.set("max", util::Json::number(max));
+  j.set("latency_hist", std::move(hist));
+  JobResult parsed;
+  std::string error;
+  EXPECT_FALSE(job_result_from_json(j, parsed, &error)) << problem;
+  EXPECT_EQ(error.rfind("latency_hist: ", 0), 0u) << error;
+  EXPECT_NE(error.find(problem), std::string::npos) << error;
+}
+
+TEST(ResultIo, RejectsHistogramTablesThatDoNotAddUp) {
+  // The adversarial table: [3, 2], [500, 1] plus one overflow sample.
+  expect_hist_rejected({{3, 2}, {500, 1}}, 3, 1, 3, 99'999,
+                       "buckets + overflow != count");
+  expect_hist_rejected({{3, 2}, {500, 1}}, 5, 1, 3, 99'999,
+                       "buckets + overflow != count");
+  expect_hist_rejected({}, 4, 0, 3, 99'999, "buckets + overflow != count");
+}
+
+TEST(ResultIo, RejectsRepeatedOrDescendingBucketCycles) {
+  expect_hist_rejected({{3, 1}, {3, 1}, {500, 1}}, 4, 1, 3, 99'999,
+                       "not strictly ascending");
+  expect_hist_rejected({{500, 1}, {3, 2}}, 4, 1, 3, 99'999,
+                       "not strictly ascending");
+}
+
+TEST(ResultIo, RejectsMinAboveMax) {
+  expect_hist_rejected({{3, 2}, {500, 1}}, 4, 1, 99'999, 3, "min > max");
+}
+
+TEST(ResultIo, RejectsBucketCountsThatOverflow) {
+  const std::uint64_t huge = UINT64_MAX - 1;
+  expect_hist_rejected({{3, huge}, {500, 5}}, 4, 0, 3, 500,
+                       "bucket counts overflow u64");
+  expect_hist_rejected({{3, huge}}, 4, 5, 3, 99'999,
+                       "buckets + overflow != count");
+}
+
+TEST(ResultIo, AcceptedTablesReserializeToTheirOwnBytes) {
+  // The consistency rules exist so that whatever the reader accepts writes
+  // back byte-identically; the real tables pass them.
+  const util::Json j = job_result_to_json(adversarial_result());
+  JobResult parsed;
+  std::string error;
+  ASSERT_TRUE(job_result_from_json(j, parsed, &error)) << error;
+  EXPECT_EQ(job_result_to_json(parsed).dump(0), j.dump(0));
 }
 
 }  // namespace
