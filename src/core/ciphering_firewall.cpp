@@ -297,7 +297,9 @@ void LocalCipheringFirewall::format_protected_region() {
   // checks integrity has needed it — is memoized per process
   // (core::FormatCache). Cache hit or miss, the IC formats from the same
   // snapshot and builds its tree only when something reads it, so a bypass
-  // policy hashes nothing and a hit hashes nothing.
+  // policy hashes nothing, a hit hashes nothing (after the first hit built
+  // the shared tree) and a miss hashes a leaf only when its line is first
+  // read.
   const bool ciphered = cm_ == ConfidentialityMode::kCipher;
 
   // Snapshots bind version 1 into every leaf, so only a pristine core (a
@@ -320,16 +322,16 @@ void LocalCipheringFirewall::format_protected_region() {
 
     FormatCache& cache = FormatCache::instance();
     std::shared_ptr<const FormatSnapshot> snap = cache.find(cache_key);
-    if (snap == nullptr) {
+    const bool hit = snap != nullptr;
+    if (!hit) {
       auto fresh = std::make_shared<FormatSnapshot>();
       fresh->image = formatted_image(ciphered);
       snap = std::move(fresh);
       cache.insert(cache_key, snap);
     }
-    inner_->store().write(cfg_.protected_base,
-                          std::span<const std::uint8_t>(snap->image.data(),
-                                                        snap->image.size()));
-    ic_.format_from(std::move(snap));
+    // The DDR reads the snapshot's pages until it writes them.
+    inner_->store().share(cfg_.protected_base, snap->image, snap);
+    ic_.format_from(std::move(snap), hit);
     // Charge the tree to setup when this policy will read it; a bypass
     // policy defers it until (unless) integrity is switched on.
     if (im_ == IntegrityMode::kHashTree) ic_.build_tree();

@@ -76,9 +76,10 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
 
   // Writes encrypted zero lines over the whole protected region and
   // advances every line's version, so subsequent plaintext reads return
-  // zeros. The tree over the new image is built now when the policy checks
-  // integrity, and only once integrity is switched on otherwise. Init-time
-  // operation; charges no simulated cycles.
+  // zeros. The tree over the new image is set up now when the policy checks
+  // integrity (shared from the setup cache, or hashing each leaf on its
+  // line's first read), and only once integrity is switched on otherwise.
+  // Init-time operation; charges no simulated cycles.
   void format_protected_region();
 
   // Key rotation (reconfiguration of security services, Section VI):

@@ -7,11 +7,13 @@
 // size, confidentiality mode, key). Campaign grids cross attack/protection/
 // topology/seed axes over a fixed memory layout, so thousands of jobs repeat
 // the exact same format. This cache keys the finished artifacts — the
-// stored image and, once a cipher+integrity build has needed it, the
-// post-format hash tree — and lets later constructions skip both the
-// AES and the SHA passes. A build whose policy bypasses integrity never
-// asks for the tree, so a snapshot only carries one after some build used
-// it.
+// stored image and, once a cache-hit cipher+integrity build has needed it,
+// the post-format hash tree — and lets later constructions skip both the
+// AES and the SHA passes. DDR stores share the image's pages until they
+// write them. The build that computes a snapshot (a miss) does not know
+// whether its key will ever repeat, so its tree hashes leaves lazily from
+// the image; the first hit builds the shared tree, and a build whose policy
+// bypasses integrity never asks for one.
 //
 // Bit-identity is the contract, not an optimization target: the key covers
 // every input that reaches the image or the tree, the restore path advances
@@ -61,19 +63,15 @@ struct FormatKey {
 // The finished format: what the DDR backing store holds and, built on
 // demand, the hash tree immediately after bulk_update_all(image) on a
 // pristine core (every leaf at version 1). Shared read-only between the
-// cache and every Integrity Core formatted from it.
+// cache, every DDR store that shares its image pages and every Integrity
+// Core formatted from it.
 struct FormatSnapshot {
   std::vector<std::uint8_t> image;
 
-  // The post-format tree. The first caller runs `build` (which hashes and
-  // returns the tree) and every later caller, on any thread, gets the
-  // stored tree without hashing; cores take it with HashTree::restore_from,
-  // so its consistency travels with its nodes.
-  template <typename Build>
-  const crypto::HashTree& tree(Build&& build) const {
-    std::call_once(tree_once_, [&] { tree_.emplace(build()); });
-    return *tree_;
-  }
+  // The post-format tree over `image`. The first caller, on any thread,
+  // hashes it; every later caller gets the stored tree without hashing.
+  // Cores take it with HashTree::restore_from, which shares its node heap.
+  const crypto::HashTree& tree(const crypto::HashTree::Config& cfg) const;
 
  private:
   mutable std::once_flag tree_once_;

@@ -102,27 +102,27 @@ bool IntegrityCore::pristine() const noexcept {
   return true;
 }
 
-void IntegrityCore::format_from(std::shared_ptr<const FormatSnapshot> snap) {
+void IntegrityCore::format_from(std::shared_ptr<const FormatSnapshot> snap,
+                                bool shared_tree) {
   SECBUS_ASSERT(pristine(),
                 "format_from on a used core: snapshot binds version 1");
   SECBUS_ASSERT(snap != nullptr && snap->image.size() == cfg_.protected_size,
                 "format snapshot from a differently-shaped region");
   std::fill(versions_.begin(), versions_.end(), 1);
   deferred_format_ = std::move(snap);
+  deferred_shared_tree_ = shared_tree;
 }
 
 void IntegrityCore::build_tree() const {
   if (deferred_format_ == nullptr) return;
   // Moving out leaves deferred_format_ empty: the tree is built once.
-  const std::shared_ptr<const FormatSnapshot> snap = std::move(deferred_format_);
-  bool hashed = false;
-  const crypto::HashTree& formatted = snap->tree([&] {
-    const std::vector<std::uint32_t> format_versions(tree_.leaf_count(), 1);
-    tree_.rebuild(snap->image, format_versions);
-    hashed = true;
-    return tree_;
-  });
-  if (!hashed) tree_.restore_from(formatted);
+  std::shared_ptr<const FormatSnapshot> snap = std::move(deferred_format_);
+  if (deferred_shared_tree_) {
+    tree_.restore_from(snap->tree(tree_.config()));
+  } else {
+    const std::span<const std::uint8_t> image = snap->image;
+    tree_.rebuild_lazy(image, 1, std::move(snap));
+  }
 }
 
 void IntegrityCore::rebuild_from(std::span<const std::uint8_t> image) {

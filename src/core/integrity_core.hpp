@@ -13,7 +13,9 @@
 // it — update_line, verify_line, tree() or build_tree(). A core whose
 // policy bypasses integrity (plaintext, cipher-only) only moves versions,
 // so it never pays for a tree; if a later policy switches integrity on,
-// the first read builds exactly the format-time tree.
+// the first read builds exactly the format-time tree. Even then a core
+// hashes no more than its lines: it shares a cached snapshot's tree, or
+// hashes each leaf from the snapshot image on that line's first read.
 #pragma once
 
 #include <cstdint>
@@ -88,13 +90,15 @@ class IntegrityCore {
 
   // Deferred twin of bulk_update_all(snap.image) for a pristine core:
   // advances every line to version 1 now and keeps `snap` until the tree is
-  // first read. The tree is then the snapshot's tree — copied if
-  // another core already built it, hashed here otherwise — so both paths
-  // are indistinguishable downstream (core::FormatCache relies on this).
-  // Stats are untouched: formatting is init-time work. Only valid on a
-  // pristine core, since snapshots bind version 1 into every leaf; callers
-  // check pristine() and use bulk_update_all() otherwise.
-  void format_from(std::shared_ptr<const FormatSnapshot> snap);
+  // first read. The tree is then the snapshot's tree: with `shared_tree`
+  // (a cache hit, so the key repeats) the one FormatSnapshot::tree() builds
+  // once for every core, whose node heap this core shares; otherwise one
+  // whose leaves are hashed from snap.image on first read (lazy leaves). The
+  // two are indistinguishable downstream (core::FormatCache relies on
+  // this). Stats are untouched: formatting is init-time work. Only valid on
+  // a pristine core, since snapshots bind version 1 into every leaf;
+  // callers check pristine() and use bulk_update_all() otherwise.
+  void format_from(std::shared_ptr<const FormatSnapshot> snap, bool shared_tree);
 
   // Builds a tree deferred by format_from() now; a no-op otherwise. Lets
   // the LCF charge the tree to setup when its policy checks integrity.
@@ -131,6 +135,7 @@ class IntegrityCore {
   // Mutable so const reads can build a deferred tree (see format_from).
   mutable crypto::HashTree tree_;
   mutable std::shared_ptr<const FormatSnapshot> deferred_format_;
+  bool deferred_shared_tree_ = false;
   std::vector<std::uint32_t> versions_;  // on-chip time-stamp tags, per line
   Stats stats_;
 };

@@ -14,16 +14,63 @@ HashTree::HashTree(const Config& cfg) : cfg_(cfg) {
   depth_ = util::log2_pow2(cfg.leaf_count);
 }
 
-std::vector<Sha256Digest>& HashTree::heap() const {
-  if (nodes_.empty()) {
-    nodes_.resize(2 * cfg_.leaf_count);
-    const std::vector<std::uint8_t> zero_block(cfg_.block_bytes, 0);
-    for (std::size_t leaf = 0; leaf < cfg_.leaf_count; ++leaf) {
-      nodes_[cfg_.leaf_count + leaf] =
-          leaf_hash(leaf, std::span<const std::uint8_t>(zero_block), 0);
-    }
-    rebuild_parents();
+Sha256Digest HashTree::stored_leaf(std::size_t leaf) const {
+  if (!sparse()) return heap()[cfg_.leaf_count + leaf];
+  if (!leaf_slot_.empty() && leaf_slot_[leaf] != 0) {
+    return overlay_[leaf_slot_[leaf] - 1];
   }
+  if (base_ != nullptr) return (*base_)[cfg_.leaf_count + leaf];
+  const Sha256Digest digest = lazy_leaf(leaf);
+  set_overlay_leaf(leaf, digest);
+  return digest;
+}
+
+Sha256Digest HashTree::lazy_leaf(std::size_t leaf) const {
+  return leaf_hash(
+      leaf, lazy_image_.subspan(leaf * cfg_.block_bytes, cfg_.block_bytes),
+      lazy_version_);
+}
+
+void HashTree::set_overlay_leaf(std::size_t leaf,
+                                const Sha256Digest& digest) const {
+  if (leaf_slot_.empty()) leaf_slot_.assign(cfg_.leaf_count, 0);
+  std::uint32_t& slot = leaf_slot_[leaf];
+  if (slot == 0) {
+    overlay_.push_back(digest);
+    slot = static_cast<std::uint32_t>(overlay_.size());
+  } else {
+    overlay_[slot - 1] = digest;
+  }
+}
+
+std::vector<Sha256Digest>& HashTree::heap() const {
+  if (!nodes_.empty()) return nodes_;
+  const std::size_t leaves = cfg_.leaf_count;
+  if (base_ != nullptr) {
+    nodes_ = *base_;
+  } else {
+    // The lazy leaves not in the overlay, or the zero leaves of a tree
+    // never built; every parent follows below.
+    nodes_.resize(2 * leaves);
+    const std::vector<std::uint8_t> zero_block(cfg_.block_bytes, 0);
+    for (std::size_t leaf = 0; leaf < leaves; ++leaf) {
+      if (!leaf_slot_.empty() && leaf_slot_[leaf] != 0) continue;
+      nodes_[leaves + leaf] = lazy_image_.empty()
+                                  ? leaf_hash(leaf, zero_block, 0)
+                                  : lazy_leaf(leaf);
+    }
+  }
+  for (std::size_t leaf = 0; leaf < leaf_slot_.size(); ++leaf) {
+    if (leaf_slot_[leaf] == 0) continue;
+    nodes_[leaves + leaf] = overlay_[leaf_slot_[leaf] - 1];
+    if (base_ != nullptr) mark_ancestors_dirty(leaves + leaf);
+  }
+  if (base_ == nullptr) rebuild_parents(nodes_);
+  base_ = nullptr;
+  lazy_image_ = {};
+  lazy_owner_ = nullptr;
+  leaf_slot_ = {};
+  overlay_ = {};
   return nodes_;
 }
 
@@ -39,9 +86,18 @@ std::vector<Sha256Digest>& HashTree::flushed_heap() const {
   return nodes;
 }
 
-void HashTree::rebuild_parents() const {
+void HashTree::rebuild_parents(std::vector<Sha256Digest>& nodes) const {
   for (std::size_t n = cfg_.leaf_count - 1; n >= 1; --n) {
-    nodes_[n] = parent_hash(nodes_[2 * n], nodes_[2 * n + 1]);
+    nodes[n] = parent_hash(nodes[2 * n], nodes[2 * n + 1]);
+  }
+}
+
+void HashTree::mark_ancestors_dirty(std::size_t heap_node) const {
+  // An already dirty ancestor has dirty ancestors too, so marking stops
+  // there.
+  if (dirty_.empty()) dirty_.assign(cfg_.leaf_count, 0);
+  for (std::size_t p = heap_node / 2; p >= 1 && dirty_[p] == 0; p /= 2) {
+    dirty_[p] = 1;
   }
 }
 
@@ -90,15 +146,26 @@ void HashTree::rebuild(std::span<const std::uint8_t> image,
   SECBUS_ASSERT(image.size() == cfg_.leaf_count * cfg_.block_bytes,
                 "image size mismatch");
   SECBUS_ASSERT(versions.size() == cfg_.leaf_count, "versions size mismatch");
-  nodes_.resize(2 * cfg_.leaf_count);
-  dirty_.clear();
-  consistent_ = true;
+  auto nodes = std::make_shared<std::vector<Sha256Digest>>(2 * cfg_.leaf_count);
   for (std::size_t leaf = 0; leaf < cfg_.leaf_count; ++leaf) {
-    nodes_[cfg_.leaf_count + leaf] =
+    (*nodes)[cfg_.leaf_count + leaf] =
         leaf_hash(leaf, image.subspan(leaf * cfg_.block_bytes, cfg_.block_bytes),
                   versions[leaf]);
   }
-  rebuild_parents();
+  rebuild_parents(*nodes);
+  restore_from(HashTree(cfg_));  // drop every other state, keep the count
+  base_ = std::move(nodes);
+}
+
+void HashTree::rebuild_lazy(std::span<const std::uint8_t> image,
+                            std::uint32_t version,
+                            std::shared_ptr<const void> owner) {
+  SECBUS_ASSERT(image.size() == cfg_.leaf_count * cfg_.block_bytes,
+                "image size mismatch");
+  restore_from(HashTree(cfg_));
+  lazy_image_ = image;
+  lazy_owner_ = std::move(owner);
+  lazy_version_ = version;
 }
 
 HashTree::OpCost HashTree::update(std::size_t leaf,
@@ -106,12 +173,16 @@ HashTree::OpCost HashTree::update(std::size_t leaf,
                                   std::uint32_t version) {
   SECBUS_ASSERT(leaf < cfg_.leaf_count, "leaf out of range");
   SECBUS_ASSERT(data.size() == cfg_.block_bytes, "data size mismatch");
-  const std::size_t n = cfg_.leaf_count + leaf;
-  heap()[n] = leaf_hash(leaf, data, version);
-  // The parents are recomputed when next read (flushed_heap()). An already
-  // dirty ancestor has dirty ancestors too, so marking stops there.
-  if (dirty_.empty()) dirty_.assign(cfg_.leaf_count, 0);
-  for (std::size_t p = n / 2; p >= 1 && dirty_[p] == 0; p /= 2) dirty_[p] = 1;
+  const Sha256Digest digest = leaf_hash(leaf, data, version);
+  if (sparse()) {
+    // The parents are due whenever heap() materializes the tree.
+    set_overlay_leaf(leaf, digest);
+  } else {
+    // The parents are recomputed when next read (flushed_heap()).
+    const std::size_t n = cfg_.leaf_count + leaf;
+    heap()[n] = digest;
+    mark_ancestors_dirty(n);
+  }
   // The model still refreshes the whole path: the leaf, then per level one
   // hash that reads both children and writes the parent.
   OpCost cost;
@@ -125,17 +196,15 @@ HashTree::VerifyResult HashTree::verify(std::size_t leaf,
                                         std::uint32_t version) const {
   SECBUS_ASSERT(leaf < cfg_.leaf_count, "leaf out of range");
   SECBUS_ASSERT(data.size() == cfg_.block_bytes, "data size mismatch");
-  // Only a tampered tree reads internal nodes, so only it needs them fresh.
-  const std::vector<Sha256Digest>& nodes = consistent_ ? heap() : flushed_heap();
   VerifyResult result;
   result.cost.hashes = 1;
   result.cost.nodes_touched = 1;
 
   // Level 0: the data itself against the stored leaf.
+  const Sha256Digest stored = stored_leaf(leaf);
   const Sha256Digest computed_leaf = leaf_hash(leaf, data, version);
-  std::size_t n = cfg_.leaf_count + leaf;
   if (!util::ct_equal({computed_leaf.data(), computed_leaf.size()},
-                      {nodes[n].data(), nodes[n].size()})) {
+                      {stored.data(), stored.size()})) {
     result.ok = false;
     result.first_bad_level = 0;
     return result;
@@ -144,13 +213,16 @@ HashTree::VerifyResult HashTree::verify(std::size_t leaf,
   // Walk to the root: recompute each parent from the stored children. With
   // intermediate nodes off-chip, this is what guarantees the chain up to the
   // trusted on-chip root. On an untampered tree every step of the walk is
-  // known to match, so only its cost is charged.
+  // known to match, so only its cost is charged; only a tampered tree reads
+  // internal nodes, so only it needs them fresh.
   if (consistent_) {
     result.ok = true;
     result.cost.hashes += depth_;
     result.cost.nodes_touched += 2 * depth_;
     return result;
   }
+  const std::vector<Sha256Digest>& nodes = flushed_heap();
+  std::size_t n = cfg_.leaf_count + leaf;
   std::size_t level = 0;
   Sha256Digest running = computed_leaf;
   while (n > 1) {
@@ -178,9 +250,9 @@ void HashTree::restore_from(const HashTree& other) {
                     other.cfg_.block_bytes == cfg_.block_bytes &&
                     other.cfg_.base_addr == cfg_.base_addr,
                 "restore from a differently-configured tree");
-  nodes_ = other.nodes_;
-  dirty_ = other.dirty_;
-  consistent_ = other.consistent_;
+  const std::uint64_t hashes = hashes_;
+  *this = other;
+  hashes_ = hashes;
 }
 
 void HashTree::poke_node(std::size_t level, std::size_t idx,

@@ -25,16 +25,25 @@
 // walks the whole path, which is how tests confirm the walk catches
 // off-chip node corruption. Verdicts and OpCosts are the same either way.
 //
-// Construction hashes nothing. The node heap is filled by whichever comes
-// first: rebuild(), restore_from(), or — for a tree read before it is ever
-// built — the all-zero version-0 tree, computed on that first read. SoC
-// setup always formats the tree it uses, so an eager zero tree there would
-// be thrown away. Because reads may build the heap or recompute dirty
-// parents, and every hash is counted (hash_count()), even const calls
-// mutate: one tree must not be used from two threads at once.
+// Host memory and hashing follow what a job touches, not the tree's size:
+// - Construction hashes nothing. A tree read before it is ever built reads
+//   the all-zero version-0 tree, computed on that first read.
+// - rebuild() publishes its heap as a shared read-only base. Copies and
+//   restore_from() share that base instead of copying it; each tree keeps
+//   the leaves it writes in its own small overlay.
+// - rebuild_lazy() hashes nothing: leaf i is H(image line i, version),
+//   computed from the caller's immutable image on its first read and kept
+//   in the overlay.
+// The first read of an internal node materializes the whole heap in the
+// tree's own storage (base or lazy leaves, then the overlay, then parents);
+// no job does that, tests and tamper scenarios do. Because reads may build
+// or materialize the heap, and every hash is counted (hash_count()), even
+// const calls mutate: one tree must not be used from two threads at once.
+// A tree that is only copied from (restore_from's `other`) is only read.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -72,6 +81,15 @@ class HashTree {
   void rebuild(std::span<const std::uint8_t> image,
                std::span<const std::uint32_t> versions);
 
+  // rebuild() of `image` with every leaf at `version`, hashing nothing now:
+  // each leaf is computed from `image` on its first read, the parents when
+  // an internal node is read. `image` must stay unchanged while `owner`
+  // lives; the tree and its copies hold `owner`. Reading the image, never
+  // the memory it was stored to, is what keeps tampering with that memory
+  // before a line's first read detectable.
+  void rebuild_lazy(std::span<const std::uint8_t> image, std::uint32_t version,
+                    std::shared_ptr<const void> owner);
+
   // Recomputes leaf `leaf` for new data at `version`; the path up to the
   // root is recomputed before it is next read. Costs the whole path.
   // Called by the Integrity Core on every protected write.
@@ -86,6 +104,7 @@ class HashTree {
                                     std::span<const std::uint8_t> data,
                                     std::uint32_t version) const;
 
+  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   [[nodiscard]] const Sha256Digest& root() const { return flushed_heap()[1]; }
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
   [[nodiscard]] std::size_t leaf_count() const noexcept { return cfg_.leaf_count; }
@@ -104,17 +123,19 @@ class HashTree {
   }
 
   // Replaces this tree's nodes with `other`'s (setup memoization), together
-  // with whether they are consistent and which parents are still pending,
-  // so a heap taken from a tampered tree keeps its tamper verdicts. Hashes
-  // nothing and keeps this tree's hash_count(); `other` is only read, so a
-  // shared tree may be restored from on several threads at once. `other`
-  // must have the same Config.
+  // with whether they are consistent, which parents are still pending and
+  // which leaves are still lazy, so a heap taken from a tampered tree keeps
+  // its tamper verdicts. Shares `other`'s base heap and lazy image, copies
+  // only what `other` holds beyond them, hashes nothing and keeps this
+  // tree's hash_count(). `other` is only read, so a shared tree may be
+  // restored from on several threads at once. `other` must have the same
+  // Config.
   void restore_from(const HashTree& other);
 
   // Leaf and parent hashes this tree has computed so far: rebuilds, updates,
-  // verifies, dirty parents and the lazy zero tree. Per instance, so
-  // setup-cost tests can prove a build hashed nothing and a job hashed one
-  // leaf per operation.
+  // verifies, lazy leaves, dirty parents and the lazy zero tree. Per
+  // instance, so setup-cost tests can prove a build hashed nothing and a
+  // job hashed one leaf per operation.
   [[nodiscard]] std::uint64_t hash_count() const noexcept { return hashes_; }
 
   // --- test hooks -----------------------------------------------------
@@ -132,23 +153,45 @@ class HashTree {
                                          const Sha256Digest& right) const noexcept;
   // Flat heap index of (level, idx): leaves live at [leaf_count, 2*leaf_count).
   [[nodiscard]] std::size_t heap_index(std::size_t level, std::size_t idx) const;
-  // The node heap, first filled with the all-zero version-0 tree if nothing
-  // has been built or restored yet.
+  // True while the leaves come from base_ or the lazy image plus the
+  // overlay, rather than from nodes_.
+  [[nodiscard]] bool sparse() const noexcept {
+    return nodes_.empty() && (base_ != nullptr || !lazy_image_.empty());
+  }
+  // The stored hash of `leaf`; a lazy leaf is computed on this first read.
+  [[nodiscard]] Sha256Digest stored_leaf(std::size_t leaf) const;
+  // H(lazy image line `leaf`, lazy version).
+  [[nodiscard]] Sha256Digest lazy_leaf(std::size_t leaf) const;
+  void set_overlay_leaf(std::size_t leaf, const Sha256Digest& digest) const;
+  // The whole node heap in nodes_, materialized on first use: copied from
+  // base_, or hashed from the lazy image or (never built) zero blocks, with
+  // the overlay's leaves on top and their parents due.
   [[nodiscard]] std::vector<Sha256Digest>& heap() const;
   // heap() with every dirty parent recomputed: what readers of internal
   // nodes see.
   [[nodiscard]] std::vector<Sha256Digest>& flushed_heap() const;
-  // Recomputes parents n-1 .. 1 from the leaves already in nodes_.
-  void rebuild_parents() const;
+  // Recomputes parents n-1 .. 1 of `nodes` from its leaves.
+  void rebuild_parents(std::vector<Sha256Digest>& nodes) const;
+  void mark_ancestors_dirty(std::size_t heap_node) const;
 
   Config cfg_;
   std::size_t depth_ = 0;
   // 1-based heap: nodes_[1] root, children of n at 2n, 2n+1. nodes_[0] unused.
-  // Empty until first built (see heap()).
+  // Empty until an internal node is read (or the tree is used unbuilt).
   mutable std::vector<Sha256Digest> nodes_;
-  // dirty_[n] marks internal node n as stale since an update; a dirty
-  // node's ancestors are all dirty. Empty when no parent is stale.
+  // dirty_[n] marks internal node n of nodes_ as stale since an update; a
+  // dirty node's ancestors are all dirty. Empty when no parent is stale.
   mutable std::vector<std::uint8_t> dirty_;
+  // A consistent heap from rebuild(), shared read-only between copies.
+  mutable std::shared_ptr<const std::vector<Sha256Digest>> base_;
+  // rebuild_lazy()'s source: leaf i is H(line i, lazy_version_).
+  mutable std::span<const std::uint8_t> lazy_image_;
+  mutable std::shared_ptr<const void> lazy_owner_;
+  std::uint32_t lazy_version_ = 0;
+  // Leaves read or written since base_ or the lazy image: leaf_slot_[i] is
+  // 1 + the index of leaf i's hash in overlay_, 0 if it has none.
+  mutable std::vector<std::uint32_t> leaf_slot_;
+  mutable std::vector<Sha256Digest> overlay_;
   // Every internal node equals the hash of its children (after dirty
   // parents are recomputed). Cleared by poke_node(), set by rebuilds.
   bool consistent_ = true;

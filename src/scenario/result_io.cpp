@@ -101,10 +101,9 @@ bool hist(JsonWriter& w, const util::LatencyHistogram& hist) {
                      hist.max()};
   return hist_members(w, h, [&] {
     w.begin_array();
-    const std::vector<std::uint64_t>& counts = hist.buckets();
-    for (std::uint64_t c = 0; c < counts.size(); ++c) {
-      if (counts[c] != 0) w.begin_array().value(c).value(counts[c]).end_array();
-    }
+    hist.for_each_bucket([&](std::uint64_t cycle, std::uint64_t n) {
+      w.begin_array().value(cycle).value(n).end_array();
+    });
     w.end_array();
     return true;
   });
@@ -116,9 +115,15 @@ bool hist(JsonReader& r, util::LatencyHistogram& hist) {
   pairs.clear();
   // The table as a whole must be one a histogram can have written: strictly
   // ascending cycles (restore() would sum repeats into bytes that no longer
-  // match the file) and a population that adds up to `count` (otherwise
-  // percentiles silently fall through to max and poison every merge).
+  // match the file), a population that adds up to `count` (otherwise
+  // percentiles silently fall through to max and poison every merge),
+  // buckets inside [min, max] (otherwise a percentile could land outside
+  // them), and a sum no smaller than the buckets and the overflow samples
+  // (each at least kTrackedMax) account for.
   std::uint64_t population = 0;
+  // Sum of cycle * count over the buckets; past u64 it is past any sum.
+  std::uint64_t floor_sum = 0;
+  bool floor_past_u64 = false;
   const bool read = hist_members(r, h, [&] {
     if (!r.begin_array()) return false;
     while (r.next_item()) {
@@ -138,6 +143,10 @@ bool hist(JsonReader& r, util::LatencyHistogram& hist) {
         return r.fail("bucket counts overflow u64");
       }
       population += n;
+      std::uint64_t weight = 0;
+      floor_past_u64 = floor_past_u64 ||
+                       __builtin_mul_overflow(cycle, n, &weight) ||
+                       __builtin_add_overflow(floor_sum, weight, &floor_sum);
       pairs.emplace_back(cycle, n);
     }
     return r.ok();
@@ -148,6 +157,21 @@ bool hist(JsonReader& r, util::LatencyHistogram& hist) {
     return r.fail("buckets + overflow != count");
   }
   if (h.min > h.max) return r.fail("min > max");
+  if (!pairs.empty() && pairs.front().first < h.min) {
+    return r.fail("bucket below min");
+  }
+  // With overflow, max is at least kTrackedMax and so above every bucket.
+  if (!pairs.empty() && pairs.back().first > h.max) {
+    return r.fail("bucket above max");
+  }
+  std::uint64_t overflow_floor = 0;
+  if (floor_past_u64 ||
+      __builtin_mul_overflow(h.overflow, util::LatencyHistogram::kTrackedMax,
+                             &overflow_floor) ||
+      __builtin_add_overflow(floor_sum, overflow_floor, &floor_sum) ||
+      h.sum < floor_sum) {
+    return r.fail("sum below what the buckets and overflow account for");
+  }
   hist.restore(pairs, h.overflow, h.count, h.sum, h.min, h.max);
   return true;
 }

@@ -6,9 +6,11 @@
 // (BatchAggregate / CampaignReport). The contract is *bit*-fidelity, not
 // just value fidelity: every double round-trips to the identical IEEE-754
 // pattern (util::JsonWriter prints %.15g when that parses back to the same
-// bits, else %.17g) and the streaming stats (RunningStat moments,
-// LatencyHistogram buckets) restore their exact internal state, so a report
-// built from merged shard files is byte-identical to one built in-process.
+// bits, else %.17g), RunningStat moments restore their exact internal
+// state, and a LatencyHistogram ships as its nonzero (cycle, count) buckets
+// in ascending order plus count/overflow/sum/min/max, which restore every
+// value it reports. So a report built from merged shard files is
+// byte-identical to one built in-process.
 // job_result_io_test locks this down field by field.
 #pragma once
 
@@ -27,10 +29,11 @@ void write_job_result(util::JsonWriter& w, const JobResult& r);
 // Decodes one write_job_result() document straight from the text (compact
 // or indented; members in the written order) into `out`, which is reset
 // first. On failure returns false with the offending field path in
-// r.error(), leaving `out` partly filled. Histogram tables must be
-// consistent (ascending cycles, buckets + overflow == count, min <= max)
-// and doubles finite, so whatever is accepted re-serializes to its own
-// bytes.
+// r.error(), leaving `out` partly filled. Histogram tables must be ones a
+// histogram can have written (strictly ascending cycles, buckets + overflow
+// == count, min <= max, no bucket below min or above max, and sum >=
+// sum of cycle x count + overflow x kTrackedMax) and doubles finite, so
+// whatever is accepted re-serializes to its own bytes.
 bool read_job_result(util::JsonReader& r, JobResult& out);
 // The same for a document already held as a tree; `out` is only assigned
 // on success.

@@ -213,8 +213,8 @@ JobResult run_scenario(const ScenarioSpec& spec, const RunHooks& hooks) {
   // --- collect -----------------------------------------------------------
   for (const auto& cpu : soc.processors()) {
     r.cpu_latency.merge(cpu->stats().latency);
-    r.latency_hist.merge(cpu->stats().latency_hist);
   }
+  r.latency_hist = soc.latency_hist();
   for (const auto& fw : soc.master_firewalls()) accumulate(r, fw->stats());
   if (soc.bram_firewall() != nullptr) {
     accumulate(r, soc.bram_firewall()->stats());

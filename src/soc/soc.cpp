@@ -549,20 +549,20 @@ SocResults Soc::run(sim::Cycle max_cycles) {
   r.cycles = kernel_.now();
   r.completed = done;
   util::RunningStat latency;
-  util::LatencyHistogram hist;
+  latency_hist_.reset();
   for (const auto& cpu : processors_) {
     const auto& s = cpu->stats();
     r.transactions_ok += s.completed;
     r.transactions_failed += s.failed;
     r.bytes_moved += s.bytes_moved;
     if (s.latency.count() > 0) latency.add(s.latency.mean());
-    hist.merge(s.latency_hist);
+    latency_hist_.merge(s.latency_hist);
   }
   r.avg_access_latency = latency.mean();
-  r.latency_p50 = hist.p50();
-  r.latency_p95 = hist.p95();
-  r.latency_p99 = hist.p99();
-  r.latency_max = hist.max();
+  r.latency_p50 = latency_hist_.p50();
+  r.latency_p95 = latency_hist_.p95();
+  r.latency_p99 = latency_hist_.p99();
+  r.latency_max = latency_hist_.max();
   r.alerts = log_.count();
   r.bus_occupancy = fabric_->occupancy();
   return r;

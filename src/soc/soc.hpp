@@ -23,6 +23,7 @@
 #include "sim/kernel.hpp"
 #include "sim/trace.hpp"
 #include "soc/soc_config.hpp"
+#include "util/stats.hpp"
 
 namespace secbus::obs {
 class Registry;
@@ -94,6 +95,12 @@ class Soc {
   // Runs until every processor finished and the fabric drained, or until
   // `max_cycles`. Returns the summary.
   SocResults run(sim::Cycle max_cycles);
+
+  // Every processor's access-latency histogram, merged once at the end of
+  // the last run(); the latency fields of its SocResults derive from it.
+  [[nodiscard]] const util::LatencyHistogram& latency_hist() const noexcept {
+    return latency_hist_;
+  }
 
   // Walks every component's Stats into `reg` under the stable hierarchical
   // naming scheme (bus.seg<i>.*, core.<firewall>.*, ip.<master>.*,
@@ -230,6 +237,7 @@ class Soc {
   sim::MasterId next_custom_index_ = 0;
 
   std::unique_ptr<core::PolicyReconfigurator> reconfig_;
+  util::LatencyHistogram latency_hist_;
 };
 
 }  // namespace secbus::soc

@@ -119,13 +119,19 @@ double Histogram::percentile(double q) const noexcept {
   return hi_;
 }
 
-void LatencyHistogram::ensure_capacity(std::uint64_t value) {
-  if (value < counts_.size()) return;
-  std::size_t cap = counts_.empty() ? 512 : counts_.size();
-  while (cap <= value) cap *= 2;
-  if (cap > kTrackedMax) cap = kTrackedMax;
-  counts_.resize(cap, 0);
+LatencyHistogram::Block& LatencyHistogram::block_for(std::uint64_t cycle) {
+  const std::uint64_t b = cycle / kBlockCycles;
+  if (b >= slot_.size()) slot_.resize(b + 1, 0);
+  if (slot_[b] == 0) {
+    blocks_.push_back(Block{b * kBlockCycles, {}});
+    slot_[b] = static_cast<std::uint16_t>(blocks_.size());
+  }
+  return blocks_[slot_[b] - 1];
 }
+
+// One slot per block must fit the 16-bit slot index.
+static_assert(LatencyHistogram::kTrackedMax / LatencyHistogram::kBlockCycles <=
+              std::numeric_limits<std::uint16_t>::max());
 
 void LatencyHistogram::add(std::uint64_t cycles) {
   ++count_;
@@ -136,22 +142,27 @@ void LatencyHistogram::add(std::uint64_t cycles) {
     ++overflow_;
     return;
   }
-  ensure_capacity(cycles);
-  ++counts_[cycles];
+  ++block_for(cycles).counts[cycles % kBlockCycles];
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {
   if (other.count_ == 0) return;
+  if (count_ == 0) {
+    *this = other;
+    return;
+  }
   count_ += other.count_;
   overflow_ += other.overflow_;
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-  if (!other.counts_.empty()) {
-    ensure_capacity(other.counts_.size() - 1);
-    for (std::size_t i = 0; i < other.counts_.size(); ++i) {
-      counts_[i] += other.counts_[i];
-    }
+  if (other.slot_.size() > slot_.size()) slot_.resize(other.slot_.size(), 0);
+  // Bucket sums do not depend on order, so other's blocks are taken in
+  // their storage order. Self-merge allocates no block, so the loop's
+  // range stays valid.
+  for (const Block& from : other.blocks_) {
+    Block& to = block_for(from.first);
+    for (std::size_t i = 0; i < kBlockCycles; ++i) to.counts[i] += from.counts[i];
   }
 }
 
@@ -162,16 +173,11 @@ void LatencyHistogram::restore(
     std::uint64_t overflow, std::uint64_t count, std::uint64_t sum,
     std::uint64_t min, std::uint64_t max) {
   reset();
-  // The table spans exactly the restored cycles (add() grows it on demand),
-  // so restoring and merging a short-latency job touch only its own range.
-  std::uint64_t span = 0;
   for (const auto& [cycle, n] : cycle_counts) {
     SECBUS_ASSERT(cycle < kTrackedMax && n > 0,
                   "histogram restore: bad bucket");
-    span = std::max(span, cycle + 1);
+    block_for(cycle).counts[cycle % kBlockCycles] += n;
   }
-  counts_.assign(span, 0);
-  for (const auto& [cycle, n] : cycle_counts) counts_[cycle] += n;
   overflow_ = overflow;
   count_ = count;
   sum_ = sum;
@@ -194,9 +200,13 @@ std::uint64_t LatencyHistogram::percentile(double q) const noexcept {
       std::ceil(q / 100.0 * static_cast<double>(count_)));
   rank = std::clamp<std::uint64_t>(rank, 1, count_);
   std::uint64_t cumulative = 0;
-  for (std::size_t c = 0; c < counts_.size(); ++c) {
-    cumulative += counts_[c];
-    if (cumulative >= rank) return c;
+  for (const std::uint16_t slot : slot_) {
+    if (slot == 0) continue;
+    const Block& block = blocks_[slot - 1];
+    for (std::uint64_t i = 0; i < kBlockCycles; ++i) {
+      cumulative += block.counts[i];
+      if (cumulative >= rank) return block.first + i;
+    }
   }
   return max_;  // rank lands among the overflow samples
 }

@@ -3,6 +3,7 @@
 // on the hot path.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -110,27 +111,39 @@ class Histogram {
 // integer samples) for every value below kTrackedMax; samples at or above
 // it saturate and report the exact tracked maximum instead. Mergeable, so
 // per-IP histograms fold into per-job and per-batch ones without losing
-// the tail. Bucket storage is allocated lazily and grows in powers of two,
-// keeping short-latency runs cheap.
+// the tail. The buckets live in a blocked sparse table: kBlockCycles-cycle
+// blocks are allocated on first touch and a slot index ordered by block
+// maps a block number to its storage, so add() is O(1) without a search,
+// and merge(), percentile() and for_each_bucket() walk occupied blocks
+// only. A CPU that records 30 waits of ~3k cycles holds a few blocks, not
+// a table spanning every cycle up to its slowest wait.
 class LatencyHistogram {
  public:
   // Latencies up to 16k cycles are tracked exactly; anything slower (deeply
   // congested fabrics, pathological floods) saturates into overflow.
   static constexpr std::uint64_t kTrackedMax = 16384;
+  static constexpr std::uint64_t kBlockCycles = 16;
 
   void add(std::uint64_t cycles);
   void merge(const LatencyHistogram& other);
   void reset() noexcept;
 
-  // Bucket table for cross-process result shipping: buckets() exposes the
-  // raw per-cycle counts (index = latency in cycles; trailing capacity may
-  // be zero), restore() rebuilds the histogram from sparse (cycle, count)
-  // pairs plus the overflow-bucket population. All derived state (count,
-  // sum, min, max) is recomputed except the overflow contribution to
-  // sum/min/max, which the saturating bucket cannot recover — callers pass
-  // the original sum/min/max alongside.
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const noexcept {
-    return counts_;
+  // Calls f(cycle, count) for every nonzero bucket, cycles ascending: the
+  // bucket table for cross-process result shipping. restore() rebuilds the
+  // histogram from such (cycle, count) pairs plus the overflow-bucket
+  // population. All derived state (count, sum, min, max) is recomputed
+  // except the overflow contribution to sum/min/max, which the saturating
+  // bucket cannot recover — callers pass the original sum/min/max
+  // alongside.
+  template <typename F>
+  void for_each_bucket(F&& f) const {
+    for (std::size_t b = 0; b < slot_.size(); ++b) {
+      if (slot_[b] == 0) continue;
+      const Block& block = blocks_[slot_[b] - 1];
+      for (std::uint64_t i = 0; i < kBlockCycles; ++i) {
+        if (block.counts[i] != 0) f(block.first + i, block.counts[i]);
+      }
+    }
   }
   void restore(const std::vector<std::pair<std::uint64_t, std::uint64_t>>&
                    cycle_counts,
@@ -159,9 +172,19 @@ class LatencyHistogram {
   [[nodiscard]] std::uint64_t p99() const noexcept { return percentile(99); }
 
  private:
-  void ensure_capacity(std::uint64_t value);
+  struct Block {
+    std::uint64_t first = 0;  // cycle of counts[0]
+    std::array<std::uint64_t, kBlockCycles> counts{};
+  };
 
-  std::vector<std::uint64_t> counts_;  // counts_[c] = samples of c cycles
+  // The block holding `cycle` (< kTrackedMax), allocated on first touch.
+  Block& block_for(std::uint64_t cycle);
+
+  // slot_[b] = 1 + index into blocks_ of the block starting at cycle
+  // b * kBlockCycles, 0 while that block is untouched; it spans the highest
+  // block touched so far. blocks_ is in first-touch order.
+  std::vector<std::uint16_t> slot_;
+  std::vector<Block> blocks_;
   std::uint64_t count_ = 0;
   std::uint64_t overflow_ = 0;
   std::uint64_t sum_ = 0;

@@ -1,7 +1,8 @@
 // SoC setup hashes only what a later step reads: no zero tree at
 // construction, no tree for a policy that bypasses integrity, no re-hash on
-// a FormatCache hit. The per-instance HashTree hash counter measures it;
-// the recorded digests pin that deferring the tree changes no result.
+// a FormatCache hit, and on a miss no leaf before its line is read. The
+// per-instance HashTree hash counter measures it; the recorded digests pin
+// that deferring the tree changes no result.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -131,9 +132,30 @@ std::uint64_t full_tree_hashes(const soc::Soc& soc) {
   return 2 * leaves - 1;
 }
 
+// Hashes spent on the shared tree of the cached snapshot a ciphered SoC
+// formatted from (the lookup counts as a cache hit); the tree must already
+// be built.
+std::uint64_t shared_tree_hashes(soc::Soc& soc) {
+  FormatKey key;
+  key.protected_base = soc.config().ddr_protected_base;
+  key.protected_size = soc.config().ddr_protected_size;
+  key.line_bytes = soc.config().line_bytes;
+  key.ciphered = true;
+  key.key = soc.config_mem().policy(soc::kFwLcf).key;
+  const std::shared_ptr<const FormatSnapshot> snap =
+      FormatCache::instance().find(key);
+  if (snap == nullptr) {
+    ADD_FAILURE() << "no cached snapshot";
+    return 0;
+  }
+  return snap->tree(soc.lcf()->ic().tree().config()).hash_count();
+}
+
 TEST_F(SetupCostSoc, CacheHitCipherIntegrityBuildHashesNothing) {
+  // A miss hashes no leaf before its line is read (lazy leaves); it was one
+  // full pass, 2 * leaves - 1, before.
   soc::Soc cold(distributed_cfg(11, soc::ProtectionLevel::kFull));
-  EXPECT_EQ(build_tree_hashes(cold), full_tree_hashes(cold));  // one pass
+  EXPECT_EQ(build_tree_hashes(cold), 0u);
 
   const std::uint64_t h = hits();
   soc::Soc warm(distributed_cfg(11, soc::ProtectionLevel::kFull));
@@ -175,18 +197,21 @@ TEST_F(SetupCostSoc, BypassRunHashesNothingAndStillExposesTheFormatTree) {
 
 TEST_F(SetupCostSoc, FullBuildAfterBypassMissHashesOnceThenRestores) {
   // A cipher-only miss publishes an entry without a tree; the first
-  // cipher+integrity build of that key builds it, later ones copy it.
+  // cipher+integrity hit of that key builds the snapshot's shared tree
+  // (hashed there, not on the core), later ones share it.
   soc::Soc cipher(distributed_cfg(14, soc::ProtectionLevel::kCipherOnly));
   soc::Soc first(distributed_cfg(14, soc::ProtectionLevel::kFull));
   soc::Soc second(distributed_cfg(14, soc::ProtectionLevel::kFull));
-  EXPECT_EQ(build_tree_hashes(first), full_tree_hashes(first));
+  EXPECT_EQ(build_tree_hashes(first), 0u);
   EXPECT_EQ(build_tree_hashes(second), 0u);
+  EXPECT_EQ(shared_tree_hashes(first), full_tree_hashes(first));
   EXPECT_EQ(first.lcf()->ic().tree().root(), second.lcf()->ic().tree().root());
+  EXPECT_EQ(build_tree_hashes(first), 0u);  // reading the shared heap
 }
 
 TEST_F(SetupCostSoc, ConcurrentFullBuildsOnATreelessEntryHashOnce) {
   // Batch-runner shape: threads race to build the tree of one shared
-  // snapshot; exactly one hashes it, the others wait and copy.
+  // snapshot; exactly one build hashes it, the others wait and share it.
   soc::Soc cipher(distributed_cfg(15, soc::ProtectionLevel::kCipherOnly));
   constexpr std::size_t kThreads = 8;
   std::vector<std::uint64_t> hashes(kThreads);
@@ -200,9 +225,8 @@ TEST_F(SetupCostSoc, ConcurrentFullBuildsOnATreelessEntryHashOnce) {
     });
   }
   for (auto& th : pool) th.join();
-  std::uint64_t total = 0;
-  for (const std::uint64_t h : hashes) total += h;
-  EXPECT_EQ(total, full_tree_hashes(cipher));
+  for (const std::uint64_t h : hashes) EXPECT_EQ(h, 0u);
+  EXPECT_EQ(shared_tree_hashes(cipher), full_tree_hashes(cipher));
   for (const auto& root : roots) EXPECT_EQ(root, roots[0]);
   EXPECT_EQ(roots[0], cipher.lcf()->ic().tree().root());
 }
@@ -228,11 +252,15 @@ soc::SocConfig pinned_datapath_cfg() {
 // else: on an untampered tree the parents an update dirties are never read
 // during the job, and a verify stops at the trusted leaf. The full-path walk
 // this replaced hashed 1 + depth per operation, 46 284 for this job. The
-// modeled cost (hash_invocations) still charges the whole path.
+// modeled cost (hash_invocations) still charges the whole path. A cache
+// miss formats with lazy leaves: it hashes the 1 188 lines the job reads
+// before writing them, once each, instead of the whole tree (4 095) up
+// front; a hit shares the tree the first hit built.
 TEST_F(SetupCostSoc, PinnedDatapathJobHashesOneLeafPerOperation) {
   for (const bool cold : {true, false}) {
     SCOPED_TRACE(cold ? "cache miss" : "cache hit");
     soc::Soc soc(pinned_datapath_cfg());
+    EXPECT_EQ(build_tree_hashes(soc), 0u);
     const auto results = soc.run(30'000'000);
     ASSERT_TRUE(results.completed);
     const IntegrityCore& ic = soc.lcf()->ic();
@@ -241,9 +269,9 @@ TEST_F(SetupCostSoc, PinnedDatapathJobHashesOneLeafPerOperation) {
     EXPECT_EQ(ic.stats().failures, 0u);
     EXPECT_EQ(ic.stats().hash_invocations,
               (1 + ic.tree_depth()) * (ic.stats().updates + ic.stats().verifies));
-    const std::uint64_t format_hashes = cold ? full_tree_hashes(soc) : 0;
+    const std::uint64_t lazy_leaves = cold ? 1188 : 0;
     EXPECT_EQ(ic.tree_hash_count(),
-              format_hashes + ic.stats().updates + ic.stats().verifies);
+              lazy_leaves + ic.stats().updates + ic.stats().verifies);
   }
 }
 

@@ -3,15 +3,18 @@
 // The reference rehashes the whole path on every update and walks the whole
 // path on every verify, the straightforward reading of the model. HashTree
 // hashes only what a verdict depends on (a leaf-only verify on an untampered
-// tree, parents recomputed when next read), so the two must agree on every
-// observable: verify verdicts, first bad levels, OpCosts, the root and every
-// node, across updates, tampering at every level, rebuilds, restores, copies
-// and moves. The reference also bounds host work: HashTree never hashes more.
+// tree, parents recomputed when next read, leaves of a lazy rebuild hashed
+// on first read), so the two must agree on every observable: verify
+// verdicts, first bad levels, OpCosts, the root and every node, across
+// updates, tampering at every level, eager and lazy rebuilds, restores,
+// copies and moves. The reference also bounds host work: HashTree never
+// hashes more.
 #include "crypto/hash_tree.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -167,10 +170,15 @@ void expect_same_verify(const HashTree::VerifyResult& got,
   EXPECT_EQ(got.cost.nodes_touched, want.cost.nodes_touched);
 }
 
-void expect_same_nodes(const Pair& p) {
+// `bounded`: the reference's hash count bounds the tree's. Not so once
+// lazy rebuilds are in play: the reference hashes the image once, while
+// every copy of a lazy tree hashes the leaves it reads itself.
+void expect_same_nodes(const Pair& p, bool bounded = true) {
   EXPECT_EQ(p.tree.root(), p.ref.root());
   EXPECT_EQ(p.tree.nodes(), p.ref.nodes());
-  EXPECT_LE(p.tree.hash_count(), p.ref.hash_count());
+  if (bounded) {
+    EXPECT_LE(p.tree.hash_count(), p.ref.hash_count());
+  }
 }
 
 Bytes random_block(util::Xoshiro256& rng, std::size_t block) {
@@ -201,13 +209,32 @@ void verify_both(Pair& p, util::Xoshiro256& rng, std::size_t leaf,
                      p.ref.verify(leaf, data, version));
 }
 
+// Random image lines at one version: rebuild_lazy() on the tree, the
+// eager rebuild on the reference. The tree holds the image.
+void start_lazily(Pair& p, util::Xoshiro256& rng, std::uint32_t version) {
+  const std::size_t leaves = p.data.size();
+  const std::size_t block = p.data[0].size();
+  const auto image = std::make_shared<Bytes>(leaves * block);
+  rng.fill(std::span<std::uint8_t>(image->data(), image->size()));
+  for (std::size_t l = 0; l < leaves; ++l) {
+    p.data[l].assign(image->begin() + l * block,
+                     image->begin() + (l + 1) * block);
+    p.versions[l] = version;
+  }
+  p.tree.rebuild_lazy(*image, version, image);
+  p.ref.rebuild(*image, p.versions);
+}
+
 // One seeded random sequence over every operation that reads or writes the
 // tree. Tampering is rare, so long untampered stretches with pending
-// parents occur between pokes and rebuilds.
+// parents occur between pokes and rebuilds. With `lazy`, the tree starts
+// from a lazy rebuild and half the rebuilds are lazy.
 void run_random_sequence(std::size_t leaves, std::size_t block,
-                         std::uint64_t seed, std::size_t ops) {
+                         std::uint64_t seed, std::size_t ops,
+                         bool lazy = false) {
   util::Xoshiro256 rng(seed);
   Pair live(leaves, block);
+  if (lazy) start_lazily(live, rng, 1);
   std::vector<Pair> saved;
   const std::size_t depth = live.ref.depth();
   for (std::size_t op = 0; op < ops; ++op) {
@@ -256,16 +283,25 @@ void run_random_sequence(std::size_t leaves, std::size_t block,
       live.tree.poke_node(level, idx, digest);
       live.ref.poke(level, idx, digest);
     } else if (roll < 80) {
-      Bytes image(leaves * block);
-      rng.fill(std::span<std::uint8_t>(image.data(), image.size()));
+      // An eager rebuild at per-leaf versions, or (lazy sequences) a lazy
+      // one at one version whose leaves are hashed on first read.
+      const bool lazy_rebuild = lazy && rng.below(2) == 0;
+      const auto image = std::make_shared<Bytes>(leaves * block);
+      rng.fill(std::span<std::uint8_t>(image->data(), image->size()));
+      const auto lazy_version = static_cast<std::uint32_t>(rng.below(4));
       std::vector<std::uint32_t> versions(leaves);
       for (std::size_t l = 0; l < leaves; ++l) {
-        versions[l] = static_cast<std::uint32_t>(rng.below(4));
-        live.data[l].assign(image.begin() + l * block,
-                            image.begin() + (l + 1) * block);
+        versions[l] = lazy_rebuild ? lazy_version
+                                   : static_cast<std::uint32_t>(rng.below(4));
+        live.data[l].assign(image->begin() + l * block,
+                            image->begin() + (l + 1) * block);
       }
-      live.tree.rebuild(image, versions);
-      live.ref.rebuild(image, versions);
+      if (lazy_rebuild) {
+        live.tree.rebuild_lazy(*image, lazy_version, image);
+      } else {
+        live.tree.rebuild(*image, versions);
+      }
+      live.ref.rebuild(*image, versions);
       live.versions = versions;
     } else if (roll < 84) {
       saved.push_back(live);  // copy construction, pending parents included
@@ -287,18 +323,31 @@ void run_random_sequence(std::size_t leaves, std::size_t block,
           static_cast<std::size_t>(rng.below(leaves >> level));
       EXPECT_EQ(live.tree.peek_node(level, idx), live.ref.peek(level, idx));
     } else {
-      expect_same_nodes(live);
+      expect_same_nodes(live, !lazy);
     }
     if (::testing::Test::HasFailure()) return;
   }
-  expect_same_nodes(live);
-  for (const Pair& p : saved) expect_same_nodes(p);
+  expect_same_nodes(live, !lazy);
+  for (const Pair& p : saved) expect_same_nodes(p, !lazy);
 }
 
 TEST(HashTreeDiff, RandomSequencesMatchTheEagerReference) {
   for (const std::size_t leaves : {2u, 16u, 64u}) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       run_random_sequence(leaves, 32, seed * 7919 + leaves, 1500);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(HashTreeDiff, RandomSequencesFromALazyTreeMatchTheEagerReference) {
+  // Same operations, starting from a lazily rebuilt tree, so restores and
+  // copies of partly materialized trees, pokes on unread leaves and root
+  // reads that fill the rest all occur.
+  for (const std::size_t leaves : {2u, 16u, 64u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      run_random_sequence(leaves, 32, seed * 104729 + leaves, 1500,
+                          /*lazy=*/true);
       if (HasFailure()) return;
     }
   }
@@ -414,6 +463,104 @@ TEST(HashTreeDiff, UntamperedTreeHashesOneLeafPerOperation) {
   // The first read of an internal node recomputes each dirty parent once.
   EXPECT_EQ(p.tree.root(), p.ref.root());
   EXPECT_LE(p.tree.hash_count(), built + 200 + (kLeaves - 1));
+  expect_same_nodes(p);
+}
+
+// --- lazy leaves ------------------------------------------------------------
+
+constexpr std::size_t kLazyLeaves = 16;
+constexpr std::size_t kLazyBlock = 32;
+
+// A lazily rebuilt pair: nothing hashed until a leaf is read.
+Pair lazy_pair(std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  Pair p(kLazyLeaves, kLazyBlock);
+  start_lazily(p, rng, 1);
+  EXPECT_EQ(p.tree.hash_count(), 0u);
+  return p;
+}
+
+// The tree hashes a leaf from the image it was given, not from the memory
+// the image was stored to: a line changed there before its first read
+// fails at the leaf, exactly as against the eagerly built tree.
+TEST(HashTreeDiff, LazyLeafCatchesMemoryTamperedBeforeItsFirstRead) {
+  Pair p = lazy_pair(21);
+  std::vector<Bytes> memory = p.data;  // what a DDR holds after the format
+  memory[5][7] ^= 0x20;
+  const auto tampered = p.tree.verify(5, memory[5], 1);
+  expect_same_verify(tampered, p.ref.verify(5, memory[5], 1));
+  EXPECT_FALSE(tampered.ok);
+  EXPECT_EQ(tampered.first_bad_level, 0u);
+  EXPECT_TRUE(p.tree.verify(4, memory[4], 1).ok);
+  EXPECT_FALSE(p.tree.verify(4, memory[4], 2).ok);  // stale version
+  // Each read leaf hashed once from the image, plus the data of each verify.
+  EXPECT_EQ(p.tree.hash_count(), 2u + 3u);
+  EXPECT_FALSE(p.tree.verify(5, memory[5], 1).ok);  // still caught
+  EXPECT_EQ(p.tree.hash_count(), 2u + 4u);
+}
+
+TEST(HashTreeDiff, RestoreFromAPartlyMaterializedLazyTree) {
+  Pair p = lazy_pair(22);
+  util::Xoshiro256 rng(23);
+  EXPECT_TRUE(p.tree.verify(2, p.data[2], 1).ok);  // materializes leaf 2
+  p.data[9] = random_block(rng, kLazyBlock);
+  p.versions[9] = 2;
+  p.tree.update(9, p.data[9], 2);  // written, never read
+  p.ref.update(9, p.data[9], 2);
+
+  Pair restored(kLazyLeaves, kLazyBlock);
+  restored.tree.restore_from(p.tree);
+  restored.ref.restore_from(p.ref);
+  restored.data = p.data;
+  restored.versions = p.versions;
+  EXPECT_EQ(restored.tree.hash_count(), 0u);  // restoring hashes nothing
+  for (std::size_t leaf = 0; leaf < kLazyLeaves; ++leaf) {
+    expect_same_verify(
+        restored.tree.verify(leaf, restored.data[leaf], restored.versions[leaf]),
+        restored.ref.verify(leaf, restored.data[leaf], restored.versions[leaf]));
+  }
+  // Leaves 2 and 9 came along; the other 14 were hashed from the image.
+  EXPECT_EQ(restored.tree.hash_count(), kLazyLeaves + (kLazyLeaves - 2));
+  expect_same_nodes(restored);
+  // The source is unaffected by its copy's reads and keeps working.
+  EXPECT_EQ(p.tree.hash_count(), 2u + 1u);
+  expect_same_nodes(p);
+}
+
+TEST(HashTreeDiff, RootAndPeekOfALazyTreeFillTheRest) {
+  Pair peeked = lazy_pair(24);
+  EXPECT_TRUE(peeked.tree.verify(0, peeked.data[0], 1).ok);
+  EXPECT_EQ(peeked.tree.peek_node(0, 11), peeked.ref.peek(0, 11));
+  // One read leaf + its data, then the 15 other leaves and 15 parents.
+  EXPECT_EQ(peeked.tree.hash_count(), 2u + (kLazyLeaves - 1) + (kLazyLeaves - 1));
+  for (std::size_t level = 0; level <= peeked.ref.depth(); ++level) {
+    for (std::size_t idx = 0; idx < (kLazyLeaves >> level); ++idx) {
+      EXPECT_EQ(peeked.tree.peek_node(level, idx), peeked.ref.peek(level, idx));
+    }
+  }
+  expect_same_nodes(peeked);
+
+  Pair rooted = lazy_pair(24);
+  EXPECT_EQ(rooted.tree.root(), rooted.ref.root());
+  EXPECT_EQ(rooted.tree.hash_count(), 2 * kLazyLeaves - 1);
+  EXPECT_EQ(rooted.tree.root(), peeked.tree.root());
+}
+
+TEST(HashTreeDiff, PokeOnAnUnmaterializedLazyLeaf) {
+  Pair p = lazy_pair(25);
+  util::Xoshiro256 rng(26);
+  const Sha256Digest garbage = random_digest(rng);
+  p.tree.poke_node(0, 3, garbage);
+  p.ref.poke(0, 3, garbage);
+  EXPECT_EQ(p.tree.peek_node(0, 3), garbage);
+  for (std::size_t leaf = 0; leaf < kLazyLeaves; ++leaf) {
+    expect_same_verify(p.tree.verify(leaf, p.data[leaf], 1),
+                       p.ref.verify(leaf, p.data[leaf], 1));
+  }
+  EXPECT_FALSE(p.tree.verify(3, p.data[3], 1).ok);
+  const auto sibling = p.tree.verify(2, p.data[2], 1);
+  EXPECT_FALSE(sibling.ok);
+  EXPECT_EQ(sibling.first_bad_level, 1u);
   expect_same_nodes(p);
 }
 

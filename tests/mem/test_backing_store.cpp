@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace secbus::mem {
@@ -88,6 +89,117 @@ TEST(BackingStore, LargeMultiPageWrite) {
   store.read(100, back);
   EXPECT_EQ(back, data);
   EXPECT_EQ(store.allocated_pages(), 4u);
+}
+
+// An immutable image of `pages` pages (plus `extra` bytes) held the way the
+// setup cache holds a formatted region.
+std::shared_ptr<const std::vector<std::uint8_t>> image(std::size_t pages,
+                                                       std::size_t extra = 0) {
+  auto bytes = std::make_shared<std::vector<std::uint8_t>>(
+      pages * BackingStore::kPageBytes + extra);
+  for (std::size_t i = 0; i < bytes->size(); ++i) {
+    (*bytes)[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  return bytes;
+}
+
+std::vector<std::uint8_t> read_back(const BackingStore& store, sim::Addr addr,
+                                    std::size_t len) {
+  std::vector<std::uint8_t> out(len);
+  store.read(addr, out);
+  return out;
+}
+
+TEST(BackingStore, SharedRangeReadsLikeAWrite) {
+  const auto img = image(3);
+  BackingStore store;
+  store.share(0x8000, *img, img);
+  EXPECT_EQ(read_back(store, 0x8000, img->size()), *img);
+  EXPECT_EQ(store.allocated_pages(), 3u);
+  EXPECT_EQ(store.shared_pages(), 3u);
+  EXPECT_EQ(store.bytes_written(), img->size());
+  EXPECT_EQ(store.read_byte(0x8000 - 1), 0x00);  // outside stays fill
+}
+
+TEST(BackingStore, WriteAndPokeToASharedPageLeaveTheSnapshotAlone) {
+  const auto img = image(4);
+  const std::vector<std::uint8_t> pristine = *img;
+  BackingStore first;
+  BackingStore second;
+  first.share(0x10000, *img, img);
+  second.share(0x10000, *img, img);
+
+  const std::vector<std::uint8_t> data{0xDE, 0xAD, 0xBE, 0xEF};
+  first.write(0x10000 + 5, data);
+  first.poke(0x10000 + 2 * BackingStore::kPageBytes + 100, data);
+  EXPECT_EQ(first.shared_pages(), 2u);  // two pages copied on first write
+  EXPECT_EQ(first.allocated_pages(), 4u);
+  EXPECT_EQ(read_back(first, 0x10000 + 5, 4), data);
+  EXPECT_EQ(read_back(first, 0x10000 + 2 * BackingStore::kPageBytes + 100, 4),
+            data);
+  // The rest of a copied page keeps the shared bytes.
+  EXPECT_EQ(first.read_byte(0x10000 + 4), (*img)[4]);
+  EXPECT_EQ(first.read_byte(0x10000 + 9), (*img)[9]);
+
+  EXPECT_EQ(*img, pristine);
+  EXPECT_EQ(read_back(second, 0x10000, img->size()), pristine);
+  EXPECT_EQ(second.shared_pages(), 4u);
+
+  // A store built from the snapshot after the writes still sees it intact.
+  BackingStore third;
+  third.share(0x10000, *img, img);
+  EXPECT_EQ(read_back(third, 0x10000, img->size()), pristine);
+}
+
+TEST(BackingStore, SharedPagesOutliveTheCallersHandle) {
+  BackingStore store;
+  std::vector<std::uint8_t> expected;
+  {
+    const auto img = image(2);
+    expected = *img;
+    store.share(0, *img, img);
+  }  // the store's pages keep the image alive
+  EXPECT_EQ(read_back(store, 0, expected.size()), expected);
+}
+
+TEST(BackingStore, UnalignedShareWritesItsPartialEdgePages) {
+  const auto img = image(2, 100);  // 2 pages + 100 bytes, offset by 50
+  BackingStore store;
+  store.write_byte(10, 0x77);  // outside the range, on the head page
+  const sim::Addr addr = 50;
+  store.share(addr, *img, img);
+  EXPECT_EQ(read_back(store, addr, img->size()), *img);
+  EXPECT_EQ(store.read_byte(10), 0x77);
+  // Pages [1, 2) are whole inside the range; page 0 and 2 are edges.
+  EXPECT_EQ(store.shared_pages(), 1u);
+  EXPECT_EQ(store.allocated_pages(), 3u);
+  EXPECT_EQ(store.bytes_written(), 1 + img->size());
+}
+
+TEST(BackingStore, ReSharingMovesTheFlatIndexAndKeepsOtherPages) {
+  const auto a = image(2);
+  const auto b = image(1);
+  BackingStore store;
+  store.share(0, *a, a);
+  store.write_byte(BackingStore::kPageBytes + 3, 0x42);  // copies page 1
+  store.write_byte(9 * BackingStore::kPageBytes, 0x43);  // outside the window
+  store.share(5 * BackingStore::kPageBytes, *b, b);
+  EXPECT_EQ(read_back(store, 0, BackingStore::kPageBytes),
+            std::vector<std::uint8_t>(a->begin(),
+                                      a->begin() + BackingStore::kPageBytes));
+  EXPECT_EQ(store.read_byte(BackingStore::kPageBytes + 3), 0x42);
+  EXPECT_EQ(store.read_byte(9 * BackingStore::kPageBytes), 0x43);
+  EXPECT_EQ(read_back(store, 5 * BackingStore::kPageBytes, b->size()), *b);
+  EXPECT_EQ(store.allocated_pages(), 4u);
+  EXPECT_EQ(store.shared_pages(), 2u);  // page 0 of a, page 5 of b
+
+  // Sharing over written pages replaces them.
+  store.share(0, *a, a);
+  EXPECT_EQ(read_back(store, 0, a->size()), *a);
+  EXPECT_EQ(store.allocated_pages(), 4u);
+  store.clear();
+  EXPECT_EQ(store.allocated_pages(), 0u);
+  EXPECT_EQ(store.read_byte(0), 0x00);
 }
 
 }  // namespace

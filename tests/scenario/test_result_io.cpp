@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -236,7 +237,8 @@ TEST(ResultIo, RejectsMalformedDocuments) {
 void expect_hist_rejected(
     const std::vector<std::pair<std::uint64_t, std::uint64_t>>& buckets,
     std::uint64_t count, std::uint64_t overflow, std::uint64_t min,
-    std::uint64_t max, const std::string& problem) {
+    std::uint64_t max, const std::string& problem,
+    std::optional<std::uint64_t> sum = std::nullopt) {
   util::Json j = job_result_to_json(adversarial_result());
   util::Json hist = *j.find("latency_hist");
   util::Json table = util::Json::array();
@@ -251,6 +253,7 @@ void expect_hist_rejected(
   hist.set("buckets", std::move(table));
   hist.set("min", util::Json::number(min));
   hist.set("max", util::Json::number(max));
+  if (sum) hist.set("sum", util::Json::number(*sum));
   j.set("latency_hist", std::move(hist));
   JobResult parsed;
   std::string error;
@@ -266,6 +269,26 @@ TEST(ResultIo, RejectsHistogramTablesThatDoNotAddUp) {
   expect_hist_rejected({{3, 2}, {500, 1}}, 5, 1, 3, 99'999,
                        "buckets + overflow != count");
   expect_hist_rejected({}, 4, 0, 3, 99'999, "buckets + overflow != count");
+  // Tables no histogram can write, where a percentile would land outside
+  // [min, max] or the buckets claim more latency than the sum (100 505).
+  expect_hist_rejected({{3, 2}, {500, 1}}, 4, 1, 4, 99'999,
+                       "bucket below min");
+  expect_hist_rejected({{3, 2}, {500, 2}}, 4, 0, 3, 499, "bucket above max");
+  expect_hist_rejected({{3, 2}, {500, 1}}, 4, 1, 3, 99'999,
+                       "sum below what the buckets and overflow account for",
+                       std::uint64_t{506 + 16'384 - 1});
+  expect_hist_rejected({{3, 2}, {16'000, 2}}, 4, 0, 3, 16'000,
+                       "sum below what the buckets and overflow account for",
+                       std::uint64_t{32'005});
+  // Checked arithmetic: a lower bound past u64 is past any sum.
+  expect_hist_rejected({{3, 2}}, 2 + (UINT64_MAX >> 2), UINT64_MAX >> 2, 3,
+                       99'999,
+                       "sum below what the buckets and overflow account for",
+                       UINT64_MAX);
+  expect_hist_rejected({{16'383, UINT64_MAX >> 4}}, UINT64_MAX >> 4, 0,
+                       16'383, 16'383,
+                       "sum below what the buckets and overflow account for",
+                       UINT64_MAX);
 }
 
 TEST(ResultIo, RejectsRepeatedOrDescendingBucketCycles) {
