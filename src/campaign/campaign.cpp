@@ -85,24 +85,13 @@ bool campaign_from_json(const util::Json& j, CampaignSpec& out,
   return true;
 }
 
-util::Json campaign_to_json(const CampaignSpec& campaign) {
-  using util::Json;
-  Json j = Json::object();
-  j.set("name", Json::string(campaign.name));
-  j.set("description", Json::string(campaign.description));
-  j.set("base", spec_to_json(campaign.base));
-  Json grid = axes_to_json(campaign.axes);
-  if (!campaign.attacks.empty()) {
-    Json arr = Json::array();
-    for (const scenario::AttackPlan& plan : campaign.attacks) {
-      arr.push(attack_to_json(plan));
-    }
-    // Attack is the outermost axis; keep it first in the emitted grid.
-    grid.members().insert(grid.members().begin(),
-                          {"attack", std::move(arr)});
-  }
-  j.set("grid", std::move(grid));
-  return j;
+void write_campaign(util::JsonWriter& w, const CampaignSpec& campaign) {
+  w.begin_object()
+      .member("name", campaign.name)
+      .member("description", campaign.description);
+  write_spec(w.key("base"), campaign.base);
+  write_axes(w.key("grid"), campaign.axes, campaign.attacks);
+  w.end_object();
 }
 
 bool load_campaign_file(const std::string& path, CampaignSpec& out,
@@ -123,7 +112,11 @@ bool load_campaign_file(const std::string& path, CampaignSpec& out,
 
 bool save_campaign_file(const std::string& path, const CampaignSpec& campaign,
                         std::string* error) {
-  return util::write_file(path, campaign_to_json(campaign).dump(), error);
+  std::string text;
+  util::JsonWriter w(text, 2);
+  write_campaign(w, campaign);
+  text += '\n';
+  return util::write_file(path, text, error);
 }
 
 bool validate_campaign(const CampaignSpec& campaign, std::string* error) {

@@ -55,7 +55,8 @@ inline constexpr std::size_t kMaxCampaignJobs = 1'000'000;
 // --- JSON <-> CampaignSpec --------------------------------------------------
 bool campaign_from_json(const util::Json& j, CampaignSpec& out,
                         std::string* error);
-[[nodiscard]] util::Json campaign_to_json(const CampaignSpec& campaign);
+// Streams the campaign document campaign_from_json reads back.
+void write_campaign(util::JsonWriter& w, const CampaignSpec& campaign);
 
 // Reads and parses `path`; errors carry the file name and either a JSON
 // parse position or the offending JSON path.

@@ -403,7 +403,9 @@ FleetServer::FleetServer(net::Transport& transport,
   Json msg = Json::object();
   msg.set("type", Json::string("campaign"));
   msg.set("name", Json::string(campaign_name_));
-  msg.set("campaign", campaign_to_json(campaign));
+  msg.set("campaign", util::written_tree([&](util::JsonWriter& w) {
+            write_campaign(w, campaign);
+          }));
   msg.set("grid", fleet_grid_to_json(options_.grid));
   msg.set("shards", Json::number(static_cast<std::uint64_t>(options_.shards)));
   msg.set("grid_fingerprint", Json::number(grid_fp_));

@@ -157,11 +157,6 @@ void write_topology(util::JsonWriter& w, const soc::TopologySpec& topo) {
   w.member("hop_latency", topo.hop_latency).end_object();
 }
 
-util::Json topology_to_json(const soc::TopologySpec& topo) {
-  return util::written_tree(
-      [&](util::JsonWriter& w) { write_topology(w, topo); });
-}
-
 bool topology_from_json(const util::Json& j, const std::string& path,
                         soc::TopologySpec& out, std::string* error) {
   if (j.is_string()) {
@@ -258,10 +253,6 @@ void write_soc(util::JsonWriter& w, const soc::SocConfig& cfg) {
       .member("max_burst_beats", cfg.max_burst_beats)
       .member("extra_rules", cfg.extra_rules)
       .end_object();
-}
-
-util::Json soc_to_json(const soc::SocConfig& cfg) {
-  return util::written_tree([&](util::JsonWriter& w) { write_soc(w, cfg); });
 }
 
 bool soc_from_json(const util::Json& j, const std::string& path,
@@ -384,11 +375,6 @@ void write_attack(util::JsonWriter& w, const scenario::AttackPlan& plan) {
       .end_object();
 }
 
-util::Json attack_to_json(const scenario::AttackPlan& plan) {
-  return util::written_tree(
-      [&](util::JsonWriter& w) { write_attack(w, plan); });
-}
-
 bool attack_from_json(const util::Json& j, const std::string& path,
                       scenario::AttackPlan& out, std::string* error) {
   // A bare string is shorthand for {"kind": "..."} with default shaping.
@@ -432,10 +418,6 @@ void write_spec(util::JsonWriter& w, const scenario::ScenarioSpec& spec) {
   w.member("max_cycles", spec.max_cycles).end_object();
 }
 
-util::Json spec_to_json(const scenario::ScenarioSpec& spec) {
-  return util::written_tree([&](util::JsonWriter& w) { write_spec(w, spec); });
-}
-
 bool spec_from_json(const util::Json& j, const std::string& path,
                     scenario::ScenarioSpec& out, std::string* error) {
   ObjectReader r(j, path, error);
@@ -463,50 +445,30 @@ bool spec_from_json(const util::Json& j, const std::string& path,
 
 // --- SweepAxes --------------------------------------------------------------
 
-util::Json axes_to_json(const scenario::SweepAxes& axes) {
-  using util::Json;
-  Json j = Json::object();
-  if (!axes.topology.empty()) {
-    Json arr = Json::array();
-    for (const soc::TopologySpec& t : axes.topology) {
-      arr.push(topology_to_json(t));
-    }
-    j.set("topology", std::move(arr));
-  }
-  const auto u64_axis = [&j](const char* key, const auto& values) {
+void write_axes(util::JsonWriter& w, const scenario::SweepAxes& axes,
+                std::span<const scenario::AttackPlan> attacks) {
+  w.begin_object();
+  const auto axis = [&w](const char* key, const auto& values,
+                         const auto& write_value) {
     if (values.empty()) return;
-    Json arr = Json::array();
-    for (const auto v : values) {
-      arr.push(Json::number(static_cast<std::uint64_t>(v)));
-    }
-    j.set(key, std::move(arr));
+    w.key(key).begin_array();
+    for (const auto& v : values) write_value(v);
+    w.end_array();
   };
-  u64_axis("cpus", axes.cpus);
-  if (!axes.security.empty()) {
-    Json arr = Json::array();
-    for (const soc::SecurityMode m : axes.security) {
-      arr.push(Json::string(to_string(m)));
-    }
-    j.set("security", std::move(arr));
-  }
-  if (!axes.protection.empty()) {
-    Json arr = Json::array();
-    for (const soc::ProtectionLevel p : axes.protection) {
-      arr.push(Json::string(to_string(p)));
-    }
-    j.set("protection", std::move(arr));
-  }
-  u64_axis("extra_rules", axes.extra_rules);
-  u64_axis("line_bytes", axes.line_bytes);
-  if (!axes.external_fraction.empty()) {
-    Json arr = Json::array();
-    for (const double f : axes.external_fraction) {
-      arr.push(Json::number(f));
-    }
-    j.set("external_fraction", std::move(arr));
-  }
-  u64_axis("seeds", axes.seeds);
-  return j;
+  const auto number = [&w](const auto v) { w.value(v); };
+  const auto name = [&w](const auto v) { w.value(to_string(v)); };
+  axis("attack", attacks,
+       [&w](const scenario::AttackPlan& plan) { write_attack(w, plan); });
+  axis("topology", axes.topology,
+       [&w](const soc::TopologySpec& t) { write_topology(w, t); });
+  axis("cpus", axes.cpus, number);
+  axis("security", axes.security, name);
+  axis("protection", axes.protection, name);
+  axis("extra_rules", axes.extra_rules, number);
+  axis("line_bytes", axes.line_bytes, number);
+  axis("external_fraction", axes.external_fraction, number);
+  axis("seeds", axes.seeds, number);
+  w.end_object();
 }
 
 bool axes_from_json(const util::Json& j, const std::string& path,
@@ -650,77 +612,6 @@ bool axes_from_json(const util::Json& j, const std::string& path,
   if (!r.finish()) return false;
   out = std::move(axes);
   return true;
-}
-
-// --- equality ---------------------------------------------------------------
-
-bool topology_equal(const soc::TopologySpec& a,
-                    const soc::TopologySpec& b) noexcept {
-  if (a.kind != b.kind || a.hop_latency != b.hop_latency) return false;
-  switch (a.kind) {
-    case soc::TopologyKind::kFlat: return true;
-    case soc::TopologyKind::kStar: return a.star_leaves == b.star_leaves;
-    case soc::TopologyKind::kMesh:
-      return a.mesh_rows == b.mesh_rows && a.mesh_cols == b.mesh_cols;
-  }
-  return false;
-}
-
-bool soc_equal(const soc::SocConfig& a, const soc::SocConfig& b) noexcept {
-  return a.processors == b.processors &&
-         topology_equal(a.topology, b.topology) &&
-         a.dedicated_ip == b.dedicated_ip &&
-         a.memory_segment == b.memory_segment &&
-         a.bram_segment == b.bram_segment && a.ddr_segment == b.ddr_segment &&
-         a.dma_segment == b.dma_segment && a.security == b.security &&
-         a.protection == b.protection &&
-         a.enable_reconfig == b.enable_reconfig &&
-         a.trace_capacity == b.trace_capacity && a.bram_base == b.bram_base &&
-         a.bram_size == b.bram_size && a.ddr_base == b.ddr_base &&
-         a.ddr_size == b.ddr_size &&
-         a.ddr_protected_base == b.ddr_protected_base &&
-         a.ddr_protected_size == b.ddr_protected_size &&
-         a.line_bytes == b.line_bytes &&
-         a.clock.freq_hz == b.clock.freq_hz &&
-         a.sb_check_cycles == b.sb_check_cycles &&
-         a.cc_latency == b.cc_latency &&
-         a.cc_bits_per_cycle == b.cc_bits_per_cycle &&
-         a.ic_latency == b.ic_latency &&
-         a.ic_bits_per_cycle == b.ic_bits_per_cycle && a.seed == b.seed &&
-         a.transactions_per_cpu == b.transactions_per_cpu &&
-         a.write_fraction == b.write_fraction &&
-         a.external_fraction == b.external_fraction &&
-         a.compute_min == b.compute_min && a.compute_max == b.compute_max &&
-         a.max_burst_beats == b.max_burst_beats &&
-         a.extra_rules == b.extra_rules;
-}
-
-bool attack_equal(const scenario::AttackPlan& a,
-                  const scenario::AttackPlan& b) noexcept {
-  return a.kind == b.kind && a.flood_writes == b.flood_writes &&
-         a.flood_burst_beats == b.flood_burst_beats &&
-         a.rate_limit_window == b.rate_limit_window &&
-         a.rate_limit_max == b.rate_limit_max &&
-         a.corruption_flips == b.corruption_flips;
-}
-
-bool spec_equal(const scenario::ScenarioSpec& a,
-                const scenario::ScenarioSpec& b) noexcept {
-  return a.name == b.name && a.variant == b.variant &&
-         a.description == b.description && soc_equal(a.soc, b.soc) &&
-         attack_equal(a.attack, b.attack) && a.max_cycles == b.max_cycles;
-}
-
-bool axes_equal(const scenario::SweepAxes& a,
-                const scenario::SweepAxes& b) noexcept {
-  if (a.topology.size() != b.topology.size()) return false;
-  for (std::size_t i = 0; i < a.topology.size(); ++i) {
-    if (!topology_equal(a.topology[i], b.topology[i])) return false;
-  }
-  return a.cpus == b.cpus && a.security == b.security &&
-         a.protection == b.protection && a.extra_rules == b.extra_rules &&
-         a.line_bytes == b.line_bytes &&
-         a.external_fraction == b.external_fraction && a.seeds == b.seeds;
 }
 
 }  // namespace secbus::campaign

@@ -301,41 +301,30 @@ void LocalCipheringFirewall::format_protected_region() {
   // the shared tree) and a miss hashes a leaf only when its line is first
   // read.
   const bool ciphered = cm_ == ConfidentialityMode::kCipher;
+  FormatKey cache_key;
+  cache_key.protected_base = cfg_.protected_base;
+  cache_key.protected_size = cfg_.protected_size;
+  cache_key.line_bytes = cfg_.line_bytes;
+  cache_key.ciphered = ciphered;
+  // Plaintext images are key-independent; a zeroed key lets every seed
+  // share the one entry.
+  if (ciphered) cache_key.key = config_mem_->policy(id_).key;
 
-  // Snapshots bind version 1 into every leaf, so only a pristine core (a
-  // re-format after traffic advanced versions is legal API use) may format
-  // from one; anything else recomputes image and tree in place.
-  if (!ic_.pristine()) {
-    const std::vector<std::uint8_t> image = formatted_image(ciphered);
-    ic_.bulk_update_all(image);
-    inner_->store().write(cfg_.protected_base,
-                          std::span<const std::uint8_t>(image.data(), image.size()));
-  } else {
-    FormatKey cache_key;
-    cache_key.protected_base = cfg_.protected_base;
-    cache_key.protected_size = cfg_.protected_size;
-    cache_key.line_bytes = cfg_.line_bytes;
-    cache_key.ciphered = ciphered;
-    // Plaintext images are key-independent; a zeroed key lets every seed
-    // share the one entry.
-    if (ciphered) cache_key.key = config_mem_->policy(id_).key;
-
-    FormatCache& cache = FormatCache::instance();
-    std::shared_ptr<const FormatSnapshot> snap = cache.find(cache_key);
-    const bool hit = snap != nullptr;
-    if (!hit) {
-      auto fresh = std::make_shared<FormatSnapshot>();
-      fresh->image = formatted_image(ciphered);
-      snap = std::move(fresh);
-      cache.insert(cache_key, snap);
-    }
-    // The DDR reads the snapshot's pages until it writes them.
-    inner_->store().share(cfg_.protected_base, snap->image, snap);
-    ic_.format_from(std::move(snap), hit);
-    // Charge the tree to setup when this policy will read it; a bypass
-    // policy defers it until (unless) integrity is switched on.
-    if (im_ == IntegrityMode::kHashTree) ic_.build_tree();
+  FormatCache& cache = FormatCache::instance();
+  std::shared_ptr<const FormatSnapshot> snap = cache.find(cache_key);
+  const bool hit = snap != nullptr;
+  if (!hit) {
+    auto fresh = std::make_shared<FormatSnapshot>();
+    fresh->image = formatted_image(ciphered);
+    snap = std::move(fresh);
+    cache.insert(cache_key, snap);
   }
+  // The DDR reads the snapshot's pages until it writes them.
+  inner_->store().share(cfg_.protected_base, snap->image, snap);
+  ic_.format_from(std::move(snap), hit);
+  // Charge the tree to setup when this policy will read it; a bypass
+  // policy defers it until (unless) integrity is switched on.
+  if (im_ == IntegrityMode::kHashTree) ic_.build_tree();
 
   // Formatting is init-time work (the bitstream/loader does it before the
   // system runs); keep the runtime statistics clean.
@@ -345,17 +334,16 @@ void LocalCipheringFirewall::format_protected_region() {
 
 std::vector<std::uint8_t> LocalCipheringFirewall::formatted_image(
     bool ciphered) {
-  // Zero lines, enciphered under each line's next version — the version the
-  // format advances it to.
+  // Zero lines, enciphered under version 1 — the version the format
+  // advances every line of a pristine core to.
   std::vector<std::uint8_t> image(static_cast<std::size_t>(cfg_.protected_size), 0);
   if (ciphered) {
     const std::uint64_t lines = cfg_.protected_size / cfg_.line_bytes;
     for (std::uint64_t i = 0; i < lines; ++i) {
       const sim::Addr line_addr = cfg_.protected_base + i * cfg_.line_bytes;
-      const std::uint32_t next_version = ic_.version_of(line_addr) + 1;
       const auto line = std::span<std::uint8_t>(
           image.data() + i * cfg_.line_bytes, cfg_.line_bytes);
-      (void)cc_.encrypt(line_addr, next_version, line, line);
+      (void)cc_.encrypt(line_addr, 1, line, line);
     }
   }
   return image;

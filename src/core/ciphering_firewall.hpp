@@ -79,7 +79,8 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
   // zeros. The tree over the new image is set up now when the policy checks
   // integrity (shared from the setup cache, or hashing each leaf on its
   // line's first read), and only once integrity is switched on otherwise.
-  // Init-time operation; charges no simulated cycles.
+  // Init-time operation, once per LCF and before any protected access (the
+  // IC asserts it is pristine); charges no simulated cycles.
   void format_protected_region();
 
   // Key rotation (reconfiguration of security services, Section VI):

@@ -34,7 +34,6 @@ FormatCache& FormatCache::instance() {
 
 std::shared_ptr<const FormatSnapshot> FormatCache::find(const FormatKey& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (!enabled_) return nullptr;
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++stats_.misses;
@@ -47,7 +46,7 @@ std::shared_ptr<const FormatSnapshot> FormatCache::find(const FormatKey& key) {
 void FormatCache::insert(const FormatKey& key,
                          std::shared_ptr<const FormatSnapshot> snap) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (!enabled_ || snap == nullptr) return;
+  if (snap == nullptr) return;
   if (!entries_.emplace(key, std::move(snap)).second) return;  // first wins
   insertion_order_.push_back(key);
   ++stats_.insertions;
@@ -56,16 +55,6 @@ void FormatCache::insert(const FormatKey& key,
     insertion_order_.pop_front();
     ++stats_.evictions;
   }
-}
-
-void FormatCache::set_enabled(bool enabled) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  enabled_ = enabled;
-}
-
-bool FormatCache::enabled() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return enabled_;
 }
 
 void FormatCache::clear() {

@@ -16,10 +16,10 @@
 // bypasses integrity never asks for one.
 //
 // Bit-identity is the contract, not an optimization target: the key covers
-// every input that reaches the image or the tree, the restore path advances
-// versions exactly like the computing path, and core_test_format_cache +
+// every input that reaches the image or the tree, a hit and a miss format
+// the core from the same kind of snapshot, and core_test_format_cache +
 // the determinism suite verify results are indistinguishable with the cache
-// on, off, warm or cold.
+// warm or cold (clear() before a build forces the miss path).
 //
 // The cache is per process (shard workers each warm their own), bounded
 // (FIFO eviction), and thread-safe: batch-runner workers constructing SoCs
@@ -61,10 +61,9 @@ struct FormatKey {
 };
 
 // The finished format: what the DDR backing store holds and, built on
-// demand, the hash tree immediately after bulk_update_all(image) on a
-// pristine core (every leaf at version 1). Shared read-only between the
-// cache, every DDR store that shares its image pages and every Integrity
-// Core formatted from it.
+// demand, the hash tree over it with every leaf at version 1. Shared
+// read-only between the cache, every DDR store that shares its image pages
+// and every Integrity Core formatted from it.
 struct FormatSnapshot {
   std::vector<std::uint8_t> image;
 
@@ -93,22 +92,16 @@ class FormatCache {
 
   static FormatCache& instance();
 
-  // Snapshot for `key`, or nullptr on miss / when disabled (both count as
-  // misses only when enabled).
+  // Snapshot for `key`, or nullptr on a miss.
   [[nodiscard]] std::shared_ptr<const FormatSnapshot> find(
       const FormatKey& key);
 
-  // Publishes a freshly-computed snapshot; no-op when disabled. Concurrent
-  // inserts of the same key are benign (workers compute identical
-  // snapshots; first wins).
+  // Publishes a freshly-computed snapshot. Concurrent inserts of the same
+  // key are benign (workers compute identical snapshots; first wins).
   void insert(const FormatKey& key, std::shared_ptr<const FormatSnapshot> snap);
 
-  // Process-wide switch (benchmarking the uncached baseline, paranoia
-  // escape hatch). Disabling does not drop existing entries; clear() does.
-  void set_enabled(bool enabled);
-  [[nodiscard]] bool enabled();
-
-  // Drops every entry and zeroes the stats (test isolation).
+  // Drops every entry and zeroes the stats (test isolation; the next build
+  // of every key takes the miss path).
   void clear();
   [[nodiscard]] Stats stats();
 
@@ -126,7 +119,6 @@ class FormatCache {
   };
 
   std::mutex mutex_;
-  bool enabled_ = true;
   Stats stats_;
   std::unordered_map<FormatKey, std::shared_ptr<const FormatSnapshot>, KeyHash>
       entries_;

@@ -83,18 +83,6 @@ std::uint32_t IntegrityCore::advance_version(sim::Addr line_addr) {
   return ++version;
 }
 
-void IntegrityCore::bulk_update_all(std::span<const std::uint8_t> image) {
-  for (std::uint32_t& version : versions_) {
-    if (version == 0xFFFFFFFFu) ++stats_.version_wraps;
-    ++version;
-  }
-  deferred_format_ = nullptr;
-  tree_.rebuild(image, std::span<const std::uint32_t>(versions_.data(),
-                                                      versions_.size()));
-  stats_.updates += versions_.size();
-  stats_.hash_invocations += 2 * tree_.leaf_count() - 1;
-}
-
 bool IntegrityCore::pristine() const noexcept {
   for (const std::uint32_t version : versions_) {
     if (version != 0) return false;

@@ -82,30 +82,25 @@ class IntegrityCore {
   // protected region at version 0 (system initialization / key rotation).
   void rebuild_from(std::span<const std::uint8_t> image);
 
-  // Bulk equivalent of update_line() over every line of `image`: advances
-  // every line's version by one and rebuilds the tree in one bottom-up pass
-  // — O(nodes) hashes instead of O(lines * depth). Used by region
-  // formatting, where per-line root refreshes would be pure waste.
-  void bulk_update_all(std::span<const std::uint8_t> image);
-
-  // Deferred twin of bulk_update_all(snap.image) for a pristine core:
-  // advances every line to version 1 now and keeps `snap` until the tree is
-  // first read. The tree is then the snapshot's tree: with `shared_tree`
-  // (a cache hit, so the key repeats) the one FormatSnapshot::tree() builds
-  // once for every core, whose node heap this core shares; otherwise one
-  // whose leaves are hashed from snap.image on first read (lazy leaves). The
-  // two are indistinguishable downstream (core::FormatCache relies on
-  // this). Stats are untouched: formatting is init-time work. Only valid on
-  // a pristine core, since snapshots bind version 1 into every leaf;
-  // callers check pristine() and use bulk_update_all() otherwise.
+  // Formats a pristine core from `snap`, the stored image of the whole
+  // protected region: advances every line to version 1 now and keeps
+  // `snap` until the tree is first read. The tree is then the snapshot's
+  // tree: with `shared_tree` (a cache hit, so the key repeats) the one
+  // FormatSnapshot::tree() builds once for every core, whose node heap this
+  // core shares; otherwise one whose leaves are hashed from snap.image on
+  // first read (lazy leaves). The two are indistinguishable downstream
+  // (core::FormatCache relies on this). Stats are untouched: formatting is
+  // init-time work. Only valid on a pristine core, since snapshots bind
+  // version 1 into every leaf: a region is formatted once, at system
+  // initialization.
   void format_from(std::shared_ptr<const FormatSnapshot> snap, bool shared_tree);
 
   // Builds a tree deferred by format_from() now; a no-op otherwise. Lets
   // the LCF charge the tree to setup when its policy checks integrity.
   void build_tree() const;
 
-  // True while no line's version has ever advanced (the state a snapshot
-  // taken right after construction + bulk_update_all corresponds to).
+  // True while no line's version has ever advanced (the only state
+  // format_from accepts).
   [[nodiscard]] bool pristine() const noexcept;
 
   [[nodiscard]] sim::Cycle cost_for_bits(std::uint64_t bits) const noexcept;

@@ -1,11 +1,11 @@
 #include "obs/fleet_timeline.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
 #include <map>
+#include <tuple>
 #include <utility>
 
+#include "obs/chrome_trace.hpp"
+#include "util/fileio.hpp"
 #include "util/json.hpp"
 
 namespace secbus::obs {
@@ -13,28 +13,6 @@ namespace {
 
 using campaign::AuditEvent;
 using campaign::AuditRecord;
-
-// Same one-event-per-line array builder as trace_export.cpp.
-class EventArray {
- public:
-  explicit EventArray(std::string& out) : out_(out) {}
-
-  std::string& line() {
-    out_ += first_ ? "\n  " : ",\n  ";
-    first_ = false;
-    return out_;
-  }
-
- private:
-  std::string& out_;
-  bool first_ = true;
-};
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
 
 struct OpenLease {
   std::uint64_t ts = 0;
@@ -63,30 +41,14 @@ std::string fleet_timeline_json(const std::vector<AuditRecord>& records,
   }
   st.tracks = track_names.size();
 
-  std::string out;
-  out.reserve(records.size() * 96 + 1024);
-  out += "{\"traceEvents\":[";
-  EventArray arr(out);
-
-  arr.line() +=
-      "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-      "\"args\":{\"name\":\"secbus fleet\"}}";
+  ChromeTraceWriter out("secbus fleet", records.size() * 96 + 1024);
   for (std::size_t i = 0; i < track_names.size(); ++i) {
-    std::string& l = arr.line();
-    l += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
-    append_u64(l, i + 1);
-    l += ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    util::JsonWriter(l).value(track_names[i]);
-    l += "}}";
+    out.track(i + 1, track_names[i]);
   }
 
   const auto emit_instant = [&](const AuditRecord& r, int tid,
                                 const char* name) {
-    std::string& l = arr.line();
-    l += "{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":";
-    append_u64(l, static_cast<std::uint64_t>(tid));
-    l += ",\"ts\":";
-    append_u64(l, r.t_ms);
+    std::string& l = out.event('i', static_cast<std::uint64_t>(tid), r.t_ms);
     l += ",\"name\":\"";
     l += name;
     l += "\",\"args\":{\"shard\":";
@@ -103,11 +65,8 @@ std::string fleet_timeline_json(const std::vector<AuditRecord>& records,
 
   const auto emit_span = [&](const AuditRecord& r, const OpenLease& open,
                              const char* status) {
-    std::string& l = arr.line();
-    l += "{\"ph\":\"X\",\"pid\":1,\"tid\":";
-    append_u64(l, static_cast<std::uint64_t>(open.tid));
-    l += ",\"ts\":";
-    append_u64(l, open.ts);
+    std::string& l =
+        out.event('X', static_cast<std::uint64_t>(open.tid), open.ts);
     l += ",\"dur\":";
     append_u64(l, r.t_ms - open.ts);
     l += ",\"name\":\"shard ";
@@ -190,30 +149,14 @@ std::string fleet_timeline_json(const std::vector<AuditRecord>& records,
   }
   st.unmatched += open.size();
 
-  out += "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{"
-         "\"generator\":\"secbus\",\"timeUnit\":\"1 trace us = 1 fleet ms\"}}";
-  out += '\n';
-
   if (stats != nullptr) *stats = st;
-  return out;
+  return out.finish("1 trace us = 1 fleet ms");
 }
 
 bool write_fleet_timeline(const std::string& path,
                           const std::vector<AuditRecord>& records,
                           std::string* error, FleetTimelineStats* stats) {
-  const std::string text = fleet_timeline_json(records, stats);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write failed for " + path;
-    return false;
-  }
-  return true;
+  return util::write_file(path, fleet_timeline_json(records, stats), error);
 }
 
 }  // namespace secbus::obs

@@ -2,51 +2,21 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "util/json.hpp"
+#include "obs/chrome_trace.hpp"
+#include "util/fileio.hpp"
 
 namespace secbus::obs {
 namespace {
-
-// Appends one trace event object per line; keeps the array syntax valid
-// without a post-pass (first line has no leading comma).
-class EventArray {
- public:
-  explicit EventArray(std::string& out) : out_(out) {}
-
-  std::string& line() {
-    out_ += first_ ? "\n  " : ",\n  ";
-    first_ = false;
-    return out_;
-  }
-
- private:
-  std::string& out_;
-  bool first_ = true;
-};
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
 
 void append_hex(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "0x%" PRIx64, v);
   out += buf;
-}
-
-void append_common(std::string& out, int tid, sim::Cycle ts) {
-  out += "\"pid\":1,\"tid\":";
-  append_u64(out, static_cast<std::uint64_t>(tid));
-  out += ",\"ts\":";
-  append_u64(out, ts);
 }
 
 struct OpenSpan {
@@ -84,21 +54,9 @@ std::string chrome_trace_json(const sim::EventTrace& trace,
   for (const sim::TraceEvent& ev : events) (void)tid_of(ev.source);
   st.tracks = track_names.size();
 
-  std::string out;
-  out.reserve(events.size() * 96 + 1024);
-  out += "{\"traceEvents\":[";
-  EventArray arr(out);
-
-  arr.line() +=
-      "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-      "\"args\":{\"name\":\"secbus\"}}";
+  ChromeTraceWriter out("secbus", events.size() * 96 + 1024);
   for (std::size_t i = 0; i < track_names.size(); ++i) {
-    std::string& l = arr.line();
-    l += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
-    append_u64(l, i + 1);
-    l += ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    util::JsonWriter(l).value(track_names[i]);
-    l += "}}";
+    out.track(i + 1, track_names[i]);
   }
 
   std::map<std::pair<int, sim::TransactionId>, OpenSpan> open_bus;
@@ -106,9 +64,7 @@ std::string chrome_trace_json(const sim::EventTrace& trace,
   std::map<sim::TransactionId, Lifecycle> lifecycles;
 
   const auto emit_instant = [&](const sim::TraceEvent& ev, int tid) {
-    std::string& l = arr.line();
-    l += "{\"ph\":\"i\",\"s\":\"t\",";
-    append_common(l, tid, ev.cycle);
+    std::string& l = out.event('i', static_cast<std::uint64_t>(tid), ev.cycle);
     l += ",\"name\":\"";
     l += sim::to_string(ev.kind);
     l += "\",\"args\":{\"trans\":";
@@ -126,9 +82,7 @@ std::string chrome_trace_json(const sim::EventTrace& trace,
                              const char* name, const char* cat,
                              const char* detail_key, std::uint64_t detail,
                              sim::TransactionId trans) {
-    std::string& l = arr.line();
-    l += "{\"ph\":\"X\",";
-    append_common(l, tid, open.ts);
+    std::string& l = out.event('X', static_cast<std::uint64_t>(tid), open.ts);
     l += ",\"dur\":";
     append_u64(l, end - open.ts);
     l += ",\"name\":\"";
@@ -219,12 +173,10 @@ std::string chrome_trace_json(const sim::EventTrace& trace,
       ++st.unmatched;
       continue;
     }
-    for (const char* ph : {"b", "e"}) {
-      std::string& l = arr.line();
-      l += "{\"ph\":\"";
-      l += ph;
-      l += "\",";
-      append_common(l, life.tid, ph[0] == 'b' ? life.begin_ts : life.end_ts);
+    for (const char ph : {'b', 'e'}) {
+      std::string& l =
+          out.event(ph, static_cast<std::uint64_t>(life.tid),
+                    ph == 'b' ? life.begin_ts : life.end_ts);
       l += ",\"cat\":\"txn\",\"id\":\"";
       append_hex(l, trans);
       l += "\",\"name\":\"";
@@ -235,29 +187,13 @@ std::string chrome_trace_json(const sim::EventTrace& trace,
   }
   st.unmatched += open_bus.size() + open_check.size();
 
-  out += "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{"
-         "\"generator\":\"secbus\",\"timeUnit\":\"1 trace us = 1 bus cycle\"}}";
-  out += '\n';
-
   if (stats != nullptr) *stats = st;
-  return out;
+  return out.finish("1 trace us = 1 bus cycle");
 }
 
 bool write_chrome_trace(const std::string& path, const sim::EventTrace& trace,
                         std::string* error, TraceExportStats* stats) {
-  const std::string text = chrome_trace_json(trace, stats);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write failed for " + path;
-    return false;
-  }
-  return true;
+  return util::write_file(path, chrome_trace_json(trace, stats), error);
 }
 
 }  // namespace secbus::obs

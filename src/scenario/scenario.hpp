@@ -53,6 +53,8 @@ struct AttackPlan {
   std::uint32_t rate_limit_max = 4;
   // Bit flips scattered over the victim line (kExternalCorruption).
   unsigned corruption_flips = 8;
+
+  bool operator==(const AttackPlan&) const = default;
 };
 
 // A fully-resolved, runnable experiment description.
@@ -63,6 +65,8 @@ struct ScenarioSpec {
   soc::SocConfig soc;
   AttackPlan attack;
   sim::Cycle max_cycles = 30'000'000;
+
+  bool operator==(const ScenarioSpec&) const = default;
 };
 
 // Everything measured from one scenario execution. Plain data so batch

@@ -28,6 +28,8 @@ struct SweepAxes {
   // Number of jobs expand() will produce: the product of every non-empty
   // axis's length (1 when all axes are empty).
   [[nodiscard]] std::size_t cardinality() const noexcept;
+
+  bool operator==(const SweepAxes&) const = default;
 };
 
 // Crosses `base` over `axes`. Each variant carries a "key=value,..." label

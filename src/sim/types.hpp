@@ -55,6 +55,8 @@ struct ClockDomain {
   [[nodiscard]] constexpr double bits_per_cycle_for_mbps(double target_mbps) const noexcept {
     return target_mbps * 1e6 / freq_hz;
   }
+
+  constexpr bool operator==(const ClockDomain&) const = default;
 };
 
 }  // namespace secbus::sim

@@ -89,6 +89,8 @@ struct TopologySpec {
 
   // Stable axis label for sweeps/reports: "flat", "star4", "mesh2x2", ...
   [[nodiscard]] std::string label() const;
+
+  bool operator==(const TopologySpec&) const = default;
 };
 
 // Inverse of TopologySpec::label(): "flat" | "star<leaves>" |
@@ -159,6 +161,8 @@ struct SocConfig {
   // Extra dummy segment rules added to every firewall's policy on top of the
   // functional ones (drives the policy-aggressiveness ablation).
   std::size_t extra_rules = 0;
+
+  bool operator==(const SocConfig&) const = default;
 };
 
 }  // namespace secbus::soc

@@ -69,7 +69,7 @@ TEST(EnumRoundTrip, TopologyLabels) {
         TopologySpec::mesh(1, 8)}) {
     TopologySpec parsed;
     ASSERT_TRUE(soc::parse_topology(topo.label(), parsed)) << topo.label();
-    EXPECT_TRUE(topology_equal(parsed, topo)) << topo.label();
+    EXPECT_TRUE(parsed == topo) << topo.label();
   }
   TopologySpec out;
   EXPECT_FALSE(soc::parse_topology("ring4", out));
@@ -82,20 +82,21 @@ TEST(SpecIo, NonDefaultHopLatencySurvives) {
   soc::TopologySpec topo = soc::TopologySpec::mesh(2, 3, 5);
   soc::TopologySpec back;
   std::string error;
-  ASSERT_TRUE(
-      topology_from_json(topology_to_json(topo), "topology", back, &error))
-      << error;
-  EXPECT_TRUE(topology_equal(back, topo));
+  const util::Json j = util::written_tree(
+      [&](util::JsonWriter& w) { write_topology(w, topo); });
+  ASSERT_TRUE(topology_from_json(j, "topology", back, &error)) << error;
+  EXPECT_TRUE(back == topo);
 }
 
 TEST(SpecIo, EveryBuiltinSpecRoundTrips) {
   for (const scenario::NamedScenario& entry : scenario::builtin_scenarios()) {
-    const util::Json j = spec_to_json(entry.spec);
+    const util::Json j = util::written_tree(
+        [&](util::JsonWriter& w) { write_spec(w, entry.spec); });
     scenario::ScenarioSpec back;
     std::string error;
     ASSERT_TRUE(spec_from_json(j, "base", back, &error))
         << entry.spec.name << ": " << error;
-    EXPECT_TRUE(spec_equal(back, entry.spec)) << entry.spec.name;
+    EXPECT_TRUE(back == entry.spec) << entry.spec.name;
 
     // And through actual text, not just the Json tree.
     util::Json reparsed;
@@ -104,25 +105,26 @@ TEST(SpecIo, EveryBuiltinSpecRoundTrips) {
     scenario::ScenarioSpec back2;
     ASSERT_TRUE(spec_from_json(reparsed, "base", back2, &error))
         << entry.spec.name << ": " << error;
-    EXPECT_TRUE(spec_equal(back2, entry.spec)) << entry.spec.name;
+    EXPECT_TRUE(back2 == entry.spec) << entry.spec.name;
   }
 }
 
 TEST(SpecIo, EveryBuiltinAxesRoundTrip) {
   for (const scenario::NamedScenario& entry : scenario::builtin_scenarios()) {
-    const util::Json j = axes_to_json(entry.axes);
+    const util::Json j = util::written_tree(
+        [&](util::JsonWriter& w) { write_axes(w, entry.axes); });
     scenario::SweepAxes back;
     std::string error;
     ASSERT_TRUE(
         axes_from_json(j, "grid", entry.spec.soc.seed, back, &error))
         << entry.spec.name << ": " << error;
-    EXPECT_TRUE(axes_equal(back, entry.axes)) << entry.spec.name;
+    EXPECT_TRUE(back == entry.axes) << entry.spec.name;
   }
 }
 
 // The acceptance check behind "the registry becomes data": exporting a
 // builtin to JSON and re-importing it must reproduce bit-identical results.
-// Runs the two fast attack scenarios end to end (spec_equal + the existing
+// Runs the two fast attack scenarios end to end (spec equality + the existing
 // determinism suite covers the rest by construction).
 TEST(SpecIo, ReimportedBuiltinReproducesBitIdenticalResults) {
   for (const char* name : {"hijack", "fabric_containment"}) {
@@ -130,11 +132,11 @@ TEST(SpecIo, ReimportedBuiltinReproducesBitIdenticalResults) {
     ASSERT_NE(entry, nullptr) << name;
 
     std::string error;
+    std::string text;
+    util::JsonWriter w(text, 2);
+    write_campaign(w, campaign_from_builtin(*entry));
     util::Json reparsed;
-    ASSERT_TRUE(util::Json::parse(
-        campaign_to_json(campaign_from_builtin(*entry)).dump(), reparsed,
-        &error))
-        << error;
+    ASSERT_TRUE(util::Json::parse(text, reparsed, &error)) << error;
     CampaignSpec campaign;
     ASSERT_TRUE(campaign_from_json(reparsed, campaign, &error)) << error;
 
@@ -145,7 +147,7 @@ TEST(SpecIo, ReimportedBuiltinReproducesBitIdenticalResults) {
     ASSERT_EQ(imported.size(), expected.size());
 
     for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_TRUE(spec_equal(imported[i], expected[i])) << name;
+      ASSERT_TRUE(imported[i] == expected[i]) << name;
       const scenario::JobResult a = scenario::run_scenario(expected[i]);
       const scenario::JobResult b = scenario::run_scenario(imported[i]);
       EXPECT_EQ(a.soc.cycles, b.soc.cycles);

@@ -1,31 +1,34 @@
 // SoC-setup memoization (core::FormatCache): the cached format must be
 // indistinguishable — stored bytes, tree root, versions, runtime results —
 // from the computing path, across protection modes, seeds and threads.
+// clear() before a build is how a test takes the miss path; the sanitizer
+// CI legs run this file under ThreadSanitizer too.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "campaign/campaign.hpp"
+#include "campaign/report.hpp"
 #include "core/format_cache.hpp"
+#include "scenario/result_io.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "soc/presets.hpp"
 #include "soc/soc.hpp"
+#include "util/csv.hpp"
+#include "util/json.hpp"
 
 namespace secbus::core {
 namespace {
 
-// The cache is process-global; every test starts it empty + enabled and
-// leaves it that way for whoever runs next.
+// The cache is process-global; every test starts it empty and leaves it
+// that way for whoever runs next.
 class FormatCacheTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    FormatCache::instance().clear();
-    FormatCache::instance().set_enabled(true);
-  }
-  void TearDown() override {
-    FormatCache::instance().clear();
-    FormatCache::instance().set_enabled(true);
-  }
+  void SetUp() override { FormatCache::instance().clear(); }
+  void TearDown() override { FormatCache::instance().clear(); }
 
   static std::uint64_t hits() { return FormatCache::instance().stats().hits; }
   static std::uint64_t misses() {
@@ -66,22 +69,96 @@ TEST_F(FormatCacheTest, SecondConstructionHitsAndMatchesBitForBit) {
   EXPECT_EQ(protected_bytes(cold), protected_bytes(warm));
 }
 
+std::vector<scenario::ScenarioSpec> example_campaign(const std::string& file,
+                                                     std::string* name) {
+  campaign::CampaignSpec spec;
+  std::string error;
+  EXPECT_TRUE(campaign::load_campaign_file(
+      std::string(SECBUS_REPO_DIR) + "/examples/campaigns/" + file, spec,
+      &error))
+      << error;
+  if (name != nullptr) *name = spec.name;
+  return campaign::expand_campaign(spec);
+}
+
+std::string job_result_bytes(const scenario::JobResult& r) {
+  std::string text;
+  util::JsonWriter w(text);
+  scenario::write_job_result(w, r);
+  return text;
+}
+
+std::string cells_csv(const campaign::CampaignReport& report) {
+  util::CsvWriter csv;  // in memory
+  campaign::write_cells_csv(csv, report);
+  return csv.buffer();
+}
+
+// The whole ci_smoke campaign with metrics collected, run on 4 threads over
+// a cache that keeps its entries, against every job run alone right after
+// clear() (so every distributed job formats on a miss): every job result,
+// the cells CSV and the campaign JSON must match byte for byte.
 TEST_F(FormatCacheTest, CachedRunIsBitIdenticalToUncachedRun) {
-  FormatCache::instance().set_enabled(false);
-  soc::Soc uncached(protected_cfg(99, soc::ProtectionLevel::kFull));
-  const soc::SocResults r_off = uncached.run(5'000'000);
+  std::string name;
+  const std::vector<scenario::ScenarioSpec> specs =
+      example_campaign("ci_smoke.json", &name);
+  ASSERT_FALSE(specs.empty());
+  scenario::BatchOptions options;
+  options.hooks.collect_metrics = true;
 
-  FormatCache::instance().set_enabled(true);
-  soc::Soc first(protected_cfg(99, soc::ProtectionLevel::kFull));  // warms
-  soc::Soc second(protected_cfg(99, soc::ProtectionLevel::kFull));  // hits
-  const soc::SocResults r_warm = second.run(5'000'000);
+  options.threads = 4;
+  const std::vector<scenario::JobResult> warm =
+      scenario::run_batch(specs, options);
+  EXPECT_GT(hits(), 0u);
 
-  EXPECT_EQ(r_off.cycles, r_warm.cycles);
-  EXPECT_EQ(r_off.transactions_ok, r_warm.transactions_ok);
-  EXPECT_EQ(r_off.transactions_failed, r_warm.transactions_failed);
-  EXPECT_EQ(r_off.alerts, r_warm.alerts);
-  EXPECT_EQ(r_off.bytes_moved, r_warm.bytes_moved);
-  EXPECT_DOUBLE_EQ(r_off.avg_access_latency, r_warm.avg_access_latency);
+  options.threads = 1;
+  std::vector<scenario::JobResult> cold(specs.size());
+  std::uint64_t cold_misses = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    FormatCache::instance().clear();
+    options.indices = std::vector<std::size_t>{i};
+    cold[i] = std::move(scenario::run_batch(specs, options)[i]);
+    EXPECT_EQ(hits(), 0u) << specs[i].variant;
+    cold_misses += misses();
+  }
+  EXPECT_GT(cold_misses, 0u);
+
+  ASSERT_EQ(warm.size(), cold.size());
+  for (std::size_t i = 0; i < warm.size(); ++i) {
+    EXPECT_FALSE(warm[i].metrics.empty()) << specs[i].variant;
+    EXPECT_EQ(job_result_bytes(warm[i]), job_result_bytes(cold[i]))
+        << specs[i].variant;
+  }
+  const campaign::CampaignReport warm_report =
+      campaign::CampaignReport::from(name, warm);
+  const campaign::CampaignReport cold_report =
+      campaign::CampaignReport::from(name, cold);
+  EXPECT_EQ(cells_csv(warm_report), cells_csv(cold_report));
+  EXPECT_EQ(campaign::campaign_json(warm_report),
+            campaign::campaign_json(cold_report));
+}
+
+// attack_grid's 576 jobs hold 288 distributed-mode builds over 7 format
+// keys. A cold single-threaded pass misses once per key and hits the other
+// 281 builds; a second pass hits all 288.
+TEST_F(FormatCacheTest, AttackGridPassesServeEveryRepeatedFormat) {
+  const std::vector<scenario::ScenarioSpec> specs =
+      example_campaign("attack_grid.json", nullptr);
+  ASSERT_EQ(specs.size(), 576u);
+
+  (void)scenario::run_batch(specs);
+  FormatCache::Stats s = FormatCache::instance().stats();
+  EXPECT_EQ(s.misses, 7u);
+  EXPECT_EQ(s.hits, 281u);
+  EXPECT_EQ(s.insertions, 7u);
+  EXPECT_EQ(s.evictions, 0u);
+
+  (void)scenario::run_batch(specs);
+  s = FormatCache::instance().stats();
+  EXPECT_EQ(s.misses, 7u);
+  EXPECT_EQ(s.hits, 281u + 288u);
+  EXPECT_EQ(s.insertions, 7u);
+  EXPECT_EQ(s.evictions, 0u);
 }
 
 TEST_F(FormatCacheTest, CipheredEntriesAreKeyedBySeed) {
@@ -107,15 +184,6 @@ TEST_F(FormatCacheTest, PlaintextFormatsShareAcrossSeeds) {
   const std::uint64_t h = hits();
   soc::Soc b(protected_cfg(2, soc::ProtectionLevel::kPlaintext));
   EXPECT_EQ(hits(), h + 1);  // key-independent: zero image either way
-  EXPECT_EQ(a.lcf()->ic().tree().root(), b.lcf()->ic().tree().root());
-}
-
-TEST_F(FormatCacheTest, DisabledCacheNeverServesOrStores) {
-  FormatCache::instance().set_enabled(false);
-  soc::Soc a(protected_cfg(7, soc::ProtectionLevel::kFull));
-  soc::Soc b(protected_cfg(7, soc::ProtectionLevel::kFull));
-  EXPECT_EQ(hits(), 0u);
-  EXPECT_EQ(FormatCache::instance().stats().insertions, 0u);
   EXPECT_EQ(a.lcf()->ic().tree().root(), b.lcf()->ic().tree().root());
 }
 

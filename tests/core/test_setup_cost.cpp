@@ -102,16 +102,13 @@ TEST(SetupCost, NeverFormattedIntegrityCoreReadsTheZeroTree) {
 
 // --- SoC builds -----------------------------------------------------------
 
-// The cache is process-global; every test starts it empty + enabled and
-// leaves it that way for whoever runs next.
+// The cache is process-global; every test starts it empty and leaves it
+// that way for whoever runs next. reset_cache() makes the next build a miss.
 class SetupCostSoc : public ::testing::Test {
  protected:
   void SetUp() override { reset_cache(); }
   void TearDown() override { reset_cache(); }
-  static void reset_cache() {
-    FormatCache::instance().clear();
-    FormatCache::instance().set_enabled(true);
-  }
+  static void reset_cache() { FormatCache::instance().clear(); }
   static std::uint64_t hits() { return FormatCache::instance().stats().hits; }
 };
 
@@ -175,11 +172,6 @@ TEST_F(SetupCostSoc, BypassBuildsHashNothingOnMissAndHit) {
     EXPECT_EQ(hits(), h + 1);
     EXPECT_EQ(build_tree_hashes(miss), 0u) << static_cast<int>(level);
     EXPECT_EQ(build_tree_hashes(hit), 0u) << static_cast<int>(level);
-
-    FormatCache::instance().set_enabled(false);
-    soc::Soc uncached(distributed_cfg(12, level));
-    EXPECT_EQ(build_tree_hashes(uncached), 0u) << static_cast<int>(level);
-    FormatCache::instance().set_enabled(true);
   }
 }
 
@@ -381,15 +373,11 @@ void check_cipher_only_to_full_switch() {
 TEST_F(SetupCostSoc, CipherOnlyToFullSwitchMatchesEagerTree) {
   {
     SCOPED_TRACE("cache miss");
+    reset_cache();
     check_cipher_only_to_full_switch();
   }
   {
     SCOPED_TRACE("cache hit");
-    check_cipher_only_to_full_switch();
-  }
-  FormatCache::instance().set_enabled(false);
-  {
-    SCOPED_TRACE("cache off");
     check_cipher_only_to_full_switch();
   }
 }
@@ -398,16 +386,12 @@ struct ModeRoots {
   ConfidentialityMode cm;
   IntegrityMode im;
   const char* format_root;
-  const char* reformat_root;
-  std::uint32_t reformat_v7;
   const char* rotate_root;
 };
 
 // Roots and versions recorded on the eager-tree implementation.
 constexpr const char* kCipherFormat =
     "13451c4a4f9c279279ab5bc6d43ebbde167eafd9fb0431f226f5b8b79cf645d5";
-constexpr const char* kCipherReformat =
-    "6a9909c73f13cfd7958c7a445b519ae5781c9d93875009e94392e06e223734cd";
 constexpr const char* kCipherRotate =
     "9b067ea90e18b7f13a90c7acfb8df062565c02beb831658c998dd5a0c7c336db";
 constexpr const char* kPlainFormat =
@@ -415,17 +399,25 @@ constexpr const char* kPlainFormat =
 constexpr const char* kPlainRotate =
     "061334850dc90ed3f1190c138e6669cafc978e7b80646ddd200e700250c37069";
 
-TEST_F(SetupCostSoc, ReformatAfterTrafficAndKeyRotationKeepRootsAndVersions) {
+// A region is formatted once, at system initialization: the snapshot binds
+// version 1 into every leaf, so a second format aborts instead of
+// re-formatting in place.
+TEST(SetupCostDeathTest, SecondFormatAborts) {
+  Lcf f(ConfidentialityMode::kCipher, IntegrityMode::kHashTree);
+  EXPECT_DEATH(f.lcf->format_protected_region(), "format_from on a used core");
+}
+
+// The rotation roots were recorded after a re-format that zeroed line 7
+// again; a zero write leaves the same plaintext for the rotation to re-key.
+TEST_F(SetupCostSoc, TrafficAndKeyRotationKeepRootsAndVersions) {
   const ModeRoots modes[] = {
       {ConfidentialityMode::kCipher, IntegrityMode::kHashTree, kCipherFormat,
-       kCipherReformat, 3, kCipherRotate},
+       kCipherRotate},
       {ConfidentialityMode::kCipher, IntegrityMode::kBypass, kCipherFormat,
-       kCipherReformat, 3, kCipherRotate},
+       kCipherRotate},
       {ConfidentialityMode::kBypass, IntegrityMode::kHashTree, kPlainFormat,
-       "5a3782989decc6efcb62ee8300a1d76fde9ee1f88ea12339d6b7986edff17397", 3,
        kPlainRotate},
       {ConfidentialityMode::kBypass, IntegrityMode::kBypass, kPlainFormat,
-       "9f2f26fa14105ae5000c2b759d1bffa02d1a114c9bb2d05389008210e71febf2", 2,
        kPlainRotate},
   };
   for (const ModeRoots& m : modes) {
@@ -433,13 +425,8 @@ TEST_F(SetupCostSoc, ReformatAfterTrafficAndKeyRotationKeepRootsAndVersions) {
     Lcf f(m.cm, m.im);
     EXPECT_EQ(f.root(), m.format_root);
 
-    // Non-pristine re-format: versions advance from where traffic left them.
     f.write(kDdrBase + 7 * kLine, pattern(32, 9));
-    f.lcf->format_protected_region();
-    EXPECT_EQ(f.root(), m.reformat_root);
-    EXPECT_EQ(f.version(7), m.reformat_v7);
-    EXPECT_EQ(f.version(0), 2u);
-
+    f.write(kDdrBase + 7 * kLine, std::vector<std::uint8_t>(kLine, 0));
     f.write(kDdrBase + 5 * kLine, pattern(32, 6));
     crypto::Aes128Key new_key = test_key();
     new_key[15] ^= 0x55;

@@ -21,12 +21,8 @@ namespace {
 
 class SnapshotSharing : public ::testing::Test {
  protected:
-  void SetUp() override { reset_cache(); }
-  void TearDown() override { reset_cache(); }
-  static void reset_cache() {
-    FormatCache::instance().clear();
-    FormatCache::instance().set_enabled(true);
-  }
+  void SetUp() override { FormatCache::instance().clear(); }
+  void TearDown() override { FormatCache::instance().clear(); }
 };
 
 soc::SocConfig full_cfg() {
@@ -107,19 +103,15 @@ TEST_F(SnapshotSharing, ConcurrentBuildsFromOneSnapshotWriteOnlyTheirOwnPages) {
 
 // On a miss the tree hashes each leaf from the snapshot image on the line's
 // first read, never from the DDR: a line tampered with before that read is
-// caught, on every cache path.
+// caught.
 TEST_F(SnapshotSharing, LazyLeavesCatchTamperingBeforeTheFirstRead) {
-  for (const bool cache_on : {true, false}) {
-    SCOPED_TRACE(cache_on ? "cache miss" : "cache off");
-    reset_cache();
-    FormatCache::instance().set_enabled(cache_on);
-    soc::Soc soc(full_cfg());
-    EXPECT_EQ(soc.lcf()->ic().tree_hash_count(), 0u);
-    tamper_line(soc, 7);
-    EXPECT_EQ(read_line(soc, 7), bus::TransStatus::kIntegrityError);
-    EXPECT_EQ(read_line(soc, 8), bus::TransStatus::kOk);
-    EXPECT_EQ(soc.lcf()->ic().tree_hash_count(), 4u);  // 2 leaves, 2 reads
-  }
+  FormatCache::instance().clear();  // this build is a miss
+  soc::Soc soc(full_cfg());
+  EXPECT_EQ(soc.lcf()->ic().tree_hash_count(), 0u);
+  tamper_line(soc, 7);
+  EXPECT_EQ(read_line(soc, 7), bus::TransStatus::kIntegrityError);
+  EXPECT_EQ(read_line(soc, 8), bus::TransStatus::kOk);
+  EXPECT_EQ(soc.lcf()->ic().tree_hash_count(), 4u);  // 2 leaves, 2 reads
 }
 
 }  // namespace

@@ -66,10 +66,6 @@
 //                       (per-shard path derived under --out) and opt-in
 //                       via this flag for plain runs
 //     --no-checkpoint   disable checkpointing
-//     --no-setup-cache  disable the per-process SoC-setup memo cache
-//                       (formatted hash trees / memory images); results are
-//                       bit-identical either way — this exists for baseline
-//                       benchmarking
 //       plus --jobs/--repeats/--no-files/--max-cycles/--quiet (--jobs is
 //       the thread count: the one way to run a campaign in parallel on one
 //       host; --shard + merge and the fleet spread it across hosts).
@@ -176,7 +172,6 @@
 #include "crypto/backend.hpp"
 #include "campaign/shard.hpp"
 #include "campaign/telemetry.hpp"
-#include "core/format_cache.hpp"
 #include "net/http.hpp"
 #include "obs/exposition.hpp"
 #include "obs/fleet_timeline.hpp"
@@ -209,7 +204,7 @@ namespace {
       "              [run options]\n"
       "       %s campaign run <file.json> [--out DIR] [--cells-csv PATH]\n"
       "              [--shard i/N] [--checkpoint PATH]\n"
-      "              [--no-checkpoint] [--no-setup-cache] [run options]\n"
+      "              [--no-checkpoint] [run options]\n"
       "       %s campaign merge <shard.json>... [--out DIR] [run options]\n"
       "       %s campaign validate <file.json>...\n"
       "       %s campaign status [DIR]\n"
@@ -220,7 +215,7 @@ namespace {
       "              [--resume] [run options]\n"
       "       %s campaign worker <host:port> [--jobs N] [--out DIR]\n"
       "              [--id NAME] [--reconnect N] [--backoff MS]\n"
-      "              [--no-checkpoint] [--no-setup-cache] [--quiet]\n"
+      "              [--no-checkpoint] [--quiet]\n"
       "       %s campaign top <host:port> [--interval MS] [--once]\n"
       "       %s campaign timeline <audit.jsonl> [--out PATH]\n",
       argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
@@ -717,8 +712,6 @@ int cmd_campaign_run(int argc, char** argv) {
       checkpoint_path = next();
     } else if (arg == "--no-checkpoint") {
       no_checkpoint = true;
-    } else if (arg == "--no-setup-cache") {
-      core::FormatCache::instance().set_enabled(false);
     } else {
       usage(argv[0]);
     }
@@ -1146,8 +1139,6 @@ int cmd_campaign_worker(int argc, char** argv) {
       worker_opt.checkpoint = false;
     } else if (arg == "--quiet") {
       worker_opt.quiet = true;
-    } else if (arg == "--no-setup-cache") {
-      core::FormatCache::instance().set_enabled(false);
     } else {
       usage(argv[0]);
     }
