@@ -99,9 +99,9 @@ struct FleetGridOptions {
 bool fleet_grid_from_json(const util::Json& j, FleetGridOptions& out,
                           std::string* error);
 
-// expand_campaign + seed replication + cycle-cap override, in the exact
-// order `campaign run` applies them. Single source of truth for both fleet
-// endpoints.
+// expand_campaign + seed replication + cycle-cap override. Single source
+// of truth for `run`, `campaign run` and both fleet endpoints, so shard
+// fingerprints and job order agree across processes.
 [[nodiscard]] std::vector<scenario::ScenarioSpec> expand_fleet_grid(
     const CampaignSpec& campaign, const FleetGridOptions& grid);
 

@@ -278,6 +278,23 @@ std::string campaign_json(const CampaignReport& report) {
   return out;
 }
 
+std::string metrics_json(const std::string& name,
+                         const std::vector<scenario::JobResult>& jobs) {
+  std::string out;
+  util::JsonWriter w(out, 2);
+  w.begin_object().member("campaign", name);
+  w.key("jobs").begin_array();
+  for (const scenario::JobResult& job : jobs) {
+    if (job.metrics.empty()) continue;
+    w.begin_object().member("index", job.index);
+    job.metrics.write_json(w.key("metrics"));
+    w.end_object();
+  }
+  w.end_array().end_object();
+  out += '\n';
+  return out;
+}
+
 std::string render_campaign_table(const CampaignReport& report,
                                   std::size_t weakest_n) {
   util::TextTable table("campaign " + report.name + ": " +

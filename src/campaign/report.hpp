@@ -85,6 +85,11 @@ void write_cells_csv(util::CsvWriter& csv, const CampaignReport& report);
 // {"campaign": ..., "cells": [...], "weakest": [...], "aggregate": {...}}.
 [[nodiscard]] std::string campaign_json(const CampaignReport& report);
 
+// {"campaign": ..., "jobs": [{"index": ..., "metrics": {...}}, ...]} over
+// the jobs that carry a component-metric registry: the --metrics sidecar.
+[[nodiscard]] std::string metrics_json(
+    const std::string& name, const std::vector<scenario::JobResult>& jobs);
+
 // Human-readable per-cell table plus the weakest-cell ranking.
 [[nodiscard]] std::string render_campaign_table(const CampaignReport& report,
                                                 std::size_t weakest_n = 5);

@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "core/config_memory.hpp"
 #include "util/bitops.hpp"
 
 namespace secbus::campaign {
@@ -357,6 +358,24 @@ bool soc_from_json(const util::Json& j, const std::string& path,
   if (cfg.compute_max < cfg.compute_min) {
     return fail(error, member_path(path, "compute_max"),
                 "must be >= compute_min");
+  }
+  // The invariants the CC, IC and Security Builders assert on. The check
+  // budget holds whatever the security mode: a grid's security axis can
+  // turn distributed checks on.
+  if (!(cfg.cc_bits_per_cycle > 0.0)) {
+    return fail(error, member_path(path, "cc_bits_per_cycle"),
+                "must be > 0 (CC throughput)");
+  }
+  if (!(cfg.ic_bits_per_cycle > 0.0)) {
+    return fail(error, member_path(path, "ic_bits_per_cycle"),
+                "must be > 0 (IC throughput)");
+  }
+  const sim::Cycle sp_fetch = core::ConfigurationMemory::Config{}.read_latency;
+  if (cfg.sb_check_cycles < sp_fetch) {
+    return fail(error, member_path(path, "sb_check_cycles"),
+                "must be >= " + std::to_string(sp_fetch) +
+                    " (the check budget covers the security-policy fetch "
+                    "from the configuration memory)");
   }
   out = cfg;
   return true;

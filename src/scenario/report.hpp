@@ -1,9 +1,10 @@
-// Batch-level aggregation and emission.
+// Batch-level aggregation and the per-job CSV.
 //
-// Summarizes a job list into cross-job statistics (mean/stddev via
-// util::RunningStat, p50/p95/p99 latency via util::Histogram) and mirrors
-// the per-job rows as CSV (util::CsvWriter) and JSON so downstream plots can
-// regenerate the paper's figures from one batch run.
+// Summarizes a job list into the cross-job roll-up the campaign report
+// emits (exact per-access percentiles over the merged per-job
+// LatencyHistograms, security-outcome counts) and mirrors the per-job rows
+// as CSV (util::CsvWriter) so downstream plots can regenerate the paper's
+// figures from one run.
 #pragma once
 
 #include <string>
@@ -18,18 +19,10 @@ namespace secbus::scenario {
 struct BatchAggregate {
   std::size_t jobs_total = 0;
   std::size_t jobs_completed = 0;  // finished before the cycle cap
-  util::RunningStat cycles;
-  util::RunningStat latency;        // per-job mean access latency, cycles
   util::RunningStat access_latency; // every access across every job, merged
-  util::RunningStat bus_occupancy;
   util::RunningStat alerts;
-  util::RunningStat blocked;
-  double latency_p50 = 0.0;
-  double latency_p95 = 0.0;
-  double latency_p99 = 0.0;
   // Exact per-access percentiles over every access of every job (the
-  // per-job LatencyHistograms merged), as opposed to the per-job-mean
-  // percentiles above.
+  // per-job LatencyHistograms merged).
   util::LatencyHistogram access_hist;
   std::uint64_t access_p50 = 0;
   std::uint64_t access_p95 = 0;
@@ -46,20 +39,10 @@ struct BatchAggregate {
   [[nodiscard]] static BatchAggregate from(const std::vector<JobResult>& jobs);
 };
 
-// Column order shared by the CSV and JSON emitters.
+// Per-job CSV column order.
 [[nodiscard]] const std::vector<std::string>& batch_csv_columns();
 
 // One CSV row per job, in submission order.
 void write_batch_csv(util::CsvWriter& csv, const std::vector<JobResult>& jobs);
-
-// {"scenario": ..., "jobs": [...], "aggregate": {...}} as a JSON string.
-[[nodiscard]] std::string batch_json(const std::string& scenario_name,
-                                     const std::vector<JobResult>& jobs,
-                                     const BatchAggregate& aggregate);
-
-// Human-readable per-job table plus the aggregate footer.
-[[nodiscard]] std::string render_batch_table(
-    const std::string& scenario_name, const std::vector<JobResult>& jobs,
-    const BatchAggregate& aggregate);
 
 }  // namespace secbus::scenario

@@ -302,16 +302,4 @@ Json job_result_to_json(const JobResult& r) {
   return util::written_tree([&](JsonWriter& w) { write_job_result(w, r); });
 }
 
-bool job_result_from_json(const Json& j, JobResult& out, std::string* error) {
-  const std::string text = j.dump(0);
-  JsonReader r(text);
-  JobResult result;
-  if (read_job_result(r, result) && r.finish()) {
-    out = std::move(result);
-    return true;
-  }
-  if (error != nullptr && error->empty()) *error = r.error();
-  return false;
-}
-
 }  // namespace secbus::scenario

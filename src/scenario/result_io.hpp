@@ -35,9 +35,5 @@ void write_job_result(util::JsonWriter& w, const JobResult& r);
 // sum of cycle x count + overflow x kTrackedMax) and doubles finite, so
 // whatever is accepted re-serializes to its own bytes.
 bool read_job_result(util::JsonReader& r, JobResult& out);
-// The same for a document already held as a tree; `out` is only assigned
-// on success.
-bool job_result_from_json(const util::Json& j, JobResult& out,
-                          std::string* error);
 
 }  // namespace secbus::scenario

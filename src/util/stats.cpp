@@ -67,58 +67,6 @@ double RunningStat::variance() const noexcept {
 
 double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  SECBUS_ASSERT(hi > lo, "histogram range must be non-empty");
-  SECBUS_ASSERT(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge
-  ++counts_[idx];
-}
-
-void Histogram::reset() noexcept {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  underflow_ = overflow_ = total_ = 0;
-}
-
-double Histogram::bucket_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::percentile(double q) const noexcept {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 100.0);
-  const double target = q / 100.0 * static_cast<double>(total_);
-  double running = static_cast<double>(underflow_);
-  if (target <= running) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = running + static_cast<double>(counts_[i]);
-    if (target <= next && counts_[i] > 0) {
-      const double frac = (target - running) / static_cast<double>(counts_[i]);
-      return bucket_lo(i) + frac * width_;
-    }
-    running = next;
-  }
-  return hi_;
-}
-
 LatencyHistogram::Block& LatencyHistogram::block_for(std::uint64_t cycle) {
   const std::uint64_t b = cycle / kBlockCycles;
   if (b >= slot_.size()) slot_.resize(b + 1, 0);

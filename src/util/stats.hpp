@@ -1,5 +1,5 @@
 // Statistics primitives used across the simulator: counters, running moments,
-// and fixed-bucket histograms. All integer-cycle oriented and allocation-free
+// and exact latency histograms. All integer-cycle oriented and allocation-free
 // on the hot path.
 #pragma once
 
@@ -73,42 +73,10 @@ class RunningStat {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Fixed-width-bucket histogram over [lo, hi); samples outside the range land
-// in saturating under/overflow buckets. Supports percentile queries, which
-// the latency benches use for p50/p95/p99 reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  void reset() noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] double bucket_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bucket_hi(std::size_t i) const noexcept;
-
-  // Linear-interpolated percentile estimate, q in [0, 100]. Returns 0 when
-  // empty. Under/overflow samples clamp to the range edges.
-  [[nodiscard]] double percentile(double q) const noexcept;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
-
 // Integer-cycle latency histogram: 1-cycle buckets over [0, kTrackedMax)
-// plus a saturating overflow bucket. Unlike the interpolating Histogram
-// above, percentile extraction is *exact* (nearest-rank over the recorded
-// integer samples) for every value below kTrackedMax; samples at or above
+// plus a saturating overflow bucket. Percentile extraction is *exact*
+// (nearest-rank over the recorded integer samples) for every value below
+// kTrackedMax; samples at or above
 // it saturate and report the exact tracked maximum instead. Mergeable, so
 // per-IP histograms fold into per-job and per-batch ones without losing
 // the tail. The buckets live in a blocked sparse table: kBlockCycles-cycle

@@ -217,6 +217,36 @@ TEST(CampaignErrors, BaseLineBytesMustTileTheProtectedWindow) {
   EXPECT_NE(err2.find("base.soc.line_bytes"), std::string::npos) << err2;
 }
 
+TEST(Campaign, SmallestCheckBudgetValidatesAndRuns) {
+  // sb_check_cycles equal to the configuration-memory read latency (2) is
+  // the smallest budget validation accepts; it must run under every
+  // security mode without tripping an assert.
+  const CampaignSpec campaign = parse_ok(R"({
+    "name": "x",
+    "base": {
+      "soc": {
+        "processors": 1,
+        "dedicated_ip": false,
+        "bram_size": 65536,
+        "ddr_size": 262144,
+        "ddr_protected_base": 2147483648,
+        "ddr_protected_size": 65536,
+        "transactions_per_cpu": 10,
+        "sb_check_cycles": 2,
+        "seed": 7
+      },
+      "max_cycles": 1000000
+    },
+    "grid": {"security": ["none", "distributed", "centralized"]}
+  })");
+  const std::vector<scenario::ScenarioSpec> specs = expand_campaign(campaign);
+  ASSERT_EQ(specs.size(), 3u);
+  for (const scenario::ScenarioSpec& spec : specs) {
+    EXPECT_EQ(spec.soc.sb_check_cycles, 2u);
+    EXPECT_TRUE(scenario::run_scenario(spec).soc.completed) << spec.variant;
+  }
+}
+
 TEST(CampaignErrors, JobCapIsEnforced) {
   const std::string err = parse_error(R"({
     "name": "x",

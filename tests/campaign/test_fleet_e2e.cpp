@@ -74,25 +74,6 @@ std::string cells_csv_text(const CampaignReport& report,
   return text;
 }
 
-// Mirrors the metrics sidecar document emit_campaign_outputs writes under
-// --metrics, so the fleet-vs-direct comparison locks the exact bytes the
-// CLI would put in <campaign>.metrics.json.
-std::string metrics_doc(const std::string& name,
-                        const std::vector<scenario::JobResult>& results) {
-  util::Json doc = util::Json::object();
-  doc.set("campaign", util::Json::string(name));
-  util::Json jobs = util::Json::array();
-  for (const auto& r : results) {
-    if (r.metrics.empty()) continue;
-    util::Json entry = util::Json::object();
-    entry.set("index", util::Json::number(static_cast<std::uint64_t>(r.index)));
-    entry.set("metrics", r.metrics.to_json());
-    jobs.push(std::move(entry));
-  }
-  doc.set("jobs", std::move(jobs));
-  return doc.dump();
-}
-
 // The workers are fork()ed from a gtest process that already runs the
 // server thread; ThreadSanitizer refuses to start new threads in a child
 // forked from a multi-threaded parent, so under TSan this test cannot run
@@ -302,8 +283,8 @@ TEST(FleetE2E, ChaosKilledWorkerIsReassignedAndOutputIsByteIdentical) {
   EXPECT_EQ(campaign_json(fleet_report), campaign_json(direct_report));
   EXPECT_EQ(cells_csv_text(fleet_report, dir.file("fleet.cells.csv")),
             cells_csv_text(direct_report, dir.file("direct.cells.csv")));
-  const std::string fleet_metrics = metrics_doc(spec.name, server.results());
-  EXPECT_EQ(fleet_metrics, metrics_doc(spec.name, direct));
+  const std::string fleet_metrics = metrics_json(spec.name, server.results());
+  EXPECT_EQ(fleet_metrics, metrics_json(spec.name, direct));
   EXPECT_NE(fleet_metrics.find("\"metrics\""), std::string::npos)
       << "--metrics registries went missing from the fleet results";
 }

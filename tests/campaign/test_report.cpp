@@ -64,6 +64,34 @@ TEST(CampaignReport, UndetectedRunsAreExcludedFromLatencyPercentiles) {
   EXPECT_EQ(report.batch.detection_hist.count(), 3u);
 }
 
+TEST(CampaignReport, MetricsSidecarStreamsTheTreeDocumentBytes) {
+  // The --metrics sidecar used to be built as a util::Json tree; the
+  // streamed document must keep those bytes (fleet runs are diffed
+  // against single-process runs on this file). Jobs without a registry
+  // are skipped; gauges need their shortest round-trip digits.
+  std::vector<scenario::JobResult> jobs(3);
+  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i].index = i;
+  jobs[0].metrics.counter("soc.cycles", 123'456);
+  jobs[0].metrics.gauge("bus.occupancy", 0.1 + 0.2);
+  jobs[0].metrics.counter("a.first", 0);
+  jobs[2].metrics.gauge("core.lcf.mean", 1.0 / 3.0);
+  jobs[2].metrics.counter("core.lcf.max", UINT64_MAX);
+
+  util::Json doc = util::Json::object();
+  doc.set("campaign", util::Json::string("camp"));
+  util::Json entries = util::Json::array();
+  for (const auto& r : jobs) {
+    if (r.metrics.empty()) continue;
+    util::Json entry = util::Json::object();
+    entry.set("index",
+              util::Json::number(static_cast<std::uint64_t>(r.index)));
+    entry.set("metrics", r.metrics.to_json());
+    entries.push(std::move(entry));
+  }
+  doc.set("jobs", std::move(entries));
+  EXPECT_EQ(metrics_json("camp", jobs), doc.dump());
+}
+
 TEST(CampaignReport, WeakestRankingPutsUndetectedDamageFirst) {
   std::vector<scenario::JobResult> jobs;
   // Cell A: benign (no attack) — never ranked.

@@ -227,6 +227,26 @@ TEST(SpecIo, StructuralSocInvariantsAreFileErrorsNotAsserts) {
   scenario::ScenarioSpec spec2;
   EXPECT_FALSE(spec_from_json(j, "base", spec2, &error));
   EXPECT_NE(error.find("line_bytes"), std::string::npos) << error;
+
+  // Values the CC, the IC and the Security Builder would SECBUS_ASSERT on
+  // mid-run. The check budget must cover the SP fetch even with security
+  // "none": a grid's security axis can turn distributed checks on.
+  const std::pair<const char*, const char*> component_cases[] = {
+      {"cc_bits_per_cycle", "0"},
+      {"ic_bits_per_cycle", "0"},
+      {"sb_check_cycles", "1"},
+  };
+  for (const auto& [key, value] : component_cases) {
+    error.clear();
+    ASSERT_TRUE(util::Json::parse(
+        std::string(R"({"soc": {"security": "none", ")") + key +
+            "\": " + value + "}}",
+        j, &error));
+    scenario::ScenarioSpec spec3;
+    EXPECT_FALSE(spec_from_json(j, "base", spec3, &error)) << key;
+    EXPECT_NE(error.find(std::string("base.soc.") + key), std::string::npos)
+        << error;
+  }
 }
 
 }  // namespace

@@ -101,54 +101,6 @@ TEST(Counter, IncAndReset) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Histogram, BucketsAndCounts) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.7);
-  h.add(9.99);
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 2.0);
-}
-
-TEST(Histogram, UnderAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(10.0);  // hi edge is exclusive
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.count(), 3u);
-}
-
-TEST(Histogram, PercentileMedianOfUniformFill) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.percentile(50), 50.0, 1.5);
-  EXPECT_NEAR(h.percentile(95), 95.0, 1.5);
-  EXPECT_NEAR(h.percentile(0), 0.0, 1.5);
-  EXPECT_NEAR(h.percentile(100), 100.0, 1.5);
-}
-
-TEST(Histogram, PercentileEmptyIsZero) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
-}
-
-TEST(Histogram, ResetClearsEverything) {
-  Histogram h(0.0, 10.0, 2);
-  h.add(1);
-  h.add(-1);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.bucket(0), 0u);
-}
-
 TEST(Ratios, PercentOverhead) {
   EXPECT_NEAR(percent_overhead(113.43, 100.0), 13.43, 1e-9);
   EXPECT_DOUBLE_EQ(percent_overhead(100.0, 100.0), 0.0);

@@ -11,51 +11,40 @@
 //       in effect, so a run's datapath is always on record.
 //
 //   secbus_cli run <scenario> [options]
-//       Expands the named scenario over its default sweep axes and executes
-//       the jobs on a worker pool. Emits a per-job table plus aggregate
-//       stats, and mirrors the batch as CSV and JSON reports.
-//     --report          print the full per-component report (firewall
-//                       violation table, bus and memory statistics) of
-//                       the run; the scenario must expand to one job
-//     --jobs N          worker threads (default 1; 0 = all hardware threads)
-//     --repeats N       run every job N times with derived seeds
-//     --csv PATH        CSV report path   (default <scenario>.csv)
-//     --json PATH       JSON report path  (default <scenario>.json)
-//     --no-files        skip the CSV/JSON reports
-//     --max-cycles N    override the scenario's cycle cap
-//     --quiet           aggregate line only
-//     --metrics         attach the per-job component-metric registry
-//                       (obs::Registry) to the JSON reports
-//     --trace PATH      run only the first expanded job, single-threaded,
-//                       with a 1M-event trace ring, and export a Chrome
-//                       trace-event JSON (load it in Perfetto / chrome://
-//                       tracing) to PATH
-//
-//   secbus_cli sweep [base options] [axis options]
-//       Builds a custom sweep over the Section-V system (or any registered
-//       scenario via --scenario) and runs it like `run`.
-//     --scenario NAME   base scenario (default section5)
-//     --topology A,B    axis: interconnect fabrics (flat | star<leaves> |
-//                       mesh<rows>x<cols>, e.g. star4, mesh2x2)
-//     --cpus A,B,...    axis: processor counts
-//     --security A,B    axis: none|distributed|centralized
-//     --protection A,B  axis: plaintext|cipher|full
-//     --seeds A,B,...   axis: workload seeds
-//     --extra-rules A,B axis: dummy policy rules per firewall
-//     --line-bytes A,B  axis: LCF protection line size
-//     --external A,B    axis: external-traffic fraction
-//       plus --jobs/--repeats/--csv/--json/--no-files/--max-cycles/--quiet.
+//       Runs the named builtin scenario as a campaign: exactly
+//       `campaign run` of the file `campaign export-builtin` writes for it,
+//       with the same options and the same artifacts
+//       (<out>/<scenario>.cells.csv, .campaign.json, .jobs.csv, plus
+//       .metrics.json under --metrics). A custom grid is a campaign file;
+//       export-builtin writes the starting point.
 //
 //   secbus_cli campaign run <file.json> [options]
 //       Loads a JSON campaign file (base ScenarioSpec + attack/protection/
-//       topology/seed grid), expands it into jobs and runs them like `run`.
-//       On top of the per-job reports it aggregates *security outcomes* per
+//       topology/seed grid), expands it into jobs and runs them on a worker
+//       pool. Besides the per-job CSV it aggregates *security outcomes* per
 //       grid cell — detection/containment/victim-intact rates and detection
 //       latency p50/p95/p99 — and prints the weakest cells.
 //     --out DIR         report directory (default bench/out)
 //     --cells-csv PATH  per-cell CSV   (default <out>/<name>.cells.csv)
 //     --json PATH       campaign JSON  (default <out>/<name>.campaign.json)
 //     --csv PATH        per-job CSV    (default <out>/<name>.jobs.csv)
+//     --no-files        skip the report files
+//     --jobs N          worker threads (default 1; 0 = all hardware
+//                       threads): the one way to run a campaign in parallel
+//                       on one host; --shard + merge and the fleet spread
+//                       it across hosts
+//     --repeats N       run every job N times with derived seeds
+//     --max-cycles N    override the per-job cycle cap
+//     --quiet           aggregate line only
+//     --metrics         collect each job's component-metric registry
+//                       (obs::Registry) into <out>/<name>.metrics.json
+//     --trace PATH      run only the first expanded job, single-threaded,
+//                       with a 1M-event trace ring, and export a Chrome
+//                       trace-event JSON (load it in Perfetto / chrome://
+//                       tracing) to PATH
+//     --report          print the full per-component report (firewall
+//                       violation table, bus and memory statistics) of
+//                       the run; the grid must expand to one job
 //     --shard i/N       run only shard i of N (stable round-robin over the
 //                       job index) and write <out>/<name>.shard-i-of-N.json
 //                       instead of the aggregate reports; shard runs
@@ -66,9 +55,8 @@
 //                       (per-shard path derived under --out) and opt-in
 //                       via this flag for plain runs
 //     --no-checkpoint   disable checkpointing
-//       plus --jobs/--repeats/--no-files/--max-cycles/--quiet (--jobs is
-//       the thread count: the one way to run a campaign in parallel on one
-//       host; --shard + merge and the fleet spread it across hosts).
+//       --trace and --report inspect a live SoC, so they do not combine
+//       with --shard or --checkpoint.
 //
 //   secbus_cli campaign merge <shard.json>... [--out DIR] [options]
 //       Recombines shard result files (all N of them) into the identical
@@ -156,11 +144,13 @@
 //
 // Exit status: 0 when every executed job completed, 1 on timeout or usage
 // error.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -179,7 +169,6 @@
 #include "scenario/registry.hpp"
 #include "scenario/report.hpp"
 #include "scenario/runner.hpp"
-#include "soc/presets.hpp"
 #include "soc/report.hpp"
 #include "soc/soc.hpp"
 #include "util/csv.hpp"
@@ -195,16 +184,10 @@ namespace {
       stderr,
       "usage: %s list-scenarios\n"
       "       %s crypto-info\n"
-      "       %s run <scenario> [--jobs N] [--repeats N] [--csv PATH]\n"
-      "              [--json PATH] [--no-files] [--max-cycles N] [--quiet]\n"
-      "              [--metrics] [--trace PATH] [--report]\n"
-      "       %s sweep [--scenario NAME] [--topology A,B] [--cpus A,B]\n"
-      "              [--security A,B] [--protection A,B] [--seeds A,B]\n"
-      "              [--extra-rules A,B] [--line-bytes A,B] [--external A,B]\n"
-      "              [run options]\n"
+      "       %s run <scenario> [campaign run options]\n"
       "       %s campaign run <file.json> [--out DIR] [--cells-csv PATH]\n"
-      "              [--shard i/N] [--checkpoint PATH]\n"
-      "              [--no-checkpoint] [run options]\n"
+      "              [--shard i/N] [--checkpoint PATH] [--no-checkpoint]\n"
+      "              [run options]\n"
       "       %s campaign merge <shard.json>... [--out DIR] [run options]\n"
       "       %s campaign validate <file.json>...\n"
       "       %s campaign status [DIR]\n"
@@ -217,59 +200,43 @@ namespace {
       "              [--id NAME] [--reconnect N] [--backoff MS]\n"
       "              [--no-checkpoint] [--quiet]\n"
       "       %s campaign top <host:port> [--interval MS] [--once]\n"
-      "       %s campaign timeline <audit.jsonl> [--out PATH]\n",
+      "       %s campaign timeline <audit.jsonl> [--out PATH]\n"
+      "run options: [--jobs N] [--repeats N] [--csv PATH] [--json PATH]\n"
+      "             [--no-files] [--max-cycles N] [--quiet] [--metrics]\n"
+      "             [--trace PATH] [--report]\n",
       argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-      argv0, argv0, argv0);
+      argv0, argv0);
   std::exit(1);
 }
 
+// Decimal digits only: a sign, whitespace or trailing text is an error.
 bool parse_u64(const char* text, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(text, &end, 10);
-  return end != nullptr && end != text && *end == '\0';
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
-bool parse_double(const char* text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text, &end);
-  return end != nullptr && end != text && *end == '\0';
-}
-
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-// Enum/topology parsing lives next to the enums (soc::parse_security_mode,
-// soc::parse_protection_level, soc::parse_topology) and is shared with the
-// campaign-file reader.
-
-// Options shared by the `run` and `sweep` subcommands.
+// Options shared by every command that runs or emits a campaign.
 struct BatchCliOptions {
   unsigned jobs = 1;
   std::uint64_t repeats = 1;
-  std::string csv_path;   // empty = default from scenario name
-  std::string json_path;  // empty = default from scenario name
+  std::string csv_path;   // empty = <out>/<name>.jobs.csv
+  std::string json_path;  // empty = <out>/<name>.campaign.json
   bool no_files = false;
-  std::uint64_t max_cycles = 0;  // 0 = keep the scenario's cap
+  std::uint64_t max_cycles = 0;  // 0 = keep the spec's cap
   bool quiet = false;
-  // Collect per-job component metrics (obs::Registry) into the JSON reports.
+  // Collect per-job component metrics (obs::Registry) into the sidecar.
   bool metrics = false;
   // Non-empty: run only the first expanded job, single-threaded, with a
   // large event-trace ring, and export a Chrome/Perfetto trace here.
   std::string trace_path;
-  // `run --report`: print soc::render_full_report for the (single) job.
+  // Print soc::render_full_report for the (single) job.
   bool report = false;
+
+  // --trace and --report inspect a live SoC of an in-process run.
+  [[nodiscard]] bool inspects_soc() const noexcept {
+    return report || !trace_path.empty();
+  }
 };
 
 // Tries to consume argv[i] as a shared batch option; advances i past any
@@ -300,28 +267,33 @@ bool parse_batch_option(int argc, char** argv, int& i, BatchCliOptions& opt) {
     opt.metrics = true;
   } else if (arg == "--trace") {
     opt.trace_path = next();
+  } else if (arg == "--report") {
+    opt.report = true;
   } else {
     return false;
   }
   return true;
 }
 
-// Applies the shared CLI post-processing to an expanded spec list: seed
-// replication and the cycle-cap override. Every execution path — plain,
-// sharded, fleet — prepares specs identically, so shard fingerprints and
-// job order agree across processes and invocations.
-std::vector<scenario::ScenarioSpec> prepare_specs(
-    std::vector<scenario::ScenarioSpec> specs, const BatchCliOptions& opt) {
-  specs = scenario::replicate_seeds(std::move(specs), opt.repeats);
-  if (opt.max_cycles != 0) {
-    for (auto& spec : specs) spec.max_cycles = opt.max_cycles;
+// --repeats multiplies the validated grid; the job cap must survive it.
+bool within_job_cap(const std::string& source,
+                    const campaign::CampaignSpec& spec,
+                    const BatchCliOptions& opt) {
+  if (spec.job_count() * opt.repeats <= campaign::kMaxCampaignJobs) {
+    return true;
   }
-  return specs;
+  std::fprintf(stderr,
+               "error: %s: %zu job(s) x %llu repeat(s) exceeds the %zu-job "
+               "cap\n",
+               source.c_str(), spec.job_count(),
+               static_cast<unsigned long long>(opt.repeats),
+               campaign::kMaxCampaignJobs);
+  return false;
 }
 
-// Strided progress for many-job campaigns: ~20 updates total. The batch
-// runner may invoke completion callbacks concurrently; printf is atomic per
-// call, so lines interleave whole.
+// Strided progress: ~20 updates total. The batch runner may invoke
+// completion callbacks concurrently; printf is atomic per call, so lines
+// interleave whole.
 std::function<void(const scenario::JobResult&, std::size_t, std::size_t)>
 strided_progress(std::size_t jobs) {
   std::size_t stride = jobs / 20;
@@ -335,15 +307,11 @@ strided_progress(std::size_t jobs) {
   };
 }
 
-// Shared execution core for run/sweep/campaign: worker-pool setup and
-// progress reporting. Scenario runs print one line per finished job;
-// campaigns (thousands of jobs) print ~20 strided updates instead.
+// Runs prepared specs in-process on the worker pool, with the --trace /
+// --report inspection hooks.
 std::vector<scenario::JobResult> execute_specs(
-    const char* kind, const std::string& name,
-    std::vector<scenario::ScenarioSpec> specs, const BatchCliOptions& opt,
-    bool per_job_progress) {
-  specs = prepare_specs(std::move(specs), opt);
-
+    const std::string& name, const std::vector<scenario::ScenarioSpec>& specs,
+    const BatchCliOptions& opt) {
   scenario::BatchOptions batch;
   batch.threads = opt.jobs;
   batch.hooks.collect_metrics = opt.metrics || !opt.trace_path.empty();
@@ -381,76 +349,11 @@ std::vector<scenario::JobResult> execute_specs(
     };
   }
   if (!opt.quiet) {
-    std::printf("%s %s: %zu job(s) on %u thread(s)\n", kind, name.c_str(),
-                specs.size(), opt.jobs == 0 ? 0u : opt.jobs);
-    if (per_job_progress) {
-      batch.on_job_done = [](const scenario::JobResult& r, std::size_t done,
-                             std::size_t total) {
-        std::printf("  [%zu/%zu] %s %s\n", done, total,
-                    r.variant.empty() ? r.name.c_str() : r.variant.c_str(),
-                    r.soc.completed ? "done" : "TIMED OUT");
-        std::fflush(stdout);
-      };
-    } else {
-      batch.on_job_done = strided_progress(specs.size());
-    }
+    std::printf("campaign %s: %zu job(s) on %u thread(s)\n", name.c_str(),
+                specs.size(), opt.jobs);
+    batch.on_job_done = strided_progress(specs.size());
   }
   return scenario::run_batch(specs, batch);
-}
-
-int run_jobs(const std::string& name, std::vector<scenario::ScenarioSpec> specs,
-             const BatchCliOptions& options) {
-  BatchCliOptions opt = options;
-  if (!opt.trace_path.empty() && !specs.empty()) {
-    // Tracing runs one job, single-threaded: one deterministic SoC whose
-    // exported spans match its counters (see the trace example/test).
-    specs.resize(1);
-    opt.jobs = 1;
-  }
-  const std::vector<scenario::JobResult> results =
-      execute_specs("scenario", name, std::move(specs), opt, true);
-  const scenario::BatchAggregate aggregate =
-      scenario::BatchAggregate::from(results);
-
-  if (opt.quiet) {
-    std::printf(
-        "%s: %zu/%zu completed, latency %.1f +/- %.1f cyc "
-        "(p50 %.1f, p95 %.1f, p99 %.1f), alerts %.0f\n",
-        name.c_str(), aggregate.jobs_completed, aggregate.jobs_total,
-        aggregate.latency.mean(), aggregate.latency.stddev(),
-        aggregate.latency_p50, aggregate.latency_p95, aggregate.latency_p99,
-        aggregate.alerts.sum());
-  } else {
-    std::fputs(scenario::render_batch_table(name, results, aggregate).c_str(),
-               stdout);
-  }
-
-  bool reports_ok = true;
-  if (!opt.no_files) {
-    const std::string csv_path =
-        opt.csv_path.empty() ? name + ".csv" : opt.csv_path;
-    const std::string json_path =
-        opt.json_path.empty() ? name + ".json" : opt.json_path;
-    util::CsvWriter csv(csv_path);
-    scenario::write_batch_csv(csv, results);
-    csv.flush();
-    const bool json_ok = util::write_file(
-        json_path, scenario::batch_json(name, results, aggregate));
-    reports_ok = csv.ok() && json_ok;
-    if (!opt.quiet) {
-      std::printf("reports: %s%s, %s%s\n", csv_path.c_str(),
-                  csv.ok() ? "" : " (write failed)", json_path.c_str(),
-                  json_ok ? "" : " (write failed)");
-    }
-    if (!csv.ok()) {
-      std::fprintf(stderr, "error: failed to write %s\n", csv_path.c_str());
-    }
-    if (!json_ok) {
-      std::fprintf(stderr, "error: failed to write %s\n", json_path.c_str());
-    }
-  }
-
-  return aggregate.jobs_completed == aggregate.jobs_total && reports_ok ? 0 : 1;
 }
 
 int cmd_list_scenarios() {
@@ -464,125 +367,11 @@ int cmd_list_scenarios() {
   return 0;
 }
 
-int cmd_run(int argc, char** argv) {
-  if (argc < 3) usage(argv[0]);
-  const std::string name = argv[2];
-  const scenario::NamedScenario* entry = scenario::find_scenario(name);
-  if (entry == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s'; try list-scenarios\n",
-                 name.c_str());
-    return 1;
-  }
-  BatchCliOptions opt;
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--report") == 0) {
-      opt.report = true;
-    } else if (!parse_batch_option(argc, argv, i, opt)) {
-      usage(argv[0]);
-    }
-  }
-  std::vector<scenario::ScenarioSpec> specs =
-      scenario::expand(entry->spec, entry->axes);
-  if (opt.report && !opt.trace_path.empty()) {
-    std::fprintf(stderr, "error: --report does not combine with --trace\n");
-    return 1;
-  }
-  if (opt.report && specs.size() * opt.repeats != 1) {
-    std::fprintf(stderr,
-                 "error: --report renders one SoC; '%s' expands to %zu "
-                 "job(s)\n",
-                 name.c_str(), specs.size() * opt.repeats);
-    return 1;
-  }
-  return run_jobs(name, std::move(specs), opt);
-}
-
-int cmd_sweep(int argc, char** argv) {
-  std::string base_name = "section5";
-  scenario::SweepAxes axes;
-  BatchCliOptions opt;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (parse_batch_option(argc, argv, i, opt)) continue;
-    if (arg == "--scenario") {
-      base_name = next();
-    } else if (arg == "--topology") {
-      for (const auto& tok : split_commas(next())) {
-        soc::TopologySpec topo;
-        if (!soc::parse_topology(tok, topo)) usage(argv[0]);
-        axes.topology.push_back(topo);
-      }
-    } else if (arg == "--cpus") {
-      for (const auto& tok : split_commas(next())) {
-        std::uint64_t u = 0;
-        if (!parse_u64(tok.c_str(), u) || u < 1 || u > 63) usage(argv[0]);
-        axes.cpus.push_back(static_cast<std::size_t>(u));
-      }
-    } else if (arg == "--security") {
-      for (const auto& tok : split_commas(next())) {
-        soc::SecurityMode mode;
-        if (!soc::parse_security_mode(tok, mode)) usage(argv[0]);
-        axes.security.push_back(mode);
-      }
-    } else if (arg == "--protection") {
-      for (const auto& tok : split_commas(next())) {
-        soc::ProtectionLevel level;
-        if (!soc::parse_protection_level(tok, level)) usage(argv[0]);
-        axes.protection.push_back(level);
-      }
-    } else if (arg == "--seeds") {
-      for (const auto& tok : split_commas(next())) {
-        std::uint64_t u = 0;
-        if (!parse_u64(tok.c_str(), u)) usage(argv[0]);
-        axes.seeds.push_back(u);
-      }
-    } else if (arg == "--extra-rules") {
-      for (const auto& tok : split_commas(next())) {
-        std::uint64_t u = 0;
-        if (!parse_u64(tok.c_str(), u) || u > 1024) usage(argv[0]);
-        axes.extra_rules.push_back(static_cast<std::size_t>(u));
-      }
-    } else if (arg == "--line-bytes") {
-      for (const auto& tok : split_commas(next())) {
-        std::uint64_t u = 0;
-        if (!parse_u64(tok.c_str(), u) ||
-            (u != 16 && u != 32 && u != 64 && u != 128)) {
-          usage(argv[0]);
-        }
-        axes.line_bytes.push_back(u);
-      }
-    } else if (arg == "--external") {
-      for (const auto& tok : split_commas(next())) {
-        double d = 0.0;
-        if (!parse_double(tok.c_str(), d) || d < 0.0 || d > 1.0) usage(argv[0]);
-        axes.external_fraction.push_back(d);
-      }
-    } else {
-      usage(argv[0]);
-    }
-  }
-
-  const scenario::NamedScenario* entry = scenario::find_scenario(base_name);
-  if (entry == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s'; try list-scenarios\n",
-                 base_name.c_str());
-    return 1;
-  }
-  // A custom sweep replaces the scenario's default axes.
-  const scenario::SweepAxes& effective = axes.empty() ? entry->axes : axes;
-  return run_jobs(base_name + "-sweep", scenario::expand(entry->spec, effective),
-                  opt);
-}
-
 // Renders + writes the campaign outputs (table or quiet line; cells CSV,
-// campaign JSON, per-job CSV) for a complete submission-order result
-// vector. Shared by the plain run, the fleet server and `campaign merge` so
-// all three emit byte-identical artifacts from identical results.
+// campaign JSON, per-job CSV, metrics sidecar) for a complete
+// submission-order result vector. Shared by the plain run, the fleet server
+// and `campaign merge` so all three emit byte-identical artifacts from
+// identical results.
 int emit_campaign_outputs(const std::string& name,
                           const std::vector<scenario::JobResult>& results,
                           const BatchCliOptions& opt,
@@ -637,19 +426,10 @@ int emit_campaign_outputs(const std::string& name,
     for (const auto& r : results) any_metrics |= !r.metrics.empty();
     if (any_metrics) {
       metrics_path = in_out(name + ".metrics.json");
-      util::Json doc = util::Json::object();
-      doc.set("campaign", util::Json::string(name));
-      util::Json jobs = util::Json::array();
-      for (const auto& r : results) {
-        if (r.metrics.empty()) continue;
-        util::Json entry = util::Json::object();
-        entry.set("index",
-                  util::Json::number(static_cast<std::uint64_t>(r.index)));
-        entry.set("metrics", r.metrics.to_json());
-        jobs.push(std::move(entry));
+      if (!util::write_file(metrics_path,
+                            campaign::metrics_json(name, results))) {
+        reports_ok = false;
       }
-      doc.set("jobs", std::move(jobs));
-      if (!util::write_file(metrics_path, doc.dump())) reports_ok = false;
     }
 
     if (!opt.quiet) {
@@ -671,21 +451,26 @@ int emit_campaign_outputs(const std::string& name,
 // "--shard i/N": 0 <= i < N <= 1024.
 bool parse_shard_selector(const char* text, std::size_t& index,
                           std::size_t& total) {
-  char* end = nullptr;
-  const unsigned long long i = std::strtoull(text, &end, 10);
-  if (end == text || *end != '/') return false;
-  const char* rest = end + 1;
-  const unsigned long long n = std::strtoull(rest, &end, 10);
-  if (end == rest || *end != '\0') return false;
+  const char* end = text + std::strlen(text);
+  std::uint64_t i = 0;
+  std::uint64_t n = 0;
+  const auto slash = std::from_chars(text, end, i);
+  if (slash.ec != std::errc{} || slash.ptr == end || *slash.ptr != '/') {
+    return false;
+  }
+  const auto rest = std::from_chars(slash.ptr + 1, end, n);
+  if (rest.ec != std::errc{} || rest.ptr != end) return false;
   if (n < 1 || n > 1024 || i >= n) return false;
   index = static_cast<std::size_t>(i);
   total = static_cast<std::size_t>(n);
   return true;
 }
 
-int cmd_campaign_run(int argc, char** argv) {
-  if (argc < 4) usage(argv[0]);
-  const std::string file = argv[3];
+// `run <scenario>` and `campaign run <file>`: parses the options from
+// argv[first] on and runs `spec` (read from `source`) in-process, as one
+// shard, or checkpointed.
+int run_campaign(const campaign::CampaignSpec& spec, const std::string& source,
+                 int argc, char** argv, int first) {
   BatchCliOptions opt;
   std::string out_dir = "bench/out";
   std::string cells_csv_path;
@@ -693,7 +478,7 @@ int cmd_campaign_run(int argc, char** argv) {
   std::size_t shard_total = 0;  // 0 = not sharded
   std::string checkpoint_path;
   bool no_checkpoint = false;
-  for (int i = 4; i < argc; ++i) {
+  for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) usage(argv[0]);
@@ -716,33 +501,38 @@ int cmd_campaign_run(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (!opt.trace_path.empty()) {
-    std::fprintf(stderr,
-                 "error: --trace applies to `run`/`sweep`, not campaigns\n");
+  if (opt.report && !opt.trace_path.empty()) {
+    std::fprintf(stderr, "error: --report does not combine with --trace\n");
     return 1;
   }
+  if (opt.inspects_soc() && (shard_total != 0 || !checkpoint_path.empty())) {
+    std::fprintf(stderr, "error: --trace/--report inspect an in-process run; "
+                         "they do not combine with --shard or --checkpoint\n");
+    return 1;
+  }
+  if (!within_job_cap(source, spec, opt)) return 1;
 
-  campaign::CampaignSpec spec;
-  std::string error;
-  if (!campaign::load_campaign_file(file, spec, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
+  campaign::FleetGridOptions grid;
+  grid.repeats = opt.repeats;
+  grid.max_cycles = opt.max_cycles;
+  std::vector<scenario::ScenarioSpec> specs =
+      campaign::expand_fleet_grid(spec, grid);
+  if (!opt.trace_path.empty()) {
+    // Tracing runs one job, single-threaded: one deterministic SoC whose
+    // exported spans match its counters (see the trace example/test).
+    specs.resize(1);
+    opt.jobs = 1;
   }
-  // --repeats multiplies the validated grid; the job cap must survive it.
-  if (spec.job_count() * opt.repeats > campaign::kMaxCampaignJobs) {
+  if (opt.report && specs.size() != 1) {
     std::fprintf(stderr,
-                 "error: %s: %zu job(s) x %llu repeat(s) exceeds the %zu-job "
-                 "cap\n",
-                 file.c_str(), spec.job_count(),
-                 static_cast<unsigned long long>(opt.repeats),
-                 campaign::kMaxCampaignJobs);
+                 "error: --report renders one SoC; '%s' expands to %zu "
+                 "job(s)\n",
+                 spec.name.c_str(), specs.size());
     return 1;
   }
 
   // --- shard worker: run slice i/N, write the shard result file ----------
   if (shard_total != 0) {
-    const std::vector<scenario::ScenarioSpec> specs =
-        prepare_specs(campaign::expand_campaign(spec), opt);
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
     const auto in_out = [&out_dir](const std::string& file_name) {
@@ -769,7 +559,7 @@ int cmd_campaign_run(int argc, char** argv) {
       std::printf("campaign %s: shard %zu/%zu — %zu of %zu job(s) on %u "
                   "thread(s)\n",
                   spec.name.c_str(), shard_index, shard_total, slice,
-                  specs.size(), opt.jobs == 0 ? 0u : opt.jobs);
+                  specs.size(), opt.jobs);
       run.on_job_done = strided_progress(slice);
     }
     const campaign::ShardRunOutcome outcome = campaign::run_shard(specs, run);
@@ -779,6 +569,7 @@ int cmd_campaign_run(int argc, char** argv) {
     }
     const std::string shard_path =
         in_out(campaign::shard_file_name(spec.name, shard_index, shard_total));
+    std::string error;
     if (!campaign::write_shard_file(
             shard_path,
             campaign::to_shard_file(spec.name, outcome, shard_index,
@@ -805,8 +596,6 @@ int cmd_campaign_run(int argc, char** argv) {
   std::vector<scenario::JobResult> results;
   if (!checkpoint_path.empty() && !no_checkpoint) {
     // Checkpointed single-process run = shard 0 of 1.
-    const std::vector<scenario::ScenarioSpec> specs =
-        prepare_specs(campaign::expand_campaign(spec), opt);
     campaign::ShardRunOptions run;
     run.shard = 0;
     run.shards = 1;
@@ -815,8 +604,7 @@ int cmd_campaign_run(int argc, char** argv) {
     run.collect_metrics = opt.metrics;
     if (!opt.quiet) {
       std::printf("campaign %s: %zu job(s) on %u thread(s)\n",
-                  spec.name.c_str(), specs.size(),
-                  opt.jobs == 0 ? 0u : opt.jobs);
+                  spec.name.c_str(), specs.size(), opt.jobs);
       run.on_job_done = strided_progress(specs.size());
     }
     campaign::ShardRunOutcome outcome = campaign::run_shard(specs, run);
@@ -831,11 +619,35 @@ int cmd_campaign_run(int argc, char** argv) {
     }
     results = std::move(outcome.results);
   } else {
-    results = execute_specs("campaign", spec.name,
-                            campaign::expand_campaign(spec), opt, false);
+    results = execute_specs(spec.name, specs, opt);
   }
   return emit_campaign_outputs(spec.name, results, opt, out_dir,
                                cells_csv_path);
+}
+
+int cmd_run(int argc, char** argv) {
+  if (argc < 3) usage(argv[0]);
+  const std::string name = argv[2];
+  const scenario::NamedScenario* entry = scenario::find_scenario(name);
+  if (entry == nullptr) {
+    std::fprintf(stderr, "unknown scenario '%s'; try list-scenarios\n",
+                 name.c_str());
+    return 1;
+  }
+  return run_campaign(campaign::campaign_from_builtin(*entry), name, argc,
+                      argv, 3);
+}
+
+int cmd_campaign_run(int argc, char** argv) {
+  if (argc < 4) usage(argv[0]);
+  const std::string file = argv[3];
+  campaign::CampaignSpec spec;
+  std::string error;
+  if (!campaign::load_campaign_file(file, spec, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 1;
+  }
+  return run_campaign(spec, file, argc, argv, 4);
 }
 
 int cmd_campaign_merge(int argc, char** argv) {
@@ -862,6 +674,11 @@ int cmd_campaign_merge(int argc, char** argv) {
     }
   }
   if (shard_paths.empty()) usage(argv[0]);
+  if (opt.inspects_soc()) {
+    std::fprintf(stderr, "error: --trace/--report inspect an in-process "
+                         "run, not a merge\n");
+    return 1;
+  }
 
   std::string name;
   std::vector<scenario::JobResult> results;
@@ -992,9 +809,9 @@ int cmd_campaign_serve(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (!opt.trace_path.empty()) {
-    std::fprintf(stderr,
-                 "error: --trace applies to `run`/`sweep`, not campaigns\n");
+  if (opt.inspects_soc()) {
+    std::fprintf(stderr, "error: --trace/--report inspect an in-process "
+                         "run, not a fleet\n");
     return 1;
   }
 
@@ -1004,15 +821,7 @@ int cmd_campaign_serve(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  if (spec.job_count() * opt.repeats > campaign::kMaxCampaignJobs) {
-    std::fprintf(stderr,
-                 "error: %s: %zu job(s) x %llu repeat(s) exceeds the %zu-job "
-                 "cap\n",
-                 file.c_str(), spec.job_count(),
-                 static_cast<unsigned long long>(opt.repeats),
-                 campaign::kMaxCampaignJobs);
-    return 1;
-  }
+  if (!within_job_cap(file, spec, opt)) return 1;
 
   serve_opt.quiet = opt.quiet;
   serve_opt.grid.repeats = opt.repeats;
@@ -1292,9 +1101,6 @@ int main(int argc, char** argv) {
   }
   if (argc >= 2 && std::strcmp(argv[1], "run") == 0) {
     return cmd_run(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "sweep") == 0) {
-    return cmd_sweep(argc, argv);
   }
   if (argc >= 2 && std::strcmp(argv[1], "campaign") == 0) {
     return cmd_campaign(argc, argv);
