@@ -7,17 +7,26 @@
 //   $ ./attack_detection_demo
 #include <cstdio>
 
-#include "attack/campaign.hpp"
+#include "scenario/scenario.hpp"
+#include "soc/presets.hpp"
 
 using namespace secbus;
-using attack::ExternalAttackKind;
+using scenario::AttackKind;
 using soc::ProtectionLevel;
 
 namespace {
 
-void narrate(ExternalAttackKind kind, ProtectionLevel level) {
-  const auto r = attack::run_external_scenario(kind, level, 1234);
-  std::printf("  %-14s | ", to_string(kind));
+void narrate(AttackKind kind, ProtectionLevel level) {
+  scenario::ScenarioSpec spec;
+  spec.name = "attack-detection-demo";
+  spec.soc = soc::tiny_test_config();
+  spec.soc.protection = level;
+  spec.soc.seed = 1234;
+  spec.soc.transactions_per_cpu = 40;  // benign background noise
+  spec.attack.kind = kind;
+  spec.max_cycles = 300'000;
+  const scenario::JobResult r = scenario::run_scenario(spec);
+  std::printf("  %-19s | ", to_string(kind));
   if (r.detected) {
     std::printf(
         "DETECTED: alert %llu cycles after the tamper; victim read aborted, "
@@ -42,23 +51,23 @@ int main() {
 
   std::puts("--- External memory fully protected (CM=cipher, IM=hash tree) ---");
   for (const auto kind :
-       {ExternalAttackKind::kSpoof, ExternalAttackKind::kReplay,
-        ExternalAttackKind::kRelocation, ExternalAttackKind::kDosCorruption}) {
+       {AttackKind::kExternalSpoof, AttackKind::kExternalReplay,
+        AttackKind::kExternalRelocation, AttackKind::kExternalCorruption}) {
     narrate(kind, ProtectionLevel::kFull);
   }
 
   std::puts("\n--- External memory only ciphered (the paper's cheap mode) ---");
   std::puts("    'he can still target a DoS attack by randomly changing data'");
   for (const auto kind :
-       {ExternalAttackKind::kSpoof, ExternalAttackKind::kReplay,
-        ExternalAttackKind::kDosCorruption}) {
+       {AttackKind::kExternalSpoof, AttackKind::kExternalReplay,
+        AttackKind::kExternalCorruption}) {
     narrate(kind, ProtectionLevel::kCipherOnly);
   }
 
   std::puts("\n--- External memory unprotected (the paper's warning case) ---");
   std::puts("    'an attacker can take benefit of this non protected area'");
   for (const auto kind :
-       {ExternalAttackKind::kSpoof, ExternalAttackKind::kReplay}) {
+       {AttackKind::kExternalSpoof, AttackKind::kExternalReplay}) {
     narrate(kind, ProtectionLevel::kPlaintext);
   }
 

@@ -12,10 +12,12 @@
 //
 // The functional decisions are identical to the distributed firewalls' —
 // same policies, same checkers — only *where* and *when* the check happens
-// differs. Under load the manager serializes, so per-access check latency
-// grows with the number of active IPs; the distributed design pays a flat 12
-// cycles at each interface. That is the shape bench_centralized_vs_
-// distributed demonstrates.
+// differs. Under load the manager serializes concurrent checks, while the
+// distributed design pays the same check at each interface whatever the CPU
+// count (13 cycles on the Section V CPU LF: Table II's 12 plus one for its
+// fifth rule). scenario_test_paper_claims checks on the centralized-scaling
+// builtin that the centralized-minus-distributed latency gap grows with the
+// CPU count.
 #pragma once
 
 #include <optional>

@@ -198,7 +198,7 @@ std::vector<NamedScenario> build_catalog() {
     catalog.push_back(std::move(s));
   }
 
-  // --- design-space sweeps (the bench one-liners) ------------------------
+  // --- design-space sweeps (Section V claims, checked by paper_claims) ---
   {
     NamedScenario s;
     soc::SocConfig cfg = soc::section5_config();
@@ -249,6 +249,19 @@ std::vector<NamedScenario> build_catalog() {
                        "per firewall deepen the SB comparator array",
                        cfg, 30'000'000);
     s.axes.extra_rules = {0, 4, 8, 16, 32, 64};
+    catalog.push_back(std::move(s));
+  }
+  {
+    NamedScenario s;
+    soc::SocConfig cfg = soc::section5_config();
+    cfg.transactions_per_cpu = 150;
+    s.spec = base_spec("comm-ratio",
+                       "Protection overhead vs. traffic shape: external "
+                       "share of accesses swept, secured vs. unsecured",
+                       cfg, 20'000'000);
+    s.axes.security = {soc::SecurityMode::kNone,
+                       soc::SecurityMode::kDistributed};
+    s.axes.external_fraction = {0.0, 0.1, 0.2, 0.4, 0.6, 0.8};
     catalog.push_back(std::move(s));
   }
 

@@ -2,9 +2,9 @@
 
 #include <vector>
 
-#include "attack/campaign.hpp"
 #include "attack/external_attacker.hpp"
 #include "attack/flood_master.hpp"
+#include "core/alert.hpp"
 #include "core/security_policy.hpp"
 #include "ip/scripted_master.hpp"
 #include "soc/soc.hpp"
@@ -51,8 +51,23 @@ namespace {
 
 constexpr sim::MasterId kAttackMasterId = 250;
 
-using attack::attack_pattern;
-using attack::detection_cycle_after;
+// Deterministic victim payload: byte i is i*7+salt.
+std::vector<std::uint8_t> attack_pattern(std::size_t len, std::uint8_t salt) {
+  std::vector<std::uint8_t> out(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    out[i] = static_cast<std::uint8_t>(i * 7 + salt);
+  }
+  return out;
+}
+
+// First alert raised at or after `attack_cycle`; kNeverCycle when none.
+sim::Cycle detection_cycle_after(const core::SecurityEventLog& log,
+                                 sim::Cycle attack_cycle) {
+  for (const auto& alert : log.alerts()) {
+    if (alert.cycle >= attack_cycle) return alert.cycle;
+  }
+  return sim::kNeverCycle;
+}
 
 std::uint64_t bus_grants_for(soc::Soc& soc, std::string_view master) {
   const bus::SystemBus::MasterStats* ms = soc.fabric().find_master(master);

@@ -130,7 +130,8 @@ struct JobResult {
   // so default outputs stay byte-identical to pre-observability runs.
   obs::Registry metrics;
 
-  // Mode-specific probes used by the benches.
+  // Mode-specific probes; the paper-claims test checks the Section V
+  // trends on them.
   double manager_queue_wait = 0.0;   // centralized: mean cycles in the queue
   sim::Cycle sb_check_latency = 0;   // distributed: per-access SB check cost
 

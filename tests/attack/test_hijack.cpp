@@ -2,34 +2,43 @@
 // its own Local Firewall, never reaching the bus (Section III.C containment).
 #include <gtest/gtest.h>
 
-#include "attack/campaign.hpp"
+#include "scenario/scenario.hpp"
 #include "soc/presets.hpp"
 #include "soc/soc.hpp"
 
-namespace secbus::attack {
+namespace secbus::scenario {
 namespace {
 
-class HijackSweep : public ::testing::TestWithParam<HijackAttackKind> {};
+// run_scenario's escalating probe script: two writes into the read-only boot
+// segment, a read of an address no segment covers, a byte read where only
+// 32-bit beats are allowed, then two legal scratchpad accesses. Every probe
+// is discarded in the hijacked IP's own LF with its own violation kind; the
+// legal accesses still flow.
+TEST(Hijack, EscalatingProbesAreDetectedAndContained) {
+  ScenarioSpec spec;
+  spec.name = "hijack";
+  spec.soc = soc::tiny_test_config();
+  spec.soc.seed = 42;
+  spec.soc.transactions_per_cpu = 40;
+  spec.attack.kind = AttackKind::kHijack;
+  spec.max_cycles = 200'000;
+  const JobResult r = run_scenario(spec);
 
-TEST_P(HijackSweep, DetectedAndContained) {
-  const auto result = run_hijack_scenario(GetParam(), 42);
-  EXPECT_TRUE(result.attack_ran);
-  EXPECT_TRUE(result.detected) << result.scenario;
-  EXPECT_TRUE(result.contained) << "attack traffic reached the bus";
-  EXPECT_GE(result.total_alerts, 3u);  // three attempts, three alerts
-  EXPECT_TRUE(result.workload_completed) << "benign workload must survive";
+  EXPECT_TRUE(r.attack_ran);
+  EXPECT_TRUE(r.detected);
+  EXPECT_TRUE(r.containment_checked);
+  EXPECT_TRUE(r.contained) << "attack traffic reached the bus";
+  EXPECT_EQ(r.violation_count(core::Violation::kRwViolation), 2u);
+  EXPECT_EQ(r.violation_count(core::Violation::kNoMatchingSegment), 1u);
+  EXPECT_EQ(r.violation_count(core::Violation::kFormatViolation), 1u);
+  EXPECT_EQ(r.fw_blocked, 4u);  // the four probes, nothing benign
+  EXPECT_EQ(r.soc.alerts, 4u);  // one alert per probe
+  EXPECT_TRUE(r.soc.completed) << "benign workload must survive";
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, HijackSweep,
-                         ::testing::Values(HijackAttackKind::kForbiddenWrite,
-                                           HijackAttackKind::kOutOfSegmentRead,
-                                           HijackAttackKind::kBadFormat),
-                         [](const auto& param_info) {
-                           return std::string(to_string(param_info.param));
-                         });
-
 TEST(Hijack, ContainmentMeansZeroBusGrants) {
-  // Stronger form of the sweep's assertion, checked directly on the SoC.
+  // Stronger form of the scenario's containment check (which tolerates the
+  // script's legal grants), checked directly on the SoC.
   soc::SocConfig cfg = soc::tiny_test_config();
   soc::Soc soc(cfg);
   auto& mal = soc.add_scripted_master("hijacked", soc.cpu_policy(0));
@@ -109,4 +118,4 @@ TEST(Hijack, BenignProcessorsUnaffectedByLockdown) {
 }
 
 }  // namespace
-}  // namespace secbus::attack
+}  // namespace secbus::scenario
