@@ -8,7 +8,6 @@
 // decorator.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <string_view>
 
@@ -16,6 +15,7 @@
 #include "sim/component.hpp"
 #include "sim/kernel.hpp"
 #include "sim/types.hpp"
+#include "util/ring.hpp"
 
 namespace secbus::bus {
 
@@ -49,16 +49,18 @@ class TransactionChannel {
   [[nodiscard]] const BusTransaction& front() const { return q_.front(); }
 
   std::optional<BusTransaction> pop() {
-    if (q_.empty()) return std::nullopt;
-    BusTransaction t = std::move(q_.front());
-    q_.pop_front();
+    std::optional<BusTransaction> t;
+    if (!q_.empty()) {
+      t.emplace(std::move(q_.front()));
+      q_.pop_front();
+    }
     return t;
   }
 
   void clear() { q_.clear(); }
 
  private:
-  std::deque<BusTransaction> q_;
+  util::Ring<BusTransaction> q_;
   sim::Component* consumer_ = nullptr;
 };
 

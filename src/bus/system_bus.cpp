@@ -38,7 +38,7 @@ void SystemBus::book(sim::Cycle start, sim::Cycle end) {
   SECBUS_ASSERT(start >= booking_tail_ && end > start,
                 "bookings must be ascending, non-empty windows");
   booking_tail_ = end;
-  bookings_.emplace_back(start, end);
+  bookings_.push_back(std::pair{start, end});
 }
 
 void SystemBus::prune_bookings(sim::Cycle now) noexcept {
@@ -168,7 +168,8 @@ sim::Cycle SystemBus::next_wake(sim::Cycle now) const {
   // A waiting request is granted once no booked window covers the cycle;
   // windows may abut, so walk the chain that starts at or before `now`.
   sim::Cycle t = now;
-  for (const auto& [start, end] : bookings_) {
+  for (std::size_t i = 0; i < bookings_.size(); ++i) {
+    const auto& [start, end] = bookings_[i];
     if (end <= t) continue;
     if (start > t) break;
     t = end;
@@ -185,7 +186,8 @@ void SystemBus::skip(sim::Cycle now, sim::Cycle n) {
   // Idle segment: cycles inside booked windows are busy, the rest idle.
   const sim::Cycle end = now + n;
   sim::Cycle booked = 0;
-  for (const auto& [start, stop] : bookings_) {
+  for (std::size_t i = 0; i < bookings_.size(); ++i) {
+    const auto& [start, stop] = bookings_[i];
     if (start >= end) break;
     const sim::Cycle lo = std::max(start, now);
     const sim::Cycle hi = std::min(stop, end);

@@ -8,7 +8,6 @@
 // internal communication.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +19,7 @@
 #include "bus/transaction.hpp"
 #include "sim/component.hpp"
 #include "sim/trace.hpp"
+#include "util/ring.hpp"
 #include "util/stats.hpp"
 
 namespace secbus::obs {
@@ -114,6 +114,10 @@ class SystemBus final : public sim::Component {
   [[nodiscard]] sim::Cycle booked_until() const noexcept {
     return booking_tail_;
   }
+  // Booked windows not yet pruned (they end after the last executed cycle).
+  [[nodiscard]] std::size_t booked_windows() const noexcept {
+    return bookings_.size();
+  }
   // Accounting hook for bridge-forwarded traffic terminating here.
   void note_bridged_in(std::uint64_t bytes) noexcept {
     ++stats_.bridged_in;
@@ -181,7 +185,7 @@ class SystemBus final : public sim::Component {
   // Bridge service windows: ascending, non-overlapping [start, end) pairs;
   // the head is pruned as simulation time passes. Bounded by the number of
   // in-flight crossings (each master has at most one outstanding).
-  std::deque<std::pair<sim::Cycle, sim::Cycle>> bookings_;
+  util::Ring<std::pair<sim::Cycle, sim::Cycle>> bookings_;
   sim::Cycle booking_tail_ = 0;  // end of the last booked window
   bool current_is_crossing_ = false;  // current_ is serviced by a Bridge
   BusTransaction current_;

@@ -18,6 +18,7 @@ Processor::Processor(std::string name, sim::MasterId id, std::uint64_t seed,
                 "compute gap range inverted");
   SECBUS_ASSERT(workload_.max_burst_beats >= 1, "burst beats must be >= 1");
   SECBUS_ASSERT(workload_.threads >= 1, "at least one thread");
+  for (const Target& t : workload_.targets) target_weights_.push_back(t.weight);
   compute_remaining_ =
       rng_.range(workload_.compute_min, workload_.compute_max);
   last_gap_ = compute_remaining_;
@@ -26,11 +27,7 @@ Processor::Processor(std::string name, sim::MasterId id, std::uint64_t seed,
 bus::BusTransaction Processor::next_transaction(sim::Cycle now) {
   // Pick a target window, a direction, a format and a burst length, then an
   // aligned address such that the whole burst stays inside the window.
-  std::vector<double> weights;
-  weights.reserve(workload_.targets.size());
-  for (const Target& t : workload_.targets) weights.push_back(t.weight);
-  const std::size_t target_idx =
-      rng_.weighted_pick(std::span<const double>(weights.data(), weights.size()));
+  const std::size_t target_idx = rng_.weighted_pick(target_weights_);
   const Target& target = workload_.targets[target_idx];
   pending_external_ = target.external;
 
@@ -55,8 +52,9 @@ bus::BusTransaction Processor::next_transaction(sim::Cycle now) {
   const bool is_write = rng_.chance(workload_.write_fraction);
   bus::BusTransaction t;
   if (is_write) {
-    std::vector<std::uint8_t> payload(bytes);
-    rng_.fill(std::span<std::uint8_t>(payload.data(), payload.size()));
+    bus::Payload payload;
+    payload.resize(bytes);
+    rng_.fill(payload.span());
     t = bus::make_write(id_, addr, std::move(payload), fmt);
     ++stats_.writes;
   } else {
@@ -96,12 +94,12 @@ void Processor::tick(sim::Cycle now) {
         ++stats_.stall_cycles;
         return;
       }
-      const bus::BusTransaction resp = *port_->response.pop();
-      stats_.latency.add(static_cast<double>(now - resp.issued_at));
-      stats_.latency_hist.add(now - resp.issued_at);
-      if (resp.status == bus::TransStatus::kOk) {
+      const auto resp = port_->response.pop();
+      stats_.latency.add(static_cast<double>(now - resp->issued_at));
+      stats_.latency_hist.add(now - resp->issued_at);
+      if (resp->status == bus::TransStatus::kOk) {
         ++stats_.completed;
-        stats_.bytes_moved += resp.payload_bytes();
+        stats_.bytes_moved += resp->payload_bytes();
       } else {
         ++stats_.failed;
       }

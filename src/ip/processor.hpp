@@ -118,6 +118,7 @@ class Processor final : public sim::Component {
   sim::MasterId id_;
   std::uint64_t seed_;
   Workload workload_;
+  std::vector<double> target_weights_;  // workload_.targets' weights
   util::Xoshiro256 rng_;
   bus::MasterEndpoint* port_ = nullptr;
 

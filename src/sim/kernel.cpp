@@ -81,7 +81,7 @@ void SimKernel::notify(Component& c) {
 void SimKernel::refresh(Component& c) {
   const Cycle wake = c.next_wake(c.synced_);
   ++wake_reads_;
-  if (wake == c.wake_) return;  // its calendar entry (or due slot) stands
+  if (wake == c.wake_) return;  // its calendar entry stands
   c.wake_ = wake;
   ++c.gen_;
   if (wake == kNeverCycle) return;
@@ -109,17 +109,6 @@ void SimKernel::refresh_dirty() {
   dirty_.clear();
 }
 
-void SimKernel::collect_due() {
-  while (!calendar_.empty() && calendar_.front().when <= now_) {
-    std::pop_heap(calendar_.begin(), calendar_.end(), WakeLater{});
-    const Wake w = calendar_.back();
-    calendar_.pop_back();
-    if (w.gen != components_[w.index]->gen_) continue;  // stale
-    due_.push_back(w.index);
-    std::push_heap(due_.begin(), due_.end(), std::greater<>{});
-  }
-}
-
 void SimKernel::step_due() {
   if (!pending_.empty() && pending_.front().when <= now_) {
     // Callbacks may touch any component: bring all of them up to date
@@ -128,12 +117,17 @@ void SimKernel::step_due() {
     fire_callbacks();
     refresh_all();
   }
-  collect_due();
-  while (!due_.empty()) {
-    std::pop_heap(due_.begin(), due_.end(), std::greater<>{});
-    Component& c = *components_[due_.back()];
-    due_.pop_back();
-    // Duplicate entry, or a notify re-read moved the wake past this cycle.
+  // Entries due now pop lowest index first. A notify re-read that makes a
+  // later-index component due now pushes (now_, index) and pops later in
+  // this loop; an earlier-index target was synced through now_, so its new
+  // wake is at least now_ + 1.
+  while (!calendar_.empty() && calendar_.front().when <= now_) {
+    std::pop_heap(calendar_.begin(), calendar_.end(), WakeLater{});
+    const Wake w = calendar_.back();
+    calendar_.pop_back();
+    Component& c = *components_[w.index];
+    if (w.gen != c.gen_) continue;  // stale
+    // Guard: already executed this cycle, or no longer due in it.
     if (c.synced_ > now_ || c.wake_ > now_) continue;
     sync(c, now_);
     c.synced_ = now_ + 1;
@@ -143,8 +137,6 @@ void SimKernel::step_due() {
     ++ticks_dispatched_;
     refresh_dirty();
     refresh(c);
-    // Components notified above may now be due later in this cycle.
-    collect_due();
   }
   ticks_executed_ += components_.size();
   ++now_;
@@ -225,7 +217,6 @@ void SimKernel::reset() {
   seq_ = 0;
   pending_.clear();
   calendar_.clear();
-  due_.clear();
   dirty_.clear();
   for (Component* c : components_) {
     c->reset();

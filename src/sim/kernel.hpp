@@ -7,14 +7,15 @@
 // Both orders are fixed, so a run is a pure function of (wiring, seeds).
 //
 // run() and run_until() pay per event, not per component:
-//   * Calendar. The kernel caches every component's next_wake() in a
-//     min-heap and re-reads it only after the component ticks, after it is
-//     notified, and at run entry. A cycle in which no component is due and
-//     no callback fires is not visited at all: time jumps to the earliest
-//     cached wake, the next pending callback, or the cycle cap.
-//   * Due set. A stepped cycle ticks only the components whose wake is that
-//     cycle, lowest registration index first, so tick order is the lockstep
-//     order restricted to the components that act.
+//   * Calendar. The kernel caches every component's next_wake() in one
+//     min-heap ordered by (wake, registration index) and re-reads it only
+//     after the component ticks, after it is notified, and at run entry. A
+//     cycle in which no component is due and no callback fires is not
+//     visited at all: time jumps to the earliest cached wake, the next
+//     pending callback, or the cycle cap. A stepped cycle pops the entries
+//     due in it straight off the heap, so it ticks only the components that
+//     act, lowest registration index first: the lockstep order restricted
+//     to them.
 //   * Lazy skip. Each component remembers the first cycle it has not
 //     executed. Its skipped bookkeeping is applied in one skip() just before
 //     it ticks, when it is notified, before callbacks run, and for every
@@ -137,7 +138,8 @@ class SimKernel {
   };
   struct WakeLater {
     bool operator()(const Wake& a, const Wake& b) const noexcept {
-      return a.when > b.when;
+      if (a.when != b.when) return a.when > b.when;
+      return a.index > b.index;
     }
   };
 
@@ -157,8 +159,6 @@ class SimKernel {
   // Re-reads every wake and rebuilds the calendar (run entry, callbacks).
   void refresh_all();
   void refresh_dirty();
-  // Moves the calendar entries due at now_ into the due set.
-  void collect_due();
 
   std::vector<Component*> components_;
   // Min-heap over (when, seq) maintained with std::push_heap/pop_heap on a
@@ -167,11 +167,9 @@ class SimKernel {
   // it). The backing storage is also reused across steps instead of being
   // reallocated.
   std::vector<Scheduled> pending_;
-  // Min-heap of cached wakes; stale entries are dropped when they surface.
+  // Min-heap of cached wakes by (when, index); stale entries are dropped
+  // when they surface.
   std::vector<Wake> calendar_;
-  // Min-heap of the registration indices due in the cycle being stepped;
-  // may hold duplicates and components that stopped being due.
-  std::vector<std::uint32_t> due_;
   // Components notified during the current tick, awaiting a wake re-read.
   std::vector<Component*> dirty_;
   // Registration index of the component ticking, or kNoActive.

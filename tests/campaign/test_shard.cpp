@@ -249,7 +249,9 @@ TEST(ShardMerge, MoreShardsThanJobsStillMergesCleanly) {
     run.shards = shards;
     run.threads = pool_threads();
     const ShardRunOutcome outcome = run_shard(specs, run);
-    if (s >= specs.size()) EXPECT_TRUE(outcome.indices.empty());
+    if (s >= specs.size()) {
+      EXPECT_TRUE(outcome.indices.empty());
+    }
     const std::string path = dir.file(shard_file_name(name, s, shards));
     std::string error;
     ASSERT_TRUE(write_shard_file(

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace secbus::sim {
@@ -37,6 +38,7 @@ class Sleeper final : public Component {
 
   void tick(Cycle now) override {
     ++waited;
+    ++ticks;
     if (now != wake_at_) return;
     sink_->push_back(name() + "@" + std::to_string(now));
     fired = true;
@@ -53,6 +55,7 @@ class Sleeper final : public Component {
   void wake_at(Cycle when) { wake_at_ = when; }
 
   std::uint64_t waited = 0;  // every cycle, ticked or skipped
+  std::uint64_t ticks = 0;
   bool fired = false;
 
  private:
@@ -114,6 +117,34 @@ class Sender final : public Component {
  private:
   std::vector<Cycle> at_;
   std::vector<Inbox*> to_;
+  std::size_t next_ = 0;
+};
+
+// At each scripted cycle, moves sleepers' wakes (notifying each first), in
+// script order.
+class Poker final : public Component {
+ public:
+  struct Poke {
+    Cycle at;
+    Sleeper* target;
+    Cycle wake;
+  };
+  Poker(std::string name, std::vector<Poke> pokes)
+      : Component(std::move(name)), pokes_(std::move(pokes)) {}
+
+  void tick(Cycle now) override {
+    while (next_ < pokes_.size() && pokes_[next_].at == now) {
+      const Poke& p = pokes_[next_++];
+      kernel()->notify(*p.target);
+      p.target->wake_at(p.wake);
+    }
+  }
+  [[nodiscard]] Cycle next_wake(Cycle /*now*/) const override {
+    return next_ < pokes_.size() ? pokes_[next_].at : kNeverCycle;
+  }
+
+ private:
+  std::vector<Poke> pokes_;
   std::size_t next_ = 0;
 };
 
@@ -429,6 +460,73 @@ TEST(KernelNotify, StatsReadBetweenRunsAreExact) {
   EXPECT_EQ(fast.counters[7], 20u);
   EXPECT_EQ(fast.counters[12], 21u);
   EXPECT_EQ(fast.counters[17], 61u);
+}
+
+// What a poke run produced, in one kernel mode.
+struct PokeRun {
+  std::vector<std::string> log;
+  std::vector<std::uint64_t> waited;  // per sleeper
+  std::vector<std::uint64_t> ticks;   // per sleeper
+  std::uint64_t ticks_dispatched = 0;
+};
+
+// Sleepers "a" and "b" (registered first, in that order) start asleep at
+// `wake_a`/`wake_b`; a poker registered after them applies `pokes`, whose
+// targets are 0 (a) or 1 (b).
+PokeRun run_pokes(bool lockstep, Cycle wake_a, Cycle wake_b,
+                  const std::vector<std::tuple<Cycle, int, Cycle>>& pokes,
+                  Cycle n) {
+  LockstepGuard guard(lockstep);
+  PokeRun out;
+  SimKernel k;
+  Sleeper a("a", out.log, wake_a);
+  Sleeper b("b", out.log, wake_b);
+  std::vector<Poker::Poke> script;
+  for (const auto& [at, target, wake] : pokes) {
+    script.push_back({at, target == 0 ? &a : &b, wake});
+  }
+  Poker poker("poker", std::move(script));
+  k.add(a);
+  k.add(b);
+  k.add(poker);
+  k.run(n);
+  out.waited = {a.waited, b.waited};
+  out.ticks = {a.ticks, b.ticks};
+  out.ticks_dispatched = k.ticks_dispatched();
+  return out;
+}
+
+TEST(KernelCalendar, SameCycleWakesTickInRegistrationOrder) {
+  // b (index 1) pushes its wake for cycle 20 before a (index 0) does; the
+  // calendar must still tick a first. Then both move to 40 in the other
+  // order, from different cycles.
+  const std::vector<std::tuple<Cycle, int, Cycle>> pokes{
+      {5, 1, 20}, {5, 0, 20}, {25, 0, 40}, {27, 1, 40}};
+  const PokeRun oracle =
+      run_pokes(true, kNeverCycle, kNeverCycle, pokes, 50);
+  const PokeRun fast = run_pokes(false, kNeverCycle, kNeverCycle, pokes, 50);
+  EXPECT_EQ(fast.log,
+            (std::vector<std::string>{"a@20", "b@20", "a@40", "b@40"}));
+  EXPECT_EQ(fast.log, oracle.log);
+  EXPECT_EQ(fast.waited, oracle.waited);
+  EXPECT_EQ(fast.ticks, (std::vector<std::uint64_t>{2, 2}));
+}
+
+TEST(KernelCalendar, StaleWakeEntriesTickOnceInTheDueCycle) {
+  // a and b sleep until 30; the poker moves b to 10 at cycle 5 and back to
+  // 30 at cycle 7. The calendar then holds b's (30, stale), (10, stale) and
+  // (30, current) under a's (30): b must tick once, at 30, and cycle 10 is
+  // never stepped.
+  const std::vector<std::tuple<Cycle, int, Cycle>> pokes{{5, 1, 10},
+                                                         {7, 1, 30}};
+  const PokeRun oracle = run_pokes(true, 30, 30, pokes, 60);
+  const PokeRun fast = run_pokes(false, 30, 30, pokes, 60);
+  EXPECT_EQ(fast.log, (std::vector<std::string>{"a@30", "b@30"}));
+  EXPECT_EQ(fast.log, oracle.log);
+  EXPECT_EQ(fast.waited, oracle.waited);
+  EXPECT_EQ(fast.ticks, (std::vector<std::uint64_t>{1, 1}));
+  // The poker at 5 and 7, a and b at 30.
+  EXPECT_EQ(fast.ticks_dispatched, 4u);
 }
 
 }  // namespace
