@@ -54,7 +54,7 @@ LocalCipheringFirewall::LocalCipheringFirewall(std::string name, FirewallId id,
       id_(id),
       cfg_(cfg),
       config_mem_(&config_mem),
-      sb_(config_mem, id, cfg.sb),
+      sb_(config_mem, id, cfg.check_cycles),
       log_(&log),
       inner_(&inner),
       cc_(config_mem.policy(id).key, cc_config(cfg, config_mem.policy(id).key)),
@@ -194,7 +194,8 @@ bus::AccessResult LocalCipheringFirewall::access(bus::BusTransaction& t,
     policy_generation_ = config_mem_->generation();
   }
 
-  // Rule check identical to a plain slave-side Local Firewall.
+  // Rule check as in a plain slave-side Local Firewall, except that a
+  // discard records only the alert trace event (no trans_discarded).
   ++fw_stats_.secpol_reqs;
   if (trace_ != nullptr) {
     trace_->record({now, sim::TraceKind::kSecpolReq, name_.c_str(), t.id, t.addr, 0});
@@ -207,8 +208,7 @@ bus::AccessResult LocalCipheringFirewall::access(bus::BusTransaction& t,
                     name_.c_str(), t.id, t.addr,
                     static_cast<std::uint64_t>(check.decision.violation)});
   }
-  const auto gate = fi_.apply(check.decision);
-  if (!gate.forwarded) {
+  if (!check.decision.allowed) {
     ++fw_stats_.blocked;
     raise_alert(now, check.decision.violation, t);
     std::fill(t.data.begin(), t.data.end(), 0);
@@ -396,8 +396,6 @@ sim::Cycle LocalCipheringFirewall::rotate_key(const crypto::Aes128Key& new_key) 
 void LocalCipheringFirewall::reset_stats() noexcept {
   stats_ = {};
   fw_stats_ = {};
-  fi_.reset();
-  sb_.reset_stats();
   cc_.reset_stats();
   ic_.reset_stats();
 }

@@ -44,7 +44,7 @@ namespace secbus::core {
 class LocalCipheringFirewall final : public bus::SlaveDevice {
  public:
   struct Config {
-    SecurityBuilder::Config sb;
+    sim::Cycle check_cycles = kTableIICheckCycles;  // SB rule-check budget
     sim::Addr protected_base = 0;
     std::uint64_t protected_size = 0;  // line_bytes * power-of-two
     std::uint64_t line_bytes = 32;
@@ -144,7 +144,6 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
   Config cfg_;
   ConfigurationMemory* config_mem_;
   SecurityBuilder sb_;
-  FirewallInterface fi_;
   SecurityEventLog* log_;
   mem::DdrMemory* inner_;
   sim::EventTrace* trace_ = nullptr;

@@ -57,8 +57,9 @@ class ConfigurationMemory {
   // a policy is a wiring bug — the paper's architecture pairs them 1:1).
   [[nodiscard]] const SecurityPolicy& policy(FirewallId firewall) const;
 
-  // The compiled index of that policy, rebuilt on every install(). Checkers
-  // use this instead of scanning the rule lists; decisions are identical.
+  // The compiled index of that policy, rebuilt on every install(). The SB
+  // and the centralized manager decide with it instead of scanning the rule
+  // lists; decisions are identical.
   [[nodiscard]] const CompiledPolicyIndex& compiled(FirewallId firewall) const;
 
   [[nodiscard]] sim::Cycle read_latency() const noexcept { return cfg_.read_latency; }

@@ -20,10 +20,17 @@ void contribute_firewall_metrics(obs::Registry& reg, const std::string& prefix,
   }
 }
 
-LocalFirewall::LocalFirewall(std::string name, FirewallId id,
-                             ConfigurationMemory& config_mem,
-                             SecurityEventLog& log)
-    : LocalFirewall(std::move(name), id, config_mem, log, Config{}) {}
+namespace {
+
+// The verdict on `t`: from the shared source when there is one, else from
+// the firewall's own SB.
+Verdict check(std::optional<SecurityBuilder>& sb, VerdictSource* remote,
+              FirewallId id, const bus::BusTransaction& t, sim::Cycle now) {
+  if (remote != nullptr) return remote->check(id, t, now);
+  return sb->run_check(t.op, t.addr, t.payload_bytes(), t.format, t.thread);
+}
+
+}  // namespace
 
 LocalFirewall::LocalFirewall(std::string name, FirewallId id,
                              ConfigurationMemory& config_mem,
@@ -31,8 +38,14 @@ LocalFirewall::LocalFirewall(std::string name, FirewallId id,
     : Component(std::move(name)),
       id_(id),
       cfg_(cfg),
-      sb_(config_mem, id, cfg.sb),
+      sb_(std::in_place, config_mem, id, cfg.check_cycles),
       log_(&log) {
+  ip_side_.request.set_consumer(*this);
+}
+
+LocalFirewall::LocalFirewall(std::string name, FirewallId id,
+                             VerdictSource& remote, SecurityEventLog& log)
+    : Component(std::move(name)), id_(id), remote_(&remote), log_(&log) {
   ip_side_.request.set_consumer(*this);
 }
 
@@ -57,11 +70,14 @@ void LocalFirewall::start_check(sim::Cycle now) {
     trace_->record({now, sim::TraceKind::kSecpolReq, name().c_str(),
                     in_check_->id, in_check_->addr, 0});
   }
-  check_result_ = sb_.run_check(in_check_->op, in_check_->addr,
-                                in_check_->payload_bytes(), in_check_->format,
-                                in_check_->thread);
-  check_remaining_ = check_result_.latency;
-  stats_.check_cycles += check_result_.latency;
+  verdict_ = check(sb_, remote_, id_, *in_check_, now);
+  SECBUS_ASSERT(verdict_.latency >= 1, "a check takes at least one cycle");
+  stats_.check_cycles += verdict_.latency;
+  // The SB starts checking in the request cycle, so its verdict is acted on
+  // in the check's last cycle. A remote verdict is sent out on the request
+  // cycle and acted on in the cycle it arrives back, one cycle later for
+  // the same latency.
+  act_at_ = now + verdict_.latency - (remote_ == nullptr ? 1 : 0);
 }
 
 void LocalFirewall::finish_check(sim::Cycle now) {
@@ -69,28 +85,28 @@ void LocalFirewall::finish_check(sim::Cycle now) {
   SECBUS_ASSERT(bus_side_ != nullptr, "firewall not connected to the bus");
   bus::BusTransaction t = std::move(*in_check_);
   in_check_.reset();
+  SecurityPolicy::Decision& decision = verdict_.decision;
 
   if (trace_ != nullptr) {
     trace_->record({now, sim::TraceKind::kCheckResult, name().c_str(), t.id,
-                    t.addr, static_cast<std::uint64_t>(check_result_.decision.violation)});
+                    t.addr, static_cast<std::uint64_t>(decision.violation)});
   }
 
   // DoS throttle: even rule-legal traffic is bounded per window.
-  if (check_result_.decision.allowed && cfg_.rate_limit_window > 0) {
+  if (decision.allowed && cfg_.rate_limit_window > 0) {
     if (now - rate_window_start_ >= cfg_.rate_limit_window) {
       rate_window_start_ = now - (now % cfg_.rate_limit_window);
       rate_window_count_ = 0;
     }
     if (rate_window_count_ >= cfg_.rate_limit_max) {
-      check_result_.decision.allowed = false;
-      check_result_.decision.violation = Violation::kRateLimited;
+      decision.allowed = false;
+      decision.violation = Violation::kRateLimited;
     } else {
       ++rate_window_count_;
     }
   }
 
-  const auto gate = fi_.apply(check_result_.decision);
-  if (gate.forwarded) {
+  if (decision.allowed) {
     ++stats_.passed;
     bus_side_->request.push(std::move(t));
     return;
@@ -100,14 +116,14 @@ void LocalFirewall::finish_check(sim::Cycle now) {
   // error response so it can continue (a hardware IP would see its strobe
   // acknowledged with an error code).
   ++stats_.blocked;
-  stats_.count_violation(check_result_.decision.violation);
-  log_->raise(Alert{now, id_, name(), check_result_.decision.violation, t.master,
-                    t.op, t.addr, t.id});
+  stats_.count_violation(decision.violation);
+  log_->raise(Alert{now, id_, name(), decision.violation, t.master, t.op,
+                    t.addr, t.id});
   if (trace_ != nullptr) {
     trace_->record({now, sim::TraceKind::kTransDiscarded, name().c_str(), t.id,
-                    t.addr, static_cast<std::uint64_t>(check_result_.decision.violation)});
+                    t.addr, static_cast<std::uint64_t>(decision.violation)});
     trace_->record({now, sim::TraceKind::kAlert, name().c_str(), t.id, t.addr,
-                    static_cast<std::uint64_t>(check_result_.decision.violation)});
+                    static_cast<std::uint64_t>(decision.violation)});
   }
   t.status = bus::TransStatus::kSecurityViolation;
   // Discarded data must not reach the IP (read) nor the bus (write).
@@ -116,63 +132,31 @@ void LocalFirewall::finish_check(sim::Cycle now) {
   ip_side_.response.push(std::move(t));
 }
 
-void LocalFirewall::pump_responses(sim::Cycle now) {
+void LocalFirewall::pump_responses() {
   if (bus_side_ == nullptr) return;
   while (!bus_side_->response.empty()) {
-    bus::BusTransaction t = *bus_side_->response.pop();
     ++stats_.responses_gated;
-    if (cfg_.recheck_responses && t.op == bus::BusOp::kRead &&
-        t.status == bus::TransStatus::kOk) {
-      // Paranoid mode: full SB re-check of the returning data's shape.
-      const auto recheck =
-          sb_.run_check(t.op, t.addr, t.payload_bytes(), t.format, t.thread);
-      stats_.check_cycles += recheck.latency;
-      if (!recheck.decision.allowed) {
-        ++stats_.blocked;
-        stats_.count_violation(recheck.decision.violation);
-        log_->raise(Alert{now, id_, name(), recheck.decision.violation,
-                          t.master, t.op, t.addr, t.id});
-        t.status = bus::TransStatus::kSecurityViolation;
-        std::fill(t.data.begin(), t.data.end(), 0);
-      }
-    }
-    ip_side_.response.push(std::move(t));
+    ip_side_.response.push(*bus_side_->response.pop());
   }
 }
 
 void LocalFirewall::tick(sim::Cycle now) {
-  // Responses flow back to the IP through the FI gate.
-  pump_responses(now);
+  // Responses flow back to the IP.
+  pump_responses();
 
-  // SB pipeline: one check at a time; new requests wait in the LFCB queue.
-  if (in_check_.has_value()) {
-    SECBUS_ASSERT(check_remaining_ > 0, "check countdown underflow");
-    --check_remaining_;
-    if (check_remaining_ == 0) finish_check(now);
-    return;
-  }
-  if (!ip_side_.request.empty()) {
+  // One check at a time; new requests wait in the LFCB queue.
+  if (!in_check_.has_value()) {
+    if (ip_side_.request.empty()) return;
     start_check(now);
-    // The check consumes this cycle as its first cycle.
-    --check_remaining_;
-    if (check_remaining_ == 0) finish_check(now);
   }
+  SECBUS_ASSERT(now <= act_at_, "verdict acted on late");
+  if (now == act_at_) finish_check(now);
 }
 
 sim::Cycle LocalFirewall::next_wake(sim::Cycle now) const {
   if (bus_side_ != nullptr && !bus_side_->response.empty()) return now;
-  if (in_check_.has_value()) return now + check_remaining_ - 1;
+  if (in_check_.has_value()) return act_at_;
   return ip_side_.request.empty() ? sim::kNeverCycle : now;
-}
-
-void LocalFirewall::skip(sim::Cycle /*now*/, sim::Cycle n) {
-  if (in_check_.has_value()) check_remaining_ -= n;
-}
-
-void LocalFirewall::reset_stats() noexcept {
-  stats_ = {};
-  fi_.reset();
-  sb_.reset_stats();
 }
 
 void LocalFirewall::contribute_metrics(obs::Registry& reg,
@@ -184,7 +168,7 @@ void LocalFirewall::reset() {
   ip_side_.clear();
   if (bus_side_ != nullptr) bus_side_->clear();
   in_check_.reset();
-  check_remaining_ = 0;
+  act_at_ = 0;
   rate_window_start_ = 0;
   rate_window_count_ = 0;
   reset_stats();
@@ -192,17 +176,20 @@ void LocalFirewall::reset() {
 
 SlaveFirewall::SlaveFirewall(std::string name, FirewallId id,
                              ConfigurationMemory& config_mem,
-                             SecurityEventLog& log, bus::SlaveDevice& inner)
-    : SlaveFirewall(std::move(name), id, config_mem, log, inner,
-                    SecurityBuilder::Config{}) {}
-
-SlaveFirewall::SlaveFirewall(std::string name, FirewallId id,
-                             ConfigurationMemory& config_mem,
                              SecurityEventLog& log, bus::SlaveDevice& inner,
-                             SecurityBuilder::Config sb_cfg)
+                             sim::Cycle check_cycles)
     : name_(std::move(name)),
       id_(id),
-      sb_(config_mem, id, sb_cfg),
+      sb_(std::in_place, config_mem, id, check_cycles),
+      log_(&log),
+      inner_(&inner) {}
+
+SlaveFirewall::SlaveFirewall(std::string name, FirewallId id,
+                             VerdictSource& remote, SecurityEventLog& log,
+                             bus::SlaveDevice& inner)
+    : name_(std::move(name)),
+      id_(id),
+      remote_(&remote),
       log_(&log),
       inner_(&inner) {}
 
@@ -212,19 +199,17 @@ bus::AccessResult SlaveFirewall::access(bus::BusTransaction& t, sim::Cycle now) 
     trace_->record({now, sim::TraceKind::kSecpolReq, name_.c_str(), t.id,
                     t.addr, 0});
   }
-  const auto result =
-      sb_.run_check(t.op, t.addr, t.payload_bytes(), t.format, t.thread);
+  const Verdict result = check(sb_, remote_, id_, t, now);
   stats_.check_cycles += result.latency;
   if (trace_ != nullptr) {
     // Stamped at check completion so the secpol_req -> check_result pair
-    // spans the SB latency the access is charged.
+    // spans the latency the access is charged.
     trace_->record({now + result.latency, sim::TraceKind::kCheckResult,
                     name_.c_str(), t.id, t.addr,
                     static_cast<std::uint64_t>(result.decision.violation)});
   }
 
-  const auto gate = fi_.apply(result.decision);
-  if (!gate.forwarded) {
+  if (!result.decision.allowed) {
     ++stats_.blocked;
     stats_.count_violation(result.decision.violation);
     log_->raise(Alert{now, id_, name_, result.decision.violation, t.master,
@@ -243,12 +228,6 @@ bus::AccessResult SlaveFirewall::access(bus::BusTransaction& t, sim::Cycle now) 
   ++stats_.passed;
   const auto inner_result = inner_->access(t, now + result.latency);
   return {result.latency + inner_result.latency, inner_result.status};
-}
-
-void SlaveFirewall::reset_stats() noexcept {
-  stats_ = {};
-  fi_.reset();
-  sb_.reset_stats();
 }
 
 void SlaveFirewall::contribute_metrics(obs::Registry& reg,

@@ -7,19 +7,25 @@
 //   * Security Builder (SB): fetches the SP from the Configuration Memory
 //     and drives the checking modules;
 //   * Firewall Interface (FI): the datapath gate that lets checked data
-//     through or discards it on `alert_signals`.
+//     through or discards it on `alert_signals` — the forward/discard branch
+//     at the end of a check, counted in FirewallStats::passed/blocked.
 //
 // Master-side firewalls (in front of processors and other bus masters) are
-// clocked components: a transaction leaving the IP is held for the SB check
+// clocked components: a transaction leaving the IP is held for the check
 // latency, then either forwarded to the bus or discarded with an error
 // response so the IP never deadlocks. Write data is therefore checked
 // *before it reaches the bus* (containment: a hijacked IP's traffic dies in
-// its own interface), and read data returning from the bus is gated by the
-// FI before reaching the IP, using the decision latched at request time.
+// its own interface); read data returning from the bus flows back to the IP
+// on the strength of the request-time decision.
 //
 // Slave-side firewalls (in front of memories / slave IPs) are SlaveDevice
 // decorators: the check happens between bus delivery and the device, adding
-// the SB latency to the access.
+// the check latency to the access.
+//
+// Both serve both security modes. Under distributed security the verdict
+// comes from the firewall's own SB; under the centralized baseline it comes
+// from a shared VerdictSource (baseline::CentralizedManager), and the rest —
+// queue, forward/discard, alert, stats — is the same code.
 #pragma once
 
 #include <array>
@@ -42,8 +48,8 @@ struct FirewallStats {
   std::uint64_t secpol_reqs = 0;   // checks requested by the LFCB
   std::uint64_t passed = 0;        // transactions forwarded by the FI
   std::uint64_t blocked = 0;       // transactions discarded by the FI
-  std::uint64_t check_cycles = 0;  // cycles spent in SB checks
-  std::uint64_t responses_gated = 0;  // read data gated back to the IP
+  std::uint64_t check_cycles = 0;  // cycles spent waiting for verdicts
+  std::uint64_t responses_gated = 0;  // read data returned to the IP
   std::array<std::uint64_t, kViolationKindCount> violations{};  // by Violation
 
   void count_violation(Violation v) noexcept {
@@ -60,54 +66,31 @@ struct FirewallStats {
 void contribute_firewall_metrics(obs::Registry& reg, const std::string& prefix,
                                  const FirewallStats& stats);
 
-// The FI datapath gate: applies a latched check decision to a transaction.
-// Kept as its own object (rather than an if in the firewall) so the gate's
-// pass/discard activity is observable exactly like the alert_signals /
-// check_results wires in Figure 1.
-class FirewallInterface {
- public:
-  struct GateResult {
-    bool forwarded = false;
-  };
-
-  GateResult apply(const SecurityPolicy::Decision& decision) noexcept {
-    if (decision.allowed) {
-      ++forwarded_;
-      return {true};
-    }
-    ++discarded_;
-    return {false};
-  }
-
-  [[nodiscard]] std::uint64_t forwarded() const noexcept { return forwarded_; }
-  [[nodiscard]] std::uint64_t discarded() const noexcept { return discarded_; }
-  void reset() noexcept { forwarded_ = discarded_ = 0; }
-
- private:
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t discarded_ = 0;
+// Master-side firewall options. Declared outside LocalFirewall so the
+// constructor can default it.
+struct LocalFirewallConfig {
+  // SB rule-check budget at the Table II calibration point.
+  sim::Cycle check_cycles = kTableIICheckCycles;
+  // DoS throttle (Section III.A "injecting dummy data to create
+  // overwhelming traffic"): at most `rate_limit_max` transactions are
+  // forwarded per `rate_limit_window` cycles; excess traffic is discarded
+  // with Violation::kRateLimited. Window 0 disables the throttle.
+  sim::Cycle rate_limit_window = 0;
+  std::uint32_t rate_limit_max = 0;
 };
 
 // Master-side Local Firewall.
 class LocalFirewall final : public sim::Component {
  public:
-  struct Config {
-    SecurityBuilder::Config sb;
-    // When true the SB re-checks read responses in full (paranoid mode);
-    // default is the FI gating reads with the request-time decision.
-    bool recheck_responses = false;
-    // DoS throttle (Section III.A "injecting dummy data to create
-    // overwhelming traffic"): at most `rate_limit_max` transactions are
-    // forwarded per `rate_limit_window` cycles; excess traffic is discarded
-    // with Violation::kRateLimited. Window 0 disables the throttle.
-    sim::Cycle rate_limit_window = 0;
-    std::uint32_t rate_limit_max = 0;
-  };
+  using Config = LocalFirewallConfig;
 
+  // Distributed security: the firewall's own SB checks every request.
   LocalFirewall(std::string name, FirewallId id, ConfigurationMemory& config_mem,
+                SecurityEventLog& log, Config cfg = {});
+  // Centralized baseline: every request is checked by `remote`, with the
+  // default Config (no throttle).
+  LocalFirewall(std::string name, FirewallId id, VerdictSource& remote,
                 SecurityEventLog& log);
-  LocalFirewall(std::string name, FirewallId id, ConfigurationMemory& config_mem,
-                SecurityEventLog& log, Config cfg);
 
   // IP-facing endpoint: the IP pushes requests and pops responses here.
   [[nodiscard]] bus::MasterEndpoint& ip_side() noexcept { return ip_side_; }
@@ -121,21 +104,23 @@ class LocalFirewall final : public sim::Component {
   void set_trace(sim::EventTrace* trace) noexcept { trace_ = trace; }
 
   void tick(sim::Cycle now) override;
-  // Wakes on the last cycle of the SB check in flight, or when a response
-  // or request is waiting; skipped cycles count the check down.
+  // Wakes on the cycle the verdict in flight is acted on, or when a
+  // response or request is waiting. A skipped cycle changes nothing.
   [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
-  void skip(sim::Cycle now, sim::Cycle n) override;
   void reset() override;
 
   [[nodiscard]] const FirewallStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const SecurityBuilder& builder() const noexcept { return sb_; }
+  // The firewall's own SB; null when its verdicts come from a VerdictSource.
+  [[nodiscard]] const SecurityBuilder* builder() const noexcept {
+    return sb_.has_value() ? &*sb_ : nullptr;
+  }
   [[nodiscard]] FirewallId id() const noexcept { return id_; }
   // True when no transaction is being checked and no queue holds data.
   [[nodiscard]] bool idle() const noexcept;
 
-  // Zeroes the check/gate statistics (including the FI's and SB's) without
-  // touching queues or the check in flight. reset() implies it.
-  void reset_stats() noexcept;
+  // Zeroes the check/gate statistics without touching queues or the check
+  // in flight. reset() implies it.
+  void reset_stats() noexcept { stats_ = {}; }
 
   // Publishes the FirewallStats under `prefix`.
   void contribute_metrics(obs::Registry& reg, const std::string& prefix) const;
@@ -143,22 +128,23 @@ class LocalFirewall final : public sim::Component {
  private:
   void start_check(sim::Cycle now);
   void finish_check(sim::Cycle now);
-  void pump_responses(sim::Cycle now);
+  void pump_responses();
 
   FirewallId id_;
   Config cfg_;
-  SecurityBuilder sb_;
-  FirewallInterface fi_;
+  std::optional<SecurityBuilder> sb_;
+  VerdictSource* remote_ = nullptr;
   SecurityEventLog* log_;
   sim::EventTrace* trace_ = nullptr;
 
   bus::MasterEndpoint ip_side_;
   bus::MasterEndpoint* bus_side_ = nullptr;
 
-  // One check in flight at a time (single SB pipeline).
+  // One check in flight at a time (single SB pipeline), acted on at
+  // `act_at_`.
   std::optional<bus::BusTransaction> in_check_;
-  SecurityBuilder::Result check_result_;
-  sim::Cycle check_remaining_ = 0;
+  Verdict verdict_;
+  sim::Cycle act_at_ = 0;
 
   // DoS throttle state.
   sim::Cycle rate_window_start_ = 0;
@@ -170,11 +156,13 @@ class LocalFirewall final : public sim::Component {
 // Slave-side Local Firewall: decorates the protected device.
 class SlaveFirewall final : public bus::SlaveDevice {
  public:
-  SlaveFirewall(std::string name, FirewallId id, ConfigurationMemory& config_mem,
-                SecurityEventLog& log, bus::SlaveDevice& inner);
+  // Distributed security: the firewall's own SB checks every access.
   SlaveFirewall(std::string name, FirewallId id, ConfigurationMemory& config_mem,
                 SecurityEventLog& log, bus::SlaveDevice& inner,
-                SecurityBuilder::Config sb_cfg);
+                sim::Cycle check_cycles = kTableIICheckCycles);
+  // Centralized baseline: every access is checked by `remote`.
+  SlaveFirewall(std::string name, FirewallId id, VerdictSource& remote,
+                SecurityEventLog& log, bus::SlaveDevice& inner);
 
   bus::AccessResult access(bus::BusTransaction& t, sim::Cycle now) override;
   [[nodiscard]] std::string_view slave_name() const override { return name_; }
@@ -182,11 +170,9 @@ class SlaveFirewall final : public bus::SlaveDevice {
   void set_trace(sim::EventTrace* trace) noexcept { trace_ = trace; }
 
   [[nodiscard]] const FirewallStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const SecurityBuilder& builder() const noexcept { return sb_; }
   [[nodiscard]] FirewallId id() const noexcept { return id_; }
 
-  // Zeroes the check/gate statistics (including the FI's and SB's).
-  void reset_stats() noexcept;
+  void reset_stats() noexcept { stats_ = {}; }
 
   // Publishes the FirewallStats under `prefix`.
   void contribute_metrics(obs::Registry& reg, const std::string& prefix) const;
@@ -194,8 +180,8 @@ class SlaveFirewall final : public bus::SlaveDevice {
  private:
   std::string name_;
   FirewallId id_;
-  SecurityBuilder sb_;
-  FirewallInterface fi_;
+  std::optional<SecurityBuilder> sb_;
+  VerdictSource* remote_ = nullptr;
   SecurityEventLog* log_;
   bus::SlaveDevice* inner_;
   sim::EventTrace* trace_ = nullptr;

@@ -6,24 +6,22 @@
 namespace secbus::core {
 
 SecurityBuilder::SecurityBuilder(ConfigurationMemory& config_mem,
-                                 FirewallId firewall)
-    : SecurityBuilder(config_mem, firewall, Config{}) {}
-
-SecurityBuilder::SecurityBuilder(ConfigurationMemory& config_mem,
-                                 FirewallId firewall, Config cfg)
-    : config_mem_(&config_mem), firewall_(firewall), cfg_(cfg) {
-  SECBUS_ASSERT(cfg.base_check_cycles >= config_mem.read_latency(),
+                                 FirewallId firewall,
+                                 sim::Cycle base_check_cycles)
+    : config_mem_(&config_mem),
+      firewall_(firewall),
+      base_check_cycles_(base_check_cycles) {
+  SECBUS_ASSERT(base_check_cycles >= config_mem.read_latency(),
                 "base check budget must cover the SP fetch");
-  SECBUS_ASSERT(cfg.rules_per_extra_cycle > 0, "rules_per_extra_cycle must be > 0");
 }
 
 void SecurityBuilder::refresh_policy_cache() const {
   if (cached_generation_ == config_mem_->generation()) return;
   compiled_ = &config_mem_->compiled(firewall_);
-  cached_latency_ = cfg_.base_check_cycles;
-  if (compiled_->rule_count() > cfg_.calibrated_rules) {
-    const std::uint64_t extra = compiled_->rule_count() - cfg_.calibrated_rules;
-    cached_latency_ += util::ceil_div(extra, cfg_.rules_per_extra_cycle);
+  cached_latency_ = base_check_cycles_;
+  if (compiled_->rule_count() > kCalibratedRules) {
+    const std::uint64_t extra = compiled_->rule_count() - kCalibratedRules;
+    cached_latency_ += util::ceil_div(extra, kRulesPerExtraCycle);
   }
   cached_generation_ = config_mem_->generation();
 }
@@ -33,54 +31,11 @@ sim::Cycle SecurityBuilder::check_latency() const {
   return cached_latency_;
 }
 
-SecurityBuilder::Result SecurityBuilder::run_check(bus::BusOp op, sim::Addr addr,
-                                                   std::uint64_t len,
-                                                   bus::DataFormat fmt,
-                                                   bus::ThreadId thread) {
-  ++checks_run_;
+Verdict SecurityBuilder::run_check(bus::BusOp op, sim::Addr addr,
+                                   std::uint64_t len, bus::DataFormat fmt,
+                                   bus::ThreadId thread) {
   refresh_policy_cache();
-  Result result;
-  result.latency = cached_latency_;
-
-  const CompiledPolicyIndex& compiled = *compiled_;
-  if (compiled.lockdown()) {
-    result.decision.allowed = false;
-    result.decision.violation = Violation::kPolicyLockdown;
-    return result;
-  }
-
-  // Drive the three checking modules the way the RTL would: rule-set select
-  // (thread-specific security), segment match, then direction and format
-  // against the matched rule — over the compiled index, so the segment
-  // match is one binary search no matter how aggressive the policy is.
-  const CompiledRuleSet& active = compiled.rules_for(thread);
-  const CompiledRule* rule = segment_checker_.check(active, addr, len);
-  if (rule == nullptr) {
-    result.decision.allowed = false;
-    result.decision.violation = Violation::kNoMatchingSegment;
-    return result;
-  }
-  result.decision.rule_index = rule->rule_index;
-  if (!rwa_checker_.check(*rule, op)) {
-    result.decision.allowed = false;
-    result.decision.violation = Violation::kRwViolation;
-    return result;
-  }
-  if (!adf_checker_.check(*rule, fmt)) {
-    result.decision.allowed = false;
-    result.decision.violation = Violation::kFormatViolation;
-    return result;
-  }
-  result.decision.allowed = true;
-  result.decision.violation = Violation::kNone;
-  return result;
-}
-
-void SecurityBuilder::reset_stats() {
-  segment_checker_.reset();
-  rwa_checker_.reset();
-  adf_checker_.reset();
-  checks_run_ = 0;
+  return {compiled_->evaluate(op, addr, len, fmt, thread), cached_latency_};
 }
 
 }  // namespace secbus::core

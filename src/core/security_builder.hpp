@@ -4,6 +4,10 @@
 // from the Configuration Memory. Then, SP parameters (security rules) are
 // sent to specific checking modules that are embedded in the SB resource."
 //
+// The checking modules (segment match, read/write direction, data format)
+// are CompiledPolicyIndex::evaluate over the policy the Configuration Memory
+// compiled at install time; the SB adds the check's timing.
+//
 // Timing: the paper's Table II measures the full security-rules check at 12
 // cycles. We decompose that into the Configuration Memory SP fetch plus the
 // checker pipeline, and scale with policy size beyond a calibration point:
@@ -15,38 +19,49 @@
 
 #include <cstdint>
 
-#include "core/checks.hpp"
+#include "bus/transaction.hpp"
 #include "core/config_memory.hpp"
 #include "core/security_policy.hpp"
 
 namespace secbus::core {
 
+// Total cycles of a rule check at the calibration point (Table II).
+inline constexpr sim::Cycle kTableIICheckCycles = 12;
+// Policy size the Table II budget was calibrated at.
+inline constexpr std::size_t kCalibratedRules = 4;
+// Extra segments checked per additional cycle (hardware comparator pairs).
+inline constexpr std::size_t kRulesPerExtraCycle = 2;
+
+// A check's outcome and the cycles it took.
+struct Verdict {
+  SecurityPolicy::Decision decision;
+  sim::Cycle latency = 0;
+};
+
+// A verdict source shared by many firewalls (the centralized baseline's
+// manager). A firewall built on one asks it instead of its own SB; `now` is
+// the cycle the request is sent, and the latency counts from there.
+class VerdictSource {
+ public:
+  virtual Verdict check(FirewallId firewall, const bus::BusTransaction& t,
+                        sim::Cycle now) = 0;
+
+ protected:
+  ~VerdictSource() = default;
+};
+
 class SecurityBuilder {
  public:
-  struct Config {
-    // Total cycles of a rule check at the calibration point (Table II).
-    sim::Cycle base_check_cycles = 12;
-    // Policy size the base latency was calibrated at.
-    std::size_t calibrated_rules = 4;
-    // Extra segments checked per additional cycle (hardware comparator pairs).
-    std::size_t rules_per_extra_cycle = 2;
-  };
-
-  struct Result {
-    SecurityPolicy::Decision decision;
-    sim::Cycle latency = 0;
-  };
-
-  SecurityBuilder(ConfigurationMemory& config_mem, FirewallId firewall);
   SecurityBuilder(ConfigurationMemory& config_mem, FirewallId firewall,
-                  Config cfg);
+                  sim::Cycle base_check_cycles = kTableIICheckCycles);
 
-  // Runs the full check pipeline for one transaction-shaped access on
-  // behalf of `thread` (thread-specific security selects the rule set).
-  // Purely functional + latency computation; the caller (firewall) is
-  // responsible for modeling the elapsed cycles.
-  [[nodiscard]] Result run_check(bus::BusOp op, sim::Addr addr, std::uint64_t len,
-                                 bus::DataFormat fmt, bus::ThreadId thread = 0);
+  // Runs the full check for one transaction-shaped access on behalf of
+  // `thread` (thread-specific security selects the rule set). Purely
+  // functional + latency computation; the caller (firewall) is responsible
+  // for modeling the elapsed cycles.
+  [[nodiscard]] Verdict run_check(bus::BusOp op, sim::Addr addr,
+                                  std::uint64_t len, bus::DataFormat fmt,
+                                  bus::ThreadId thread = 0);
 
   // Latency a check takes under the current policy.
   [[nodiscard]] sim::Cycle check_latency() const;
@@ -55,20 +70,6 @@ class SecurityBuilder {
     return config_mem_->policy(firewall_);
   }
   [[nodiscard]] FirewallId firewall() const noexcept { return firewall_; }
-
-  // Per-checker activity for the Figure-1 report.
-  [[nodiscard]] const CheckerStats& segment_stats() const noexcept {
-    return segment_checker_.stats();
-  }
-  [[nodiscard]] const CheckerStats& rwa_stats() const noexcept {
-    return rwa_checker_.stats();
-  }
-  [[nodiscard]] const CheckerStats& adf_stats() const noexcept {
-    return adf_checker_.stats();
-  }
-  [[nodiscard]] std::uint64_t checks_run() const noexcept { return checks_run_; }
-
-  void reset_stats();
 
  private:
   // Re-reads the compiled policy from the Configuration Memory when its
@@ -79,11 +80,7 @@ class SecurityBuilder {
 
   ConfigurationMemory* config_mem_;
   FirewallId firewall_;
-  Config cfg_;
-  AddressSegmentChecker segment_checker_;
-  RwaChecker rwa_checker_;
-  AdfChecker adf_checker_;
-  std::uint64_t checks_run_ = 0;
+  sim::Cycle base_check_cycles_;
 
   mutable const CompiledPolicyIndex* compiled_ = nullptr;
   mutable sim::Cycle cached_latency_ = 0;

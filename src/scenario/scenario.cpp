@@ -230,8 +230,13 @@ JobResult run_scenario(const ScenarioSpec& spec, const RunHooks& hooks) {
     r.cpu_latency.merge(cpu->stats().latency);
   }
   r.latency_hist = soc.latency_hist();
-  for (const auto& fw : soc.master_firewalls()) accumulate(r, fw->stats());
-  if (soc.bram_firewall() != nullptr) {
+  // The firewall counters (fw_passed, fw_blocked, violations,
+  // sb_check_latency) cover distributed firewalls only: the centralized
+  // ones report through the metrics snapshot (core.gate_*) alone.
+  const bool distributed =
+      soc.config().security == soc::SecurityMode::kDistributed;
+  if (distributed) {
+    for (const auto& fw : soc.master_firewalls()) accumulate(r, fw->stats());
     accumulate(r, soc.bram_firewall()->stats());
   }
   if (soc.lcf() != nullptr) {
@@ -248,8 +253,9 @@ JobResult run_scenario(const ScenarioSpec& spec, const RunHooks& hooks) {
   if (soc.manager() != nullptr) {
     r.manager_queue_wait = soc.manager()->queue_wait().mean();
   }
-  if (!soc.master_firewalls().empty()) {
-    r.sb_check_latency = soc.master_firewalls().front()->builder().check_latency();
+  if (distributed && !soc.master_firewalls().empty()) {
+    r.sb_check_latency =
+        soc.master_firewalls().front()->builder()->check_latency();
   }
 
   r.attack_cycle =

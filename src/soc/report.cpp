@@ -37,9 +37,11 @@ std::string render_firewall_report(Soc& soc) {
   for (const auto& fw : soc.master_firewalls()) {
     table.add_row(firewall_row(fw->name(), segment_of(fw->id()), fw->stats()));
   }
-  if (soc.bram_firewall() != nullptr) {
-    table.add_row(firewall_row("lf_bram", segment_of(soc.bram_firewall()->id()),
-                               soc.bram_firewall()->stats()));
+  for (const core::SlaveFirewall* fw :
+       {soc.bram_firewall(), soc.ddr_firewall()}) {
+    if (fw == nullptr) continue;
+    table.add_row(firewall_row(std::string(fw->slave_name()),
+                               segment_of(fw->id()), fw->stats()));
   }
   if (soc.lcf() != nullptr) {
     table.add_row(firewall_row("lcf_ddr", segment_of(soc.lcf()->id()),

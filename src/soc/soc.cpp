@@ -321,12 +321,6 @@ void Soc::build_memory() {
   ddr_cfg.size = cfg_.ddr_size;
   ddr_ = std::make_unique<mem::DdrMemory>("ddr", ddr_cfg);
 
-  const auto sb_cfg = [this] {
-    core::SecurityBuilder::Config c;
-    c.base_check_cycles = cfg_.sb_check_cycles;
-    return c;
-  }();
-
   bus::SlaveDevice* bram_dev = bram_.get();
   bus::SlaveDevice* ddr_dev = ddr_.get();
 
@@ -335,12 +329,12 @@ void Soc::build_memory() {
       break;
     case SecurityMode::kDistributed: {
       bram_fw_ = std::make_unique<core::SlaveFirewall>(
-          "lf_bram", kFwBram, config_mem_, log_, *bram_, sb_cfg);
+          "lf_bram", kFwBram, config_mem_, log_, *bram_, cfg_.sb_check_cycles);
       if (trace_.enabled()) bram_fw_->set_trace(&trace_);
       bram_dev = bram_fw_.get();
 
       core::LocalCipheringFirewall::Config lcf_cfg;
-      lcf_cfg.sb = sb_cfg;
+      lcf_cfg.check_cycles = cfg_.sb_check_cycles;
       lcf_cfg.protected_base = cfg_.ddr_protected_base;
       lcf_cfg.protected_size = cfg_.ddr_protected_size;
       lcf_cfg.line_bytes = cfg_.line_bytes;
@@ -356,15 +350,15 @@ void Soc::build_memory() {
       break;
     }
     case SecurityMode::kCentralized: {
+      // The manager's firewalls record no trace events.
       manager_ = std::make_unique<baseline::CentralizedManager>(
-          config_mem_,
-          baseline::CentralizedManager::Config{cfg_.sb_check_cycles, 2});
-      bram_gate_ = std::make_unique<baseline::CentralizedSlaveGate>(
+          config_mem_, cfg_.sb_check_cycles);
+      bram_fw_ = std::make_unique<core::SlaveFirewall>(
           "gate_bram", kFwBram, *manager_, log_, *bram_);
-      ddr_gate_ = std::make_unique<baseline::CentralizedSlaveGate>(
+      ddr_fw_ = std::make_unique<core::SlaveFirewall>(
           "gate_ddr", kFwLcf, *manager_, log_, *ddr_);
-      bram_dev = bram_gate_.get();
-      ddr_dev = ddr_gate_.get();
+      bram_dev = bram_fw_.get();
+      ddr_dev = ddr_fw_.get();
       break;
     }
   }
@@ -379,42 +373,37 @@ void Soc::build_memory() {
   fabric_->map_region(cfg_.ddr_base, cfg_.ddr_size, ddr_slave, "ddr");
 }
 
-void Soc::build_masters() {
-  const auto sb_cfg = [this] {
-    core::SecurityBuilder::Config c;
-    c.base_check_cycles = cfg_.sb_check_cycles;
-    return c;
-  }();
-
-  auto wire_master = [&](sim::Component& /*owner*/, const std::string& name,
-                         sim::MasterId master_id, core::FirewallId fw_id,
-                         std::size_t segment) -> bus::MasterEndpoint& {
-    bus::MasterEndpoint& bus_ep =
-        fabric_->attach_master(segment, master_id, name);
-    switch (cfg_.security) {
-      case SecurityMode::kNone:
-        return bus_ep;
-      case SecurityMode::kDistributed: {
-        core::LocalFirewall::Config lf_cfg;
-        lf_cfg.sb = sb_cfg;
-        auto fw = std::make_unique<core::LocalFirewall>(
-            "lf_" + name, fw_id, config_mem_, log_, lf_cfg);
-        if (trace_.enabled()) fw->set_trace(&trace_);
-        fw->connect_bus(bus_ep);
-        master_fws_.push_back(std::move(fw));
-        return master_fws_.back()->ip_side();
-      }
-      case SecurityMode::kCentralized: {
-        auto gate = std::make_unique<baseline::CentralizedMasterGate>(
-            "gate_" + name, fw_id, *manager_, log_);
-        gate->connect_bus(bus_ep);
-        master_gates_.push_back(std::move(gate));
-        return master_gates_.back()->ip_side();
-      }
+bus::MasterEndpoint& Soc::wire_master(const std::string& name,
+                                      sim::MasterId master_id,
+                                      core::FirewallId fw_id,
+                                      std::size_t segment,
+                                      const core::LocalFirewall::Config* lf_cfg) {
+  bus::MasterEndpoint& bus_ep = fabric_->attach_master(segment, master_id, name);
+  std::unique_ptr<core::LocalFirewall> fw;
+  switch (cfg_.security) {
+    case SecurityMode::kNone:
+      return bus_ep;
+    case SecurityMode::kDistributed: {
+      core::LocalFirewall::Config effective;
+      if (lf_cfg != nullptr) effective = *lf_cfg;
+      effective.check_cycles = cfg_.sb_check_cycles;
+      fw = std::make_unique<core::LocalFirewall>("lf_" + name, fw_id,
+                                                 config_mem_, log_, effective);
+      if (trace_.enabled()) fw->set_trace(&trace_);
+      break;
     }
-    SECBUS_UNREACHABLE("bad security mode");
-  };
+    case SecurityMode::kCentralized:
+      // No trace events; `lf_cfg` does not apply (see attach_custom_master).
+      fw = std::make_unique<core::LocalFirewall>("gate_" + name, fw_id,
+                                                 *manager_, log_);
+      break;
+  }
+  fw->connect_bus(bus_ep);
+  master_fws_.push_back(std::move(fw));
+  return master_fws_.back()->ip_side();
+}
 
+void Soc::build_masters() {
   for (std::size_t i = 0; i < cfg_.processors; ++i) {
     ip::Processor::Workload w;
     w.targets.push_back({plan_.bram_scratch.base, plan_.bram_scratch.size,
@@ -433,17 +422,17 @@ void Soc::build_masters() {
     auto cpu = std::make_unique<ip::Processor>(
         name, static_cast<sim::MasterId>(kMasterCpuBase + i),
         cfg_.seed * 0x9E3779B9ULL + i + 1, w);
-    cpu->connect(wire_master(*cpu, name,
+    cpu->connect(wire_master(name,
                              static_cast<sim::MasterId>(kMasterCpuBase + i),
                              static_cast<core::FirewallId>(kFwCpuBase + i),
-                             cpu_segment(i)));
+                             cpu_segment(i), nullptr));
     processors_.push_back(std::move(cpu));
   }
 
   if (cfg_.dedicated_ip) {
     dma_ = std::make_unique<ip::DmaEngine>("dma", kMasterDma);
     dma_->connect(
-        wire_master(*dma_, "dma", kMasterDma, kFwDma, dma_segment()));
+        wire_master("dma", kMasterDma, kFwDma, dma_segment(), nullptr));
   }
 }
 
@@ -451,7 +440,6 @@ void Soc::register_components() {
   for (auto& cpu : processors_) kernel_.add(*cpu);
   if (dma_ != nullptr) kernel_.add(*dma_);
   for (auto& fw : master_fws_) kernel_.add(*fw);
-  for (auto& gate : master_gates_) kernel_.add(*gate);
   fabric_->register_components(kernel_);
 }
 
@@ -473,37 +461,11 @@ bus::MasterEndpoint& Soc::attach_custom_master(
                 "custom-master firewall id collides with an installed policy");
   config_mem_.install(fw_id, std::move(policy), segment);
 
-  bus::MasterEndpoint& bus_ep = fabric_->attach_master(segment, master_id, name);
-  bus::MasterEndpoint* ip_ep = &bus_ep;
-  switch (cfg_.security) {
-    case SecurityMode::kNone:
-      break;
-    case SecurityMode::kDistributed: {
-      core::LocalFirewall::Config effective;
-      if (lf_cfg != nullptr) effective = *lf_cfg;
-      effective.sb.base_check_cycles = cfg_.sb_check_cycles;
-      auto fw = std::make_unique<core::LocalFirewall>(
-          "lf_" + name, fw_id, config_mem_, log_, effective);
-      if (trace_.enabled()) fw->set_trace(&trace_);
-      fw->connect_bus(bus_ep);
-      kernel_.add(*fw);
-      master_fws_.push_back(std::move(fw));
-      ip_ep = &master_fws_.back()->ip_side();
-      break;
-    }
-    case SecurityMode::kCentralized: {
-      auto gate = std::make_unique<baseline::CentralizedMasterGate>(
-          "gate_" + name, fw_id, *manager_, log_);
-      gate->connect_bus(bus_ep);
-      kernel_.add(*gate);
-      master_gates_.push_back(std::move(gate));
-      ip_ep = &master_gates_.back()->ip_side();
-      break;
-    }
-  }
+  bus::MasterEndpoint& ep = wire_master(name, master_id, fw_id, segment, lf_cfg);
+  if (cfg_.security != SecurityMode::kNone) kernel_.add(*master_fws_.back());
   kernel_.add(component);
   if (done) custom_done_.push_back(std::move(done));
-  return *ip_ep;
+  return ep;
 }
 
 ip::ScriptedMaster& Soc::add_scripted_master(const std::string& name,
@@ -535,8 +497,13 @@ bool Soc::quiescent() const {
     if (!done()) return false;
   }
   if (dma_ != nullptr && dma_->busy()) return false;
-  for (const auto& fw : master_fws_) {
-    if (!fw->idle()) return false;
+  // Only the distributed firewalls hold a run open; the centralized ones
+  // are not consulted, so a custom master without `done` can end a
+  // centralized run with a check still in flight.
+  if (manager_ == nullptr) {
+    for (const auto& fw : master_fws_) {
+      if (!fw->idle()) return false;
+    }
   }
   return fabric_->idle();
 }

@@ -117,7 +117,7 @@ class Soc {
   // left alone.
   void reset_stats();
 
-  // Adds a scripted master behind its own firewall/gate with the given
+  // Adds a scripted master behind its own firewall with the given
   // policy. Must be called before run(). Returns the master for scripting.
   // `segment` places it on the fabric (default: farthest from the memories).
   ip::ScriptedMaster& add_scripted_master(const std::string& name,
@@ -131,14 +131,17 @@ class Soc {
       std::numeric_limits<std::size_t>::max();
 
   // Attaches an externally-owned master component (e.g. a FloodMaster)
-  // behind its own firewall/gate with the given policy and registers it with
+  // behind its own firewall with the given policy and registers it with
   // the kernel. Returns the endpoint the component should connect() to. The
   // component must outlive this SoC's runs.
   // `done` (optional) joins the quiescence predicate so run() keeps going
   // while the custom master is still active. `lf_cfg` (optional) overrides
-  // the Local Firewall configuration for this master in distributed mode
-  // (e.g. to enable the DoS throttle on a suspect interface). `segment`
-  // picks the fabric segment the master (and its firewall) lives on.
+  // the Local Firewall configuration for this master (e.g. to enable the
+  // DoS throttle on a suspect interface); it applies in distributed mode
+  // only: under centralized security the master's firewall takes the
+  // default configuration, so a throttled flood runs unthrottled there.
+  // `segment` picks the fabric segment the master (and its firewall) lives
+  // on.
   bus::MasterEndpoint& attach_custom_master(
       sim::Component& component, const std::string& name,
       core::SecurityPolicy policy, std::function<bool()> done = {},
@@ -165,7 +168,7 @@ class Soc {
   // Default memory home segment (cfg.memory_segment); the per-memory
   // accessors below resolve kAutoSegment overrides against it.
   [[nodiscard]] std::size_t memory_segment() const noexcept;
-  // Segment hosting the secure internal BRAM (+ its slave firewall/gate).
+  // Segment hosting the secure internal BRAM (+ its slave firewall).
   [[nodiscard]] std::size_t bram_segment() const noexcept;
   // Segment hosting the open external DDR (+ the LCF). Anchor for
   // "farthest from the memories" attack placement and max-hops reporting.
@@ -183,11 +186,16 @@ class Soc {
   ip::DmaEngine* dma() noexcept { return dma_.get(); }
   // Non-null only in distributed mode.
   core::LocalCipheringFirewall* lcf() noexcept { return lcf_.get(); }
+  // Firewalls exist in both secured modes: distributed ones ("lf_*") check
+  // with their own Security Builder, centralized ones ("gate_*") ask the
+  // manager.
   core::SlaveFirewall* bram_firewall() noexcept { return bram_fw_.get(); }
   [[nodiscard]] const std::vector<std::unique_ptr<core::LocalFirewall>>&
   master_firewalls() const noexcept {
     return master_fws_;
   }
+  // Non-null only in centralized mode (the LCF guards the DDR otherwise).
+  core::SlaveFirewall* ddr_firewall() noexcept { return ddr_fw_.get(); }
   // Non-null only in centralized mode.
   baseline::CentralizedManager* manager() noexcept { return manager_.get(); }
   core::PolicyReconfigurator* reconfigurator() noexcept {
@@ -205,6 +213,14 @@ class Soc {
   void build_memory();
   void build_policies();
   void build_masters();
+  // Attaches master `name` to `segment` behind its firewall (none, a local
+  // one or a manager-checked one, by security mode) and returns the
+  // endpoint the master connects to. `lf_cfg` (optional) is the distributed
+  // firewall's configuration; the SB budget always comes from cfg_.
+  bus::MasterEndpoint& wire_master(const std::string& name,
+                                   sim::MasterId master_id,
+                                   core::FirewallId fw_id, std::size_t segment,
+                                   const core::LocalFirewall::Config* lf_cfg);
   void register_components();
   void append_extra_rules(core::PolicyBuilder& builder) const;
   [[nodiscard]] bool quiescent() const;
@@ -220,19 +236,18 @@ class Soc {
   std::unique_ptr<mem::Bram> bram_;
   std::unique_ptr<mem::DdrMemory> ddr_;
 
-  // Slave-side protection (one of these wraps each memory, by mode).
+  // Slave-side protection: the BRAM's firewall in both secured modes; the
+  // DDR's is the LCF (distributed) or a manager-checked firewall.
+  std::unique_ptr<baseline::CentralizedManager> manager_;
   std::unique_ptr<core::SlaveFirewall> bram_fw_;
   std::unique_ptr<core::LocalCipheringFirewall> lcf_;
-  std::unique_ptr<baseline::CentralizedManager> manager_;
-  std::unique_ptr<baseline::CentralizedSlaveGate> bram_gate_;
-  std::unique_ptr<baseline::CentralizedSlaveGate> ddr_gate_;
+  std::unique_ptr<core::SlaveFirewall> ddr_fw_;
 
   std::vector<std::unique_ptr<ip::Processor>> processors_;
   std::unique_ptr<ip::DmaEngine> dma_;
   std::vector<std::unique_ptr<ip::ScriptedMaster>> scripted_;
 
   std::vector<std::unique_ptr<core::LocalFirewall>> master_fws_;
-  std::vector<std::unique_ptr<baseline::CentralizedMasterGate>> master_gates_;
   std::vector<std::function<bool()>> custom_done_;
   sim::MasterId next_custom_index_ = 0;
 

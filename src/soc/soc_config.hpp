@@ -113,7 +113,7 @@ struct SocConfig {
   // < segment_count().
   std::size_t memory_segment = 0;
   // Per-memory placement overrides: the secure on-chip BRAM (plus its slave
-  // firewall / gate) and the open external DDR (plus the LCF) can live on
+  // firewall) and the open external DDR (plus the LCF) can live on
   // *different* fabric segments; kAutoSegment keeps each on
   // memory_segment. The DDR's segment is the anchor for "farthest from the
   // memories" attack placement and the reported fabric diameter, since the

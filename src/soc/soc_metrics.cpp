@@ -39,20 +39,9 @@ void Soc::snapshot_metrics(obs::Registry& reg) const {
   if (lcf_ != nullptr) {
     lcf_->contribute_metrics(reg, "core." + std::string(lcf_->slave_name()));
   }
-
-  for (const auto& gate : master_gates_) {
-    core::contribute_firewall_metrics(reg, "core." + gate->name(),
-                                      gate->stats());
-  }
-  if (bram_gate_ != nullptr) {
-    core::contribute_firewall_metrics(
-        reg, "core." + std::string(bram_gate_->slave_name()),
-        bram_gate_->stats());
-  }
-  if (ddr_gate_ != nullptr) {
-    core::contribute_firewall_metrics(
-        reg, "core." + std::string(ddr_gate_->slave_name()),
-        ddr_gate_->stats());
+  if (ddr_fw_ != nullptr) {
+    ddr_fw_->contribute_metrics(reg,
+                                "core." + std::string(ddr_fw_->slave_name()));
   }
   if (manager_ != nullptr) {
     reg.counter("core.manager.checks_served", manager_->checks_served());
@@ -83,9 +72,7 @@ void Soc::reset_stats() {
   for (auto& fw : master_fws_) fw->reset_stats();
   if (bram_fw_ != nullptr) bram_fw_->reset_stats();
   if (lcf_ != nullptr) lcf_->reset_stats();
-  for (auto& gate : master_gates_) gate->reset_stats();
-  if (bram_gate_ != nullptr) bram_gate_->reset_stats();
-  if (ddr_gate_ != nullptr) ddr_gate_->reset_stats();
+  if (ddr_fw_ != nullptr) ddr_fw_->reset_stats();
   if (manager_ != nullptr) manager_->reset_stats();
 }
 

@@ -133,24 +133,6 @@ TEST_F(MasterFirewallFixture, IdleReflectsInFlightWork) {
   EXPECT_TRUE(fw->idle());
 }
 
-TEST_F(MasterFirewallFixture, ParanoidRecheckOnResponses) {
-  LocalFirewall::Config cfg;
-  cfg.recheck_responses = true;
-  auto paranoid = std::make_unique<LocalFirewall>("lf_paranoid", 1, config_mem,
-                                                  log, cfg);
-  paranoid->connect_bus(bus_obj->attach_master(1, "m1"));
-  kernel.add(*paranoid);
-
-  bus::BusTransaction t = bus::make_read(0, 0x100);
-  t.issued_at = kernel.now();
-  paranoid->ip_side().request.push(std::move(t));
-  kernel.run_until([&] { return !paranoid->ip_side().response.empty(); }, 200);
-  ASSERT_FALSE(paranoid->ip_side().response.empty());
-  EXPECT_EQ(paranoid->ip_side().response.pop()->status, TransStatus::kOk);
-  // Request check (12) + response re-check (12).
-  EXPECT_EQ(paranoid->stats().check_cycles, 24u);
-}
-
 TEST_F(MasterFirewallFixture, ResetClearsState) {
   (void)submit(bus::make_read(0, 0x100));
   fw->reset();

@@ -1,5 +1,5 @@
 // Soc::reset_stats() must zero every component's accounting — including the
-// Processor / DMA / DDR / ScriptedMaster / centralized-gate structs that
+// Processor / DMA / DDR / ScriptedMaster / centralized-firewall structs that
 // historically lacked a reset — without disturbing simulation state (kernel
 // time, memory contents, security policy, the event trace).
 #include "soc/soc.hpp"

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "attack/flood_master.hpp"
-#include "baseline/centralized.hpp"
 #include "core/local_firewall.hpp"
 #include "ip/trace_replayer.hpp"
 #include "scenario/scenario.hpp"
@@ -21,12 +20,10 @@
 namespace secbus {
 namespace {
 
-// The IP-facing endpoint of a firewall or gate, or null for a plain master.
+// The IP-facing endpoint of a firewall (distributed or centralized), or
+// null for a plain master.
 const bus::MasterEndpoint* ip_side_of(sim::Component* c) {
   if (auto* fw = dynamic_cast<core::LocalFirewall*>(c)) return &fw->ip_side();
-  if (auto* gate = dynamic_cast<baseline::CentralizedMasterGate*>(c)) {
-    return &gate->ip_side();
-  }
   return nullptr;
 }
 
@@ -71,7 +68,7 @@ TEST_P(WiringAudit, EveryChannelHasARegisteredConsumer) {
       sim::Component* next = ep.response.consumer();
       expect_registered(next, sys, where + " response");
       if (next == nullptr) continue;
-      // Behind a firewall or gate: its IP side has two more channels.
+      // Behind a firewall: its IP side has two more channels.
       if (const bus::MasterEndpoint* ip = ip_side_of(next)) {
         EXPECT_EQ(ip->request.consumer(), next) << where << " ip request";
         next = ip->response.consumer();
