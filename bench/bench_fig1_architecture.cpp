@@ -50,11 +50,9 @@ int main() {
   for (const auto& fw : system.master_firewalls()) {
     add_fw_row(fw->name(), fw->stats());
   }
-  if (system.bram_firewall() != nullptr) {
-    add_fw_row("lf_bram", system.bram_firewall()->stats());
-  }
-  if (system.lcf() != nullptr) {
-    add_fw_row("lcf_ddr", system.lcf()->firewall_stats());
+  for (const core::SlaveFirewall* fw :
+       {system.bram_firewall(), system.ddr_firewall()}) {
+    if (fw != nullptr) add_fw_row(std::string(fw->slave_name()), fw->stats());
   }
   table.print();
 

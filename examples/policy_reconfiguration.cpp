@@ -64,9 +64,10 @@ int main() {
   auto* lcf = system.lcf();
   if (lcf != nullptr) {
     // Write a known value through the LCF, rotate the key, read it back.
+    core::SlaveFirewall& lcf_fw = *system.ddr_firewall();
     const sim::Addr probe = plan.shared_code.base;
     auto w = bus::make_write(0, probe, {0x5E, 0xC5, 0xE7, 0x00});
-    (void)lcf->access(w, system.kernel().now());
+    (void)lcf_fw.access(w, system.kernel().now());
 
     crypto::Aes128Key fresh_key{};
     for (std::size_t i = 0; i < fresh_key.size(); ++i) {
@@ -81,7 +82,7 @@ int main() {
         cfg.clock.cycles_to_us(cost) / 1000.0);
 
     auto r = bus::make_read(0, probe);
-    (void)lcf->access(r, system.kernel().now());
+    (void)lcf_fw.access(r, system.kernel().now());
     const bool intact = r.data == std::vector<std::uint8_t>{0x5E, 0xC5, 0xE7, 0x00};
     std::printf("Contents preserved across rotation: %s\n",
                 intact ? "yes" : "NO");

@@ -48,14 +48,11 @@ IntegrityCore::Config ic_config(const LocalCipheringFirewall::Config& cfg) {
 
 LocalCipheringFirewall::LocalCipheringFirewall(std::string name, FirewallId id,
                                                ConfigurationMemory& config_mem,
-                                               SecurityEventLog& log,
                                                mem::DdrMemory& inner, Config cfg)
     : name_(std::move(name)),
       id_(id),
       cfg_(cfg),
       config_mem_(&config_mem),
-      sb_(config_mem, id, cfg.check_cycles),
-      log_(&log),
       inner_(&inner),
       cc_(config_mem.policy(id).key, cc_config(cfg, config_mem.policy(id).key)),
       ic_(ic_config(cfg)),
@@ -80,16 +77,6 @@ bool LocalCipheringFirewall::in_protected_range(sim::Addr addr,
                                                 std::uint64_t len) const noexcept {
   return addr >= cfg_.protected_base && len <= cfg_.protected_size &&
          addr - cfg_.protected_base <= cfg_.protected_size - len;
-}
-
-void LocalCipheringFirewall::raise_alert(sim::Cycle now, Violation v,
-                                         const bus::BusTransaction& t) {
-  fw_stats_.count_violation(v);
-  log_->raise(Alert{now, id_, name_, v, t.master, t.op, t.addr, t.id});
-  if (trace_ != nullptr) {
-    trace_->record({now, sim::TraceKind::kAlert, name_.c_str(), t.id, t.addr,
-                    static_cast<std::uint64_t>(v)});
-  }
 }
 
 sim::Cycle LocalCipheringFirewall::raw_line_read(sim::Addr line_addr,
@@ -194,43 +181,20 @@ bus::AccessResult LocalCipheringFirewall::access(bus::BusTransaction& t,
     policy_generation_ = config_mem_->generation();
   }
 
-  // Rule check as in a plain slave-side Local Firewall, except that a
-  // discard records only the alert trace event (no trans_discarded).
-  ++fw_stats_.secpol_reqs;
-  if (trace_ != nullptr) {
-    trace_->record({now, sim::TraceKind::kSecpolReq, name_.c_str(), t.id, t.addr, 0});
-  }
-  const auto check =
-      sb_.run_check(t.op, t.addr, t.payload_bytes(), t.format, t.thread);
-  fw_stats_.check_cycles += check.latency;
-  if (trace_ != nullptr) {
-    trace_->record({now + check.latency, sim::TraceKind::kCheckResult,
-                    name_.c_str(), t.id, t.addr,
-                    static_cast<std::uint64_t>(check.decision.violation)});
-  }
-  if (!check.decision.allowed) {
-    ++fw_stats_.blocked;
-    raise_alert(now, check.decision.violation, t);
-    std::fill(t.data.begin(), t.data.end(), 0);
-    t.status = bus::TransStatus::kSecurityViolation;
-    return {check.latency, bus::TransStatus::kSecurityViolation};
-  }
-  ++fw_stats_.passed;
-
   // Outside the protected window: plain DDR access (the paper's unprotected
   // region — cheap but tamperable).
   if (!in_protected_range(t.addr, t.payload_bytes())) {
     ++stats_.passthrough;
-    const auto inner_result = inner_->access(t, now + check.latency);
+    const auto inner_result = inner_->access(t, now);
     t.status = inner_result.status;
-    return {check.latency + inner_result.latency, inner_result.status};
+    return inner_result;
   }
 
   // Protected path: operate on whole lines.
   const sim::Addr first_line = util::align_down(t.addr, cfg_.line_bytes);
   const sim::Addr last_line =
       util::align_down(t.end_addr() - 1, cfg_.line_bytes);
-  sim::Cycle cycles = check.latency;
+  sim::Cycle cycles = 0;
   bool ok = true;
 
   if (t.op == bus::BusOp::kRead) {
@@ -251,7 +215,6 @@ bus::AccessResult LocalCipheringFirewall::access(bus::BusTransaction& t,
                   plain.data() + (copy_begin - line), copy_end - copy_begin);
     }
     if (!ok) {
-      raise_alert(now, Violation::kIntegrityFailure, t);
       std::fill(t.data.begin(), t.data.end(), 0);
       t.status = bus::TransStatus::kIntegrityError;
       return {cycles, bus::TransStatus::kIntegrityError};
@@ -281,7 +244,6 @@ bus::AccessResult LocalCipheringFirewall::access(bus::BusTransaction& t,
       cycles += wr.cycles;
     }
     if (!ok) {
-      raise_alert(now, Violation::kIntegrityFailure, t);
       t.status = bus::TransStatus::kIntegrityError;
       return {cycles, bus::TransStatus::kIntegrityError};
     }
@@ -395,14 +357,12 @@ sim::Cycle LocalCipheringFirewall::rotate_key(const crypto::Aes128Key& new_key) 
 
 void LocalCipheringFirewall::reset_stats() noexcept {
   stats_ = {};
-  fw_stats_ = {};
   cc_.reset_stats();
   ic_.reset_stats();
 }
 
 void LocalCipheringFirewall::contribute_metrics(obs::Registry& reg,
                                                 const std::string& prefix) const {
-  contribute_firewall_metrics(reg, prefix, fw_stats_);
   reg.counter(prefix + ".passthrough", stats_.passthrough);
   reg.counter(prefix + ".protected_reads", stats_.protected_reads);
   reg.counter(prefix + ".protected_writes", stats_.protected_writes);

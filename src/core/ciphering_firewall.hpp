@@ -4,7 +4,12 @@
 // the external memory. The main feature of LCF is the protection of the
 // external memory in terms of confidentiality and integrity."
 //
-// The LCF is a slave-side firewall in front of the external DDR that adds:
+// The LCF is a Local Firewall on the external-memory interface that adds a
+// ciphering datapath. The Local Firewall part is a core::SlaveFirewall
+// (named "lcf_ddr" in a SoC): it runs the SB rule check, discards denied
+// accesses and raises every alert, including the integrity alert when this
+// datapath answers kIntegrityError. This class is the datapath it decorates,
+// in front of the external DDR:
 //   * the Confidentiality Core (AES-128, tweaked CTR),
 //   * the Integrity Core (hash tree + per-line time-stamp tags),
 //   * read-modify-write assembly of partial-line writes.
@@ -19,21 +24,22 @@
 //   CM=cipher, IM=hash     full protection — spoofing, relocation and
 //                          replay are all detected on the next read.
 //
-// Timing: every protected access pays the SB rule check plus raw DDR line
-// transfers plus CC/IC costs; the bus is held throughout, which is what
-// makes external traffic expensive relative to BRAM traffic (Section V).
+// Timing: every protected access pays raw DDR line transfers plus CC/IC
+// costs (the firewall in front adds the SB rule check); the bus is held
+// throughout, which is what makes external traffic expensive relative to
+// BRAM traffic (Section V). The firewall hands an access over at its request
+// cycle, which stamps the datapath's DDR accesses and trace events.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "bus/ports.hpp"
-#include "core/alert.hpp"
+#include "core/config_memory.hpp"
 #include "core/confidentiality_core.hpp"
 #include "core/integrity_core.hpp"
-#include "core/local_firewall.hpp"
-#include "core/security_builder.hpp"
 #include "mem/ddr.hpp"
+#include "sim/trace.hpp"
 
 namespace secbus::obs {
 class Registry;
@@ -44,7 +50,6 @@ namespace secbus::core {
 class LocalCipheringFirewall final : public bus::SlaveDevice {
  public:
   struct Config {
-    sim::Cycle check_cycles = kTableIICheckCycles;  // SB rule-check budget
     sim::Addr protected_base = 0;
     std::uint64_t protected_size = 0;  // line_bytes * power-of-two
     std::uint64_t line_bytes = 32;
@@ -65,9 +70,11 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
     std::uint64_t key_rotations = 0;
   };
 
+  // `config_mem` holds the policy installed under `id`; its CM, IM and CK
+  // select the protection (the rules are the firewall's business).
   LocalCipheringFirewall(std::string name, FirewallId id,
-                         ConfigurationMemory& config_mem, SecurityEventLog& log,
-                         mem::DdrMemory& inner, Config cfg);
+                         ConfigurationMemory& config_mem, mem::DdrMemory& inner,
+                         Config cfg);
 
   bus::AccessResult access(bus::BusTransaction& t, sim::Cycle now) override;
   [[nodiscard]] std::string_view slave_name() const override { return name_; }
@@ -90,12 +97,8 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
   sim::Cycle rotate_key(const crypto::Aes128Key& new_key);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const FirewallStats& firewall_stats() const noexcept {
-    return fw_stats_;
-  }
   [[nodiscard]] const ConfidentialityCore& cc() const noexcept { return cc_; }
   [[nodiscard]] const IntegrityCore& ic() const noexcept { return ic_; }
-  [[nodiscard]] const SecurityBuilder& builder() const noexcept { return sb_; }
   [[nodiscard]] FirewallId id() const noexcept { return id_; }
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
@@ -106,19 +109,18 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
   // Test hook: the integrity core (e.g. to force versions near wrap).
   IntegrityCore& ic_mut() noexcept { return ic_; }
 
-  // Zeroes the LCF's protection statistics, its FirewallStats and the
-  // CC/IC core counters. The key, versions, tree and cached policy modes
-  // are untouched — this resets accounting, not security state.
+  // Zeroes the LCF's protection statistics and the CC/IC core counters.
+  // The key, versions, tree and cached policy modes are untouched — this
+  // resets accounting, not security state.
   void reset_stats() noexcept;
 
-  // Publishes protection counters under `prefix` plus the rule-check stats
-  // and the crypto cores under "<prefix>.cc." / "<prefix>.ic.".
+  // Publishes protection counters under `prefix` and the crypto cores under
+  // "<prefix>.cc." / "<prefix>.ic.".
   void contribute_metrics(obs::Registry& reg, const std::string& prefix) const;
 
  private:
   [[nodiscard]] bool in_protected_range(sim::Addr addr, std::uint64_t len) const noexcept;
   void refresh_policy_cache();
-  void raise_alert(sim::Cycle now, Violation v, const bus::BusTransaction& t);
   // The stored form of an all-zero protected region (see
   // format_protected_region); charges the CC, whose stats the format resets.
   [[nodiscard]] std::vector<std::uint8_t> formatted_image(bool ciphered);
@@ -143,8 +145,6 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
   FirewallId id_;
   Config cfg_;
   ConfigurationMemory* config_mem_;
-  SecurityBuilder sb_;
-  SecurityEventLog* log_;
   mem::DdrMemory* inner_;
   sim::EventTrace* trace_ = nullptr;
 
@@ -160,7 +160,6 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
   std::uint64_t policy_generation_ = 0;
 
   Stats stats_;
-  FirewallStats fw_stats_;
 };
 
 }  // namespace secbus::core

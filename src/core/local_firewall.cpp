@@ -211,23 +211,37 @@ bus::AccessResult SlaveFirewall::access(bus::BusTransaction& t, sim::Cycle now) 
 
   if (!result.decision.allowed) {
     ++stats_.blocked;
-    stats_.count_violation(result.decision.violation);
-    log_->raise(Alert{now, id_, name_, result.decision.violation, t.master,
-                      t.op, t.addr, t.id});
-    if (trace_ != nullptr) {
-      trace_->record({now, sim::TraceKind::kTransDiscarded, name_.c_str(), t.id,
-                      t.addr, static_cast<std::uint64_t>(result.decision.violation)});
-      trace_->record({now, sim::TraceKind::kAlert, name_.c_str(), t.id, t.addr,
-                      static_cast<std::uint64_t>(result.decision.violation)});
-    }
+    raise_alert(now, result.decision.violation, t, /*discarded=*/true);
     std::fill(t.data.begin(), t.data.end(), 0);
     t.status = bus::TransStatus::kSecurityViolation;
     return {result.latency, bus::TransStatus::kSecurityViolation};
   }
 
   ++stats_.passed;
-  const auto inner_result = inner_->access(t, now + result.latency);
+  // The device sees the request cycle; the check latency is added to its
+  // own (an LCF stamps its DDR line transfers at this cycle).
+  const auto inner_result = inner_->access(t, now);
+  // An LCF datapath that fails an integrity check has already zeroed the
+  // data. The access passed the rule check, so it is alerted on but not
+  // counted as blocked.
+  if (inner_result.status == bus::TransStatus::kIntegrityError) {
+    raise_alert(now, Violation::kIntegrityFailure, t, /*discarded=*/false);
+  }
   return {result.latency + inner_result.latency, inner_result.status};
+}
+
+void SlaveFirewall::raise_alert(sim::Cycle now, Violation v,
+                                const bus::BusTransaction& t, bool discarded) {
+  stats_.count_violation(v);
+  log_->raise(Alert{now, id_, name_, v, t.master, t.op, t.addr, t.id});
+  if (trace_ != nullptr) {
+    if (discarded) {
+      trace_->record({now, sim::TraceKind::kTransDiscarded, name_.c_str(), t.id,
+                      t.addr, static_cast<std::uint64_t>(v)});
+    }
+    trace_->record({now, sim::TraceKind::kAlert, name_.c_str(), t.id, t.addr,
+                    static_cast<std::uint64_t>(v)});
+  }
 }
 
 void SlaveFirewall::contribute_metrics(obs::Registry& reg,

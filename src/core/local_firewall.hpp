@@ -20,7 +20,10 @@
 //
 // Slave-side firewalls (in front of memories / slave IPs) are SlaveDevice
 // decorators: the check happens between bus delivery and the device, adding
-// the check latency to the access.
+// the check latency to the access (the device itself is handed the request
+// cycle). In front of the external DDR the device is the Local Ciphering
+// Firewall's datapath (core/ciphering_firewall.hpp); when it reports an
+// integrity failure, the slave firewall raises the alert.
 //
 // Both serve both security modes. Under distributed security the verdict
 // comes from the firewall's own SB; under the centralized baseline it comes
@@ -178,6 +181,11 @@ class SlaveFirewall final : public bus::SlaveDevice {
   void contribute_metrics(obs::Registry& reg, const std::string& prefix) const;
 
  private:
+  // Counts `v`, logs the alert and traces it (after the discard, when the
+  // access was `discarded`), stamped at `now`.
+  void raise_alert(sim::Cycle now, Violation v, const bus::BusTransaction& t,
+                   bool discarded);
+
   std::string name_;
   FirewallId id_;
   std::optional<SecurityBuilder> sb_;

@@ -21,7 +21,6 @@ Processor::Processor(std::string name, sim::MasterId id, std::uint64_t seed,
   for (const Target& t : workload_.targets) target_weights_.push_back(t.weight);
   compute_remaining_ =
       rng_.range(workload_.compute_min, workload_.compute_max);
-  last_gap_ = compute_remaining_;
 }
 
 bus::BusTransaction Processor::next_transaction(sim::Cycle now) {
@@ -64,10 +63,6 @@ bus::BusTransaction Processor::next_transaction(sim::Cycle now) {
   t.id = bus::make_trans_id(id_, ++seq_);
   t.thread = static_cast<bus::ThreadId>(seq_ % workload_.threads);
   t.issued_at = now;
-  if (workload_.capture_trace) {
-    captured_.push_back(TraceRecord{last_gap_, t.op, t.addr, t.format,
-                                    t.burst_len});
-  }
   return t;
 }
 
@@ -105,7 +100,6 @@ void Processor::tick(sim::Cycle now) {
       }
       compute_remaining_ =
           rng_.range(workload_.compute_min, workload_.compute_max);
-      last_gap_ = compute_remaining_;
       state_ = State::kComputing;
       break;
     }
@@ -149,9 +143,7 @@ void Processor::reset() {
   rng_ = util::Xoshiro256(seed_);
   state_ = State::kComputing;
   compute_remaining_ = rng_.range(workload_.compute_min, workload_.compute_max);
-  last_gap_ = compute_remaining_;
   seq_ = 0;
-  captured_.clear();
   stats_ = {};
 }
 

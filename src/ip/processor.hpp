@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bus/ports.hpp"
-#include "ip/trace_io.hpp"
 #include "sim/component.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -51,8 +50,6 @@ class Processor final : public sim::Component {
     // Software threads multiplexed on this core; issued transactions carry
     // thread ids 0..threads-1 round-robin (thread-specific security).
     unsigned threads = 1;
-    // Record every issued access (for TraceReplayer-based comparisons).
-    bool capture_trace = false;
   };
 
   struct Stats {
@@ -101,10 +98,6 @@ class Processor final : public sim::Component {
   // Publishes the traffic counters and the latency distribution under
   // `prefix` ("<prefix>.issued", "<prefix>.latency.p95", ...).
   void contribute_metrics(obs::Registry& reg, const std::string& prefix) const;
-  // Captured access trace (empty unless Workload::capture_trace).
-  [[nodiscard]] const std::vector<TraceRecord>& captured_trace() const noexcept {
-    return captured_;
-  }
   [[nodiscard]] bool done() const noexcept {
     return workload_.total_transactions != 0 &&
            stats_.completed + stats_.failed >= workload_.total_transactions;
@@ -124,10 +117,8 @@ class Processor final : public sim::Component {
 
   State state_ = State::kComputing;
   sim::Cycle compute_remaining_ = 0;
-  sim::Cycle last_gap_ = 0;
   std::uint64_t seq_ = 0;
   bool pending_external_ = false;
-  std::vector<TraceRecord> captured_;
   Stats stats_;
 };
 

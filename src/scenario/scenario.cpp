@@ -238,9 +238,9 @@ JobResult run_scenario(const ScenarioSpec& spec, const RunHooks& hooks) {
   if (distributed) {
     for (const auto& fw : soc.master_firewalls()) accumulate(r, fw->stats());
     accumulate(r, soc.bram_firewall()->stats());
+    accumulate(r, soc.ddr_firewall()->stats());
   }
   if (soc.lcf() != nullptr) {
-    accumulate(r, soc.lcf()->firewall_stats());
     const auto& lcf = *soc.lcf();
     r.lcf.protected_reads = lcf.stats().protected_reads;
     r.lcf.protected_writes = lcf.stats().protected_writes;

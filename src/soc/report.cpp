@@ -43,10 +43,6 @@ std::string render_firewall_report(Soc& soc) {
     table.add_row(firewall_row(std::string(fw->slave_name()),
                                segment_of(fw->id()), fw->stats()));
   }
-  if (soc.lcf() != nullptr) {
-    table.add_row(firewall_row("lcf_ddr", segment_of(soc.lcf()->id()),
-                               soc.lcf()->firewall_stats()));
-  }
   return table.render();
 }
 

@@ -323,18 +323,11 @@ void Soc::build_memory() {
 
   bus::SlaveDevice* bram_dev = bram_.get();
   bus::SlaveDevice* ddr_dev = ddr_.get();
-
-  switch (cfg_.security) {
-    case SecurityMode::kNone:
-      break;
-    case SecurityMode::kDistributed: {
-      bram_fw_ = std::make_unique<core::SlaveFirewall>(
-          "lf_bram", kFwBram, config_mem_, log_, *bram_, cfg_.sb_check_cycles);
-      if (trace_.enabled()) bram_fw_->set_trace(&trace_);
-      bram_dev = bram_fw_.get();
-
+  if (cfg_.security != SecurityMode::kNone) {
+    const bool distributed = cfg_.security == SecurityMode::kDistributed;
+    if (distributed) {
+      // The DDR's firewall guards the LCF's ciphering datapath.
       core::LocalCipheringFirewall::Config lcf_cfg;
-      lcf_cfg.check_cycles = cfg_.sb_check_cycles;
       lcf_cfg.protected_base = cfg_.ddr_protected_base;
       lcf_cfg.protected_size = cfg_.ddr_protected_size;
       lcf_cfg.line_bytes = cfg_.line_bytes;
@@ -343,24 +336,31 @@ void Soc::build_memory() {
       lcf_cfg.ic_latency = cfg_.ic_latency;
       lcf_cfg.ic_bits_per_cycle = cfg_.ic_bits_per_cycle;
       lcf_ = std::make_unique<core::LocalCipheringFirewall>(
-          "lcf_ddr", kFwLcf, config_mem_, log_, *ddr_, lcf_cfg);
+          "lcf_ddr", kFwLcf, config_mem_, *ddr_, lcf_cfg);
       if (trace_.enabled()) lcf_->set_trace(&trace_);
       lcf_->format_protected_region();
       ddr_dev = lcf_.get();
-      break;
-    }
-    case SecurityMode::kCentralized: {
-      // The manager's firewalls record no trace events.
+    } else {
       manager_ = std::make_unique<baseline::CentralizedManager>(
           config_mem_, cfg_.sb_check_cycles);
-      bram_fw_ = std::make_unique<core::SlaveFirewall>(
-          "gate_bram", kFwBram, *manager_, log_, *bram_);
-      ddr_fw_ = std::make_unique<core::SlaveFirewall>(
-          "gate_ddr", kFwLcf, *manager_, log_, *ddr_);
-      bram_dev = bram_fw_.get();
-      ddr_dev = ddr_fw_.get();
-      break;
     }
+    // One slave-side firewall per memory: checked by its own SB, or by the
+    // manager (whose firewalls record no trace events).
+    const auto guard = [&](const char* name, core::FirewallId id,
+                           bus::SlaveDevice& inner) {
+      if (!distributed) {
+        return std::make_unique<core::SlaveFirewall>(name, id, *manager_, log_,
+                                                     inner);
+      }
+      auto fw = std::make_unique<core::SlaveFirewall>(
+          name, id, config_mem_, log_, inner, cfg_.sb_check_cycles);
+      if (trace_.enabled()) fw->set_trace(&trace_);
+      return fw;
+    };
+    bram_fw_ = guard(distributed ? "lf_bram" : "gate_bram", kFwBram, *bram_dev);
+    ddr_fw_ = guard(distributed ? "lcf_ddr" : "gate_ddr", kFwLcf, *ddr_dev);
+    bram_dev = bram_fw_.get();
+    ddr_dev = ddr_fw_.get();
   }
 
   // Each memory (and its slave-side protection) lands on its own home

@@ -184,7 +184,9 @@ class Soc {
     return processors_;
   }
   ip::DmaEngine* dma() noexcept { return dma_.get(); }
-  // Non-null only in distributed mode.
+  // The LCF's ciphering datapath (CC, IC, protection stats), behind
+  // ddr_firewall(). Non-null only in distributed mode. Calling its access()
+  // directly bypasses the rule check.
   core::LocalCipheringFirewall* lcf() noexcept { return lcf_.get(); }
   // Firewalls exist in both secured modes: distributed ones ("lf_*") check
   // with their own Security Builder, centralized ones ("gate_*") ask the
@@ -194,7 +196,9 @@ class Soc {
   master_firewalls() const noexcept {
     return master_fws_;
   }
-  // Non-null only in centralized mode (the LCF guards the DDR otherwise).
+  // The DDR's firewall, non-null in both secured modes: "lcf_ddr" in front
+  // of the LCF's datapath (distributed) or "gate_ddr" in front of the DDR
+  // (centralized).
   core::SlaveFirewall* ddr_firewall() noexcept { return ddr_fw_.get(); }
   // Non-null only in centralized mode.
   baseline::CentralizedManager* manager() noexcept { return manager_.get(); }
@@ -236,11 +240,11 @@ class Soc {
   std::unique_ptr<mem::Bram> bram_;
   std::unique_ptr<mem::DdrMemory> ddr_;
 
-  // Slave-side protection: the BRAM's firewall in both secured modes; the
-  // DDR's is the LCF (distributed) or a manager-checked firewall.
+  // Slave-side protection: one firewall per memory in both secured modes;
+  // under distributed security the DDR's guards the LCF's datapath.
   std::unique_ptr<baseline::CentralizedManager> manager_;
-  std::unique_ptr<core::SlaveFirewall> bram_fw_;
   std::unique_ptr<core::LocalCipheringFirewall> lcf_;
+  std::unique_ptr<core::SlaveFirewall> bram_fw_;
   std::unique_ptr<core::SlaveFirewall> ddr_fw_;
 
   std::vector<std::unique_ptr<ip::Processor>> processors_;

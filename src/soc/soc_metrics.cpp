@@ -36,12 +36,11 @@ void Soc::snapshot_metrics(obs::Registry& reg) const {
     bram_fw_->contribute_metrics(reg,
                                  "core." + std::string(bram_fw_->slave_name()));
   }
-  if (lcf_ != nullptr) {
-    lcf_->contribute_metrics(reg, "core." + std::string(lcf_->slave_name()));
-  }
   if (ddr_fw_ != nullptr) {
-    ddr_fw_->contribute_metrics(reg,
-                                "core." + std::string(ddr_fw_->slave_name()));
+    // The LCF's datapath counters follow its firewall's under one prefix.
+    const std::string prefix = "core." + std::string(ddr_fw_->slave_name());
+    ddr_fw_->contribute_metrics(reg, prefix);
+    if (lcf_ != nullptr) lcf_->contribute_metrics(reg, prefix);
   }
   if (manager_ != nullptr) {
     reg.counter("core.manager.checks_served", manager_->checks_served());

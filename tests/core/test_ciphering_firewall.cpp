@@ -1,8 +1,16 @@
+// The LCF stack: a slave-side Local Firewall ("lcf_ddr") in front of the
+// ciphering datapath (CC, IC, read-modify-write) over the external DDR.
 #include "core/ciphering_firewall.hpp"
 
 #include <gtest/gtest.h>
 
-#include "util/rng.hpp"
+#include <string>
+#include <vector>
+
+#include "core/local_firewall.hpp"
+#include "obs/registry.hpp"
+#include "soc/presets.hpp"
+#include "soc/soc.hpp"
 
 namespace secbus::core {
 namespace {
@@ -41,21 +49,22 @@ struct LcfFixture {
     cfg.protected_base = kDdrBase;
     cfg.protected_size = kProtSize;
     cfg.line_bytes = 32;
-    lcf = std::make_unique<LocalCipheringFirewall>("lcf", kFw, config_mem, log,
+    lcf = std::make_unique<LocalCipheringFirewall>("lcf", kFw, config_mem,
                                                    *ddr, cfg);
+    fw = std::make_unique<SlaveFirewall>("lcf", kFw, config_mem, log, *lcf);
   }
 
   bus::BusTransaction write(sim::Addr addr, std::vector<std::uint8_t> data,
                             sim::Cycle now = 0) {
     auto t = bus::make_write(0, addr, std::move(data));
-    last_result = lcf->access(t, now);
+    last_result = fw->access(t, now);
     return t;
   }
   bus::BusTransaction read(sim::Addr addr, std::size_t bytes,
                            sim::Cycle now = 0) {
     auto t = bus::make_read(0, addr, DataFormat::kWord,
                             static_cast<std::uint16_t>(bytes / 4));
-    last_result = lcf->access(t, now);
+    last_result = fw->access(t, now);
     return t;
   }
   std::vector<std::uint8_t> raw(sim::Addr addr, std::size_t len) {
@@ -68,6 +77,7 @@ struct LcfFixture {
   SecurityEventLog log;
   std::unique_ptr<mem::DdrMemory> ddr;
   std::unique_ptr<LocalCipheringFirewall> lcf;
+  std::unique_ptr<SlaveFirewall> fw;
   bus::AccessResult last_result;
 };
 
@@ -197,10 +207,17 @@ TEST(Lcf, UnprotectedRegionPassesThrough) {
 TEST(Lcf, RuleViolationBlockedBeforeMemory) {
   LcfFixture f(ConfidentialityMode::kCipher, IntegrityMode::kHashTree);
   auto t = bus::make_read(0, kDdrBase - 0x1000);  // outside every segment
-  const auto result = f.lcf->access(t, 0);
+  const auto result = f.fw->access(t, 0);
   EXPECT_EQ(result.status, TransStatus::kSecurityViolation);
-  EXPECT_EQ(f.log.count_of(Violation::kNoMatchingSegment), 1u);
-  EXPECT_EQ(f.ddr->stats().reads, 0u);
+  f.write(kDdrBase - 0x1000, pattern(32));
+  EXPECT_EQ(f.last_result.status, TransStatus::kSecurityViolation);
+  EXPECT_EQ(f.log.count_of(Violation::kNoMatchingSegment), 2u);
+  EXPECT_EQ(f.fw->stats().blocked, 2u);
+  // Neither access reached the datapath or the DDR.
+  const LocalCipheringFirewall::Stats& s = f.lcf->stats();
+  EXPECT_EQ(s.passthrough + s.protected_reads + s.protected_writes, 0u);
+  EXPECT_EQ(f.lcf->cc().stats().operations, 0u);
+  EXPECT_EQ(f.ddr->stats().reads + f.ddr->stats().writes, 0u);
 }
 
 TEST(Lcf, ProtectedAccessCostsMoreThanPassthrough) {
@@ -278,6 +295,90 @@ TEST(Lcf, EachWriteFreshCiphertext) {
   f.write(kDdrBase, data);
   const auto ct2 = f.raw(kDdrBase, 32);
   EXPECT_NE(ct1, ct2);
+}
+
+// --- the LCF in a distributed SoC -----------------------------------------
+
+TEST(LcfSoc, TamperedLineRaisesOneIntegrityAlertAtTheFirewall) {
+  soc::SocConfig cfg = soc::tiny_test_config();
+  cfg.protection = soc::ProtectionLevel::kFull;
+  soc::Soc system(cfg);
+  SlaveFirewall* fw = system.ddr_firewall();
+  ASSERT_NE(fw, nullptr);
+  ASSERT_NE(system.lcf(), nullptr);
+
+  const sim::Addr line = cfg.ddr_protected_base;
+  std::vector<std::uint8_t> stored(cfg.line_bytes);
+  system.ddr().store().peek(line, {stored.data(), stored.size()});
+  stored[0] ^= 0x01;
+  system.ddr().store().poke(line, {stored.data(), stored.size()});
+
+  auto t = bus::make_read(0, line, DataFormat::kWord,
+                          static_cast<std::uint16_t>(cfg.line_bytes / 4));
+  EXPECT_EQ(fw->access(t, 100).status, TransStatus::kIntegrityError);
+  EXPECT_EQ(t.data, std::vector<std::uint8_t>(cfg.line_bytes, 0));
+
+  ASSERT_EQ(system.log().count(), 1u);
+  const Alert& alert = system.log().alerts().front();
+  EXPECT_EQ(alert.firewall, soc::kFwLcf);
+  EXPECT_EQ(alert.firewall_name, "lcf_ddr");
+  EXPECT_EQ(alert.violation, Violation::kIntegrityFailure);
+  EXPECT_EQ(alert.cycle, 100u);
+  EXPECT_EQ(fw->stats().violation_count(Violation::kIntegrityFailure), 1u);
+  EXPECT_EQ(fw->stats().passed, 1u);
+  EXPECT_EQ(fw->stats().blocked, 0u);
+  EXPECT_EQ(system.lcf()->stats().integrity_failures, 1u);
+}
+
+// The DDR firewall's keys, then the datapath's, under one prefix, in the
+// order the LCF published them when it carried its own rule check.
+TEST(LcfSoc, MetricNamesArePinnedInOrder) {
+  soc::Soc system(soc::tiny_test_config());
+  obs::Registry reg;
+  system.snapshot_metrics(reg);
+  std::vector<std::string> names;
+  std::vector<std::size_t> positions;
+  for (std::size_t i = 0; i < reg.metrics().size(); ++i) {
+    const std::string& name = reg.metrics()[i].name;
+    if (name.rfind("core.lcf_ddr.", 0) == 0) {
+      names.push_back(name.substr(13));
+      positions.push_back(i);
+    }
+  }
+  const std::vector<std::string> expected = {
+      "secpol_reqs",
+      "passed",
+      "blocked",
+      "check_cycles",
+      "responses_gated",
+      "violations.no_matching_segment",
+      "violations.rw_violation",
+      "violations.format_violation",
+      "violations.integrity_failure",
+      "violations.policy_lockdown",
+      "violations.rate_limited",
+      "passthrough",
+      "protected_reads",
+      "protected_writes",
+      "lines_encrypted",
+      "lines_decrypted",
+      "read_modify_writes",
+      "integrity_failures",
+      "key_rotations",
+      "cc.operations",
+      "cc.bytes",
+      "cc.cycles_charged",
+      "ic.updates",
+      "ic.verifies",
+      "ic.failures",
+      "ic.hash_invocations",
+      "ic.cycles_charged",
+      "ic.version_wraps",
+  };
+  EXPECT_EQ(names, expected);
+  ASSERT_FALSE(positions.empty());
+  EXPECT_EQ(positions.back() - positions.front() + 1, positions.size())
+      << "the lcf_ddr keys are one contiguous block";
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/ciphering_firewall.hpp"
+#include "core/local_firewall.hpp"
 #include "util/rng.hpp"
 
 namespace secbus::core {
@@ -50,8 +51,9 @@ TEST_P(LcfShadowSweep, RandomOpsMatchShadowMemory) {
   cfg.protected_base = kBase;
   cfg.protected_size = kProtSize;
   cfg.line_bytes = 32;
-  LocalCipheringFirewall lcf("lcf", kFw, config_mem, log, ddr, cfg);
+  LocalCipheringFirewall lcf("lcf", kFw, config_mem, ddr, cfg);
   lcf.format_protected_region();
+  SlaveFirewall fw("lcf", kFw, config_mem, log, lcf);
 
   // Shadow model: plain bytes, zero-initialized like the formatted region.
   std::vector<std::uint8_t> shadow(kDdrSize, 0);
@@ -77,12 +79,12 @@ TEST_P(LcfShadowSweep, RandomOpsMatchShadowMemory) {
       std::copy(payload.begin(), payload.end(),
                 shadow.begin() + static_cast<long>(addr - kBase));
       auto t = bus::make_write(0, addr, std::move(payload), fmt);
-      const auto result = lcf.access(t, now);
+      const auto result = fw.access(t, now);
       ASSERT_EQ(result.status, bus::TransStatus::kOk)
           << "write failed at op " << op << " addr 0x" << std::hex << addr;
     } else {
       auto t = bus::make_read(0, addr, fmt, burst);
-      const auto result = lcf.access(t, now);
+      const auto result = fw.access(t, now);
       ASSERT_EQ(result.status, bus::TransStatus::kOk)
           << "read failed at op " << op << " addr 0x" << std::hex << addr;
       const std::vector<std::uint8_t> expected(

@@ -14,6 +14,7 @@
 
 #include "core/ciphering_firewall.hpp"
 #include "core/format_cache.hpp"
+#include "core/local_firewall.hpp"
 #include "crypto/hash_tree.hpp"
 #include "scenario/scenario.hpp"
 #include "soc/presets.hpp"
@@ -311,19 +312,20 @@ struct Lcf {
     cfg.protected_base = kDdrBase;
     cfg.protected_size = kProtSize;
     cfg.line_bytes = kLine;
-    lcf = std::make_unique<LocalCipheringFirewall>("lcf", kFw, config_mem, log,
+    lcf = std::make_unique<LocalCipheringFirewall>("lcf", kFw, config_mem,
                                                    *ddr, cfg);
     lcf->format_protected_region();
+    fw = std::make_unique<SlaveFirewall>("lcf", kFw, config_mem, log, *lcf);
   }
 
   bus::TransStatus write(sim::Addr addr, std::vector<std::uint8_t> data) {
     auto t = bus::make_write(0, addr, std::move(data));
-    return lcf->access(t, 0).status;
+    return fw->access(t, 0).status;
   }
   bus::TransStatus read_line(std::uint64_t line) {
     auto t = bus::make_read(0, kDdrBase + line * kLine, bus::DataFormat::kWord,
                             static_cast<std::uint16_t>(kLine / 4));
-    return lcf->access(t, 0).status;
+    return fw->access(t, 0).status;
   }
   std::uint32_t version(std::uint64_t line) const {
     return lcf->ic().version_of(kDdrBase + line * kLine);
@@ -334,6 +336,7 @@ struct Lcf {
   SecurityEventLog log;
   std::unique_ptr<mem::DdrMemory> ddr;
   std::unique_ptr<LocalCipheringFirewall> lcf;
+  std::unique_ptr<SlaveFirewall> fw;
 };
 
 // Expected values recorded on the eager-tree implementation: the tree an

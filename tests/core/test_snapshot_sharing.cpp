@@ -45,7 +45,7 @@ sim::Addr line_addr(const soc::Soc& soc, std::uint64_t line) {
 bus::TransStatus read_line(soc::Soc& soc, std::uint64_t line) {
   auto t = bus::make_read(0, line_addr(soc, line), bus::DataFormat::kWord,
                           static_cast<std::uint16_t>(soc.config().line_bytes / 4));
-  return soc.lcf()->access(t, soc.kernel().now()).status;
+  return soc.ddr_firewall()->access(t, soc.kernel().now()).status;
 }
 
 void tamper_line(soc::Soc& soc, std::uint64_t line) {

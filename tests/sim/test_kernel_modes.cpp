@@ -13,11 +13,7 @@
 #include <tuple>
 #include <vector>
 
-#include "bus/system_bus.hpp"
 #include "campaign/campaign.hpp"
-#include "ip/processor.hpp"
-#include "ip/trace_replayer.hpp"
-#include "mem/bram.hpp"
 #include "obs/registry.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/result_io.hpp"
@@ -153,9 +149,8 @@ TEST(KernelModes, TracedFloodThrottledEventStreamIsIdentical) {
   expect_trace_identical(builtin("flood-throttled"));
 }
 
-// The DMA engine and the trace replayer appear in no scenario, so they get
-// their own runs: a DMA copy through the LCF, and a replayed trace whose
-// compute gaps are stretched so the replayer sleeps between accesses.
+// The DMA engine appears in no scenario, so it gets its own run: a DMA copy
+// through the LCF.
 std::string dma_run_metrics(bool lockstep) {
   LockstepGuard guard(lockstep);
   soc::SocConfig cfg = soc::tiny_test_config();
@@ -174,47 +169,6 @@ std::string dma_run_metrics(bool lockstep) {
 TEST(KernelModes, DmaCopyThroughLcfIsIdentical) {
   EXPECT_EQ(dma_run_metrics(/*lockstep=*/true),
             dma_run_metrics(/*lockstep=*/false));
-}
-
-std::string replay_run_digest(const std::vector<ip::TraceRecord>& trace,
-                              bool lockstep) {
-  LockstepGuard guard(lockstep);
-  SimKernel kernel;
-  mem::Bram bram{"bram", mem::Bram::Config{0x0000, 0x1000, 3}};
-  bus::SystemBus bus("bus");
-  bus.map_region(0x0000, 0x1000, bus.add_slave(bram), "bram");
-  ip::TraceReplayer replayer("rp", 0, trace);
-  replayer.connect(bus.attach_master(0, "rp"));
-  kernel.add(replayer);
-  kernel.add(bus);
-  EXPECT_TRUE(kernel.run_until([&] { return replayer.done(); }, 1'000'000));
-  obs::Registry reg;
-  bus.contribute_metrics(reg, "bus");
-  reg.stat("rp.latency", replayer.stats().latency);
-  reg.counter("rp.ok", replayer.stats().ok);
-  reg.counter("cycles", kernel.now());
-  return reg.to_json().dump();
-}
-
-TEST(KernelModes, TraceReplayIsIdentical) {
-  SimKernel kernel;
-  mem::Bram bram{"bram", mem::Bram::Config{0x0000, 0x1000, 3}};
-  bus::SystemBus bus("bus");
-  bus.map_region(0x0000, 0x1000, bus.add_slave(bram), "bram");
-  ip::Processor::Workload w;
-  w.targets.push_back({0x0000, 0x800, 1.0, false});
-  w.total_transactions = 80;
-  w.capture_trace = true;
-  ip::Processor cpu("cpu", 0, 7, w);
-  cpu.connect(bus.attach_master(0, "cpu"));
-  kernel.add(cpu);
-  kernel.add(bus);
-  ASSERT_TRUE(kernel.run_until([&] { return cpu.done(); }, 1'000'000));
-  std::vector<ip::TraceRecord> trace = cpu.captured_trace();
-  for (std::size_t i = 0; i < trace.size(); ++i) trace[i].delay *= i % 7;
-
-  EXPECT_EQ(replay_run_digest(trace, /*lockstep=*/true),
-            replay_run_digest(trace, /*lockstep=*/false));
 }
 
 }  // namespace

@@ -175,7 +175,7 @@ TEST(Soc, DmaIntoProtectedRegionThroughLcf) {
   auto readback = bus::make_read(0, plan.shared_code.base,
                                  bus::DataFormat::kWord, 32);
   ASSERT_NE(soc.lcf(), nullptr);
-  const auto result = soc.lcf()->access(readback, soc.kernel().now());
+  const auto result = soc.ddr_firewall()->access(readback, soc.kernel().now());
   EXPECT_EQ(result.status, bus::TransStatus::kOk);
   EXPECT_EQ(readback.data, image);
   EXPECT_GT(soc.lcf()->stats().lines_encrypted, 0u);

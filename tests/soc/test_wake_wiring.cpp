@@ -12,7 +12,6 @@
 
 #include "attack/flood_master.hpp"
 #include "core/local_firewall.hpp"
-#include "ip/trace_replayer.hpp"
 #include "scenario/scenario.hpp"
 #include "soc/presets.hpp"
 #include "soc/soc.hpp"
@@ -50,12 +49,9 @@ TEST_P(WiringAudit, EveryChannelHasARegisteredConsumer) {
   // Custom masters must outlive the SoC's runs.
   attack::FloodMaster flood("flood", static_cast<sim::MasterId>(500),
                             attack::FloodMaster::Config{});
-  ip::TraceReplayer replayer("replayer", static_cast<sim::MasterId>(501), {});
   soc::Soc sys(cfg);
   sys.add_scripted_master("scripted", sys.cpu_policy(0));
   flood.connect(sys.attach_custom_master(flood, "flood", sys.cpu_policy(0)));
-  replayer.connect(
-      sys.attach_custom_master(replayer, "replayer", sys.cpu_policy(0)));
 
   std::vector<std::string> masters;
   for (std::size_t seg = 0; seg < sys.fabric().segment_count(); ++seg) {
@@ -82,7 +78,7 @@ TEST_P(WiringAudit, EveryChannelHasARegisteredConsumer) {
   for (std::size_t i = 0; i < cfg.processors; ++i) {
     expected.push_back("cpu" + std::to_string(i));
   }
-  expected.insert(expected.end(), {"dma", "scripted", "flood", "replayer"});
+  expected.insert(expected.end(), {"dma", "scripted", "flood"});
   std::sort(masters.begin(), masters.end());
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(masters, expected);
