@@ -105,11 +105,10 @@ BackendRates run_backend(secbus::crypto::BackendKind kind, bool quick) {
   // Batched CTR line (the Confidentiality Core's per-access shape).
   {
     std::vector<std::uint8_t> line = random_bytes(64);
-    crypto::CtrScratch scratch;
     out.ctr_line = measure(50000 * scale, 64, repeats, [&](std::size_t n) {
       for (std::size_t i = 0; i < n; ++i) {
         crypto::memory_xcrypt_line(aes, 0x5ecb, 0x1000 + 64 * (i % 512), 7,
-                                   line, line, scratch);
+                                   line, line);
       }
     });
   }

@@ -15,11 +15,4 @@ int RoundRobinArbiter::pick(const std::vector<bool>& requesting) {
   return -1;
 }
 
-int FixedPriorityArbiter::pick(const std::vector<bool>& requesting) {
-  for (std::size_t i = 0; i < requesting.size(); ++i) {
-    if (requesting[i]) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 }  // namespace secbus::bus

@@ -1,44 +1,26 @@
-// Bus arbitration policies.
+// Bus arbitration.
 //
-// The shared bus grants one master per transfer. Round-robin is the default
-// (PLB-like fairness); fixed-priority is provided for the DoS experiments,
-// where it demonstrates how a flooding master starves lower-priority IPs
-// when the firewall does not contain it.
+// The shared bus grants one master per transfer, in rotating-priority round
+// robin (PLB-like fairness). A flooding master therefore cannot starve the
+// other IPs of grants; what it costs them is bus occupancy, which the Local
+// Firewall's rate limiter contains.
 #pragma once
 
-#include <cstdint>
 #include <vector>
-
-#include "sim/types.hpp"
 
 namespace secbus::bus {
 
-class Arbiter {
- public:
-  virtual ~Arbiter() = default;
-
-  // Chooses one of the requesting masters (requesting[i] == true). Returns
-  // the granted index, or -1 when nobody requests. Called once per grant.
-  [[nodiscard]] virtual int pick(const std::vector<bool>& requesting) = 0;
-
-  virtual void reset() {}
-};
-
 // Rotating-priority round robin: the master after the last-granted one gets
 // the highest priority, guaranteeing starvation freedom.
-class RoundRobinArbiter final : public Arbiter {
+class RoundRobinArbiter {
  public:
-  [[nodiscard]] int pick(const std::vector<bool>& requesting) override;
-  void reset() override { last_granted_ = -1; }
+  // Chooses one of the requesting masters (requesting[i] == true). Returns
+  // the granted index, or -1 when nobody requests. Called once per grant.
+  [[nodiscard]] int pick(const std::vector<bool>& requesting);
+  void reset() { last_granted_ = -1; }
 
  private:
   int last_granted_ = -1;
-};
-
-// Fixed priority: lowest index wins. Starves high-index masters under load.
-class FixedPriorityArbiter final : public Arbiter {
- public:
-  [[nodiscard]] int pick(const std::vector<bool>& requesting) override;
 };
 
 }  // namespace secbus::bus

@@ -7,10 +7,7 @@
 
 namespace secbus::bus {
 
-SystemBus::SystemBus(std::string name, std::unique_ptr<Arbiter> arbiter)
-    : Component(std::move(name)),
-      arbiter_(arbiter != nullptr ? std::move(arbiter)
-                                  : std::make_unique<RoundRobinArbiter>()) {}
+SystemBus::SystemBus(std::string name) : Component(std::move(name)) {}
 
 MasterEndpoint& SystemBus::attach_master(sim::MasterId id, std::string master_name) {
   endpoints_.push_back(std::make_unique<MasterEndpoint>());
@@ -120,7 +117,7 @@ void SystemBus::tick(sim::Cycle now) {
         ++stats_.idle_cycles;
         return;
       }
-      const int granted = arbiter_->pick(requesting_);
+      const int granted = arbiter_.pick(requesting_);
       SECBUS_ASSERT(granted >= 0, "arbiter returned no grant despite requests");
       start_transaction(now, static_cast<std::size_t>(granted));
       ++stats_.busy_cycles;
@@ -237,7 +234,7 @@ void SystemBus::reset() {
   phase_remaining_ = 0;
   for (auto& ep : endpoints_) ep->clear();
   reset_stats();
-  arbiter_->reset();
+  arbiter_.reset();
 }
 
 }  // namespace secbus::bus

@@ -62,8 +62,7 @@ class SystemBus final : public sim::Component {
     }
   };
 
-  explicit SystemBus(std::string name,
-                     std::unique_ptr<Arbiter> arbiter = nullptr);
+  explicit SystemBus(std::string name);
 
   // --- wiring (construction time only) --------------------------------
   // Registers a master; returns its endpoint. The returned reference stays
@@ -173,7 +172,7 @@ class SystemBus final : public sim::Component {
   void start_transaction(sim::Cycle now, std::size_t master_index);
   void finish_transaction(sim::Cycle now);
 
-  std::unique_ptr<Arbiter> arbiter_;
+  RoundRobinArbiter arbiter_;
   AddressMap map_;
   std::vector<std::unique_ptr<MasterEndpoint>> endpoints_;
   std::vector<sim::MasterId> master_ids_;

@@ -27,10 +27,9 @@ sim::Cycle ConfidentialityCore::xcrypt(sim::Addr addr, std::uint32_t version,
                 "CC requires 16-byte aligned addresses");
   // Fresh tweak per 16-byte block: the address field changes per block, so
   // the CTR counter field never has to carry across blocks and keystream
-  // never repeats across (address, version) pairs. The whole line's
-  // keystream is generated in one batched pass.
-  crypto::memory_xcrypt_line(aes_, cfg_.nonce, addr, version, in, out,
-                             scratch_);
+  // never repeats across (address, version) pairs. The line's keystream is
+  // generated in stack-buffered batches, so the access path never allocates.
+  crypto::memory_xcrypt_line(aes_, cfg_.nonce, addr, version, in, out);
   ++stats_.operations;
   stats_.bytes += in.size();
   const sim::Cycle cycles = cost_for_bits(static_cast<std::uint64_t>(in.size()) * 8);

@@ -66,9 +66,6 @@ class ConfidentialityCore {
   crypto::Aes128 aes_;
   Config cfg_;
   Stats stats_;
-  // Reused counter/keystream buffers: after the first line the per-access
-  // path performs no allocation.
-  crypto::CtrScratch scratch_;
 };
 
 }  // namespace secbus::core

@@ -10,7 +10,7 @@
 //
 // Correctness contract: bit-identical output to the portable T-table /
 // scalar paths for every input — enforced by crypto_test_backend_diff and
-// the per-backend FIPS/NIST vector suites, not assumed.
+// the per-backend FIPS/NIST and line known-answer suites, not assumed.
 #include "crypto/backend.hpp"
 
 #include <cstdlib>
@@ -46,7 +46,7 @@ void aes_encrypt_blocks(const std::uint8_t* round_keys, const std::uint8_t* in,
   std::size_t i = 0;
   // Four independent blocks per iteration: aesenc has multi-cycle latency
   // but pipelines one per cycle, so interleaving hides it (this is what
-  // makes batched CTR keystream generation fast).
+  // makes batched line keystream generation fast).
   for (; i + 4 <= nblocks; i += 4) {
     __m128i b0 = _mm_xor_si128(load_block(in + 16 * i), rk[0]);
     __m128i b1 = _mm_xor_si128(load_block(in + 16 * (i + 1)), rk[0]);
@@ -67,38 +67,6 @@ void aes_encrypt_blocks(const std::uint8_t* round_keys, const std::uint8_t* in,
     __m128i b = _mm_xor_si128(load_block(in + 16 * i), rk[0]);
     for (int r = 1; r < 10; ++r) b = _mm_aesenc_si128(b, rk[r]);
     store_block(out + 16 * i, _mm_aesenclast_si128(b, rk[10]));
-  }
-}
-
-void aes_decrypt_blocks(const std::uint8_t* inv_round_keys,
-                        const std::uint8_t* in, std::uint8_t* out,
-                        std::size_t nblocks) noexcept {
-  // inv_round_keys holds the FIPS-197 equivalent-inverse-cipher schedule
-  // (reversed rounds, inner keys through InvMixColumns), which is exactly
-  // the aesdec/aesdeclast key convention.
-  __m128i rk[11];
-  for (int r = 0; r <= 10; ++r) rk[r] = load_rk(inv_round_keys, r);
-  std::size_t i = 0;
-  for (; i + 4 <= nblocks; i += 4) {
-    __m128i b0 = _mm_xor_si128(load_block(in + 16 * i), rk[0]);
-    __m128i b1 = _mm_xor_si128(load_block(in + 16 * (i + 1)), rk[0]);
-    __m128i b2 = _mm_xor_si128(load_block(in + 16 * (i + 2)), rk[0]);
-    __m128i b3 = _mm_xor_si128(load_block(in + 16 * (i + 3)), rk[0]);
-    for (int r = 1; r < 10; ++r) {
-      b0 = _mm_aesdec_si128(b0, rk[r]);
-      b1 = _mm_aesdec_si128(b1, rk[r]);
-      b2 = _mm_aesdec_si128(b2, rk[r]);
-      b3 = _mm_aesdec_si128(b3, rk[r]);
-    }
-    store_block(out + 16 * i, _mm_aesdeclast_si128(b0, rk[10]));
-    store_block(out + 16 * (i + 1), _mm_aesdeclast_si128(b1, rk[10]));
-    store_block(out + 16 * (i + 2), _mm_aesdeclast_si128(b2, rk[10]));
-    store_block(out + 16 * (i + 3), _mm_aesdeclast_si128(b3, rk[10]));
-  }
-  for (; i < nblocks; ++i) {
-    __m128i b = _mm_xor_si128(load_block(in + 16 * i), rk[0]);
-    for (int r = 1; r < 10; ++r) b = _mm_aesdec_si128(b, rk[r]);
-    store_block(out + 16 * i, _mm_aesdeclast_si128(b, rk[10]));
   }
 }
 
@@ -186,11 +154,6 @@ namespace secbus::crypto::accel {
 bool compiled() noexcept { return false; }
 
 void aes_encrypt_blocks(const std::uint8_t*, const std::uint8_t*,
-                        std::uint8_t*, std::size_t) noexcept {
-  std::abort();
-}
-
-void aes_decrypt_blocks(const std::uint8_t*, const std::uint8_t*,
                         std::uint8_t*, std::size_t) noexcept {
   std::abort();
 }

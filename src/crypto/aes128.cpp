@@ -8,7 +8,6 @@ namespace secbus::crypto {
 
 namespace {
 
-using detail::kInvSbox;
 using detail::kSbox;
 
 // Reassembles four S-box bytes into a big-endian state word (final rounds,
@@ -26,10 +25,6 @@ void sub_bytes(std::uint8_t s[16]) noexcept {
   for (int i = 0; i < 16; ++i) s[i] = kSbox[s[i]];
 }
 
-void inv_sub_bytes(std::uint8_t s[16]) noexcept {
-  for (int i = 0; i < 16; ++i) s[i] = kInvSbox[s[i]];
-}
-
 // State is column-major as in FIPS-197: s[r + 4*c].
 void shift_rows(std::uint8_t s[16]) noexcept {
   std::uint8_t t;
@@ -42,17 +37,6 @@ void shift_rows(std::uint8_t s[16]) noexcept {
   t = s[15]; s[15] = s[11]; s[11] = s[7]; s[7] = s[3]; s[3] = t;
 }
 
-void inv_shift_rows(std::uint8_t s[16]) noexcept {
-  std::uint8_t t;
-  // row 1: rotate right by 1
-  t = s[13]; s[13] = s[9]; s[9] = s[5]; s[5] = s[1]; s[1] = t;
-  // row 2: rotate right by 2
-  t = s[2]; s[2] = s[10]; s[10] = t;
-  t = s[6]; s[6] = s[14]; s[14] = t;
-  // row 3: rotate right by 3 (= left by 1)
-  t = s[3]; s[3] = s[7]; s[7] = s[11]; s[11] = s[15]; s[15] = t;
-}
-
 void mix_columns(std::uint8_t s[16]) noexcept {
   for (int c = 0; c < 4; ++c) {
     std::uint8_t* col = s + 4 * c;
@@ -63,23 +47,6 @@ void mix_columns(std::uint8_t s[16]) noexcept {
     col[2] = static_cast<std::uint8_t>(a2 ^ all ^ xtime(static_cast<std::uint8_t>(a2 ^ a3)));
     col[3] = static_cast<std::uint8_t>(a3 ^ all ^ xtime(static_cast<std::uint8_t>(a3 ^ a0)));
   }
-}
-
-void inv_mix_columns(std::uint8_t s[16]) noexcept {
-  // Standard decomposition: the {0e,0b,0d,09} matrix equals the forward
-  // {02,03,01,01} matrix after adding xtime^2 correction terms, turning each
-  // column into a handful of xtime() chains instead of generic GF multiplies
-  // (decryption is on the simulator's hot path for every protected read).
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = s + 4 * c;
-    const std::uint8_t u = xtime(xtime(static_cast<std::uint8_t>(col[0] ^ col[2])));
-    const std::uint8_t v = xtime(xtime(static_cast<std::uint8_t>(col[1] ^ col[3])));
-    col[0] ^= u;
-    col[1] ^= v;
-    col[2] ^= u;
-    col[3] ^= v;
-  }
-  mix_columns(s);
 }
 
 void add_round_key(std::uint8_t s[16], const std::uint8_t* rk) noexcept {
@@ -110,92 +77,28 @@ void Aes128::rekey(const Aes128Key& key) noexcept {
     }
   }
 
-  // Word-form schedules for the T-table path.
   for (std::size_t w = 0; w < enc_words_.size(); ++w) {
     enc_words_[w] = util::load_be32(round_keys_.data() + 4 * w);
-  }
-  // Equivalent inverse cipher (FIPS-197 Section 5.3.5): round keys in
-  // reverse round order, with InvMixColumns applied to the inner rounds.
-  // InvMixColumns of a raw word b0..b3 is Td0[S[b0]]^Td1[S[b1]]^... because
-  // the Td tables fold InvSubBytes, which S[] cancels.
-  for (int round = 0; round <= kAes128Rounds; ++round) {
-    for (int c = 0; c < 4; ++c) {
-      std::uint32_t w =
-          enc_words_[static_cast<std::size_t>(4 * (kAes128Rounds - round) + c)];
-      if (round != 0 && round != kAes128Rounds) {
-        w = detail::kTd0[kSbox[(w >> 24) & 0xff]] ^
-            detail::kTd1[kSbox[(w >> 16) & 0xff]] ^
-            detail::kTd2[kSbox[(w >> 8) & 0xff]] ^ detail::kTd3[kSbox[w & 0xff]];
-      }
-      dec_words_[static_cast<std::size_t>(4 * round + c)] = w;
-    }
-  }
-  for (std::size_t w = 0; w < dec_words_.size(); ++w) {
-    util::store_be32(dec_bytes_.data() + 4 * w, dec_words_[w]);
   }
   block_ops_ = 0;
 }
 
-void Aes128::encrypt_block(const std::uint8_t in[kAesBlockBytes],
-                           std::uint8_t out[kAesBlockBytes]) const noexcept {
-  switch (impl_) {
-    case AesImpl::kAesni:
-      accel::aes_encrypt_blocks(round_keys_.data(), in, out, 1);
-      break;
-    case AesImpl::kTTable:
-      encrypt_block_ttable(in, out);
-      break;
-    case AesImpl::kScalar:
-      encrypt_block_scalar(in, out);
-      break;
-  }
-  ++block_ops_;
-}
-
-void Aes128::decrypt_block(const std::uint8_t in[kAesBlockBytes],
-                           std::uint8_t out[kAesBlockBytes]) const noexcept {
-  switch (impl_) {
-    case AesImpl::kAesni:
-      accel::aes_decrypt_blocks(dec_bytes_.data(), in, out, 1);
-      break;
-    case AesImpl::kTTable:
-      decrypt_block_ttable(in, out);
-      break;
-    case AesImpl::kScalar:
-      decrypt_block_scalar(in, out);
-      break;
-  }
-  ++block_ops_;
-}
-
 void Aes128::encrypt_blocks(const std::uint8_t* in, std::uint8_t* out,
                             std::size_t nblocks) const noexcept {
-  if (impl_ == AesImpl::kAesni) {
-    accel::aes_encrypt_blocks(round_keys_.data(), in, out, nblocks);
-  } else if (impl_ == AesImpl::kTTable) {
-    for (std::size_t i = 0; i < nblocks; ++i) {
-      encrypt_block_ttable(in + 16 * i, out + 16 * i);
-    }
-  } else {
-    for (std::size_t i = 0; i < nblocks; ++i) {
-      encrypt_block_scalar(in + 16 * i, out + 16 * i);
-    }
-  }
-  block_ops_ += nblocks;
-}
-
-void Aes128::decrypt_blocks(const std::uint8_t* in, std::uint8_t* out,
-                            std::size_t nblocks) const noexcept {
-  if (impl_ == AesImpl::kAesni) {
-    accel::aes_decrypt_blocks(dec_bytes_.data(), in, out, nblocks);
-  } else if (impl_ == AesImpl::kTTable) {
-    for (std::size_t i = 0; i < nblocks; ++i) {
-      decrypt_block_ttable(in + 16 * i, out + 16 * i);
-    }
-  } else {
-    for (std::size_t i = 0; i < nblocks; ++i) {
-      decrypt_block_scalar(in + 16 * i, out + 16 * i);
-    }
+  switch (impl_) {
+    case AesImpl::kAesni:
+      accel::aes_encrypt_blocks(round_keys_.data(), in, out, nblocks);
+      break;
+    case AesImpl::kTTable:
+      for (std::size_t i = 0; i < nblocks; ++i) {
+        encrypt_block_ttable(in + 16 * i, out + 16 * i);
+      }
+      break;
+    case AesImpl::kScalar:
+      for (std::size_t i = 0; i < nblocks; ++i) {
+        encrypt_block_scalar(in + 16 * i, out + 16 * i);
+      }
+      break;
   }
   block_ops_ += nblocks;
 }
@@ -245,50 +148,6 @@ void Aes128::encrypt_block_ttable(const std::uint8_t in[kAesBlockBytes],
   util::store_be32(out + 12, t3);
 }
 
-void Aes128::decrypt_block_ttable(const std::uint8_t in[kAesBlockBytes],
-                                  std::uint8_t out[kAesBlockBytes]) const noexcept {
-  using namespace detail;
-  const std::uint32_t* rk = dec_words_.data();
-  std::uint32_t s0 = util::load_be32(in) ^ rk[0];
-  std::uint32_t s1 = util::load_be32(in + 4) ^ rk[1];
-  std::uint32_t s2 = util::load_be32(in + 8) ^ rk[2];
-  std::uint32_t s3 = util::load_be32(in + 12) ^ rk[3];
-  for (int round = 1; round < kAes128Rounds; ++round) {
-    rk += 4;
-    // InvShiftRows rotates row r right by r: column c reads row r's byte
-    // from column (c - r) mod 4.
-    const std::uint32_t t0 = kTd0[s0 >> 24] ^ kTd1[(s3 >> 16) & 0xff] ^
-                             kTd2[(s2 >> 8) & 0xff] ^ kTd3[s1 & 0xff] ^ rk[0];
-    const std::uint32_t t1 = kTd0[s1 >> 24] ^ kTd1[(s0 >> 16) & 0xff] ^
-                             kTd2[(s3 >> 8) & 0xff] ^ kTd3[s2 & 0xff] ^ rk[1];
-    const std::uint32_t t2 = kTd0[s2 >> 24] ^ kTd1[(s1 >> 16) & 0xff] ^
-                             kTd2[(s0 >> 8) & 0xff] ^ kTd3[s3 & 0xff] ^ rk[2];
-    const std::uint32_t t3 = kTd0[s3 >> 24] ^ kTd1[(s2 >> 16) & 0xff] ^
-                             kTd2[(s1 >> 8) & 0xff] ^ kTd3[s0 & 0xff] ^ rk[3];
-    s0 = t0;
-    s1 = t1;
-    s2 = t2;
-    s3 = t3;
-  }
-  rk += 4;
-  const std::uint32_t t0 =
-      pack_words(kInvSbox[s0 >> 24], kInvSbox[(s3 >> 16) & 0xff],
-                 kInvSbox[(s2 >> 8) & 0xff], kInvSbox[s1 & 0xff]) ^ rk[0];
-  const std::uint32_t t1 =
-      pack_words(kInvSbox[s1 >> 24], kInvSbox[(s0 >> 16) & 0xff],
-                 kInvSbox[(s3 >> 8) & 0xff], kInvSbox[s2 & 0xff]) ^ rk[1];
-  const std::uint32_t t2 =
-      pack_words(kInvSbox[s2 >> 24], kInvSbox[(s1 >> 16) & 0xff],
-                 kInvSbox[(s0 >> 8) & 0xff], kInvSbox[s3 & 0xff]) ^ rk[2];
-  const std::uint32_t t3 =
-      pack_words(kInvSbox[s3 >> 24], kInvSbox[(s2 >> 16) & 0xff],
-                 kInvSbox[(s1 >> 8) & 0xff], kInvSbox[s0 & 0xff]) ^ rk[3];
-  util::store_be32(out, t0);
-  util::store_be32(out + 4, t1);
-  util::store_be32(out + 8, t2);
-  util::store_be32(out + 12, t3);
-}
-
 void Aes128::encrypt_block_scalar(const std::uint8_t in[kAesBlockBytes],
                                   std::uint8_t out[kAesBlockBytes]) const noexcept {
   std::uint8_t s[16];
@@ -306,32 +165,9 @@ void Aes128::encrypt_block_scalar(const std::uint8_t in[kAesBlockBytes],
   std::memcpy(out, s, 16);
 }
 
-void Aes128::decrypt_block_scalar(const std::uint8_t in[kAesBlockBytes],
-                                  std::uint8_t out[kAesBlockBytes]) const noexcept {
-  std::uint8_t s[16];
-  std::memcpy(s, in, 16);
-  add_round_key(s, round_keys_.data() + 16 * kAes128Rounds);
-  for (int round = kAes128Rounds - 1; round >= 1; --round) {
-    inv_shift_rows(s);
-    inv_sub_bytes(s);
-    add_round_key(s, round_keys_.data() + 16 * round);
-    inv_mix_columns(s);
-  }
-  inv_shift_rows(s);
-  inv_sub_bytes(s);
-  add_round_key(s, round_keys_.data());
-  std::memcpy(out, s, 16);
-}
-
 AesBlock Aes128::encrypt(const AesBlock& in) const noexcept {
   AesBlock out;
   encrypt_block(in.data(), out.data());
-  return out;
-}
-
-AesBlock Aes128::decrypt(const AesBlock& in) const noexcept {
-  AesBlock out;
-  decrypt_block(in.data(), out.data());
   return out;
 }
 

@@ -1,20 +1,22 @@
-// AES-128 block cipher (FIPS-197), from scratch.
+// AES-128 block cipher (FIPS-197), from scratch, encryption direction only.
 //
 // This is the functional model behind the paper's Confidentiality Core: the
 // LCF really encrypts external-memory traffic with it, so the attack benches
 // observe genuine ciphertext (spoofing/relocation produce real garbage after
-// decryption, not simulated flags). The S-box is generated at compile time
-// from its algebraic definition (GF(2^8) inverse + affine map), which both
-// documents the construction and removes the risk of a mistyped table.
+// decryption, not simulated flags). The CC's tweaked-CTR line transform
+// (crypto/aes_modes.hpp) only ever runs the cipher forward, so there is no
+// inverse cipher. The S-box is generated at compile time from its algebraic
+// definition (GF(2^8) inverse + affine map), which both documents the
+// construction and removes the risk of a mistyped table.
 //
 // Three interchangeable datapaths produce identical blocks:
 //   * kAesni — hardware AES-NI rounds (crypto/accel_x86.cpp), selected by
 //     the runtime backend dispatch (crypto/backend.hpp) when the CPU has the
-//     extension; batched entry points pipeline 4 blocks per iteration.
+//     extension; batches pipeline 4 blocks per iteration.
 //   * kTTable — 32-bit T-table rounds (SubBytes/ShiftRows/MixColumns fused
-//     into four 1KB lookups per direction, round keys held as words). This
-//     is the portable fast path; the tables are computed constexpr from the
-//     same algebraic S-box.
+//     into four 1KB lookups, round keys held as words). This is the
+//     portable fast path; the tables are computed constexpr from the same
+//     algebraic S-box.
 //   * kScalar — the byte-wise FIPS-197 textbook rounds, kept as the readable
 //     reference and for differential validation.
 // The default follows the process-wide backend (SECBUS_CRYPTO_BACKEND env,
@@ -93,15 +95,7 @@ namespace detail {
   return table;
 }
 
-[[nodiscard]] constexpr std::array<std::uint8_t, 256> make_inv_sbox(
-    const std::array<std::uint8_t, 256>& sbox) noexcept {
-  std::array<std::uint8_t, 256> table{};
-  for (unsigned i = 0; i < 256; ++i) table[sbox[i]] = static_cast<std::uint8_t>(i);
-  return table;
-}
-
 inline constexpr std::array<std::uint8_t, 256> kSbox = make_sbox();
-inline constexpr std::array<std::uint8_t, 256> kInvSbox = make_inv_sbox(kSbox);
 
 // T-tables: one 32-bit word per S-box output, packing the four MixColumns
 // products so a full round is 16 lookups + XORs. Byte order is big-endian
@@ -109,9 +103,7 @@ inline constexpr std::array<std::uint8_t, 256> kInvSbox = make_inv_sbox(kSbox);
 // block datapath loads with load_be32.
 //
 //   kTe0[b] = {02*S[b], 01*S[b], 01*S[b], 03*S[b]}   (contribution of row 0)
-// and kTe1..3 rotate the coefficient column for rows 1..3. The decryption
-// tables fold InvSubBytes and the {0e,0b,0d,09} InvMixColumns matrix the
-// same way.
+// and kTe1..3 rotate the coefficient column for rows 1..3.
 using TTable = std::array<std::uint32_t, 256>;
 
 [[nodiscard]] constexpr std::uint32_t pack_be(std::uint8_t b0, std::uint8_t b1,
@@ -136,28 +128,10 @@ using TTable = std::array<std::uint32_t, 256>;
   return table;
 }
 
-[[nodiscard]] constexpr TTable make_dec_ttable(int rotation) noexcept {
-  TTable table{};
-  for (unsigned i = 0; i < 256; ++i) {
-    const std::uint8_t y = kInvSbox[i];
-    const std::uint8_t coeffs[4] = {gf_mul(y, 0x0e), gf_mul(y, 0x09),
-                                    gf_mul(y, 0x0d), gf_mul(y, 0x0b)};
-    table[i] = pack_be(coeffs[(0 + 4 - rotation) % 4],
-                       coeffs[(1 + 4 - rotation) % 4],
-                       coeffs[(2 + 4 - rotation) % 4],
-                       coeffs[(3 + 4 - rotation) % 4]);
-  }
-  return table;
-}
-
 inline constexpr TTable kTe0 = make_enc_ttable(0);
 inline constexpr TTable kTe1 = make_enc_ttable(1);
 inline constexpr TTable kTe2 = make_enc_ttable(2);
 inline constexpr TTable kTe3 = make_enc_ttable(3);
-inline constexpr TTable kTd0 = make_dec_ttable(0);
-inline constexpr TTable kTd1 = make_dec_ttable(1);
-inline constexpr TTable kTd2 = make_dec_ttable(2);
-inline constexpr TTable kTd3 = make_dec_ttable(3);
 
 }  // namespace detail
 
@@ -167,8 +141,8 @@ inline constexpr TTable kTd3 = make_dec_ttable(3);
   return active_backend().aes_impl;
 }
 
-// AES-128 context: expands the key once; encrypt/decrypt are const and
-// reusable across blocks.
+// AES-128 context: expands the key once; encryption is const and reusable
+// across blocks.
 class Aes128 {
  public:
   explicit Aes128(const Aes128Key& key) noexcept { rekey(key); }
@@ -184,24 +158,19 @@ class Aes128 {
   void set_impl(AesImpl impl) noexcept { impl_ = impl; }
   [[nodiscard]] AesImpl impl() const noexcept { return impl_; }
 
-  // Single-block ECB primitive operations.
-  void encrypt_block(const std::uint8_t in[kAesBlockBytes],
-                     std::uint8_t out[kAesBlockBytes]) const noexcept;
-  void decrypt_block(const std::uint8_t in[kAesBlockBytes],
-                     std::uint8_t out[kAesBlockBytes]) const noexcept;
-
-  // Batched ECB over `nblocks` consecutive 16-byte blocks. On the AES-NI
-  // datapath the blocks go through the hardware pipeline 4 at a time (this
-  // is what feeds the multi-block CTR keystream); the portable datapaths
-  // loop per block. in/out may be the same pointer but must not otherwise
+  // Encrypts `nblocks` consecutive 16-byte blocks independently. On the
+  // AES-NI datapath the blocks go through the hardware pipeline 4 at a time
+  // (this is what feeds the line keystream); the portable datapaths loop
+  // per block. in/out may be the same pointer but must not otherwise
   // overlap.
   void encrypt_blocks(const std::uint8_t* in, std::uint8_t* out,
                       std::size_t nblocks) const noexcept;
-  void decrypt_blocks(const std::uint8_t* in, std::uint8_t* out,
-                      std::size_t nblocks) const noexcept;
+  void encrypt_block(const std::uint8_t in[kAesBlockBytes],
+                     std::uint8_t out[kAesBlockBytes]) const noexcept {
+    encrypt_blocks(in, out, 1);
+  }
 
   [[nodiscard]] AesBlock encrypt(const AesBlock& in) const noexcept;
-  [[nodiscard]] AesBlock decrypt(const AesBlock& in) const noexcept;
 
   // The expanded key schedule (11 round keys x 16 bytes), exposed for the
   // FIPS-197 key-expansion test vectors.
@@ -217,23 +186,12 @@ class Aes128 {
  private:
   void encrypt_block_scalar(const std::uint8_t in[kAesBlockBytes],
                             std::uint8_t out[kAesBlockBytes]) const noexcept;
-  void decrypt_block_scalar(const std::uint8_t in[kAesBlockBytes],
-                            std::uint8_t out[kAesBlockBytes]) const noexcept;
   void encrypt_block_ttable(const std::uint8_t in[kAesBlockBytes],
-                            std::uint8_t out[kAesBlockBytes]) const noexcept;
-  void decrypt_block_ttable(const std::uint8_t in[kAesBlockBytes],
                             std::uint8_t out[kAesBlockBytes]) const noexcept;
 
   std::array<std::uint8_t, kAesBlockBytes*(kAes128Rounds + 1)> round_keys_{};
-  // Word-form key schedules for the T-table path: the FIPS-197 schedule as
-  // big-endian words, and the equivalent-inverse-cipher schedule (round keys
-  // reversed, inner ones passed through InvMixColumns).
+  // The same schedule as big-endian words, for the T-table path.
   std::array<std::uint32_t, 4 * (kAes128Rounds + 1)> enc_words_{};
-  std::array<std::uint32_t, 4 * (kAes128Rounds + 1)> dec_words_{};
-  // Byte form of dec_words_: the equivalent-inverse schedule is exactly the
-  // aesdec/aesdeclast key convention, so AES-NI decryption needs no runtime
-  // aesimc — just this serialization, done once at rekey.
-  std::array<std::uint8_t, kAesBlockBytes*(kAes128Rounds + 1)> dec_bytes_{};
   AesImpl impl_ = default_aes_impl();
   mutable std::uint64_t block_ops_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "crypto/aes_modes.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/assert.hpp"
@@ -9,21 +10,9 @@ namespace secbus::crypto {
 
 namespace {
 
-// Batch width for the scratch-free paths: enough counter blocks to keep the
-// AES-NI pipeline full (4 in flight) while staying a small stack buffer.
+// Tweak blocks per encrypt_blocks call: enough to keep the AES-NI pipeline
+// full (4 in flight) while staying a small stack buffer.
 inline constexpr std::size_t kCtrBatchBlocks = 8;
-
-// Writes `n` consecutive CTR counter blocks: the 12-byte prefix of `base`
-// with the low word stepping from `lo` (big-endian, wrapping mod 2^32 —
-// the SP 800-38A low-32 increment hoisted to word level).
-void fill_ctr_counters(const AesBlock& base, std::uint32_t lo,
-                       std::uint8_t* counters, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(counters + kAesBlockBytes * i, base.data(), 12);
-    util::store_be32(counters + kAesBlockBytes * i + 12,
-                     lo + static_cast<std::uint32_t>(i));
-  }
-}
 
 // Writes `n` consecutive line-tweak blocks: nonce, stepping block address,
 // fixed version (make_memory_tweak layout).
@@ -38,122 +27,20 @@ void fill_line_tweaks(std::uint32_t nonce, std::uint64_t addr,
   }
 }
 
-// out = in ^ ks over n bytes, 64-bit lanes with a byte tail. in/out may be
-// the same pointer (each lane loads before it stores).
+// out = in ^ ks over n bytes (a whole number of blocks) in 64-bit lanes.
+// in/out may be the same pointer (each lane loads before it stores).
 void xor_keystream(const std::uint8_t* in, const std::uint8_t* ks,
                    std::uint8_t* out, std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
+  for (std::size_t i = 0; i < n; i += 8) {
     std::uint64_t a, k;
     std::memcpy(&a, in + i, 8);
     std::memcpy(&k, ks + i, 8);
     a ^= k;
     std::memcpy(out + i, &a, 8);
   }
-  for (; i < n; ++i) out[i] = in[i] ^ ks[i];
-}
-
-void grow(std::vector<std::uint8_t>& buf, std::size_t bytes) {
-  if (buf.size() < bytes) buf.resize(bytes);
 }
 
 }  // namespace
-
-void ecb_encrypt(const Aes128& aes, std::span<const std::uint8_t> in,
-                 std::span<std::uint8_t> out) noexcept {
-  SECBUS_ASSERT(in.size() == out.size() && in.size() % kAesBlockBytes == 0,
-                "ECB requires whole blocks");
-  aes.encrypt_blocks(in.data(), out.data(), in.size() / kAesBlockBytes);
-}
-
-void ecb_decrypt(const Aes128& aes, std::span<const std::uint8_t> in,
-                 std::span<std::uint8_t> out) noexcept {
-  SECBUS_ASSERT(in.size() == out.size() && in.size() % kAesBlockBytes == 0,
-                "ECB requires whole blocks");
-  aes.decrypt_blocks(in.data(), out.data(), in.size() / kAesBlockBytes);
-}
-
-void cbc_encrypt(const Aes128& aes, const AesBlock& iv,
-                 std::span<const std::uint8_t> in,
-                 std::span<std::uint8_t> out) noexcept {
-  SECBUS_ASSERT(in.size() == out.size() && in.size() % kAesBlockBytes == 0,
-                "CBC requires whole blocks");
-  AesBlock chain = iv;
-  for (std::size_t off = 0; off < in.size(); off += kAesBlockBytes) {
-    AesBlock x;
-    for (std::size_t i = 0; i < kAesBlockBytes; ++i) x[i] = in[off + i] ^ chain[i];
-    aes.encrypt_block(x.data(), out.data() + off);
-    std::memcpy(chain.data(), out.data() + off, kAesBlockBytes);
-  }
-}
-
-void cbc_decrypt(const Aes128& aes, const AesBlock& iv,
-                 std::span<const std::uint8_t> in,
-                 std::span<std::uint8_t> out) noexcept {
-  SECBUS_ASSERT(in.size() == out.size() && in.size() % kAesBlockBytes == 0,
-                "CBC requires whole blocks");
-  // Unlike encryption, decryption has no inter-block data dependency in the
-  // cipher itself (the chain is XORed after), so blocks batch through the
-  // pipeline; the stack copy also covers in/out aliasing.
-  AesBlock chain = iv;
-  std::uint8_t ct[kAesBlockBytes * kCtrBatchBlocks];
-  std::uint8_t pt[kAesBlockBytes * kCtrBatchBlocks];
-  for (std::size_t off = 0; off < in.size();) {
-    const std::size_t nblocks =
-        std::min((in.size() - off) / kAesBlockBytes, kCtrBatchBlocks);
-    const std::size_t nbytes = nblocks * kAesBlockBytes;
-    std::memcpy(ct, in.data() + off, nbytes);
-    aes.decrypt_blocks(ct, pt, nblocks);
-    for (std::size_t b = 0; b < nblocks; ++b) {
-      for (std::size_t i = 0; i < kAesBlockBytes; ++i) {
-        out[off + kAesBlockBytes * b + i] =
-            pt[kAesBlockBytes * b + i] ^ chain[i];
-      }
-      std::memcpy(chain.data(), ct + kAesBlockBytes * b, kAesBlockBytes);
-    }
-    off += nbytes;
-  }
-}
-
-void ctr_xcrypt(const Aes128& aes, const AesBlock& initial_counter,
-                std::span<const std::uint8_t> in,
-                std::span<std::uint8_t> out) noexcept {
-  SECBUS_ASSERT(in.size() == out.size(), "CTR requires equal-size spans");
-  const std::uint32_t lo = util::load_be32(initial_counter.data() + 12);
-  std::uint8_t counters[kAesBlockBytes * kCtrBatchBlocks];
-  std::uint8_t keystream[kAesBlockBytes * kCtrBatchBlocks];
-  std::size_t off = 0;
-  std::uint32_t blk = 0;
-  while (off < in.size()) {
-    const std::size_t nblocks = std::min(
-        (in.size() - off + kAesBlockBytes - 1) / kAesBlockBytes,
-        kCtrBatchBlocks);
-    fill_ctr_counters(initial_counter, lo + blk, counters, nblocks);
-    aes.encrypt_blocks(counters, keystream, nblocks);
-    const std::size_t nbytes =
-        std::min(nblocks * kAesBlockBytes, in.size() - off);
-    xor_keystream(in.data() + off, keystream, out.data() + off, nbytes);
-    off += nbytes;
-    blk += static_cast<std::uint32_t>(nblocks);
-  }
-}
-
-void ctr_xcrypt(const Aes128& aes, const AesBlock& initial_counter,
-                std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
-                CtrScratch& scratch) noexcept {
-  SECBUS_ASSERT(in.size() == out.size(), "CTR requires equal-size spans");
-  if (in.empty()) return;
-  const std::size_t nblocks =
-      (in.size() + kAesBlockBytes - 1) / kAesBlockBytes;
-  grow(scratch.counters, nblocks * kAesBlockBytes);
-  grow(scratch.keystream, nblocks * kAesBlockBytes);
-  fill_ctr_counters(initial_counter,
-                    util::load_be32(initial_counter.data() + 12),
-                    scratch.counters.data(), nblocks);
-  aes.encrypt_blocks(scratch.counters.data(), scratch.keystream.data(),
-                     nblocks);
-  xor_keystream(in.data(), scratch.keystream.data(), out.data(), in.size());
-}
 
 AesBlock make_memory_tweak(std::uint32_t nonce, std::uint64_t block_addr,
                            std::uint32_t version) noexcept {
@@ -162,20 +49,6 @@ AesBlock make_memory_tweak(std::uint32_t nonce, std::uint64_t block_addr,
   util::store_be64(ctr.data() + 4, block_addr);
   util::store_be32(ctr.data() + 12, version);
   return ctr;
-}
-
-void memory_xcrypt(const Aes128& aes, std::uint32_t nonce, std::uint64_t block_addr,
-                   std::uint32_t version, std::span<const std::uint8_t> in,
-                   std::span<std::uint8_t> out) noexcept {
-  // The version occupies the same low-32 bits that CTR increments, so a
-  // block longer than 16 bytes must not collide with (version+1) of the same
-  // address. We avoid that by reserving the version in the *nonce mix*: the
-  // tweak places version in bytes 12..15 and CTR increments those bytes, so
-  // multi-block payloads use version strides. Callers pass version numbers
-  // scaled by the per-payload block count (the Confidentiality Core does
-  // this); a single external-memory line is at most a few AES blocks.
-  const AesBlock ctr = make_memory_tweak(nonce, block_addr, version);
-  ctr_xcrypt(aes, ctr, in, out);
 }
 
 void memory_xcrypt_line(const Aes128& aes, std::uint32_t nonce,
@@ -195,24 +68,6 @@ void memory_xcrypt_line(const Aes128& aes, std::uint32_t nonce,
     xor_keystream(in.data() + off, keystream, out.data() + off, nbytes);
     off += nbytes;
   }
-}
-
-void memory_xcrypt_line(const Aes128& aes, std::uint32_t nonce,
-                        std::uint64_t line_addr, std::uint32_t version,
-                        std::span<const std::uint8_t> in,
-                        std::span<std::uint8_t> out,
-                        CtrScratch& scratch) noexcept {
-  SECBUS_ASSERT(in.size() == out.size() && in.size() % kAesBlockBytes == 0,
-                "line transform requires equal-size whole-block spans");
-  if (in.empty()) return;
-  const std::size_t nblocks = in.size() / kAesBlockBytes;
-  grow(scratch.counters, in.size());
-  grow(scratch.keystream, in.size());
-  fill_line_tweaks(nonce, line_addr, version, scratch.counters.data(),
-                   nblocks);
-  aes.encrypt_blocks(scratch.counters.data(), scratch.keystream.data(),
-                     nblocks);
-  xor_keystream(in.data(), scratch.keystream.data(), out.data(), in.size());
 }
 
 }  // namespace secbus::crypto

@@ -1,61 +1,19 @@
-// Block cipher modes over Aes128: ECB (test vectors only), CBC, and CTR.
+// The Local Ciphering Firewall's memory-line cipher: tweaked CTR over Aes128.
 //
-// The Local Ciphering Firewall uses CTR with an address+version tweak: the
-// keystream for external-memory block b at write-version v is
+// The keystream for external-memory block b at write-version v is
 // AES_k(nonce || b || v). Binding the counter to the block address defeats
 // relocation (moved ciphertext decrypts under the wrong keystream) and
 // binding it to the version defeats replay at the confidentiality layer,
-// mirroring the time-stamp + address-check design of Section IV.A.
+// mirroring the time-stamp + address-check design of Section IV.A. The
+// transform is its own inverse, so the cipher only ever runs forward.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "crypto/aes128.hpp"
 
 namespace secbus::crypto {
-
-// Grow-only counter/keystream buffers for the batched CTR paths. The
-// scratch overloads below generate the keystream for a whole span in one
-// batched encrypt_blocks call (maximum hardware pipelining) without
-// allocating once the buffers have grown to the working line size — the
-// Confidentiality Core keeps one per core so its per-access path is
-// allocation-free. The scratch-free overloads chunk through a fixed stack
-// buffer instead and never allocate at all.
-struct CtrScratch {
-  std::vector<std::uint8_t> counters;
-  std::vector<std::uint8_t> keystream;
-};
-
-// ECB: independent block encryption; exposed mainly for NIST test vectors
-// and as the building block of the tweaked CTR below. Spans must be a
-// multiple of 16 bytes; in/out may alias.
-void ecb_encrypt(const Aes128& aes, std::span<const std::uint8_t> in,
-                 std::span<std::uint8_t> out) noexcept;
-void ecb_decrypt(const Aes128& aes, std::span<const std::uint8_t> in,
-                 std::span<std::uint8_t> out) noexcept;
-
-// CBC with explicit IV. Spans must be a multiple of 16 bytes.
-void cbc_encrypt(const Aes128& aes, const AesBlock& iv,
-                 std::span<const std::uint8_t> in,
-                 std::span<std::uint8_t> out) noexcept;
-void cbc_decrypt(const Aes128& aes, const AesBlock& iv,
-                 std::span<const std::uint8_t> in,
-                 std::span<std::uint8_t> out) noexcept;
-
-// Standard CTR with a 16-byte initial counter block, big-endian increment of
-// the low 32 bits wrapping mod 2^32 (NIST SP 800-38A style). Works on
-// arbitrary lengths; encryption and decryption are the same operation. The
-// keystream is generated in multi-block batches (word-level counter
-// increment, 4-8 counter blocks per cipher call); the scratch overload
-// batches the whole span at once and reuses the buffers across calls.
-void ctr_xcrypt(const Aes128& aes, const AesBlock& initial_counter,
-                std::span<const std::uint8_t> in,
-                std::span<std::uint8_t> out) noexcept;
-void ctr_xcrypt(const Aes128& aes, const AesBlock& initial_counter,
-                std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
-                CtrScratch& scratch) noexcept;
 
 // Builds the tweaked counter block used by the LCF:
 //   bytes 0..3   nonce (per-policy salt)
@@ -64,26 +22,15 @@ void ctr_xcrypt(const Aes128& aes, const AesBlock& initial_counter,
 [[nodiscard]] AesBlock make_memory_tweak(std::uint32_t nonce, std::uint64_t block_addr,
                                          std::uint32_t version) noexcept;
 
-// One-shot tweaked-CTR transform of a memory block (any length); used by the
-// Confidentiality Core for both directions.
-void memory_xcrypt(const Aes128& aes, std::uint32_t nonce, std::uint64_t block_addr,
-                   std::uint32_t version, std::span<const std::uint8_t> in,
-                   std::span<std::uint8_t> out) noexcept;
-
-// Whole-line tweaked-CTR transform: equivalent to calling memory_xcrypt()
-// once per 16-byte block at addresses line_addr, line_addr+16, ... but the
-// keystream for the whole line is generated in one pass (the tweak's address
-// field steps per block; only those 8 bytes change between blocks). This is
-// the Confidentiality Core's batch entry point — spans must be equal-sized
-// whole blocks; in/out may alias.
+// Whole-line tweaked-CTR transform: block i of the line is XORed with
+// AES_k(make_memory_tweak(nonce, line_addr + 16*i, version)). The keystream
+// is generated a few blocks per encrypt_blocks call through a fixed stack
+// buffer, so the call never allocates. This is the Confidentiality Core's
+// entry point for both directions — spans must be equal-sized whole blocks;
+// in/out may alias.
 void memory_xcrypt_line(const Aes128& aes, std::uint32_t nonce,
                         std::uint64_t line_addr, std::uint32_t version,
                         std::span<const std::uint8_t> in,
                         std::span<std::uint8_t> out) noexcept;
-void memory_xcrypt_line(const Aes128& aes, std::uint32_t nonce,
-                        std::uint64_t line_addr, std::uint32_t version,
-                        std::span<const std::uint8_t> in,
-                        std::span<std::uint8_t> out,
-                        CtrScratch& scratch) noexcept;
 
 }  // namespace secbus::crypto

@@ -98,11 +98,6 @@ namespace accel {
 // exactly (same pointer), not overlap.
 void aes_encrypt_blocks(const std::uint8_t* round_keys, const std::uint8_t* in,
                         std::uint8_t* out, std::size_t nblocks) noexcept;
-// Expects the equivalent-inverse-cipher schedule (round keys reversed,
-// inner ones through InvMixColumns) in byte form, as Aes128 precomputes.
-void aes_decrypt_blocks(const std::uint8_t* inv_round_keys,
-                        const std::uint8_t* in, std::uint8_t* out,
-                        std::size_t nblocks) noexcept;
 
 // SHA-256 compression of `nblocks` consecutive 64-byte blocks into `state`
 // (host-order words, same convention as the portable path).

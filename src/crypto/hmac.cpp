@@ -49,7 +49,6 @@ Sha256Digest HmacSha256::finish() noexcept {
 
 void derive_key(std::span<const std::uint8_t> master, std::span<const std::uint8_t> info,
                 std::span<std::uint8_t> out) noexcept {
-  HmacSha256 prf(master);
   std::uint8_t counter = 1;
   std::size_t produced = 0;
   Sha256Digest block{};
@@ -67,7 +66,6 @@ void derive_key(std::span<const std::uint8_t> master, std::span<const std::uint8
     produced += take;
     ++counter;
   }
-  (void)prf;
 }
 
 }  // namespace secbus::crypto

@@ -1,9 +1,9 @@
 // HMAC-SHA256 (RFC 2104 / FIPS 198-1).
 //
-// Used by the integrity layer to derive keyed leaf tags and by the security
-// policy module to derive per-policy nonces from the 128-bit cryptographic
-// key (CK) parameter, so one configured key covers both the confidentiality
-// and integrity paths without key reuse across primitives.
+// Used by the LCF to derive its per-policy CTR nonce from the 128-bit
+// cryptographic key (CK) parameter (derive_key below), so two LCFs with
+// different keys never share keystream. The Integrity Core's hash tree uses
+// plain SHA-256, not HMAC.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 #include "soc/soc.hpp"
 
-#include "crypto/hmac.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"

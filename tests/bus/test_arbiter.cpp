@@ -52,19 +52,5 @@ TEST(RoundRobin, ResetRestartsRotation) {
   EXPECT_EQ(arb.pick(all), 0);
 }
 
-TEST(FixedPriority, LowestIndexWins) {
-  FixedPriorityArbiter arb;
-  EXPECT_EQ(arb.pick({false, true, true}), 1);
-  EXPECT_EQ(arb.pick({true, true, true}), 0);
-  EXPECT_EQ(arb.pick({false, false, true}), 2);
-  EXPECT_EQ(arb.pick({false, false, false}), -1);
-}
-
-TEST(FixedPriority, StarvesHighIndexUnderLoad) {
-  FixedPriorityArbiter arb;
-  const std::vector<bool> all{true, true};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(arb.pick(all), 0);
-}
-
 }  // namespace
 }  // namespace secbus::bus

@@ -181,25 +181,5 @@ TEST_F(BusFixture, ResetClearsState) {
   EXPECT_EQ(bus->master_stats()[0].grants, 0u);
 }
 
-TEST(SystemBusPriority, FixedPriorityStarvesUnderLoad) {
-  sim::SimKernel kernel;
-  SystemBus bus("bus", std::make_unique<FixedPriorityArbiter>());
-  FakeSlave slave;
-  const auto sid = bus.add_slave(slave);
-  bus.map_region(0x0, 0x1000, sid, "mem");
-  auto& ep0 = bus.attach_master(0, "hog");
-  auto& ep1 = bus.attach_master(1, "victim");
-  kernel.add(bus);
-
-  // Keep master 0 saturated; master 1 has one pending request.
-  ep1.request.push(make_read(1, 0x4));
-  for (int i = 0; i < 10; ++i) ep0.request.push(make_read(0, 0x0));
-  kernel.run(25);
-  // Master 1 still starved while master 0 has work.
-  EXPECT_EQ(bus.master_stats()[1].grants, 0u);
-  kernel.run(200);
-  EXPECT_EQ(bus.master_stats()[1].grants, 1u);
-}
-
 }  // namespace
 }  // namespace secbus::bus

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "util/hexdump.hpp"
-#include "util/rng.hpp"
 
 namespace secbus::crypto {
 namespace {
@@ -50,12 +49,6 @@ TEST(Sbox, KnownEntries) {
   EXPECT_EQ(detail::kSbox[0xFF], 0x16);
 }
 
-TEST(Sbox, InverseSboxInverts) {
-  for (unsigned v = 0; v < 256; ++v) {
-    EXPECT_EQ(detail::kInvSbox[detail::kSbox[v]], v);
-  }
-}
-
 TEST(Aes128, Fips197KeyExpansion) {
   // FIPS-197 Appendix A.1 for key 2b7e1516...
   const Aes128 aes(key_from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
@@ -75,13 +68,11 @@ TEST(Aes128, Fips197AppendixBEncrypt) {
   EXPECT_EQ(to_hex({ct.data(), ct.size()}), "3925841d02dc09fbdc118597196a0b32");
 }
 
-TEST(Aes128, Fips197AppendixCEncryptDecrypt) {
+TEST(Aes128, Fips197AppendixCEncrypt) {
   const Aes128 aes(key_from_hex("000102030405060708090a0b0c0d0e0f"));
   const AesBlock pt = block_from_hex("00112233445566778899aabbccddeeff");
   const AesBlock ct = aes.encrypt(pt);
   EXPECT_EQ(to_hex({ct.data(), ct.size()}), "69c4e0d86a7b0430d8cdb78070b4c55a");
-  const AesBlock back = aes.decrypt(ct);
-  EXPECT_EQ(back, pt);
 }
 
 TEST(Aes128, RekeyChangesOutput) {
@@ -91,8 +82,8 @@ TEST(Aes128, RekeyChangesOutput) {
   aes.rekey(key_from_hex("ffeeddccbbaa99887766554433221100"));
   const AesBlock ct2 = aes.encrypt(pt);
   EXPECT_NE(ct1, ct2);
-  const AesBlock back = aes.decrypt(ct2);
-  EXPECT_EQ(back, pt);
+  aes.rekey(key_from_hex("000102030405060708090a0b0c0d0e0f"));
+  EXPECT_EQ(aes.encrypt(pt), ct1);
 }
 
 TEST(Aes128, BlockOpCounterTracksWork) {
@@ -100,32 +91,12 @@ TEST(Aes128, BlockOpCounterTracksWork) {
   EXPECT_EQ(aes.block_ops(), 0u);
   const AesBlock pt{};
   (void)aes.encrypt(pt);
-  (void)aes.encrypt(pt);
-  (void)aes.decrypt(pt);
-  EXPECT_EQ(aes.block_ops(), 3u);
+  std::uint8_t blocks[3 * kAesBlockBytes] = {};
+  aes.encrypt_blocks(blocks, blocks, 3);
+  EXPECT_EQ(aes.block_ops(), 4u);
   aes.reset_block_ops();
   EXPECT_EQ(aes.block_ops(), 0u);
 }
-
-// Property sweep: decrypt(encrypt(x)) == x for random keys and blocks.
-class AesRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(AesRoundTrip, RandomKeyAndBlocks) {
-  util::Xoshiro256 rng(GetParam());
-  Aes128Key key{};
-  rng.fill(std::span<std::uint8_t>(key.data(), key.size()));
-  const Aes128 aes(key);
-  for (int i = 0; i < 64; ++i) {
-    AesBlock pt{};
-    rng.fill(std::span<std::uint8_t>(pt.data(), pt.size()));
-    const AesBlock ct = aes.encrypt(pt);
-    EXPECT_NE(ct, pt);  // astronomically unlikely to be a fixed point
-    EXPECT_EQ(aes.decrypt(ct), pt);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AesRoundTrip,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 TEST(Aes128, AvalancheOneBitFlip) {
   const Aes128 aes(key_from_hex("2b7e151628aed2a6abf7158809cf4f3c"));

@@ -1,14 +1,12 @@
 // Differential fuzz across the crypto backends: seeded-random keys, nonces,
 // versions, lengths and alignments cross-check the accel (AES-NI/SHA-NI),
 // T-table and scalar datapaths against each other and against independent
-// in-test references. The batched CTR paths are additionally validated
-// against a byte-wise reimplementation of the original counter increment,
-// so the word-level hoist can never silently change keystream semantics.
+// in-test references. The batched line transform is additionally validated
+// against a per-block reference built here from make_memory_tweak and the
+// scalar cipher, so batching can never silently change keystream semantics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "crypto/aes128.hpp"
@@ -41,39 +39,6 @@ Aes128Key random_key(util::Xoshiro256& rng) {
   return key;
 }
 
-AesBlock random_block(util::Xoshiro256& rng) {
-  AesBlock block;
-  rng.fill(block);
-  return block;
-}
-
-// Lengths that hit every tail shape: empty, single byte, one-off-block,
-// exact blocks, and the odd sizes the LCF never produces but CTR must
-// still handle (the ISSUE's "non-multiple-of-16 and single-byte tails").
-constexpr std::size_t kLengths[] = {0,  1,  15, 16, 17,  31,  32,
-                                    33, 63, 64, 65, 100, 255, 256};
-
-// Independent CTR reference: single-block encryption with the pre-batching
-// byte-wise counter increment (big-endian bytes 15..12, carry never
-// propagating past byte 12 — i.e. the low 32 bits wrap mod 2^32).
-void ctr_reference(const Aes128& aes, const AesBlock& initial_counter,
-                   std::span<const std::uint8_t> in,
-                   std::span<std::uint8_t> out) {
-  AesBlock counter = initial_counter;
-  std::size_t off = 0;
-  while (off < in.size()) {
-    const AesBlock keystream = aes.encrypt(counter);
-    const std::size_t take = std::min<std::size_t>(16, in.size() - off);
-    for (std::size_t i = 0; i < take; ++i) {
-      out[off + i] = in[off + i] ^ keystream[i];
-    }
-    off += take;
-    for (int i = 15; i >= 12; --i) {
-      if (++counter[static_cast<std::size_t>(i)] != 0) break;
-    }
-  }
-}
-
 class AesBackendDiff : public ::testing::TestWithParam<AesImpl> {
  protected:
   // Same key, two contexts: the datapath under test and the byte-wise
@@ -89,7 +54,7 @@ class AesBackendDiff : public ::testing::TestWithParam<AesImpl> {
   Aes128 reference_{Aes128Key{}};
 };
 
-TEST_P(AesBackendDiff, EcbMatchesScalarOnRandomBuffers) {
+TEST_P(AesBackendDiff, EncryptBlocksMatchesScalarOnRandomBuffers) {
   util::Xoshiro256 rng(0xECB0'0001u);
   for (int trial = 0; trial < 40; ++trial) {
     rekey(random_key(rng));
@@ -98,113 +63,26 @@ TEST_P(AesBackendDiff, EcbMatchesScalarOnRandomBuffers) {
     rng.fill(plain);
     std::vector<std::uint8_t> ct_fast(plain.size());
     std::vector<std::uint8_t> ct_ref(plain.size());
-    ecb_encrypt(tested_, plain, ct_fast);
-    ecb_encrypt(reference_, plain, ct_ref);
+    tested_.encrypt_blocks(plain.data(), ct_fast.data(), nblocks);
+    reference_.encrypt_blocks(plain.data(), ct_ref.data(), nblocks);
     EXPECT_EQ(ct_fast, ct_ref) << "trial " << trial;
-
-    std::vector<std::uint8_t> back(plain.size());
-    ecb_decrypt(tested_, ct_fast, back);
-    EXPECT_EQ(back, plain) << "trial " << trial;
   }
 }
 
-TEST_P(AesBackendDiff, EcbInPlaceAliasing) {
+TEST_P(AesBackendDiff, EncryptBlocksInPlaceAliasing) {
   util::Xoshiro256 rng(0xECB0'0002u);
   rekey(random_key(rng));
   std::vector<std::uint8_t> buf(8 * 16);
   rng.fill(buf);
   const std::vector<std::uint8_t> plain = buf;
-  ecb_encrypt(tested_, buf, buf);
+  tested_.encrypt_blocks(buf.data(), buf.data(), 8);
   std::vector<std::uint8_t> expected(plain.size());
-  ecb_encrypt(reference_, plain, expected);
+  reference_.encrypt_blocks(plain.data(), expected.data(), 8);
   EXPECT_EQ(buf, expected);
-  ecb_decrypt(tested_, buf, buf);
-  EXPECT_EQ(buf, plain);
-}
-
-TEST_P(AesBackendDiff, CbcMatchesScalarAndRoundTrips) {
-  util::Xoshiro256 rng(0xCBC0'0001u);
-  for (int trial = 0; trial < 40; ++trial) {
-    rekey(random_key(rng));
-    const AesBlock iv = random_block(rng);
-    const std::size_t nblocks = 1 + rng.below(24);
-    std::vector<std::uint8_t> plain(nblocks * 16);
-    rng.fill(plain);
-
-    std::vector<std::uint8_t> ct_fast(plain.size());
-    std::vector<std::uint8_t> ct_ref(plain.size());
-    cbc_encrypt(tested_, iv, plain, ct_fast);
-    cbc_encrypt(reference_, iv, plain, ct_ref);
-    EXPECT_EQ(ct_fast, ct_ref) << "trial " << trial;
-
-    // Decrypt is the batched direction — check it against the reference
-    // decrypt AND the original plaintext, including in place.
-    std::vector<std::uint8_t> back(plain.size());
-    cbc_decrypt(tested_, iv, ct_fast, back);
-    EXPECT_EQ(back, plain) << "trial " << trial;
-    cbc_decrypt(tested_, iv, ct_fast, ct_fast);  // aliasing
-    EXPECT_EQ(ct_fast, plain) << "trial " << trial;
-  }
-}
-
-TEST_P(AesBackendDiff, CtrMatchesByteWiseReferenceAtAllTails) {
-  util::Xoshiro256 rng(0xC720'0001u);
-  CtrScratch scratch;
-  for (const std::size_t len : kLengths) {
-    rekey(random_key(rng));
-    const AesBlock counter = random_block(rng);
-    // Unaligned source: offset the data inside a bigger buffer.
-    std::vector<std::uint8_t> backing(len + 3);
-    rng.fill(backing);
-    const std::span<const std::uint8_t> in(backing.data() + 3, len);
-
-    std::vector<std::uint8_t> expected(len);
-    ctr_reference(reference_, counter, in, expected);
-
-    std::vector<std::uint8_t> out(len);
-    ctr_xcrypt(tested_, counter, in, out);
-    EXPECT_EQ(out, expected) << "len " << len << " (stack-chunked path)";
-
-    std::vector<std::uint8_t> out_scratch(len);
-    ctr_xcrypt(tested_, counter, in, out_scratch, scratch);
-    EXPECT_EQ(out_scratch, expected) << "len " << len << " (scratch path)";
-
-    // CTR is an involution: transforming again restores the input.
-    std::vector<std::uint8_t> back(len);
-    ctr_xcrypt(tested_, counter,
-               std::span<const std::uint8_t>(out.data(), out.size()), back,
-               scratch);
-    EXPECT_TRUE(std::equal(back.begin(), back.end(), in.begin()))
-        << "len " << len;
-  }
-}
-
-TEST_P(AesBackendDiff, CtrCounterWrapsLow32Bits) {
-  util::Xoshiro256 rng(0xC720'0002u);
-  rekey(random_key(rng));
-  // Counters whose low word is about to wrap: the batched word-level
-  // increment must reproduce the byte-wise semantics (no carry into byte
-  // 11) exactly across the 2^32 boundary.
-  for (const std::uint32_t low : {0xFFFFFFFFu, 0xFFFFFFFEu, 0xFFFFFFF9u}) {
-    AesBlock counter = random_block(rng);
-    counter[12] = static_cast<std::uint8_t>(low >> 24);
-    counter[13] = static_cast<std::uint8_t>(low >> 16);
-    counter[14] = static_cast<std::uint8_t>(low >> 8);
-    counter[15] = static_cast<std::uint8_t>(low);
-
-    std::vector<std::uint8_t> in(16 * 20 + 5);
-    rng.fill(in);
-    std::vector<std::uint8_t> expected(in.size());
-    ctr_reference(reference_, counter, in, expected);
-    std::vector<std::uint8_t> out(in.size());
-    ctr_xcrypt(tested_, counter, in, out);
-    EXPECT_EQ(out, expected) << "low word 0x" << std::hex << low;
-  }
 }
 
 TEST_P(AesBackendDiff, MemoryXcryptLineMatchesPerBlockReference) {
   util::Xoshiro256 rng(0x11FE'0001u);
-  CtrScratch scratch;
   for (int trial = 0; trial < 30; ++trial) {
     rekey(random_key(rng));
     const auto nonce = static_cast<std::uint32_t>(rng.next());
@@ -218,28 +96,24 @@ TEST_P(AesBackendDiff, MemoryXcryptLineMatchesPerBlockReference) {
     std::vector<std::uint8_t> plain(nblocks * 16);
     rng.fill(plain);
 
-    // Reference: one memory_xcrypt per 16-byte block at stepped addresses,
-    // all through the scalar datapath.
+    // Reference: per 16-byte block, the scalar cipher over the block's
+    // tweak at its stepped address, XORed into the plaintext.
     std::vector<std::uint8_t> expected(plain.size());
     for (std::size_t b = 0; b < nblocks; ++b) {
-      memory_xcrypt(reference_, nonce, line_addr + 16 * b, version,
-                    std::span<const std::uint8_t>(plain.data() + 16 * b, 16),
-                    std::span<std::uint8_t>(expected.data() + 16 * b, 16));
+      const AesBlock keystream = reference_.encrypt(
+          make_memory_tweak(nonce, line_addr + 16 * b, version));
+      for (std::size_t i = 0; i < 16; ++i) {
+        expected[16 * b + i] = plain[16 * b + i] ^ keystream[i];
+      }
     }
 
     std::vector<std::uint8_t> out(plain.size());
     memory_xcrypt_line(tested_, nonce, line_addr, version, plain, out);
-    EXPECT_EQ(out, expected) << "trial " << trial << " (stack-chunked path)";
-
-    std::vector<std::uint8_t> out_scratch(plain.size());
-    memory_xcrypt_line(tested_, nonce, line_addr, version, plain, out_scratch,
-                       scratch);
-    EXPECT_EQ(out_scratch, expected) << "trial " << trial << " (scratch path)";
+    EXPECT_EQ(out, expected) << "trial " << trial;
 
     // In-place, as the Confidentiality Core drives it.
     std::vector<std::uint8_t> inplace = plain;
-    memory_xcrypt_line(tested_, nonce, line_addr, version, inplace, inplace,
-                       scratch);
+    memory_xcrypt_line(tested_, nonce, line_addr, version, inplace, inplace);
     EXPECT_EQ(inplace, expected) << "trial " << trial << " (aliasing)";
   }
 }

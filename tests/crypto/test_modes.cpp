@@ -1,9 +1,12 @@
+// Known answers for the LCF's line cipher (crypto/aes_modes.hpp): the
+// tweak layout and memory_xcrypt_line bytes pinned per AES datapath.
 #include "crypto/aes_modes.hpp"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/hexdump.hpp"
-#include "util/rng.hpp"
 
 namespace secbus::crypto {
 namespace {
@@ -18,89 +21,36 @@ const Aes128Key kNistKey = [] {
   return k;
 }();
 
-// NIST SP 800-38A test data (first two plaintext blocks).
-const std::vector<std::uint8_t> kPt = from_hex(
-    "6bc1bee22e409f96e93d7e117393172a"
-    "ae2d8a571e03ac9c9eb76fac45af8e51");
+// NIST SP 800-38A plaintext (its four blocks), repeated to a 256-byte line.
+const std::vector<std::uint8_t> kLinePlain = [] {
+  const auto blocks = from_hex(
+      "6bc1bee22e409f96e93d7e117393172a"
+      "ae2d8a571e03ac9c9eb76fac45af8e51"
+      "30c81c46a35ce411e5fbc1191a0a52ef"
+      "f69f2445df4f9b17ad2b417be66c3710");
+  std::vector<std::uint8_t> line;
+  for (int i = 0; i < 4; ++i) line.insert(line.end(), blocks.begin(), blocks.end());
+  return line;
+}();
 
-TEST(EcbMode, Sp80038aVectors) {
-  const Aes128 aes(kNistKey);
-  std::vector<std::uint8_t> ct(kPt.size());
-  ecb_encrypt(aes, kPt, ct);
-  EXPECT_EQ(to_hex({ct.data(), ct.size()}),
-            "3ad77bb40d7a3660a89ecaf32466ef97"
-            "f5d3d58503b9699de785895a96fdbaaf");
-  std::vector<std::uint8_t> back(ct.size());
-  ecb_decrypt(aes, ct, back);
-  EXPECT_EQ(back, kPt);
-}
+// The line transform's tweak parameters. The address puts the 2^33 boundary
+// inside a 64-byte line, so the tweak's 64-bit address field carries.
+constexpr std::uint32_t kNonce = 0xA5A5F00D;
+constexpr std::uint64_t kLineAddr = 0x1'FFFF'FFE0ull;
+constexpr std::uint32_t kVersion = 7;
 
-TEST(EcbMode, InPlaceOperation) {
-  const Aes128 aes(kNistKey);
-  std::vector<std::uint8_t> buf = kPt;
-  ecb_encrypt(aes, buf, buf);
-  EXPECT_NE(buf, kPt);
-  ecb_decrypt(aes, buf, buf);
-  EXPECT_EQ(buf, kPt);
-}
-
-TEST(CbcMode, Sp80038aVectors) {
-  const Aes128 aes(kNistKey);
-  AesBlock iv{};
-  const auto iv_bytes = from_hex("000102030405060708090a0b0c0d0e0f");
-  std::copy(iv_bytes.begin(), iv_bytes.end(), iv.begin());
-
-  std::vector<std::uint8_t> ct(kPt.size());
-  cbc_encrypt(aes, iv, kPt, ct);
-  EXPECT_EQ(to_hex({ct.data(), ct.size()}),
-            "7649abac8119b246cee98e9b12e9197d"
-            "5086cb9b507219ee95db113a917678b2");
-  std::vector<std::uint8_t> back(ct.size());
-  cbc_decrypt(aes, iv, ct, back);
-  EXPECT_EQ(back, kPt);
-}
-
-TEST(CbcMode, InPlaceDecrypt) {
-  const Aes128 aes(kNistKey);
-  AesBlock iv{};
-  iv[3] = 0x42;
-  std::vector<std::uint8_t> buf = kPt;
-  cbc_encrypt(aes, iv, buf, buf);
-  cbc_decrypt(aes, iv, buf, buf);
-  EXPECT_EQ(buf, kPt);
-}
-
-TEST(CtrMode, Sp80038aVectors) {
-  const Aes128 aes(kNistKey);
-  AesBlock ctr{};
-  const auto ctr_bytes = from_hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
-  std::copy(ctr_bytes.begin(), ctr_bytes.end(), ctr.begin());
-
-  std::vector<std::uint8_t> ct(kPt.size());
-  ctr_xcrypt(aes, ctr, kPt, ct);
-  EXPECT_EQ(to_hex({ct.data(), ct.size()}),
-            "874d6191b620e3261bef6864990db6ce"
-            "9806f66b7970fdff8617187bb9fffdff");
-  // CTR is an involution with the same counter.
-  std::vector<std::uint8_t> back(ct.size());
-  ctr_xcrypt(aes, ctr, ct, back);
-  EXPECT_EQ(back, kPt);
-}
-
-TEST(CtrMode, PartialBlockLengths) {
-  const Aes128 aes(kNistKey);
-  AesBlock ctr{};
-  util::Xoshiro256 rng(5);
-  for (std::size_t len : {1u, 7u, 15u, 17u, 33u}) {
-    std::vector<std::uint8_t> pt(len);
-    rng.fill(std::span<std::uint8_t>(pt.data(), pt.size()));
-    std::vector<std::uint8_t> ct(len);
-    ctr_xcrypt(aes, ctr, pt, ct);
-    std::vector<std::uint8_t> back(len);
-    ctr_xcrypt(aes, ctr, ct, back);
-    EXPECT_EQ(back, pt) << "length " << len;
-  }
-}
+// memory_xcrypt_line(kNistKey, kNonce, kLineAddr, kVersion) of kLinePlain.
+// Block i's keystream depends only on kLineAddr + 16*i, so every shorter
+// line starting at kLineAddr transforms to a prefix of this.
+constexpr const char* kLineCipher =
+    "26deccdbb5b62766f9645f3749027a93f29ca81fb33a22676e1a7c347df93d0b"
+    "34ee2d32930bb8f88c8879df230530c129e8eccbfa4896522bb86be73b4fde10"
+    "245dce71d67d25c986474d34f3a1fa640a2e3e9193303c4f66451e9b8aea25f0"
+    "18cb259a4d31bc0a39b2c0128991b8069d2aa29d44ef21a0eb7f034aa7f346aa"
+    "f003b0a746fb02b6dfe76240f797ca9f407234d970a61034b08c1a6f7c289c24"
+    "c8fa5a4b1f1143de2daa922822a9901105f2d23ed22333f014a930589a92226a"
+    "a704518dfd948594803fab883377658b03e2728e0930535b0b06c29b8fa357ff"
+    "3f576eb9688c8f3258cd364af5ebab77e0a5bf369d6122487b8404821fcacaa5";
 
 TEST(MemoryTweak, LayoutBindsNonceAddressVersion) {
   const AesBlock tweak = make_memory_tweak(0xAABBCCDD, 0x1122334455667788ULL,
@@ -109,43 +59,62 @@ TEST(MemoryTweak, LayoutBindsNonceAddressVersion) {
             "aabbccdd112233445566778899aa77ee");
 }
 
-TEST(MemoryXcrypt, DifferentAddressesDifferentKeystream) {
-  const Aes128 aes(kNistKey);
-  const std::vector<std::uint8_t> zeros(16, 0);
-  std::vector<std::uint8_t> ct_a(16), ct_b(16);
-  memory_xcrypt(aes, 1, 0x1000, 1, zeros, ct_a);
-  memory_xcrypt(aes, 1, 0x1010, 1, zeros, ct_b);
-  EXPECT_NE(ct_a, ct_b);
+class MemoryXcryptLineKat : public ::testing::TestWithParam<AesImpl> {
+ protected:
+  MemoryXcryptLineKat() { aes_.set_impl(GetParam()); }
+  Aes128 aes_{kNistKey};
+};
+
+TEST_P(MemoryXcryptLineKat, KnownAnswerOutOfPlaceAndInPlace) {
+  for (const std::size_t len : {16u, 32u, 64u, 256u}) {
+    const std::span<const std::uint8_t> plain(kLinePlain.data(), len);
+    const std::string expected = std::string(kLineCipher).substr(0, 2 * len);
+
+    std::vector<std::uint8_t> out(len);
+    memory_xcrypt_line(aes_, kNonce, kLineAddr, kVersion, plain, out);
+    EXPECT_EQ(to_hex({out.data(), out.size()}), expected) << "len " << len;
+
+    std::vector<std::uint8_t> inplace(plain.begin(), plain.end());
+    memory_xcrypt_line(aes_, kNonce, kLineAddr, kVersion, inplace, inplace);
+    EXPECT_EQ(inplace, out) << "len " << len << " (in place)";
+
+    // The transform is its own inverse.
+    memory_xcrypt_line(aes_, kNonce, kLineAddr, kVersion, inplace, inplace);
+    EXPECT_TRUE(std::equal(inplace.begin(), inplace.end(), plain.begin()))
+        << "len " << len << " (twice)";
+  }
 }
 
-TEST(MemoryXcrypt, DifferentVersionsDifferentKeystream) {
-  const Aes128 aes(kNistKey);
+TEST_P(MemoryXcryptLineKat, EveryTweakFieldChangesTheKeystream) {
   const std::vector<std::uint8_t> zeros(16, 0);
-  std::vector<std::uint8_t> ct_v1(16), ct_v2(16);
-  memory_xcrypt(aes, 1, 0x1000, 1, zeros, ct_v1);
-  memory_xcrypt(aes, 1, 0x1000, 2, zeros, ct_v2);
-  EXPECT_NE(ct_v1, ct_v2);
+  const auto keystream = [&](std::uint32_t nonce, std::uint64_t addr,
+                             std::uint32_t version) {
+    std::vector<std::uint8_t> ks(16);
+    memory_xcrypt_line(aes_, nonce, addr, version, zeros, ks);
+    return ks;
+  };
+  const auto base = keystream(1, 0x1000, 1);
+  EXPECT_NE(base, keystream(1, 0x1010, 1));  // relocated
+  EXPECT_NE(base, keystream(1, 0x1000, 2));  // replayed
+  EXPECT_NE(base, keystream(2, 0x1000, 1));  // other policy key's nonce
 }
 
-TEST(MemoryXcrypt, DifferentNoncesDifferentKeystream) {
-  const Aes128 aes(kNistKey);
-  const std::vector<std::uint8_t> zeros(16, 0);
-  std::vector<std::uint8_t> ct_n1(16), ct_n2(16);
-  memory_xcrypt(aes, 1, 0x1000, 1, zeros, ct_n1);
-  memory_xcrypt(aes, 2, 0x1000, 1, zeros, ct_n2);
-  EXPECT_NE(ct_n1, ct_n2);
+std::vector<AesImpl> supported_impls() {
+  std::vector<AesImpl> impls{AesImpl::kTTable, AesImpl::kScalar};
+  if (aes_impl_supported(AesImpl::kAesni)) impls.push_back(AesImpl::kAesni);
+  return impls;
 }
 
-TEST(MemoryXcrypt, RoundTripSameParameters) {
-  const Aes128 aes(kNistKey);
-  util::Xoshiro256 rng(11);
-  std::vector<std::uint8_t> pt(48);
-  rng.fill(std::span<std::uint8_t>(pt.data(), pt.size()));
-  std::vector<std::uint8_t> ct(48), back(48);
-  memory_xcrypt(aes, 7, 0x8000'0000, 3, pt, ct);
-  memory_xcrypt(aes, 7, 0x8000'0000, 3, ct, back);
-  EXPECT_EQ(back, pt);
-}
+INSTANTIATE_TEST_SUITE_P(AllImpls, MemoryXcryptLineKat,
+                         ::testing::ValuesIn(supported_impls()),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case AesImpl::kTTable: return "ttable";
+                             case AesImpl::kScalar: return "scalar";
+                             case AesImpl::kAesni: return "aesni";
+                           }
+                           return "unknown";
+                         });
 
 }  // namespace
 }  // namespace secbus::crypto

@@ -88,7 +88,7 @@ TEST(AllocBudget, CipheredJobAllocatesPerFootprintNotPerTransaction) {
   const std::uint64_t base = run_allocations(ciphered_job(1500));
   const std::uint64_t doubled = run_allocations(ciphered_job(3000));
   EXPECT_EQ(base, 587u);
-  EXPECT_EQ(doubled, 615u);
+  EXPECT_EQ(doubled, 613u);
   EXPECT_LE(doubled - base, 30u);
 }
 
@@ -96,7 +96,7 @@ TEST(AllocBudget, Star32JobAllocatesPerFootprintNotPerTransaction) {
   const std::uint64_t base = run_allocations(star32_job(30));
   const std::uint64_t doubled = run_allocations(star32_job(60));
   EXPECT_EQ(base, 612u);
-  EXPECT_EQ(doubled, 688u);
+  EXPECT_EQ(doubled, 686u);
   EXPECT_LE(doubled - base, 110u);
 }
 
