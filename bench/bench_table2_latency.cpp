@@ -65,7 +65,7 @@ sim::Cycle measure_sb_latency() {
   bus::BusTransaction t = bus::make_read(0, 0x100);
   t.issued_at = 0;
   fw.ip_side().request.push(std::move(t));
-  kernel.run_until([&] { return !fw.ip_side().response.empty(); }, 1000);
+  kernel.run_until_idle(1000);
   (void)fw.ip_side().response.pop();
   return fw.stats().check_cycles;  // SB pipeline occupancy for one check
 }

@@ -5,7 +5,7 @@
 namespace secbus::attack {
 
 FloodMaster::FloodMaster(std::string name, sim::MasterId id, Config cfg)
-    : Component(std::move(name)), id_(id), cfg_(cfg) {}
+    : Master(std::move(name), id), cfg_(cfg) {}
 
 void FloodMaster::tick(sim::Cycle now) {
   if (port_ == nullptr) return;

@@ -9,12 +9,11 @@
 
 #include <string>
 
-#include "bus/ports.hpp"
-#include "sim/component.hpp"
+#include "ip/master.hpp"
 
 namespace secbus::attack {
 
-class FloodMaster final : public sim::Component {
+class FloodMaster final : public ip::Master {
  public:
   struct Config {
     sim::Addr target = 0;
@@ -25,11 +24,6 @@ class FloodMaster final : public sim::Component {
 
   FloodMaster(std::string name, sim::MasterId id, Config cfg);
 
-  void connect(bus::MasterEndpoint& endpoint) noexcept {
-    port_ = &endpoint;
-    port_->response.set_consumer(*this);
-  }
-
   void tick(sim::Cycle now) override;
   // Wakes to drain a response or to issue the next write; no per-cycle
   // bookkeeping, so the default (empty) skip() is exact.
@@ -39,14 +33,12 @@ class FloodMaster final : public sim::Component {
   [[nodiscard]] std::uint64_t issued() const noexcept { return issued_; }
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
   [[nodiscard]] std::uint64_t rejected() const noexcept { return rejected_; }
-  [[nodiscard]] bool done() const noexcept {
+  [[nodiscard]] bool done() const noexcept override {
     return cfg_.total_writes != 0 && completed_ + rejected_ >= cfg_.total_writes;
   }
 
  private:
-  sim::MasterId id_;
   Config cfg_;
-  bus::MasterEndpoint* port_ = nullptr;
   std::uint64_t issued_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t rejected_ = 0;

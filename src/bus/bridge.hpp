@@ -57,7 +57,6 @@ class Bridge final : public SlaveDevice {
   [[nodiscard]] bool is_bridge() const noexcept override { return true; }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const SystemBus& far_segment() const noexcept { return *far_; }
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   void reset_stats() noexcept { stats_ = {}; }
 

@@ -209,13 +209,6 @@ void Fabric::register_components(sim::SimKernel& kernel) {
   for (auto& seg : segments_) kernel.add(*seg);
 }
 
-bool Fabric::idle() const noexcept {
-  for (const auto& seg : segments_) {
-    if (!seg->idle()) return false;
-  }
-  return true;
-}
-
 void Fabric::reset() {
   for (auto& seg : segments_) seg->reset();
   for (auto& bridge : bridges_) bridge->reset_stats();

@@ -87,13 +87,11 @@ class Fabric {
   // map. Must be called exactly once, after all map_region() calls and
   // before the first simulated cycle.
   void finalize();
-  [[nodiscard]] bool finalized() const noexcept { return finalized_; }
 
   // Registers every segment with the kernel (tick order = segment order).
   void register_components(sim::SimKernel& kernel);
 
-  // --- simulation-state queries ----------------------------------------
-  [[nodiscard]] bool idle() const noexcept;
+  // --- simulation state ------------------------------------------------
   void reset();
 
   // Zeroes every segment's and bridge's statistics without touching the

@@ -157,9 +157,6 @@ class SystemBus final : public sim::Component {
   [[nodiscard]] const MasterEndpoint& endpoint(std::size_t i) const {
     return *endpoints_.at(i);
   }
-  [[nodiscard]] bool idle() const noexcept {
-    return state_ == State::kIdle && no_requests_waiting();
-  }
 
  private:
   enum class State { kIdle, kAddress, kDataAndSlave };

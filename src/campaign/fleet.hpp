@@ -297,9 +297,6 @@ class FleetServer {
   [[nodiscard]] const std::vector<scenario::JobResult>& results() const {
     return results_;
   }
-  [[nodiscard]] const std::vector<std::string>& shard_files() const {
-    return shard_paths_;
-  }
 
   [[nodiscard]] const std::vector<scenario::ScenarioSpec>& specs() const {
     return specs_;
@@ -308,9 +305,6 @@ class FleetServer {
   [[nodiscard]] const LeaseManager& leases() const { return leases_; }
   [[nodiscard]] std::size_t reassignments() const noexcept {
     return leases_.regrants();
-  }
-  [[nodiscard]] std::size_t connected_workers() const noexcept {
-    return peers_.size();
   }
   // Server incarnation: 0 for a fresh serve, last logged + 1 on resume.
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }

@@ -106,9 +106,6 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
   [[nodiscard]] ConfidentialityMode cm() const noexcept { return cm_; }
   [[nodiscard]] IntegrityMode im() const noexcept { return im_; }
 
-  // Test hook: the integrity core (e.g. to force versions near wrap).
-  IntegrityCore& ic_mut() noexcept { return ic_; }
-
   // Zeroes the LCF's protection statistics and the CC/IC core counters.
   // The key, versions, tree and cached policy modes are untouched — this
   // resets accounting, not security state.

@@ -49,13 +49,6 @@ LocalFirewall::LocalFirewall(std::string name, FirewallId id,
   ip_side_.request.set_consumer(*this);
 }
 
-bool LocalFirewall::idle() const noexcept {
-  return !in_check_.has_value() && ip_side_.request.empty() &&
-         ip_side_.response.empty() &&
-         (bus_side_ == nullptr ||
-          (bus_side_->request.empty() && bus_side_->response.empty()));
-}
-
 void LocalFirewall::start_check(sim::Cycle now) {
   auto popped = ip_side_.request.pop();
   SECBUS_ASSERT(popped.has_value(), "start_check with empty queue");

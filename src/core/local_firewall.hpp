@@ -118,8 +118,6 @@ class LocalFirewall final : public sim::Component {
     return sb_.has_value() ? &*sb_ : nullptr;
   }
   [[nodiscard]] FirewallId id() const noexcept { return id_; }
-  // True when no transaction is being checked and no queue holds data.
-  [[nodiscard]] bool idle() const noexcept;
 
   // Zeroes the check/gate statistics without touching queues or the check
   // in flight. reset() implies it.

@@ -66,9 +66,6 @@ class SecurityBuilder {
   // Latency a check takes under the current policy.
   [[nodiscard]] sim::Cycle check_latency() const;
 
-  [[nodiscard]] const SecurityPolicy& current_policy() const {
-    return config_mem_->policy(firewall_);
-  }
   [[nodiscard]] FirewallId firewall() const noexcept { return firewall_; }
 
  private:

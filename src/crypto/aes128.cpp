@@ -80,7 +80,6 @@ void Aes128::rekey(const Aes128Key& key) noexcept {
   for (std::size_t w = 0; w < enc_words_.size(); ++w) {
     enc_words_[w] = util::load_be32(round_keys_.data() + 4 * w);
   }
-  block_ops_ = 0;
 }
 
 void Aes128::encrypt_blocks(const std::uint8_t* in, std::uint8_t* out,
@@ -100,7 +99,6 @@ void Aes128::encrypt_blocks(const std::uint8_t* in, std::uint8_t* out,
       }
       break;
   }
-  block_ops_ += nblocks;
 }
 
 void Aes128::encrypt_block_ttable(const std::uint8_t in[kAesBlockBytes],

@@ -178,11 +178,6 @@ class Aes128 {
     return {round_keys_.data(), round_keys_.size()};
   }
 
-  // Number of block operations performed since construction/rekey; the
-  // Confidentiality Core uses this to charge simulated cycles.
-  [[nodiscard]] std::uint64_t block_ops() const noexcept { return block_ops_; }
-  void reset_block_ops() noexcept { block_ops_ = 0; }
-
  private:
   void encrypt_block_scalar(const std::uint8_t in[kAesBlockBytes],
                             std::uint8_t out[kAesBlockBytes]) const noexcept;
@@ -193,7 +188,6 @@ class Aes128 {
   // The same schedule as big-endian words, for the T-table path.
   std::array<std::uint32_t, 4 * (kAes128Rounds + 1)> enc_words_{};
   AesImpl impl_ = default_aes_impl();
-  mutable std::uint64_t block_ops_ = 0;
 };
 
 }  // namespace secbus::crypto

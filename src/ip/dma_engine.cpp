@@ -7,7 +7,7 @@
 namespace secbus::ip {
 
 DmaEngine::DmaEngine(std::string name, sim::MasterId id)
-    : Component(std::move(name)), id_(id) {}
+    : Master(std::move(name), id) {}
 
 void DmaEngine::start(const Job& job) {
   SECBUS_ASSERT(state_ == State::kIdle, "DMA already busy");

@@ -8,8 +8,7 @@
 
 #include <string>
 
-#include "bus/ports.hpp"
-#include "sim/component.hpp"
+#include "ip/master.hpp"
 
 namespace secbus::obs {
 class Registry;
@@ -17,7 +16,7 @@ class Registry;
 
 namespace secbus::ip {
 
-class DmaEngine final : public sim::Component {
+class DmaEngine final : public Master {
  public:
   struct Job {
     sim::Addr src = 0;
@@ -36,11 +35,6 @@ class DmaEngine final : public sim::Component {
 
   DmaEngine(std::string name, sim::MasterId id);
 
-  void connect(bus::MasterEndpoint& endpoint) noexcept {
-    port_ = &endpoint;
-    port_->response.set_consumer(*this);
-  }
-
   // Starts a copy job; only one job at a time.
   void start(const Job& job);
 
@@ -50,16 +44,14 @@ class DmaEngine final : public sim::Component {
   [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
   void reset() override;
 
-  [[nodiscard]] bool busy() const noexcept { return state_ != State::kIdle; }
-  [[nodiscard]] bool job_done() const noexcept {
-    return state_ == State::kIdle && stats_.bytes_copied > 0;
+  // No job in flight (never started, finished or aborted).
+  [[nodiscard]] bool done() const noexcept override {
+    return state_ == State::kIdle;
   }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] sim::MasterId master_id() const noexcept { return id_; }
 
   // Zeroes the statistics only; the engine state machine and any job in
-  // flight are untouched. job_done() reports false again until the next
-  // copy completes (it keys off bytes_copied).
+  // flight are untouched.
   void reset_stats() noexcept { stats_ = {}; }
 
   // Publishes the copy counters under `prefix` ("<prefix>.bursts", ...).
@@ -70,8 +62,6 @@ class DmaEngine final : public sim::Component {
 
   [[nodiscard]] std::uint16_t beats_for_chunk() const noexcept;
 
-  sim::MasterId id_;
-  bus::MasterEndpoint* port_ = nullptr;
   Job job_;
   std::uint64_t progress_ = 0;  // bytes copied so far
   bus::Payload chunk_;

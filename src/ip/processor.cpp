@@ -8,8 +8,7 @@ namespace secbus::ip {
 
 Processor::Processor(std::string name, sim::MasterId id, std::uint64_t seed,
                      Workload workload)
-    : Component(std::move(name)),
-      id_(id),
+    : Master(std::move(name), id),
       seed_(seed),
       workload_(std::move(workload)),
       rng_(seed) {

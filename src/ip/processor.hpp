@@ -12,8 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "bus/ports.hpp"
-#include "sim/component.hpp"
+#include "ip/master.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -23,7 +22,7 @@ class Registry;
 
 namespace secbus::ip {
 
-class Processor final : public sim::Component {
+class Processor final : public Master {
  public:
   // A memory window this processor's synthetic program touches.
   struct Target {
@@ -72,13 +71,6 @@ class Processor final : public sim::Component {
   Processor(std::string name, sim::MasterId id, std::uint64_t seed,
             Workload workload);
 
-  // Connects the processor to its interface (a Local Firewall's ip_side in a
-  // secured SoC, or a raw bus endpoint in the unsecured baseline).
-  void connect(bus::MasterEndpoint& endpoint) noexcept {
-    port_ = &endpoint;
-    port_->response.set_consumer(*this);
-  }
-
   void tick(sim::Cycle now) override;
   // Wakes when the compute gap runs out or a response is waiting; skipped
   // cycles accrue compute_cycles (computing) or stall_cycles (waiting).
@@ -87,7 +79,6 @@ class Processor final : public sim::Component {
   void reset() override;
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] sim::MasterId master_id() const noexcept { return id_; }
 
   // Zeroes the statistics only (workload position, RNG and any in-flight
   // transaction are untouched). Note a bounded workload's done() predicate
@@ -98,7 +89,7 @@ class Processor final : public sim::Component {
   // Publishes the traffic counters and the latency distribution under
   // `prefix` ("<prefix>.issued", "<prefix>.latency.p95", ...).
   void contribute_metrics(obs::Registry& reg, const std::string& prefix) const;
-  [[nodiscard]] bool done() const noexcept {
+  [[nodiscard]] bool done() const noexcept override {
     return workload_.total_transactions != 0 &&
            stats_.completed + stats_.failed >= workload_.total_transactions;
   }
@@ -108,12 +99,10 @@ class Processor final : public sim::Component {
 
   [[nodiscard]] bus::BusTransaction next_transaction(sim::Cycle now);
 
-  sim::MasterId id_;
   std::uint64_t seed_;
   Workload workload_;
   std::vector<double> target_weights_;  // workload_.targets' weights
   util::Xoshiro256 rng_;
-  bus::MasterEndpoint* port_ = nullptr;
 
   State state_ = State::kComputing;
   sim::Cycle compute_remaining_ = 0;

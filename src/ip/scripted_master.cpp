@@ -5,7 +5,7 @@
 namespace secbus::ip {
 
 ScriptedMaster::ScriptedMaster(std::string name, sim::MasterId id)
-    : Component(std::move(name)), id_(id) {}
+    : Master(std::move(name), id) {}
 
 void ScriptedMaster::enqueue(sim::Cycle delay, bus::BusTransaction t) {
   t.master = id_;

@@ -9,13 +9,12 @@
 #include <string>
 #include <vector>
 
-#include "bus/ports.hpp"
-#include "sim/component.hpp"
+#include "ip/master.hpp"
 #include "util/stats.hpp"
 
 namespace secbus::ip {
 
-class ScriptedMaster final : public sim::Component {
+class ScriptedMaster final : public Master {
  public:
   struct Step {
     sim::Cycle delay = 0;  // compute cycles before issuing this transaction
@@ -33,11 +32,6 @@ class ScriptedMaster final : public sim::Component {
   };
 
   ScriptedMaster(std::string name, sim::MasterId id);
-
-  void connect(bus::MasterEndpoint& endpoint) noexcept {
-    port_ = &endpoint;
-    port_->response.set_consumer(*this);
-  }
 
   // Appends a step; steps run strictly in order, each waiting for the
   // previous response.
@@ -58,11 +52,10 @@ class ScriptedMaster final : public sim::Component {
   void skip(sim::Cycle now, sim::Cycle n) override;
   void reset() override;
 
-  [[nodiscard]] bool done() const noexcept {
+  [[nodiscard]] bool done() const noexcept override {
     return next_step_ >= script_.size() && state_ == State::kIdle;
   }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] sim::MasterId master_id() const noexcept { return id_; }
 
   // Zeroes the accounting without touching script progress.
   void reset_stats() noexcept { stats_ = {}; }
@@ -70,8 +63,6 @@ class ScriptedMaster final : public sim::Component {
  private:
   enum class State { kIdle, kDelay, kWaiting };
 
-  sim::MasterId id_;
-  bus::MasterEndpoint* port_ = nullptr;
   std::vector<Step> script_;
   std::size_t next_step_ = 0;
   sim::Cycle delay_remaining_ = 0;

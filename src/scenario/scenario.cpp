@@ -215,11 +215,9 @@ JobResult run_scenario(const ScenarioSpec& spec, const RunHooks& hooks) {
     core::LocalFirewall::Config lf_cfg;
     lf_cfg.rate_limit_window = atk.rate_limit_window;
     lf_cfg.rate_limit_max = atk.rate_limit_max;
-    auto* raw = flood.get();
-    auto& ep = soc.attach_custom_master(
-        *flood, "flooder", pb.build(), [raw] { return raw->done(); },
+    soc.attach_custom_master(
+        *flood, pb.build(),
         atk.kind == AttackKind::kFloodThrottled ? &lf_cfg : nullptr);
-    flood->connect(ep);
   }
 
   // --- run ---------------------------------------------------------------

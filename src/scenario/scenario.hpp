@@ -170,9 +170,9 @@ struct RunHooks {
   std::function<void(soc::Soc&, const JobResult&)> inspect;
 };
 
-// Builds the SoC described by `spec`, stages the attack plan, runs to
-// quiescence (or the cycle cap) and collects every metric. Self-contained
-// and thread-safe: concurrent calls share no state.
+// Builds the SoC described by `spec`, stages the attack plan, runs until
+// the kernel is idle (or the cycle cap) and collects every metric.
+// Self-contained and thread-safe: concurrent calls share no state.
 [[nodiscard]] JobResult run_scenario(const ScenarioSpec& spec);
 [[nodiscard]] JobResult run_scenario(const ScenarioSpec& spec,
                                      const RunHooks& hooks);

@@ -52,7 +52,9 @@ class Component {
   // bookkeeping, assuming no new input arrives; kNeverCycle means "idle
   // until input". `now` is the first cycle the component has not executed.
   // Skipping cycles before the wake must not move it: after skip(now, n),
-  // next_wake(now + n) returns the same cycle.
+  // next_wake(now + n) returns the same cycle. The kernel ends a run once
+  // every component reports kNeverCycle (SimKernel::run_until_idle), so a
+  // component that still has work must not report it.
   [[nodiscard]] virtual Cycle next_wake(Cycle now) const { return now; }
 
   // Applies the bookkeeping of the n cycles [now, now + n), all of which

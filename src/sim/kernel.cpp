@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 
 #include "util/assert.hpp"
 
@@ -142,23 +141,33 @@ void SimKernel::step_due() {
   ++now_;
 }
 
-void SimKernel::jump(Cycle limit) {
-  Cycle target = limit;
-  if (!pending_.empty()) target = std::min(target, pending_.front().when);
+Cycle SimKernel::next_event() {
+  const Cycle callback = pending_.empty() ? kNeverCycle : pending_.front().when;
   while (!calendar_.empty()) {
     const Wake& top = calendar_.front();
     if (top.gen == components_[top.index]->gen_) {
-      target = std::min(target, top.when);
-      break;
+      return std::min(callback, top.when);
     }
     std::pop_heap(calendar_.begin(), calendar_.end(), WakeLater{});
     calendar_.pop_back();
   }
+  return callback;
+}
+
+void SimKernel::jump(Cycle target) {
   if (target <= now_) return;
   const Cycle n = target - now_;
   now_ = target;
   ticks_executed_ += n * components_.size();
   cycles_skipped_ += n;
+}
+
+bool SimKernel::lockstep_idle() const {
+  if (!pending_.empty()) return false;
+  for (const Component* c : components_) {
+    if (c->next_wake(now_) != kNeverCycle) return false;
+  }
+  return true;
 }
 
 void SimKernel::run(Cycle n) {
@@ -169,38 +178,31 @@ void SimKernel::run(Cycle n) {
   }
   refresh_all();
   for (;;) {
-    jump(end);
+    jump(std::min(next_event(), end));
     if (now_ >= end) break;
     step_due();
   }
   sync_all();
 }
 
-bool SimKernel::run_until(const std::function<bool()>& done, Cycle max_cycles) {
+bool SimKernel::run_until_idle(Cycle max_cycles) {
   const Cycle end = saturating_end(now_, max_cycles);
-  // Jumped cycles cannot change what the predicate reads (see the header),
-  // so it is evaluated once up front and then only after a stepped cycle.
-  if (done()) return true;
   if (g_lockstep.load(std::memory_order_relaxed)) {
-    while (now_ < end) {
+    for (;;) {
+      if (lockstep_idle()) return true;
+      if (now_ >= end) return false;
       step();
-      if (done()) return true;
     }
-    return done();
   }
   refresh_all();
-  bool hit = false;
-  for (;;) {
-    jump(end);
+  Cycle next;
+  while ((next = next_event()) != kNeverCycle) {
+    jump(std::min(next, end));
     if (now_ >= end) break;
     step_due();
-    if (done()) {
-      hit = true;
-      break;
-    }
   }
   sync_all();
-  return hit || done();
+  return next == kNeverCycle;
 }
 
 void SimKernel::schedule(Cycle delay, std::function<void()> fn) {

@@ -6,7 +6,7 @@
 //   2. ticks the components due this cycle, in registration order.
 // Both orders are fixed, so a run is a pure function of (wiring, seeds).
 //
-// run() and run_until() pay per event, not per component:
+// run() and run_until_idle() pay per event, not per component:
 //   * Calendar. The kernel caches every component's next_wake() in one
 //     min-heap ordered by (wake, registration index) and re-reads it only
 //     after the component ticks, after it is notified, and at run entry. A
@@ -19,8 +19,8 @@
 //   * Lazy skip. Each component remembers the first cycle it has not
 //     executed. Its skipped bookkeeping is applied in one skip() just before
 //     it ticks, when it is notified, before callbacks run, and for every
-//     component when run()/run_until() returns, so statistics read between
-//     runs (and from callbacks) are exact.
+//     component when run()/run_until_idle() returns, so statistics read
+//     between runs (and from callbacks) are exact.
 //   * notify(c). A component that is about to change another component's
 //     state calls notify(target) first; TransactionChannel::push does it for
 //     its consumer. If the target comes later in registration order than the
@@ -32,6 +32,10 @@
 //   * Callbacks. A cycle with schedule() callbacks due syncs every
 //     component, runs the callbacks, then re-reads every wake, so a callback
 //     may mutate any component without notifying.
+//   * Idle. The calendar plus the pending callbacks are the kernel's one
+//     record of what is still to happen. When the stale entries are popped
+//     off the calendar's top and nothing is left, no component will act
+//     again without outside input: run_until_idle() ends the run there.
 // Results are bit-identical to ticking every component on every cycle (the
 // lockstep oracle, see set_lockstep_for_testing()).
 #pragma once
@@ -45,7 +49,7 @@
 
 namespace secbus::sim {
 
-// Test hook: when true, run()/run_until() tick every component on every
+// Test hook: when true, run()/run_until_idle() tick every component on every
 // cycle (no jumps) in kernels of this process. This lockstep mode is the
 // oracle the differential tests compare the wake-driven kernel against.
 // Takes effect at the next run call; safe to flip between runs only.
@@ -66,14 +70,13 @@ class SimKernel {
   // Runs exactly n cycles.
   void run(Cycle n);
 
-  // Runs until `done()` returns true (checked before the first cycle and
-  // after each stepped one) or until `max_cycles` elapse, whichever is
-  // first. Returns true when the predicate fired, false on timeout. The
-  // predicate must depend only on component state that changes in ticks
-  // (never on now() or on per-cycle bookkeeping): jumped cycles do not
-  // re-evaluate it, and sleeping components' bookkeeping is stale while it
-  // runs.
-  bool run_until(const std::function<bool()>& done, Cycle max_cycles);
+  // Runs until the kernel is idle, or until `max_cycles` elapse, whichever
+  // is first. Idle means no component reports a wake (every next_wake() is
+  // kNeverCycle) and no schedule() callback is pending; it is checked
+  // before the first cycle and after each stepped one, and the run stops at
+  // the top of the first idle cycle. Returns true when the kernel went
+  // idle, false at the cap.
+  bool run_until_idle(Cycle max_cycles);
 
   // Executes a single cycle in lockstep: fires due callbacks, then ticks
   // every component. Never jumps.
@@ -148,9 +151,14 @@ class SimKernel {
   // Wake-driven counterpart of step(): executes cycle now_ for the due
   // components only, then advances now_ past it.
   void step_due();
-  // Jumps now_ to the next cycle with a due component or callback, capped
-  // at `limit`.
-  void jump(Cycle limit);
+  // Drops stale entries off the calendar's top and returns the next cycle
+  // with a due component or callback; kNeverCycle when the kernel is idle.
+  Cycle next_event();
+  // Advances now_ to `target` without stepping (no-op if not ahead).
+  void jump(Cycle target);
+  // Lockstep counterpart of next_event() == kNeverCycle: asks every
+  // component for its wake.
+  [[nodiscard]] bool lockstep_idle() const;
   // Applies c's skipped bookkeeping up to (not including) `through`.
   void sync(Component& c, Cycle through);
   void sync_all();

@@ -24,16 +24,6 @@ const char* to_string(TraceKind kind) noexcept {
   return "?";
 }
 
-void EventTrace::set_capacity(std::size_t capacity) {
-  capacity_ = capacity;
-  ring_.clear();
-  ring_.reserve(capacity);
-  head_ = 0;
-  // Caller pointers cached before a reconfiguration may be stale; the
-  // content map (and the owned strings it points at) stays valid.
-  intern_by_ptr_.clear();
-}
-
 const char* EventTrace::intern(const char* source) {
   if (source == nullptr) source = "";
   if (const auto it = intern_by_ptr_.find(source); it != intern_by_ptr_.end()) {

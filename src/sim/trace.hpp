@@ -52,7 +52,6 @@ class EventTrace {
   // capacity == 0 disables recording entirely (benches run untraced).
   explicit EventTrace(std::size_t capacity = 0) : capacity_(capacity) {}
 
-  void set_capacity(std::size_t capacity);
   [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
 
   void record(const TraceEvent& ev);

@@ -1,5 +1,7 @@
 #include "soc/soc.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
@@ -425,6 +427,7 @@ void Soc::build_masters() {
                              static_cast<sim::MasterId>(kMasterCpuBase + i),
                              static_cast<core::FirewallId>(kFwCpuBase + i),
                              cpu_segment(i), nullptr));
+    masters_.push_back(cpu.get());
     processors_.push_back(std::move(cpu));
   }
 
@@ -432,6 +435,7 @@ void Soc::build_masters() {
     dma_ = std::make_unique<ip::DmaEngine>("dma", kMasterDma);
     dma_->connect(
         wire_master("dma", kMasterDma, kFwDma, dma_segment(), nullptr));
+    masters_.push_back(dma_.get());
   }
 }
 
@@ -442,10 +446,9 @@ void Soc::register_components() {
   fabric_->register_components(kernel_);
 }
 
-bus::MasterEndpoint& Soc::attach_custom_master(
-    sim::Component& component, const std::string& name,
-    core::SecurityPolicy policy, std::function<bool()> done,
-    const core::LocalFirewall::Config* lf_cfg, std::size_t segment) {
+void Soc::attach_custom_master(ip::Master& master, core::SecurityPolicy policy,
+                               const core::LocalFirewall::Config* lf_cfg,
+                               std::size_t segment) {
   if (segment == kRemoteSegment) {
     // Most adversarial placement: farthest from the protected external
     // memory (the threat model's target), wherever the LCF lives.
@@ -460,11 +463,11 @@ bus::MasterEndpoint& Soc::attach_custom_master(
                 "custom-master firewall id collides with an installed policy");
   config_mem_.install(fw_id, std::move(policy), segment);
 
-  bus::MasterEndpoint& ep = wire_master(name, master_id, fw_id, segment, lf_cfg);
+  master.connect(
+      wire_master(master.name(), master_id, fw_id, segment, lf_cfg));
   if (cfg_.security != SecurityMode::kNone) kernel_.add(*master_fws_.back());
-  kernel_.add(component);
-  if (done) custom_done_.push_back(std::move(done));
-  return ep;
+  kernel_.add(master);
+  masters_.push_back(&master);
 }
 
 ip::ScriptedMaster& Soc::add_scripted_master(const std::string& name,
@@ -472,10 +475,7 @@ ip::ScriptedMaster& Soc::add_scripted_master(const std::string& name,
                                              std::size_t segment) {
   auto master = std::make_unique<ip::ScriptedMaster>(
       name, static_cast<sim::MasterId>(kMasterScriptedBase + next_custom_index_));
-  bus::MasterEndpoint& ep =
-      attach_custom_master(*master, name, std::move(policy), {}, nullptr,
-                           segment);
-  master->connect(ep);
+  attach_custom_master(*master, std::move(policy), nullptr, segment);
   scripted_.push_back(std::move(master));
   return *scripted_.back();
 }
@@ -485,35 +485,16 @@ void Soc::start_dma(const ip::DmaEngine::Job& job) {
   dma_->start(job);
 }
 
-bool Soc::quiescent() const {
-  for (const auto& cpu : processors_) {
-    if (!cpu->done()) return false;
-  }
-  for (const auto& s : scripted_) {
-    if (!s->done()) return false;
-  }
-  for (const auto& done : custom_done_) {
-    if (!done()) return false;
-  }
-  if (dma_ != nullptr && dma_->busy()) return false;
-  // Only the distributed firewalls hold a run open; the centralized ones
-  // are not consulted, so a custom master without `done` can end a
-  // centralized run with a check still in flight.
-  if (manager_ == nullptr) {
-    for (const auto& fw : master_fws_) {
-      if (!fw->idle()) return false;
-    }
-  }
-  return fabric_->idle();
-}
-
 SocResults Soc::run(sim::Cycle max_cycles) {
-  const bool done =
-      kernel_.run_until([this] { return quiescent(); }, max_cycles);
+  // Going idle is not completing: a master still waiting on a response
+  // that will never come leaves the kernel idle but the run unfinished.
+  const bool idle = kernel_.run_until_idle(max_cycles);
 
   SocResults r;
   r.cycles = kernel_.now();
-  r.completed = done;
+  r.completed = idle && std::all_of(
+                             masters_.begin(), masters_.end(),
+                             [](const ip::Master* m) { return m->done(); });
   util::RunningStat latency;
   latency_hist_.reset();
   for (const auto& cpu : processors_) {

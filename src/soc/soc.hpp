@@ -1,5 +1,6 @@
 // SoC assembly: builds and wires the full case-study system (Figure 1 /
-// Section V) in any SecurityMode, owns every component, and runs it.
+// Section V) in any SecurityMode, owns every component, and runs it. A run
+// ends when the kernel is idle; it completed if every master is done().
 #pragma once
 
 #include <limits>
@@ -16,6 +17,7 @@
 #include "core/local_firewall.hpp"
 #include "core/reconfig.hpp"
 #include "ip/dma_engine.hpp"
+#include "ip/master.hpp"
 #include "ip/processor.hpp"
 #include "ip/scripted_master.hpp"
 #include "mem/bram.hpp"
@@ -70,7 +72,8 @@ inline constexpr sim::MasterId kMasterScriptedBase = 400;
 // Quick summary of a run; detailed stats stay queryable on the Soc itself.
 struct SocResults {
   sim::Cycle cycles = 0;
-  bool completed = false;  // all processors finished before the cycle cap
+  // The kernel went idle before the cycle cap with every master done().
+  bool completed = false;
   std::uint64_t transactions_ok = 0;
   std::uint64_t transactions_failed = 0;
   std::uint64_t alerts = 0;
@@ -92,8 +95,8 @@ class Soc {
   Soc(const Soc&) = delete;
   Soc& operator=(const Soc&) = delete;
 
-  // Runs until every processor finished and the fabric drained, or until
-  // `max_cycles`. Returns the summary.
+  // Runs until the kernel is idle (no component will act again and no
+  // callback is pending) or until `max_cycles`. Returns the summary.
   SocResults run(sim::Cycle max_cycles);
 
   // Every processor's access-latency histogram, merged once at the end of
@@ -130,23 +133,19 @@ class Soc {
   static constexpr std::size_t kRemoteSegment =
       std::numeric_limits<std::size_t>::max();
 
-  // Attaches an externally-owned master component (e.g. a FloodMaster)
-  // behind its own firewall with the given policy and registers it with
-  // the kernel. Returns the endpoint the component should connect() to. The
-  // component must outlive this SoC's runs.
-  // `done` (optional) joins the quiescence predicate so run() keeps going
-  // while the custom master is still active. `lf_cfg` (optional) overrides
-  // the Local Firewall configuration for this master (e.g. to enable the
-  // DoS throttle on a suspect interface); it applies in distributed mode
-  // only: under centralized security the master's firewall takes the
-  // default configuration, so a throttled flood runs unthrottled there.
-  // `segment` picks the fabric segment the master (and its firewall) lives
-  // on.
-  bus::MasterEndpoint& attach_custom_master(
-      sim::Component& component, const std::string& name,
-      core::SecurityPolicy policy, std::function<bool()> done = {},
-      const core::LocalFirewall::Config* lf_cfg = nullptr,
-      std::size_t segment = kRemoteSegment);
+  // Attaches an externally-owned master (e.g. a FloodMaster) behind its own
+  // firewall with the given policy, connects it and registers it with the
+  // kernel; the firewall and the fabric port take the master's name, and
+  // its done() counts toward SocResults::completed. The master must
+  // outlive this SoC's runs. `lf_cfg` (optional) overrides the Local
+  // Firewall configuration for this master (e.g. to enable the DoS
+  // throttle on a suspect interface); it applies in distributed mode only:
+  // under centralized security the master's firewall takes the default
+  // configuration, so a throttled flood runs unthrottled there. `segment`
+  // picks the fabric segment the master (and its firewall) lives on.
+  void attach_custom_master(ip::Master& master, core::SecurityPolicy policy,
+                            const core::LocalFirewall::Config* lf_cfg = nullptr,
+                            std::size_t segment = kRemoteSegment);
 
   // Starts the dedicated IP's DMA job (no-op SoCs without the dedicated IP
   // abort). Typically scheduled before run().
@@ -227,7 +226,6 @@ class Soc {
                                    const core::LocalFirewall::Config* lf_cfg);
   void register_components();
   void append_extra_rules(core::PolicyBuilder& builder) const;
-  [[nodiscard]] bool quiescent() const;
 
   SocConfig cfg_;
   AddressPlan plan_;
@@ -250,9 +248,10 @@ class Soc {
   std::vector<std::unique_ptr<ip::Processor>> processors_;
   std::unique_ptr<ip::DmaEngine> dma_;
   std::vector<std::unique_ptr<ip::ScriptedMaster>> scripted_;
+  // Every master, owned or attached, for SocResults::completed.
+  std::vector<const ip::Master*> masters_;
 
   std::vector<std::unique_ptr<core::LocalFirewall>> master_fws_;
-  std::vector<std::function<bool()>> custom_done_;
   sim::MasterId next_custom_index_ = 0;
 
   std::unique_ptr<core::PolicyReconfigurator> reconfig_;

@@ -110,7 +110,7 @@ TEST_F(CentralizedMasterFixture, AllowedTransactionFlowsThrough) {
   bus::BusTransaction t = bus::make_write(0, 0x100, {1, 2, 3, 4});
   t.issued_at = 0;
   fw->ip_side().request.push(std::move(t));
-  kernel.run_until([this] { return !fw->ip_side().response.empty(); }, 200);
+  EXPECT_TRUE(kernel.run_until_idle(200));
   ASSERT_FALSE(fw->ip_side().response.empty());
   EXPECT_EQ(fw->ip_side().response.pop()->status, bus::TransStatus::kOk);
   EXPECT_EQ(fw->stats().passed, 1u);
@@ -123,7 +123,7 @@ TEST_F(CentralizedMasterFixture, AllowedTransactionFlowsThrough) {
 TEST_F(CentralizedMasterFixture, DeniedTransactionBlockedWithAlert) {
   bus::BusTransaction t = bus::make_write(0, 0x900, {1, 2, 3, 4});
   fw->ip_side().request.push(std::move(t));
-  kernel.run_until([this] { return !fw->ip_side().response.empty(); }, 200);
+  EXPECT_TRUE(kernel.run_until_idle(200));
   ASSERT_FALSE(fw->ip_side().response.empty());
   EXPECT_EQ(fw->ip_side().response.pop()->status,
             bus::TransStatus::kSecurityViolation);

@@ -130,7 +130,9 @@ TEST(Fabric, StarRoutesLeafTrafficThroughHub) {
   EXPECT_EQ(fabric.find_master("nobody"), nullptr);
   // Aggregate stats fold both leaf segments.
   EXPECT_EQ(fabric.transactions(), 2u);
-  EXPECT_TRUE(fabric.idle());
+  for (std::size_t seg = 0; seg < fabric.segment_count(); ++seg) {
+    EXPECT_EQ(fabric.segment(seg).next_wake(kernel.now()), sim::kNeverCycle);
+  }
 }
 
 TEST(Fabric, RemoteWindowsMaterializeOnEverySegment) {
@@ -218,11 +220,10 @@ MeshAccounting run_mesh_with_bookings(bool lockstep) {
   for (const sim::Cycle delay : {3, 150, 2, 210, 1, 90}) {
     local.enqueue_read(delay, 0x1040);
   }
-  const bool done = kernel.run_until(
-      [&] { return remote.done() && local.done() && fabric.idle(); },
-      100'000);
+  const bool idle = kernel.run_until_idle(100'000);
   sim::set_lockstep_for_testing(false);
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(idle);
+  EXPECT_TRUE(remote.done() && local.done());
 
   MeshAccounting acc;
   acc.cycles = kernel.now();
@@ -298,12 +299,11 @@ BookingRun run_booking(bool lockstep, std::size_t master_seg,
   for (const sim::Cycle delay : {20, 150, 0}) {
     crosser.enqueue_read(delay, 0x40, DataFormat::kWord, 2);
   }
-  const bool done = kernel.run_until(
-      [&] { return crosser.done() && local.done() && fabric.idle(); },
-      10'000);
+  const bool idle = kernel.run_until_idle(10'000);
   kernel.run(25);  // trailing idle cycles after the last booking
   sim::set_lockstep_for_testing(false);
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(idle);
+  EXPECT_TRUE(crosser.done() && local.done());
 
   BookingRun run;
   for (std::size_t seg = 0; seg < fabric.segment_count(); ++seg) {

@@ -164,19 +164,20 @@ TEST_F(BusFixture, SlaveErrorPropagates) {
   EXPECT_EQ(bus->master_stats()[0].errors, 1u);
 }
 
-TEST_F(BusFixture, IdleReflectsQueuesAndState) {
-  EXPECT_TRUE(bus->idle());
+TEST_F(BusFixture, WakeReflectsQueuesAndState) {
+  EXPECT_EQ(bus->next_wake(kernel.now()), sim::kNeverCycle);
   ep0->request.push(make_read(0, 0x0));
-  EXPECT_FALSE(bus->idle());
-  kernel.run(10);
-  EXPECT_TRUE(bus->idle());
+  EXPECT_EQ(bus->next_wake(kernel.now()), kernel.now());
+  EXPECT_TRUE(kernel.run_until_idle(10));
+  EXPECT_EQ(ep0->response.size(), 1u);
+  EXPECT_EQ(bus->next_wake(kernel.now()), sim::kNeverCycle);
 }
 
 TEST_F(BusFixture, ResetClearsState) {
   ep0->request.push(make_read(0, 0x0));
   kernel.run(2);
   bus->reset();
-  EXPECT_TRUE(bus->idle());
+  EXPECT_EQ(bus->next_wake(kernel.now()), sim::kNeverCycle);
   EXPECT_EQ(bus->stats().transactions, 0u);
   EXPECT_EQ(bus->master_stats()[0].grants, 0u);
 }

@@ -31,13 +31,14 @@ struct MasterFirewallFixture : public ::testing::Test {
     kernel.add(*bus_obj);
   }
 
-  // Pushes a transaction into the firewall's IP side and runs to response.
+  // Pushes a transaction into the firewall's IP side and runs until the
+  // firewall and the bus are idle, which they are once it answered.
   bus::BusTransaction submit(bus::BusTransaction t, sim::Cycle max = 200) {
     t.issued_at = kernel.now();
     fw->ip_side().request.push(std::move(t));
-    const bool done = kernel.run_until(
-        [this] { return !fw->ip_side().response.empty(); }, max);
-    EXPECT_TRUE(done) << "no response within " << max << " cycles";
+    EXPECT_TRUE(kernel.run_until_idle(max))
+        << "not idle within " << max << " cycles";
+    EXPECT_EQ(fw->ip_side().response.size(), 1u);
     return *fw->ip_side().response.pop();
   }
 
@@ -124,20 +125,21 @@ TEST_F(MasterFirewallFixture, ChecksSerializeAcrossRequests) {
   EXPECT_EQ(fw->stats().secpol_reqs, 2u);
 }
 
-TEST_F(MasterFirewallFixture, IdleReflectsInFlightWork) {
-  EXPECT_TRUE(fw->idle());
+TEST_F(MasterFirewallFixture, WakeReflectsInFlightWork) {
+  EXPECT_EQ(fw->next_wake(kernel.now()), sim::kNeverCycle);
   fw->ip_side().request.push(bus::make_read(0, 0x100));
-  EXPECT_FALSE(fw->idle());
-  kernel.run(100);
-  (void)fw->ip_side().response.pop();
-  EXPECT_TRUE(fw->idle());
+  EXPECT_EQ(fw->next_wake(kernel.now()), kernel.now());
+  EXPECT_TRUE(kernel.run_until_idle(100));
+  EXPECT_EQ(fw->ip_side().response.size(), 1u);
+  EXPECT_EQ(fw->next_wake(kernel.now()), sim::kNeverCycle);
 }
 
 TEST_F(MasterFirewallFixture, ResetClearsState) {
   (void)submit(bus::make_read(0, 0x100));
+  fw->ip_side().request.push(bus::make_read(0, 0x100));
   fw->reset();
   EXPECT_EQ(fw->stats().secpol_reqs, 0u);
-  EXPECT_TRUE(fw->idle());
+  EXPECT_EQ(fw->next_wake(kernel.now()), sim::kNeverCycle);
 }
 
 // Slave-side firewall decorating a BRAM.

@@ -31,14 +31,14 @@ struct RateLimitFixture : public ::testing::Test {
     return *fw;
   }
 
-  // Pushes n writes and runs until all responses arrived.
+  // Pushes n writes and runs until the firewall and the bus are idle.
   std::pair<std::uint64_t, std::uint64_t> blast(std::size_t n,
                                                 sim::Cycle max_cycles = 20'000) {
     for (std::size_t i = 0; i < n; ++i) {
       fw->ip_side().request.push(bus::make_write(0, 0x100, {1, 2, 3, 4}));
     }
-    kernel.run_until([&] { return fw->ip_side().response.size() == n; },
-                     max_cycles);
+    EXPECT_TRUE(kernel.run_until_idle(max_cycles));
+    EXPECT_EQ(fw->ip_side().response.size(), n);
     std::uint64_t ok = 0, limited = 0;
     while (!fw->ip_side().response.empty()) {
       const auto resp = *fw->ip_side().response.pop();
@@ -101,7 +101,8 @@ TEST_F(RateLimitFixture, ViolationsDontConsumeBudget) {
   fw->ip_side().request.push(bus::make_write(0, 0x4000, {1, 2, 3, 4}));
   fw->ip_side().request.push(bus::make_write(0, 0x100, {1, 2, 3, 4}));
   fw->ip_side().request.push(bus::make_write(0, 0x100, {1, 2, 3, 4}));
-  kernel.run_until([&] { return fw->ip_side().response.size() == 4; }, 20'000);
+  EXPECT_TRUE(kernel.run_until_idle(20'000));
+  EXPECT_EQ(fw->ip_side().response.size(), 4u);
   std::uint64_t ok = 0;
   while (!fw->ip_side().response.empty()) {
     if (fw->ip_side().response.pop()->status == bus::TransStatus::kOk) ++ok;

@@ -133,7 +133,7 @@ TEST(ThreadPolicy, FirewallEnforcesPerThread) {
     t.thread = thread;
     t.issued_at = kernel.now();
     fw.ip_side().request.push(std::move(t));
-    kernel.run_until([&] { return !fw.ip_side().response.empty(); }, 500);
+    EXPECT_TRUE(kernel.run_until_idle(500));
     return *fw.ip_side().response.pop();
   };
 

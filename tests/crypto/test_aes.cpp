@@ -86,18 +86,6 @@ TEST(Aes128, RekeyChangesOutput) {
   EXPECT_EQ(aes.encrypt(pt), ct1);
 }
 
-TEST(Aes128, BlockOpCounterTracksWork) {
-  Aes128 aes(key_from_hex("000102030405060708090a0b0c0d0e0f"));
-  EXPECT_EQ(aes.block_ops(), 0u);
-  const AesBlock pt{};
-  (void)aes.encrypt(pt);
-  std::uint8_t blocks[3 * kAesBlockBytes] = {};
-  aes.encrypt_blocks(blocks, blocks, 3);
-  EXPECT_EQ(aes.block_ops(), 4u);
-  aes.reset_block_ops();
-  EXPECT_EQ(aes.block_ops(), 0u);
-}
-
 TEST(Aes128, AvalancheOneBitFlip) {
   const Aes128 aes(key_from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
   AesBlock pt{};

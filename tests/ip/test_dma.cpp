@@ -35,8 +35,8 @@ TEST_F(DmaFixture, CopiesRegionCorrectly) {
   bram.store().write(0x0100, {source.data(), source.size()});
 
   dma->start(DmaEngine::Job{0x0100, 0x1000, 256, 8});
-  kernel.run_until([this] { return !dma->busy(); }, 50'000);
-  EXPECT_TRUE(dma->job_done());
+  EXPECT_TRUE(kernel.run_until_idle(50'000));
+  EXPECT_TRUE(dma->done());
 
   std::vector<std::uint8_t> copied(256);
   bram.store().read(0x1000, {copied.data(), copied.size()});
@@ -49,7 +49,7 @@ TEST_F(DmaFixture, CopiesRegionCorrectly) {
 TEST_F(DmaFixture, HandlesNonMultipleBurstTail) {
   bram.store().write_byte(0x0000, 0x77);
   dma->start(DmaEngine::Job{0x0000, 0x1000, 40, 8});  // 32 + 8 bytes
-  kernel.run_until([this] { return !dma->busy(); }, 50'000);
+  EXPECT_TRUE(kernel.run_until_idle(50'000));
   EXPECT_EQ(dma->stats().bytes_copied, 40u);
   EXPECT_EQ(dma->stats().bursts, 2u);
   EXPECT_EQ(bram.store().read_byte(0x1000), 0x77);
@@ -59,15 +59,15 @@ TEST_F(DmaFixture, AbortsOnError) {
   // Destination outside the mapped region: the write decode-errors and the
   // DMA must abort rather than hang.
   dma->start(DmaEngine::Job{0x0000, 0x8000, 64, 8});
-  kernel.run_until([this] { return !dma->busy(); }, 50'000);
-  EXPECT_FALSE(dma->busy());
+  EXPECT_TRUE(kernel.run_until_idle(50'000));
+  EXPECT_TRUE(dma->done());
   EXPECT_EQ(dma->stats().errors, 1u);
   EXPECT_EQ(dma->stats().bytes_copied, 0u);
 }
 
 TEST_F(DmaFixture, TimestampsRecorded) {
   dma->start(DmaEngine::Job{0x0000, 0x1000, 64, 4});
-  kernel.run_until([this] { return !dma->busy(); }, 50'000);
+  EXPECT_TRUE(kernel.run_until_idle(50'000));
   EXPECT_GT(dma->stats().finished_at, dma->stats().started_at);
 }
 
@@ -85,7 +85,7 @@ TEST(ScriptedMaster, RunsScriptInOrder) {
   master.enqueue_write(0, 0x100, {1, 2, 3, 4});
   master.enqueue_read(5, 0x100);
   master.enqueue_read(0, 0x104);
-  kernel.run_until([&master] { return master.done(); }, 10'000);
+  EXPECT_TRUE(kernel.run_until_idle(10'000));
 
   ASSERT_TRUE(master.done());
   const auto& s = master.stats();
@@ -109,7 +109,7 @@ TEST(ScriptedMaster, DelaysSpaceOutIssues) {
 
   master.enqueue_read(0, 0x0);
   master.enqueue_read(100, 0x0);
-  kernel.run_until([&master] { return master.done(); }, 10'000);
+  EXPECT_TRUE(kernel.run_until_idle(10'000));
   const auto& r = master.stats().responses;
   ASSERT_EQ(r.size(), 2u);
   EXPECT_GE(r[1].issued_at, r[0].completed_at + 100);

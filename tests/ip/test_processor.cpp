@@ -41,7 +41,7 @@ struct ProcessorFixture : public ::testing::Test {
 
 TEST_F(ProcessorFixture, CompletesConfiguredTransactionCount) {
   auto& c = make_cpu(1, basic_workload(50));
-  kernel.run_until([&c] { return c.done(); }, 100'000);
+  EXPECT_TRUE(kernel.run_until_idle(100'000));
   EXPECT_TRUE(c.done());
   EXPECT_EQ(c.stats().completed, 50u);
   EXPECT_EQ(c.stats().failed, 0u);
@@ -51,7 +51,7 @@ TEST_F(ProcessorFixture, CompletesConfiguredTransactionCount) {
 
 TEST_F(ProcessorFixture, TracksInternalExternalMix) {
   auto& c = make_cpu(2, basic_workload(200));
-  kernel.run_until([&c] { return c.done(); }, 200'000);
+  EXPECT_TRUE(kernel.run_until_idle(200'000));
   const auto& s = c.stats();
   EXPECT_EQ(s.internal_accesses + s.external_accesses, 200u);
   // 70/30 split within statistical slack.
@@ -63,7 +63,7 @@ TEST_F(ProcessorFixture, WriteFractionRespected) {
   Processor::Workload w = basic_workload(300);
   w.write_fraction = 0.8;
   auto& c = make_cpu(3, std::move(w));
-  kernel.run_until([&c] { return c.done(); }, 300'000);
+  EXPECT_TRUE(kernel.run_until_idle(300'000));
   EXPECT_GT(c.stats().writes, 200u);
   EXPECT_LT(c.stats().reads, 100u);
 }
@@ -73,7 +73,7 @@ TEST_F(ProcessorFixture, ComputeGapsAccumulate) {
   w.compute_min = 10;
   w.compute_max = 10;
   auto& c = make_cpu(4, std::move(w));
-  kernel.run_until([&c] { return c.done(); }, 100'000);
+  EXPECT_TRUE(kernel.run_until_idle(100'000));
   // At least 10 compute cycles per transaction.
   EXPECT_GE(c.stats().compute_cycles, 200u);
   EXPECT_GT(c.stats().stall_cycles, 0u);
@@ -81,7 +81,7 @@ TEST_F(ProcessorFixture, ComputeGapsAccumulate) {
 
 TEST_F(ProcessorFixture, LatencyMeasured) {
   auto& c = make_cpu(5, basic_workload(30));
-  kernel.run_until([&c] { return c.done(); }, 100'000);
+  EXPECT_TRUE(kernel.run_until_idle(100'000));
   EXPECT_EQ(c.stats().latency.count(), 30u);
   // Minimum: 1 addr + 1 BRAM + 1 beat, plus queue hand-offs.
   EXPECT_GE(c.stats().latency.min(), 3.0);
@@ -89,7 +89,7 @@ TEST_F(ProcessorFixture, LatencyMeasured) {
 
 TEST_F(ProcessorFixture, DeterministicForSameSeed) {
   auto& c = make_cpu(42, basic_workload(100));
-  kernel.run_until([&c] { return c.done(); }, 200'000);
+  EXPECT_TRUE(kernel.run_until_idle(200'000));
   const auto bytes_first = c.stats().bytes_moved;
   const auto latency_first = c.stats().latency.mean();
 
@@ -103,7 +103,7 @@ TEST_F(ProcessorFixture, DeterministicForSameSeed) {
   cpu2.connect(bus2.attach_master(0, "cpu0"));
   kernel2.add(cpu2);
   kernel2.add(bus2);
-  kernel2.run_until([&cpu2] { return cpu2.done(); }, 200'000);
+  EXPECT_TRUE(kernel2.run_until_idle(200'000));
 
   EXPECT_EQ(cpu2.stats().bytes_moved, bytes_first);
   EXPECT_DOUBLE_EQ(cpu2.stats().latency.mean(), latency_first);
@@ -111,12 +111,12 @@ TEST_F(ProcessorFixture, DeterministicForSameSeed) {
 
 TEST_F(ProcessorFixture, ResetRestartsCleanly) {
   auto& c = make_cpu(6, basic_workload(10));
-  kernel.run_until([&c] { return c.done(); }, 50'000);
+  EXPECT_TRUE(kernel.run_until_idle(50'000));
   EXPECT_TRUE(c.done());
   kernel.reset();
   EXPECT_FALSE(c.done());
   EXPECT_EQ(c.stats().issued, 0u);
-  kernel.run_until([&c] { return c.done(); }, 50'000);
+  EXPECT_TRUE(kernel.run_until_idle(50'000));
   EXPECT_EQ(c.stats().completed, 10u);
 }
 
@@ -127,7 +127,7 @@ TEST_F(ProcessorFixture, FailedResponsesCountAsProgress) {
   w.targets.push_back({0x4000, 0x400, 1.0, false});  // unmapped on this bus
   w.total_transactions = 10;
   auto& c = make_cpu(7, std::move(w));
-  kernel.run_until([&c] { return c.done(); }, 50'000);
+  EXPECT_TRUE(kernel.run_until_idle(50'000));
   EXPECT_TRUE(c.done());
   EXPECT_EQ(c.stats().failed, 10u);
   EXPECT_EQ(c.stats().completed, 0u);

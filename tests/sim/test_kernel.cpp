@@ -217,30 +217,12 @@ TEST(Kernel, CallbackMayScheduleSameCycleWork) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(Kernel, RunUntilStopsOnPredicate) {
-  SimKernel k;
-  std::vector<std::string> order;
-  Probe a("a", order);
-  k.add(a);
-  const bool hit = k.run_until([&a] { return a.ticks >= 3; }, 100);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(a.ticks, 3);
-  EXPECT_EQ(k.now(), 3u);
-}
-
-TEST(Kernel, RunUntilTimesOut) {
-  SimKernel k;
-  const bool hit = k.run_until([] { return false; }, 10);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(k.now(), 10u);
-}
-
 TEST(Kernel, JumpStopsAtMaxCycles) {
   SimKernel k;
   std::vector<std::string> order;
   Sleeper s("s", order, kNeverCycle);
   k.add(s);
-  EXPECT_FALSE(k.run_until([] { return false; }, 10));
+  k.run(10);
   EXPECT_EQ(k.now(), 10u);
   EXPECT_EQ(s.waited, 10u);
   EXPECT_EQ(k.cycles_skipped(), 10u);
@@ -271,18 +253,79 @@ TEST(Kernel, JumpStopsAtEarliestCallbackWhichFiresAtItsCycle) {
   EXPECT_EQ(k.cycles_skipped(), 997u);
 }
 
-TEST(Kernel, RunUntilReturnsAtFirstCycleThePredicateHolds) {
+TEST(KernelIdle, RunEndsTheCycleAfterTheLastWakeNotAtTheCap) {
   for (const bool lockstep : {true, false}) {
     LockstepGuard guard(lockstep);
     SimKernel k;
     std::vector<std::string> order;
-    Sleeper s("s", order, 37);
-    k.add(s);
-    EXPECT_TRUE(k.run_until([&s] { return s.fired; }, 1000));
-    // Fired in the tick of cycle 37; seen at the top of cycle 38.
+    Sleeper s1("s1", order, 37);
+    Sleeper s2("s2", order, 12);
+    k.add(s1);
+    k.add(s2);
+    EXPECT_TRUE(k.run_until_idle(1000)) << "lockstep=" << lockstep;
+    // The last wake fires in the tick of cycle 37; idle at the top of 38.
+    EXPECT_EQ(order, (std::vector<std::string>{"s2@12", "s1@37"}));
     EXPECT_EQ(k.now(), 38u) << "lockstep=" << lockstep;
-    EXPECT_EQ(s.waited, 38u);
-    EXPECT_EQ(k.cycles_skipped(), lockstep ? 0u : 37u);
+    EXPECT_EQ(s1.waited, 38u);
+    EXPECT_EQ(s2.waited, 38u);
+    EXPECT_EQ(k.cycles_skipped(), lockstep ? 0u : 36u);
+    // Already idle: the next call returns at once.
+    EXPECT_TRUE(k.run_until_idle(1000));
+    EXPECT_EQ(k.now(), 38u);
+  }
+}
+
+TEST(KernelIdle, PendingCallbackKeepsTheRunOpenUntilItFires) {
+  for (const bool lockstep : {true, false}) {
+    LockstepGuard guard(lockstep);
+    SimKernel k;
+    std::vector<std::string> order;
+    Sleeper s("s", order, kNeverCycle);
+    k.add(s);
+    Cycle fired_at = kNeverCycle;
+    k.schedule(500, [&] {
+      fired_at = k.now();
+      s.wake_at(k.now() + 3);  // the callback hands the sleeper work
+    });
+    EXPECT_TRUE(k.run_until_idle(1000)) << "lockstep=" << lockstep;
+    EXPECT_EQ(fired_at, 500u);
+    EXPECT_EQ(order, (std::vector<std::string>{"s@503"}));
+    EXPECT_EQ(k.now(), 504u) << "lockstep=" << lockstep;
+    EXPECT_EQ(s.waited, 504u);
+  }
+}
+
+TEST(KernelIdle, ComponentThatNeverSleepsRunsToTheCap) {
+  for (const bool lockstep : {true, false}) {
+    LockstepGuard guard(lockstep);
+    SimKernel k;
+    std::vector<std::string> order;
+    Probe a("a", order);
+    Sleeper s("s", order, kNeverCycle);
+    k.add(a);
+    k.add(s);
+    EXPECT_FALSE(k.run_until_idle(10)) << "lockstep=" << lockstep;
+    EXPECT_EQ(k.now(), 10u);
+    EXPECT_EQ(a.ticks, 10);
+    EXPECT_EQ(s.waited, 10u);
+  }
+}
+
+TEST(KernelIdle, StaleCalendarEntryDoesNotHoldTheRunOpen) {
+  for (const bool lockstep : {true, false}) {
+    LockstepGuard guard(lockstep);
+    SimKernel k;
+    std::vector<std::string> order;
+    Sleeper s("s", order, 30);
+    // At cycle 5 the poker moves s's wake to kNeverCycle, leaving s's entry
+    // for cycle 30 stale on the calendar.
+    Poker poker("poker", {{5, &s, kNeverCycle}});
+    k.add(s);
+    k.add(poker);
+    EXPECT_TRUE(k.run_until_idle(1000)) << "lockstep=" << lockstep;
+    EXPECT_EQ(k.now(), 6u) << "lockstep=" << lockstep;
+    EXPECT_TRUE(order.empty());
+    EXPECT_EQ(s.waited, 6u);
   }
 }
 

@@ -198,6 +198,38 @@ TEST(Soc, ScriptedMasterIntegrates) {
             (std::vector<std::uint8_t>{1, 2, 3, 4}));
 }
 
+// Never wakes and never finishes, like a master waiting for a response
+// that will not come.
+class StuckMaster final : public ip::Master {
+ public:
+  StuckMaster() : Master("stuck", 0) {}
+  void tick(sim::Cycle /*now*/) override {}
+  [[nodiscard]] sim::Cycle next_wake(sim::Cycle /*now*/) const override {
+    return sim::kNeverCycle;
+  }
+  [[nodiscard]] bool done() const noexcept override { return false; }
+};
+
+TEST(Soc, GoingIdleWithAnUnfinishedMasterIsNotCompleting) {
+  constexpr sim::Cycle kCap = 2'000'000;
+  std::vector<sim::Cycle> stopped_at;
+  for (const bool lockstep : {true, false}) {
+    sim::set_lockstep_for_testing(lockstep);
+    StuckMaster stuck;
+    SocConfig cfg = tiny_test_config();
+    Soc soc(cfg);
+    soc.attach_custom_master(stuck, soc.cpu_policy(0));
+    const SocResults r = soc.run(kCap);
+    sim::set_lockstep_for_testing(false);
+    // The processors finish and the kernel goes idle, far below the cap.
+    EXPECT_FALSE(r.completed) << "lockstep=" << lockstep;
+    EXPECT_EQ(r.transactions_ok, cfg.processors * cfg.transactions_per_cpu);
+    EXPECT_LT(r.cycles, kCap / 10) << "lockstep=" << lockstep;
+    stopped_at.push_back(r.cycles);
+  }
+  EXPECT_EQ(stopped_at[0], stopped_at[1]);
+}
+
 TEST(Soc, PolicyAccessorsDescribePlan) {
   SocConfig cfg = section5_config();
   Soc soc(cfg);

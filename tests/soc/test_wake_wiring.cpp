@@ -51,7 +51,7 @@ TEST_P(WiringAudit, EveryChannelHasARegisteredConsumer) {
                             attack::FloodMaster::Config{});
   soc::Soc sys(cfg);
   sys.add_scripted_master("scripted", sys.cpu_policy(0));
-  flood.connect(sys.attach_custom_master(flood, "flood", sys.cpu_policy(0)));
+  sys.attach_custom_master(flood, sys.cpu_policy(0));
 
   std::vector<std::string> masters;
   for (std::size_t seg = 0; seg < sys.fabric().segment_count(); ++seg) {
