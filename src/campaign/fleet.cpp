@@ -100,8 +100,7 @@ Json hello(const std::string& worker) {
   j.set("type", Json::string("hello"));
   j.set("worker", Json::string(worker));
   j.set("protocol", Json::number(kFleetProtocolVersion));
-  j.set("backend",
-        Json::string(crypto::to_string(crypto::active_backend().kind)));
+  j.set("backend", Json::string(crypto::to_string(crypto::datapaths())));
   return j;
 }
 
@@ -1283,7 +1282,7 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
                                           /*finished=*/false);
         }
         // Piggyback the process metrics snapshot (throughput, FormatCache,
-        // crypto backend, wire counters) on the liveness beat.
+        // crypto datapaths, wire counters) on the liveness beat.
         const obs::Registry snapshot = worker_metrics_snapshot(record);
         // Best-effort: a dead connection is discovered (and repaired) by
         // the main thread once the shard finishes.

@@ -35,10 +35,10 @@
 //                     grant{shard,generation[,epoch]} wait{poll_ms}
 //                     refuse{shard,reason,drop} done{} error{message}
 // `backend` and `snapshot` are optional (both sides use find()), so v1
-// stays wire-compatible: `backend` names the worker's crypto backend for
-// /status, `snapshot` piggybacks the worker's obs::Registry metrics
-// (telemetry.hpp worker_metrics_snapshot) that the server merges into the
-// fleet-level registry behind /metrics.
+// stays wire-compatible: `backend` names the worker's crypto datapaths
+// (e.g. "aes-ni+sha-ni") for /status, `snapshot` piggybacks the worker's
+// obs::Registry metrics (telemetry.hpp worker_metrics_snapshot) that the
+// server merges into the fleet-level registry behind /metrics.
 //
 // Restart survival (the second fencing dimension): the server appends every
 // lease transition to a crash-safe lease log ("<campaign>.fleet-audit.jsonl",
@@ -109,8 +109,8 @@ bool fleet_grid_from_json(const util::Json& j, FleetGridOptions& out,
 
 namespace fleet_msg {
 
-// Announces identity, protocol version and (for /status) the active
-// crypto backend name.
+// Announces identity, protocol version and (for /status) the crypto
+// datapaths in use.
 [[nodiscard]] util::Json hello(const std::string& worker);
 [[nodiscard]] util::Json request();
 // `snapshot`, when non-null and non-empty, rides along as the worker's
@@ -343,7 +343,7 @@ class FleetServer {
   // visible instead of vanishing them).
   struct WorkerInfo {
     std::size_t ordinal = 0;  // first-hello order; names fleet.worker<i>.*
-    std::string backend;      // crypto backend announced in hello
+    std::string backend;      // crypto datapaths announced in hello
     bool connected = false;
     std::uint64_t last_seen_ms = 0;  // server-relative, last frame seen
     ProgressRecord last_progress;

@@ -371,8 +371,10 @@ obs::Registry worker_metrics_snapshot(const ProgressRecord& progress) {
             lookups > 0 ? static_cast<double>(progress.format_cache_hits) /
                               static_cast<double>(lookups)
                         : 0.0);
-  reg.counter("crypto.backend_id",
-              static_cast<std::uint64_t>(crypto::active_backend().kind));
+  const crypto::Datapaths& datapaths = crypto::datapaths();
+  reg.counter("crypto.hw_datapaths",
+              (datapaths.aes == crypto::AesImpl::kAesni ? 1u : 0u) |
+                  (datapaths.sha == crypto::ShaImpl::kShaNi ? 2u : 0u));
   net::netstats_contribute(reg);
   return reg;
 }

@@ -178,11 +178,11 @@ bool scan_progress_dir(const std::string& dir, std::vector<ShardProgress>& out,
 
 // The compact per-process registry snapshot a fleet worker piggybacks on
 // each heartbeat frame (fleet_msg::heartbeat): shard throughput from the
-// progress record, the process-wide FormatCache effectiveness, the active
-// crypto backend (as its numeric BackendKind id), and the wire counters
-// (net.*). The fleet server re-publishes every worker's latest snapshot
-// under "fleet.worker<ordinal>.*" and sums them into "fleet.total.*" for
-// the /metrics exposition. Wall-clock data only — never merged into the
+// progress record, the process-wide FormatCache effectiveness, the crypto
+// datapaths in use (crypto.hw_datapaths: bit 0 AES-NI, bit 1 SHA-NI), and
+// the wire counters (net.*). The fleet server re-publishes every worker's
+// latest snapshot under "fleet.worker<ordinal>.*" and sums them into
+// "fleet.total.*" for the /metrics exposition. Wall-clock data only — never merged into the
 // deterministic job metrics.
 [[nodiscard]] obs::Registry worker_metrics_snapshot(
     const ProgressRecord& progress);

@@ -1,6 +1,6 @@
 // Hardware-accelerated AES/SHA primitives (x86 AES-NI + SHA extensions).
 //
-// This is the only TU compiled with -maes/-mpclmul/-mssse3/-msse4.1/-msha
+// This is the only TU compiled with -maes/-mssse3/-msse4.1/-msha
 // (CMake sets SECBUS_ACCEL_X86 alongside them), so the rest of the binary
 // contains no extended instructions and still runs on plain hardware; the
 // dispatch layer (crypto/backend.cpp) checks CPUID before routing here.
@@ -10,7 +10,7 @@
 //
 // Correctness contract: bit-identical output to the portable T-table /
 // scalar paths for every input — enforced by crypto_test_backend_diff and
-// the per-backend FIPS/NIST and line known-answer suites, not assumed.
+// the per-datapath FIPS/NIST and line known-answer suites, not assumed.
 #include "crypto/backend.hpp"
 
 #include <cstdlib>

@@ -11,7 +11,7 @@
 //
 // Three interchangeable datapaths produce identical blocks:
 //   * kAesni — hardware AES-NI rounds (crypto/accel_x86.cpp), selected by
-//     the runtime backend dispatch (crypto/backend.hpp) when the CPU has the
+//     crypto::datapaths() (crypto/backend.hpp) when the CPU has the
 //     extension; batches pipeline 4 blocks per iteration.
 //   * kTTable — 32-bit T-table rounds (SubBytes/ShiftRows/MixColumns fused
 //     into four 1KB lookups, round keys held as words). This is the
@@ -19,12 +19,12 @@
 //     algebraic S-box.
 //   * kScalar — the byte-wise FIPS-197 textbook rounds, kept as the readable
 //     reference and for differential validation.
-// The default follows the process-wide backend (SECBUS_CRYPTO_BACKEND env,
-// else CPUID); set_impl() overrides per context. FIPS-197 vectors run against every datapath.
+// A context runs the AES datapath of crypto::datapaths() at its
+// construction. FIPS-197 vectors run against every datapath.
 //
 // Side-channel caveat: none of the datapaths — including AES-NI, whose key
 // schedule here is still computed with table lookups — is hardened against
-// timing/cache side channels. That caveat applies to ALL backends; the
+// timing/cache side channels. That caveat applies to ALL datapaths; the
 // paper's threat model explicitly excludes side-channel attacks
 // (Section III.B).
 #pragma once
@@ -135,12 +135,6 @@ inline constexpr TTable kTe3 = make_enc_ttable(3);
 
 }  // namespace detail
 
-// The datapath a newly constructed context uses: whatever the process-wide
-// backend selected (env override > CPUID).
-[[nodiscard]] inline AesImpl default_aes_impl() noexcept {
-  return active_backend().aes_impl;
-}
-
 // AES-128 context: expands the key once; encryption is const and reusable
 // across blocks.
 class Aes128 {
@@ -149,14 +143,6 @@ class Aes128 {
 
   // Re-expands with a new key (used by policy reconfiguration).
   void rekey(const Aes128Key& key) noexcept;
-
-  // Selects the block datapath (default: the active backend's choice). All
-  // datapaths produce identical blocks; the switch exists so tests can
-  // validate the fast paths against the reference. Selecting kAesni on a
-  // machine without the extension is the caller's bug (check
-  // aes_impl_supported first); the batched entry points would fault.
-  void set_impl(AesImpl impl) noexcept { impl_ = impl; }
-  [[nodiscard]] AesImpl impl() const noexcept { return impl_; }
 
   // Encrypts `nblocks` consecutive 16-byte blocks independently. On the
   // AES-NI datapath the blocks go through the hardware pipeline 4 at a time
@@ -187,7 +173,7 @@ class Aes128 {
   std::array<std::uint8_t, kAesBlockBytes*(kAes128Rounds + 1)> round_keys_{};
   // The same schedule as big-endian words, for the T-table path.
   std::array<std::uint32_t, 4 * (kAes128Rounds + 1)> enc_words_{};
-  AesImpl impl_ = default_aes_impl();
+  AesImpl impl_ = datapaths().aes;
 };
 
 }  // namespace secbus::crypto

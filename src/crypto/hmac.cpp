@@ -22,12 +22,10 @@ Sha256Digest HmacSha256::mac(std::span<const std::uint8_t> data) const noexcept 
   // Both hashes go through the fused one-shot path (the outer message is
   // always 96 bytes; short inner messages fuse too, longer ones stream).
   const Sha256Digest inner_digest = Sha256::digest_parts(
-      {std::span<const std::uint8_t>(ipad_key_.data(), ipad_key_.size()), data},
-      impl_);
+      {std::span<const std::uint8_t>(ipad_key_.data(), ipad_key_.size()), data});
   return Sha256::digest_parts(
       {std::span<const std::uint8_t>(opad_key_.data(), opad_key_.size()),
-       std::span<const std::uint8_t>(inner_digest.data(), inner_digest.size())},
-      impl_);
+       std::span<const std::uint8_t>(inner_digest.data(), inner_digest.size())});
 }
 
 void HmacSha256::start() noexcept {
@@ -43,8 +41,7 @@ Sha256Digest HmacSha256::finish() noexcept {
   const Sha256Digest inner_digest = inner_.finalize();
   return Sha256::digest_parts(
       {std::span<const std::uint8_t>(opad_key_.data(), opad_key_.size()),
-       std::span<const std::uint8_t>(inner_digest.data(), inner_digest.size())},
-      impl_);
+       std::span<const std::uint8_t>(inner_digest.data(), inner_digest.size())});
 }
 
 void derive_key(std::span<const std::uint8_t> master, std::span<const std::uint8_t> info,

@@ -27,20 +27,10 @@ class HmacSha256 {
   void update(std::span<const std::uint8_t> data) noexcept;
   [[nodiscard]] Sha256Digest finish() noexcept;
 
-  // Selects the hash compression datapath for every context this MAC
-  // creates (tests pin it for differential validation; normal use inherits
-  // the active backend's default).
-  void set_impl(ShaImpl impl) noexcept {
-    impl_ = impl;
-    inner_.set_impl(impl);
-  }
-  [[nodiscard]] ShaImpl impl() const noexcept { return impl_; }
-
  private:
   std::array<std::uint8_t, kSha256BlockBytes> ipad_key_{};
   std::array<std::uint8_t, kSha256BlockBytes> opad_key_{};
   Sha256 inner_;
-  ShaImpl impl_ = default_sha_impl();
 };
 
 // HKDF-style expansion: derive `out.size()` bytes from key material and an

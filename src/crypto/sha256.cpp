@@ -154,12 +154,6 @@ Sha256Digest Sha256::digest(std::string_view text) noexcept {
 
 Sha256Digest Sha256::digest_parts(
     std::initializer_list<std::span<const std::uint8_t>> parts) noexcept {
-  return digest_parts(parts, default_sha_impl());
-}
-
-Sha256Digest Sha256::digest_parts(
-    std::initializer_list<std::span<const std::uint8_t>> parts,
-    ShaImpl impl) noexcept {
   std::size_t total = 0;
   for (const auto& p : parts) total += p.size();
 
@@ -178,7 +172,6 @@ Sha256Digest Sha256::digest_parts(
     std::memset(buf + off + 1, 0, nblocks * kSha256BlockBytes - off - 9);
     store_be64(buf + nblocks * kSha256BlockBytes - 8, total * 8);
     Sha256 ctx;
-    ctx.set_impl(impl);
     ctx.compress_blocks(buf, nblocks);
     Sha256Digest out;
     for (int i = 0; i < 8; ++i) {
@@ -188,7 +181,6 @@ Sha256Digest Sha256::digest_parts(
   }
 
   Sha256 ctx;
-  ctx.set_impl(impl);
   for (const auto& p : parts) ctx.update(p);
   return ctx.finalize();
 }

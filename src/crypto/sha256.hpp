@@ -3,8 +3,8 @@
 //
 // Two compression datapaths produce identical digests: the portable scalar
 // rounds (always built) and SHA-NI hardware compression (crypto/
-// accel_x86.cpp, selected via the runtime backend dispatch when the CPU has
-// the extension). Whole-block runs go through compress_blocks() so the
+// accel_x86.cpp, selected by crypto::datapaths() when the CPU has the
+// extension). Whole-block runs go through compress_blocks() so the
 // hardware path amortizes its state repacking across the run.
 #pragma once
 
@@ -23,22 +23,12 @@ inline constexpr std::size_t kSha256BlockBytes = 64;
 
 using Sha256Digest = std::array<std::uint8_t, kSha256DigestBytes>;
 
-// The compression datapath a newly constructed context uses.
-[[nodiscard]] inline ShaImpl default_sha_impl() noexcept {
-  return active_backend().sha_impl;
-}
-
 class Sha256 {
  public:
   Sha256() noexcept { reset(); }
 
   void reset() noexcept;
 
-  // Selects the compression datapath (default: the active backend's
-  // choice). Selecting kShaNi on a machine without the extension is the
-  // caller's bug — check sha_impl_supported first.
-  void set_impl(ShaImpl impl) noexcept { impl_ = impl; }
-  [[nodiscard]] ShaImpl impl() const noexcept { return impl_; }
   void update(std::span<const std::uint8_t> data) noexcept;
   void update(std::string_view text) noexcept;
 
@@ -50,8 +40,8 @@ class Sha256 {
   [[nodiscard]] static Sha256Digest digest(std::span<const std::uint8_t> data) noexcept;
   [[nodiscard]] static Sha256Digest digest(std::string_view text) noexcept;
 
-  // One-shot digest of the concatenation of `parts` on the given datapath
-  // (default: the active backend's). For short messages (up to 247 bytes)
+  // One-shot digest of the concatenation of `parts` on the datapath
+  // datapaths() selects at the call. For short messages (up to 247 bytes)
   // the message and its FIPS 180-4 padding are assembled in one stack
   // buffer and compressed in a single batched call — the hash-tree
   // leaf/parent shape — skipping the streaming path's buffering and
@@ -59,9 +49,6 @@ class Sha256 {
   // Identical output to update()+finalize().
   [[nodiscard]] static Sha256Digest digest_parts(
       std::initializer_list<std::span<const std::uint8_t>> parts) noexcept;
-  [[nodiscard]] static Sha256Digest digest_parts(
-      std::initializer_list<std::span<const std::uint8_t>> parts,
-      ShaImpl impl) noexcept;
 
  private:
   // Compresses `nblocks` consecutive 64-byte blocks into state_, dispatching
@@ -73,7 +60,7 @@ class Sha256 {
   std::array<std::uint8_t, kSha256BlockBytes> buffer_{};
   std::size_t buffered_ = 0;
   std::uint64_t total_bytes_ = 0;
-  ShaImpl impl_ = default_sha_impl();
+  ShaImpl impl_ = datapaths().sha;
 };
 
 }  // namespace secbus::crypto

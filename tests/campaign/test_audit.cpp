@@ -580,8 +580,8 @@ TEST(WorkerMetricsSnapshot, CarriesThroughputCacheBackendAndNet) {
   EXPECT_DOUBLE_EQ(snap.value("worker.jobs_per_sec"), 2.5);
   EXPECT_EQ(snap.counter_value("core.format_cache.hits"), 30u);
   EXPECT_DOUBLE_EQ(snap.value("core.format_cache.hit_rate"), 0.75);
-  // The crypto backend and wire counters ride along for the exposition.
-  EXPECT_NE(snap.find("crypto.backend_id"), nullptr);
+  // The crypto datapaths and wire counters ride along for the exposition.
+  EXPECT_NE(snap.find("crypto.hw_datapaths"), nullptr);
   EXPECT_NE(snap.find("net.frames_in"), nullptr);
   EXPECT_NE(snap.find("net.bytes_out"), nullptr);
 }

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "scoped_datapaths.hpp"
 #include "util/hexdump.hpp"
 #include "util/rng.hpp"
 
@@ -45,17 +46,18 @@ const char* kAppCKey = "000102030405060708090a0b0c0d0e0f";
 const char* kAppCPlain = "00112233445566778899aabbccddeeff";
 const char* kAppCCipher = "69c4e0d86a7b0430d8cdb78070b4c55a";
 
-class AesImplVectors : public ::testing::TestWithParam<AesImpl> {};
+// Every context built in a test runs the parameter's datapath.
+class AesImplVectors : public ::testing::TestWithParam<AesImpl> {
+  ScopedDatapaths datapath_{GetParam()};
+};
 
 TEST_P(AesImplVectors, Fips197AppendixB) {
   Aes128 aes(key_from_hex(kFipsKey));
-  aes.set_impl(GetParam());
   EXPECT_EQ(aes.encrypt(block_from_hex(kFipsPlain)), block_from_hex(kFipsCipher));
 }
 
 TEST_P(AesImplVectors, Fips197AppendixC1) {
   Aes128 aes(key_from_hex(kAppCKey));
-  aes.set_impl(GetParam());
   EXPECT_EQ(aes.encrypt(block_from_hex(kAppCPlain)), block_from_hex(kAppCCipher));
 }
 
@@ -63,7 +65,6 @@ TEST_P(AesImplVectors, Fips197AppendixC1) {
 // encrypt_blocks call, which fills one AES-NI pipeline pass.
 TEST_P(AesImplVectors, Sp80038aEcbEncryptBlocks) {
   Aes128 aes(key_from_hex(kFipsKey));
-  aes.set_impl(GetParam());
   const std::vector<std::uint8_t> plain = from_hex(
       "6bc1bee22e409f96e93d7e117393172a"
       "ae2d8a571e03ac9c9eb76fac45af8e51"
@@ -84,39 +85,23 @@ TEST_P(AesImplVectors, Sp80038aEcbEncryptBlocks) {
 
 TEST_P(AesImplVectors, RekeyRevalidates) {
   Aes128 aes(key_from_hex(kAppCKey));
-  aes.set_impl(GetParam());
   aes.rekey(key_from_hex(kFipsKey));
   EXPECT_EQ(aes.encrypt(block_from_hex(kFipsPlain)), block_from_hex(kFipsCipher));
 }
 
 // Every datapath this host can run, AES-NI included: the FIPS vectors above
 // are the hardware path's ground truth, not just the portable ones'.
-std::vector<AesImpl> supported_impls() {
-  std::vector<AesImpl> impls{AesImpl::kTTable, AesImpl::kScalar};
-  if (aes_impl_supported(AesImpl::kAesni)) impls.push_back(AesImpl::kAesni);
-  return impls;
-}
-
 INSTANTIATE_TEST_SUITE_P(AllImpls, AesImplVectors,
-                         ::testing::ValuesIn(supported_impls()),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case AesImpl::kTTable: return "ttable";
-                             case AesImpl::kScalar: return "scalar";
-                             case AesImpl::kAesni: return "aesni";
-                           }
-                           return "unknown";
-                         });
+                         ::testing::ValuesIn(supported_aes_impls()),
+                         ImplName{});
 
 TEST(AesTTableDifferential, RandomizedBlocksMatchScalar) {
   util::Xoshiro256 rng(0xA25F00D5u);
   for (int trial = 0; trial < 200; ++trial) {
     Aes128Key key{};
     for (auto& b : key) b = static_cast<std::uint8_t>(rng.below(256));
-    Aes128 ttable(key);
-    ttable.set_impl(AesImpl::kTTable);
-    Aes128 scalar(key);
-    scalar.set_impl(AesImpl::kScalar);
+    const Aes128 ttable = aes_on(AesImpl::kTTable, key);
+    const Aes128 scalar = aes_on(AesImpl::kScalar, key);
     for (int block = 0; block < 8; ++block) {
       const AesBlock plain = random_block(rng);
       const AesBlock ct_fast = ttable.encrypt(plain);

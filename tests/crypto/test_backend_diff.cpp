@@ -1,37 +1,36 @@
-// Differential fuzz across the crypto backends: seeded-random keys, nonces,
-// versions, lengths and alignments cross-check the accel (AES-NI/SHA-NI),
-// T-table and scalar datapaths against each other and against independent
-// in-test references. The batched line transform is additionally validated
-// against a per-block reference built here from make_memory_tweak and the
-// scalar cipher, so batching can never silently change keystream semantics.
+// Differential tests across the crypto datapaths. Seeded-random keys,
+// nonces, versions, lengths and alignments cross-check the accel
+// (AES-NI/SHA-NI), T-table and scalar datapaths against each other and
+// against independent in-test references. The batched line transform is
+// additionally validated against a per-block reference built here from
+// make_memory_tweak and the scalar cipher, so batching can never silently
+// change keystream semantics. Last, whole simulations must leave the same
+// bytes on every supported datapath pair.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "core/ciphering_firewall.hpp"
+#include "core/format_cache.hpp"
 #include "crypto/aes128.hpp"
 #include "crypto/aes_modes.hpp"
 #include "crypto/backend.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/result_io.hpp"
+#include "scenario/scenario.hpp"
+#include "scenario/sweep.hpp"
+#include "scoped_datapaths.hpp"
 #include "soc/presets.hpp"
 #include "soc/soc.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace secbus::crypto {
 namespace {
-
-std::vector<AesImpl> supported_aes_impls() {
-  std::vector<AesImpl> impls{AesImpl::kTTable, AesImpl::kScalar};
-  if (aes_impl_supported(AesImpl::kAesni)) impls.push_back(AesImpl::kAesni);
-  return impls;
-}
-
-std::vector<ShaImpl> supported_sha_impls() {
-  std::vector<ShaImpl> impls{ShaImpl::kPortable};
-  if (sha_impl_supported(ShaImpl::kShaNi)) impls.push_back(ShaImpl::kShaNi);
-  return impls;
-}
 
 Aes128Key random_key(util::Xoshiro256& rng) {
   Aes128Key key;
@@ -45,13 +44,11 @@ class AesBackendDiff : public ::testing::TestWithParam<AesImpl> {
   // FIPS-197 reference.
   void rekey(const Aes128Key& key) {
     tested_.rekey(key);
-    tested_.set_impl(GetParam());
     reference_.rekey(key);
-    reference_.set_impl(AesImpl::kScalar);
   }
 
-  Aes128 tested_{Aes128Key{}};
-  Aes128 reference_{Aes128Key{}};
+  Aes128 tested_ = aes_on(GetParam(), Aes128Key{});
+  Aes128 reference_ = aes_on(AesImpl::kScalar, Aes128Key{});
 };
 
 TEST_P(AesBackendDiff, EncryptBlocksMatchesScalarOnRandomBuffers) {
@@ -120,14 +117,7 @@ TEST_P(AesBackendDiff, MemoryXcryptLineMatchesPerBlockReference) {
 
 INSTANTIATE_TEST_SUITE_P(AllImpls, AesBackendDiff,
                          ::testing::ValuesIn(supported_aes_impls()),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case AesImpl::kTTable: return "ttable";
-                             case AesImpl::kScalar: return "scalar";
-                             case AesImpl::kAesni: return "aesni";
-                           }
-                           return "unknown";
-                         });
+                         ImplName{});
 
 TEST(ShaBackendDiff, AllImplsAgreeOnRandomLengths) {
   const auto impls = supported_sha_impls();
@@ -137,18 +127,21 @@ TEST(ShaBackendDiff, AllImplsAgreeOnRandomLengths) {
     rng.fill(data);
     const std::span<const std::uint8_t> msg(data.data(), len);
 
-    Sha256 ref;
-    ref.set_impl(ShaImpl::kPortable);
-    ref.update(msg);
-    const Sha256Digest expected = ref.finalize();
+    Sha256Digest expected;
+    {
+      const ScopedDatapaths portable(ShaImpl::kPortable);
+      Sha256 ref;
+      ref.update(msg);
+      expected = ref.finalize();
+    }
 
     for (const ShaImpl impl : impls) {
+      const ScopedDatapaths datapath(impl);
       Sha256 ctx;
-      ctx.set_impl(impl);
       ctx.update(msg);
       EXPECT_EQ(ctx.finalize(), expected)
           << "len " << len << " impl " << to_string(impl);
-      EXPECT_EQ(Sha256::digest_parts({msg}, impl), expected)
+      EXPECT_EQ(Sha256::digest_parts({msg}), expected)
           << "len " << len << " impl " << to_string(impl) << " (fused)";
     }
   }
@@ -167,7 +160,8 @@ TEST(ShaBackendDiff, DigestPartsSplitsAgreeAcrossImpls) {
     const Sha256Digest expected =
         Sha256::digest(std::span<const std::uint8_t>(data.data(), len));
     for (const ShaImpl impl : supported_sha_impls()) {
-      EXPECT_EQ(Sha256::digest_parts({head, tail}, impl), expected)
+      const ScopedDatapaths datapath(impl);
+      EXPECT_EQ(Sha256::digest_parts({head, tail}), expected)
           << "trial " << trial << " impl " << to_string(impl);
     }
   }
@@ -185,13 +179,15 @@ TEST(HmacBackendDiff, AllImplsAgreeIncludingLongKeys) {
     rng.fill(msg);
     const std::span<const std::uint8_t> msg_span(msg.data(), msg_len);
 
-    HmacSha256 ref(key);
-    ref.set_impl(ShaImpl::kPortable);
-    const Sha256Digest expected = ref.mac(msg_span);
+    Sha256Digest expected;
+    {
+      const ScopedDatapaths portable(ShaImpl::kPortable);
+      expected = HmacSha256(key).mac(msg_span);
+    }
 
     for (const ShaImpl impl : supported_sha_impls()) {
+      const ScopedDatapaths datapath(impl);
       HmacSha256 mac(key);
-      mac.set_impl(impl);
       EXPECT_EQ(mac.mac(msg_span), expected)
           << "key_len " << key_len << " impl " << to_string(impl);
       mac.start();
@@ -203,48 +199,95 @@ TEST(HmacBackendDiff, AllImplsAgreeIncludingLongKeys) {
   }
 }
 
-// End-to-end: a full ciphered+integrity simulation must produce bit-identical
-// results no matter which backend drives the crypto substrate (ISSUE
-// acceptance: "byte-identical SocResults across backends").
-class BackendSocEquivalence : public ::testing::Test {
- protected:
-  ~BackendSocEquivalence() override {
-    set_backend_for_testing(original_);  // restore for later tests in this TU
+// End-to-end: whole simulations leave the same bytes on every supported
+// datapath pair. The jobs are every builtin-scenario job whose external
+// memory is ciphered, plus the four external attacks at full protection.
+std::vector<scenario::ScenarioSpec> ciphered_jobs() {
+  using scenario::AttackKind;
+  std::vector<scenario::ScenarioSpec> jobs;
+  for (const scenario::NamedScenario& named : scenario::builtin_scenarios()) {
+    for (scenario::ScenarioSpec& spec :
+         scenario::expand(named.spec, named.axes)) {
+      if (spec.soc.protection != soc::ProtectionLevel::kPlaintext) {
+        jobs.push_back(std::move(spec));
+      }
+    }
   }
-  const BackendKind original_ = active_backend().kind;
-};
-
-TEST_F(BackendSocEquivalence, TinyConfigBitIdenticalAcrossBackends) {
-  std::vector<BackendKind> kinds{BackendKind::kPortable, BackendKind::kScalar};
-  if (aes_impl_supported(AesImpl::kAesni) ||
-      sha_impl_supported(ShaImpl::kShaNi)) {
-    kinds.push_back(BackendKind::kAccel);
+  for (const AttackKind kind :
+       {AttackKind::kExternalSpoof, AttackKind::kExternalReplay,
+        AttackKind::kExternalRelocation, AttackKind::kExternalCorruption}) {
+    scenario::ScenarioSpec spec;
+    spec.name = "external";
+    spec.variant = scenario::to_string(kind);
+    spec.soc = soc::tiny_test_config();
+    spec.soc.protection = soc::ProtectionLevel::kFull;
+    spec.soc.transactions_per_cpu = 40;
+    spec.attack.kind = kind;
+    spec.max_cycles = 300'000;
+    jobs.push_back(std::move(spec));
   }
+  return jobs;
+}
 
-  struct Digest {
-    sim::Cycle cycles;
-    std::uint64_t ok;
-    std::uint64_t bytes;
-    double latency;
-    std::uint64_t lcf_lines;
-    bool operator==(const Digest&) const = default;
+// What one job leaves behind: its streamed JobResult (metrics included),
+// its alert log and, where an LCF ciphers, the datapaths' own output: the
+// protected region as stored in external memory and the hash-tree root.
+// The simulated results alone would not show a datapath that is wrong but
+// self-consistent (a CTR keystream that encrypts and decrypts alike).
+std::string job_bytes(const scenario::ScenarioSpec& spec) {
+  std::string after;
+  scenario::RunHooks hooks;
+  hooks.collect_metrics = true;
+  hooks.inspect = [&](soc::Soc& soc, const scenario::JobResult&) {
+    after += "alerts:\n";
+    for (const core::Alert& alert : soc.log().alerts()) {
+      after += alert.describe();
+      after += '\n';
+    }
+    const core::LocalCipheringFirewall* lcf = soc.lcf();
+    if (lcf == nullptr) return;
+    std::vector<std::uint8_t> stored(lcf->config().protected_size);
+    soc.ddr().store().peek(lcf->config().protected_base, stored);
+    after += "stored region: ";
+    after.append(stored.begin(), stored.end());
+    if (lcf->im() == core::IntegrityMode::kHashTree) {
+      const Sha256Digest& root = lcf->ic().tree().root();
+      after += "\ntree root: ";
+      after.append(root.begin(), root.end());
+    }
   };
+  const scenario::JobResult result = scenario::run_scenario(spec, hooks);
+  std::string out;
+  util::JsonWriter w(out);
+  scenario::write_job_result(w, result);
+  return out + '\n' + after;
+}
 
-  std::vector<Digest> digests;
-  for (const BackendKind kind : kinds) {
-    set_backend_for_testing(kind);
-    soc::SocConfig cfg = soc::tiny_test_config();
-    soc::Soc soc(cfg);  // constructed after the switch: captures the backend
-    const soc::SocResults r = soc.run(3'000'000);
-    ASSERT_TRUE(r.completed) << "backend " << to_string(kind);
-    digests.push_back({r.cycles, r.transactions_ok, r.bytes_moved,
-                       r.avg_access_latency,
-                       soc.lcf() != nullptr ? soc.lcf()->stats().lines_encrypted
-                                            : 0});
+TEST(DatapathSocEquivalence, CipheredJobsByteIdenticalOnEveryPair) {
+  const std::vector<scenario::ScenarioSpec> jobs = ciphered_jobs();
+  const std::vector<Datapaths> pairs = supported_datapath_pairs();
+  ASSERT_GE(jobs.size(), 4u);
+  ASSERT_GE(pairs.size(), 2u);
+
+  std::vector<std::vector<std::string>> outputs;
+  for (const Datapaths& pair : pairs) {
+    const ScopedDatapaths datapath(pair);
+    // A cached protected-region format was ciphered and hashed on the
+    // previous pair's datapaths; start each pair from a cold cache.
+    core::FormatCache::instance().clear();
+    std::vector<std::string>& out = outputs.emplace_back();
+    for (const scenario::ScenarioSpec& spec : jobs) {
+      out.push_back(job_bytes(spec));
+    }
   }
-  for (std::size_t i = 1; i < digests.size(); ++i) {
-    EXPECT_EQ(digests[i], digests[0])
-        << to_string(kinds[i]) << " vs " << to_string(kinds[0]);
+  core::FormatCache::instance().clear();
+
+  for (std::size_t p = 1; p < pairs.size(); ++p) {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      EXPECT_TRUE(outputs[p][j] == outputs[0][j])
+          << jobs[j].name << " [" << jobs[j].variant << "]: "
+          << to_string(pairs[p]) << " differs from " << to_string(pairs[0]);
+    }
   }
 }
 

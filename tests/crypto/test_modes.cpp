@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "scoped_datapaths.hpp"
 #include "util/hexdump.hpp"
 
 namespace secbus::crypto {
@@ -61,8 +62,8 @@ TEST(MemoryTweak, LayoutBindsNonceAddressVersion) {
 
 class MemoryXcryptLineKat : public ::testing::TestWithParam<AesImpl> {
  protected:
-  MemoryXcryptLineKat() { aes_.set_impl(GetParam()); }
-  Aes128 aes_{kNistKey};
+  ScopedDatapaths datapath_{GetParam()};
+  Aes128 aes_{kNistKey};  // built under datapath_: runs GetParam()
 };
 
 TEST_P(MemoryXcryptLineKat, KnownAnswerOutOfPlaceAndInPlace) {
@@ -99,22 +100,9 @@ TEST_P(MemoryXcryptLineKat, EveryTweakFieldChangesTheKeystream) {
   EXPECT_NE(base, keystream(2, 0x1000, 1));  // other policy key's nonce
 }
 
-std::vector<AesImpl> supported_impls() {
-  std::vector<AesImpl> impls{AesImpl::kTTable, AesImpl::kScalar};
-  if (aes_impl_supported(AesImpl::kAesni)) impls.push_back(AesImpl::kAesni);
-  return impls;
-}
-
 INSTANTIATE_TEST_SUITE_P(AllImpls, MemoryXcryptLineKat,
-                         ::testing::ValuesIn(supported_impls()),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case AesImpl::kTTable: return "ttable";
-                             case AesImpl::kScalar: return "scalar";
-                             case AesImpl::kAesni: return "aesni";
-                           }
-                           return "unknown";
-                         });
+                         ::testing::ValuesIn(supported_aes_impls()),
+                         ImplName{});
 
 }  // namespace
 }  // namespace secbus::crypto

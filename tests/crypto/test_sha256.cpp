@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "scoped_datapaths.hpp"
 #include "util/hexdump.hpp"
 
 namespace secbus::crypto {
@@ -87,16 +88,19 @@ TEST(Sha256, DifferentMessagesDifferentDigests) {
 
 // FIPS 180-4 vectors on every compression datapath this host can run —
 // the SHA-NI path's ground truth is the standard vectors, not the portable
-// implementation.
+// implementation. Every context built in a test runs the parameter's
+// datapath.
 class Sha256ImplVectors : public ::testing::TestWithParam<ShaImpl> {
  protected:
   std::string hex(std::string_view text) const {
     Sha256 ctx;
-    ctx.set_impl(GetParam());
     ctx.update(text);
     const Sha256Digest d = ctx.finalize();
     return util::to_hex({d.data(), d.size()});
   }
+
+ private:
+  ScopedDatapaths datapath_{GetParam()};
 };
 
 TEST_P(Sha256ImplVectors, StandardVectors) {
@@ -114,7 +118,6 @@ TEST_P(Sha256ImplVectors, StandardVectors) {
 
 TEST_P(Sha256ImplVectors, MillionAs) {
   Sha256 ctx;
-  ctx.set_impl(GetParam());
   const std::string chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) ctx.update(chunk);
   const Sha256Digest d = ctx.finalize();
@@ -127,7 +130,6 @@ TEST_P(Sha256ImplVectors, DigestPartsMatchesStreaming) {
   const std::string a = "leaf data payload spanning some bytes";
   const std::string b = "binder";
   Sha256 ctx;
-  ctx.set_impl(GetParam());
   ctx.update(a);
   ctx.update(b);
   const Sha256Digest streamed = ctx.finalize();
@@ -135,23 +137,13 @@ TEST_P(Sha256ImplVectors, DigestPartsMatchesStreaming) {
       {std::span<const std::uint8_t>(
            reinterpret_cast<const std::uint8_t*>(a.data()), a.size()),
        std::span<const std::uint8_t>(
-           reinterpret_cast<const std::uint8_t*>(b.data()), b.size())},
-      GetParam());
+           reinterpret_cast<const std::uint8_t*>(b.data()), b.size())});
   EXPECT_EQ(fused, streamed);
-}
-
-std::vector<ShaImpl> supported_sha_impls() {
-  std::vector<ShaImpl> impls{ShaImpl::kPortable};
-  if (sha_impl_supported(ShaImpl::kShaNi)) impls.push_back(ShaImpl::kShaNi);
-  return impls;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllImpls, Sha256ImplVectors,
                          ::testing::ValuesIn(supported_sha_impls()),
-                         [](const auto& info) {
-                           return info.param == ShaImpl::kPortable ? "portable"
-                                                                   : "shani";
-                         });
+                         ImplName{});
 
 }  // namespace
 }  // namespace secbus::crypto

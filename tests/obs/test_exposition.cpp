@@ -81,11 +81,11 @@ Registry golden_registry() {
   reg.counter("fleet.worker0.worker.jobs_done", 10);
   reg.gauge("fleet.worker0.worker.jobs_per_sec", 12.5);
   reg.counter("fleet.worker0.net.frames_out", 9);
-  reg.counter("fleet.worker0.crypto.backend_id", 2);
+  reg.counter("fleet.worker0.crypto.hw_datapaths", 3);
   reg.counter("fleet.worker1.worker.jobs_done", 4);
   reg.gauge("fleet.worker1.worker.jobs_per_sec", 8.25);
   reg.counter("fleet.worker1.net.frames_out", 5);
-  reg.counter("fleet.worker1.crypto.backend_id", 2);
+  reg.counter("fleet.worker1.crypto.hw_datapaths", 3);
   reg.counter("fleet.total.worker.jobs_done", 14);
   reg.gauge("fleet.total.worker.jobs_per_sec", 20.75);
   reg.counter("fleet.total.net.frames_out", 14);

@@ -6,9 +6,8 @@
 //       Prints the built-in scenario catalog (name, jobs, description).
 //
 //   secbus_cli crypto-info
-//       Prints detected CPU crypto features, the selected crypto backend
-//       (portable | scalar | accel) and the SECBUS_CRYPTO_BACKEND override
-//       in effect, so a run's datapath is always on record.
+//       Prints detected CPU crypto features and the AES and SHA-256
+//       datapaths CPUID selected, so a run's datapaths are always on record.
 //
 //   secbus_cli run <scenario> [options]
 //       Runs the named builtin scenario as a campaign: exactly
@@ -1094,9 +1093,8 @@ int main(int argc, char** argv) {
     return cmd_list_scenarios();
   }
   if (argc >= 2 && std::strcmp(argv[1], "crypto-info") == 0) {
-    // Detected CPU features, selected backend and any env override — CI logs
-    // this so every run records which crypto datapath it exercised.
-    std::fputs(crypto::backend_report().c_str(), stdout);
+    // CI logs this so every run records which crypto datapaths it exercised.
+    std::fputs(crypto::datapath_report().c_str(), stdout);
     return 0;
   }
   if (argc >= 2 && std::strcmp(argv[1], "run") == 0) {
