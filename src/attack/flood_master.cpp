@@ -13,12 +13,12 @@ void FloodMaster::tick(sim::Cycle now) {
   // Drain responses (the flooder does not care about results, but counting
   // rejections shows firewall throttling).
   while (!port_->response.empty()) {
-    const bus::BusTransaction resp = *port_->response.pop();
-    if (resp.status == bus::TransStatus::kOk) {
+    if (port_->response.front().status == bus::TransStatus::kOk) {
       ++completed_;
     } else {
       ++rejected_;
     }
+    port_->response.drop_front();
     outstanding_ = false;
   }
 
@@ -27,7 +27,8 @@ void FloodMaster::tick(sim::Cycle now) {
 
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(cfg_.burst_beats) * 4;
-  std::vector<std::uint8_t> payload(bytes, 0xDD);  // dummy data
+  bus::Payload payload;
+  payload.assign(bytes, 0xDD);  // dummy data, inline up to 64 bytes
   bus::BusTransaction t = bus::make_write(
       id_, cfg_.target + offset_, std::move(payload), bus::DataFormat::kWord);
   t.id = bus::make_trans_id(id_, ++seq_);

@@ -56,6 +56,8 @@ class TransactionChannel {
     }
     return t;
   }
+  // Discards the front transaction (after front() was read in place).
+  void drop_front() noexcept { q_.pop_front(); }
 
   void clear() { q_.clear(); }
 

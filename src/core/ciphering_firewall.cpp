@@ -255,13 +255,9 @@ bus::AccessResult LocalCipheringFirewall::access(bus::BusTransaction& t,
 void LocalCipheringFirewall::format_protected_region() {
   // Thousands of campaign jobs format the exact same region (the format
   // only depends on geometry + mode + key, never on the attack/protection/
-  // workload axes), so the finished image — and its tree, once a build that
-  // checks integrity has needed it — is memoized per process
-  // (core::FormatCache). Cache hit or miss, the IC formats from the same
-  // snapshot and builds its tree only when something reads it, so a bypass
-  // policy hashes nothing, a hit hashes nothing (after the first hit built
-  // the shared tree) and a miss hashes a leaf only when its line is first
-  // read.
+  // workload axes), so the finished image is memoized per process
+  // (core::FormatCache). Cache hit or miss, the IC formats a lazy tree over
+  // the same snapshot image and hashes nothing here.
   const bool ciphered = cm_ == ConfidentialityMode::kCipher;
   FormatKey cache_key;
   cache_key.protected_base = cfg_.protected_base;
@@ -274,8 +270,7 @@ void LocalCipheringFirewall::format_protected_region() {
 
   FormatCache& cache = FormatCache::instance();
   std::shared_ptr<const FormatSnapshot> snap = cache.find(cache_key);
-  const bool hit = snap != nullptr;
-  if (!hit) {
+  if (snap == nullptr) {
     auto fresh = std::make_shared<FormatSnapshot>();
     fresh->image = formatted_image(ciphered);
     snap = std::move(fresh);
@@ -283,10 +278,7 @@ void LocalCipheringFirewall::format_protected_region() {
   }
   // The DDR reads the snapshot's pages until it writes them.
   inner_->store().share(cfg_.protected_base, snap->image, snap);
-  ic_.format_from(std::move(snap), hit);
-  // Charge the tree to setup when this policy will read it; a bypass
-  // policy defers it until (unless) integrity is switched on.
-  if (im_ == IntegrityMode::kHashTree) ic_.build_tree();
+  ic_.format_from(std::move(snap));
 
   // Formatting is init-time work (the bitstream/loader does it before the
   // system runs); keep the runtime statistics clean.

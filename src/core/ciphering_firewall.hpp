@@ -83,9 +83,9 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
 
   // Writes encrypted zero lines over the whole protected region and
   // advances every line's version, so subsequent plaintext reads return
-  // zeros. The tree over the new image is set up now when the policy checks
-  // integrity (shared from the setup cache, or hashing each leaf on its
-  // line's first read), and only once integrity is switched on otherwise.
+  // zeros. The tree over the new image is a lazy one, whatever the policy:
+  // it hashes a line only once the line is written, or read after a write
+  // or tampering.
   // Init-time operation, once per LCF and before any protected access (the
   // IC asserts it is pristine); charges no simulated cycles.
   void format_protected_region();

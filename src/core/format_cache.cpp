@@ -18,15 +18,6 @@ std::size_t FormatCache::KeyHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
-const crypto::HashTree& FormatSnapshot::tree(
-    const crypto::HashTree::Config& cfg) const {
-  std::call_once(tree_once_, [&] {
-    tree_.emplace(cfg);
-    tree_->rebuild(image, std::vector<std::uint32_t>(cfg.leaf_count, 1));
-  });
-  return *tree_;
-}
-
 FormatCache& FormatCache::instance() {
   static FormatCache cache;
   return cache;

@@ -2,23 +2,19 @@
 //
 // Every distributed-mode Soc construction formats the LCF's protected
 // region: encrypt `protected_size` bytes of zeros line by line (CM=cipher)
-// and, when the policy checks integrity, build the hash tree over them —
-// work that is *identical* across every job sharing (region geometry, line
-// size, confidentiality mode, key). Campaign grids cross attack/protection/
-// topology/seed axes over a fixed memory layout, so thousands of jobs repeat
-// the exact same format. This cache keys the finished artifacts — the
-// stored image and, once a cache-hit cipher+integrity build has needed it,
-// the post-format hash tree — and lets later constructions skip both the
-// AES and the SHA passes. DDR stores share the image's pages until they
-// write them. The build that computes a snapshot (a miss) does not know
-// whether its key will ever repeat, so its tree hashes leaves lazily from
-// the image; the first hit builds the shared tree, and a build whose policy
-// bypasses integrity never asks for one.
+// — work that is *identical* across every job sharing (region geometry,
+// line size, confidentiality mode, key). Campaign grids cross attack/
+// protection/topology/seed axes over a fixed memory layout, so thousands of
+// jobs repeat the exact same format. This cache keys the finished image and
+// lets later constructions skip the AES pass. DDR stores share the image's
+// pages until they write them. No tree is cached: on a hit and a miss alike
+// the Integrity Core's tree is a lazy one over the image, which hashes a
+// line only once it is written, or read after a write or tampering.
 //
 // Bit-identity is the contract, not an optimization target: the key covers
-// every input that reaches the image or the tree, a hit and a miss format
-// the core from the same kind of snapshot, and core_test_format_cache +
-// the determinism suite verify results are indistinguishable with the cache
+// every input that reaches the image, a hit and a miss format the core
+// from the same kind of snapshot, and core_test_format_cache + the
+// determinism suite verify results are indistinguishable with the cache
 // warm or cold (clear() before a build forces the miss path).
 //
 // The cache is per process (shard workers each warm their own), bounded
@@ -31,12 +27,11 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "crypto/aes128.hpp"
-#include "crypto/hash_tree.hpp"
 #include "sim/types.hpp"
 
 namespace secbus::obs {
@@ -45,7 +40,7 @@ class Registry;
 
 namespace secbus::core {
 
-// Everything that determines the formatted image and tree: region geometry,
+// Everything that determines the formatted image: region geometry,
 // line size, whether lines are enciphered, and the cipher key (the CTR
 // nonce derives from the key, versions always start at zero). The key is
 // all-zero — and irrelevant — when `ciphered` is false; callers must pass
@@ -60,21 +55,11 @@ struct FormatKey {
   bool operator==(const FormatKey&) const = default;
 };
 
-// The finished format: what the DDR backing store holds and, built on
-// demand, the hash tree over it with every leaf at version 1. Shared
-// read-only between the cache, every DDR store that shares its image pages
-// and every Integrity Core formatted from it.
+// The finished format: what the DDR backing store holds. Shared read-only
+// between the cache, every DDR store that shares its image pages and every
+// Integrity Core tree formatted lazily over it.
 struct FormatSnapshot {
   std::vector<std::uint8_t> image;
-
-  // The post-format tree over `image`. The first caller, on any thread,
-  // hashes it; every later caller gets the stored tree without hashing.
-  // Cores take it with HashTree::restore_from, which shares its node heap.
-  const crypto::HashTree& tree(const crypto::HashTree::Config& cfg) const;
-
- private:
-  mutable std::once_flag tree_once_;
-  mutable std::optional<crypto::HashTree> tree_;
 };
 
 class FormatCache {
@@ -86,7 +71,7 @@ class FormatCache {
     std::uint64_t evictions = 0;
   };
 
-  // ~64 entries x (image + tree) stays tens of MB for default geometries;
+  // ~64 entries x one image stays tens of MB for default geometries;
   // campaigns rarely need more than (seeds x line sizes) + 1 entries.
   static constexpr std::size_t kMaxEntries = 64;
 

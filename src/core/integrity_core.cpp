@@ -47,7 +47,6 @@ sim::Cycle IntegrityCore::cost_for_bits(std::uint64_t bits) const noexcept {
 
 IntegrityCore::UpdateOutcome IntegrityCore::update_line(
     sim::Addr line_addr, std::span<const std::uint8_t> line) {
-  build_tree();
   const std::size_t leaf = leaf_of(line_addr);
   std::uint32_t& version = versions_[leaf];
   if (version == 0xFFFFFFFFu) {
@@ -66,7 +65,6 @@ IntegrityCore::UpdateOutcome IntegrityCore::update_line(
 
 IntegrityCore::VerifyOutcome IntegrityCore::verify_line(
     sim::Addr line_addr, std::span<const std::uint8_t> line) {
-  build_tree();
   const std::size_t leaf = leaf_of(line_addr);
   const auto result = tree_.verify(leaf, line, versions_[leaf]);
   ++stats_.verifies;
@@ -90,31 +88,17 @@ bool IntegrityCore::pristine() const noexcept {
   return true;
 }
 
-void IntegrityCore::format_from(std::shared_ptr<const FormatSnapshot> snap,
-                                bool shared_tree) {
+void IntegrityCore::format_from(std::shared_ptr<const FormatSnapshot> snap) {
   SECBUS_ASSERT(pristine(),
                 "format_from on a used core: snapshot binds version 1");
   SECBUS_ASSERT(snap != nullptr && snap->image.size() == cfg_.protected_size,
                 "format snapshot from a differently-shaped region");
   std::fill(versions_.begin(), versions_.end(), 1);
-  deferred_format_ = std::move(snap);
-  deferred_shared_tree_ = shared_tree;
-}
-
-void IntegrityCore::build_tree() const {
-  if (deferred_format_ == nullptr) return;
-  // Moving out leaves deferred_format_ empty: the tree is built once.
-  std::shared_ptr<const FormatSnapshot> snap = std::move(deferred_format_);
-  if (deferred_shared_tree_) {
-    tree_.restore_from(snap->tree(tree_.config()));
-  } else {
-    const std::span<const std::uint8_t> image = snap->image;
-    tree_.rebuild_lazy(image, 1, std::move(snap));
-  }
+  const std::span<const std::uint8_t> image = snap->image;
+  tree_.rebuild_lazy(image, 1, std::move(snap));
 }
 
 void IntegrityCore::rebuild_from(std::span<const std::uint8_t> image) {
-  deferred_format_ = nullptr;
   std::fill(versions_.begin(), versions_.end(), 0);
   tree_.rebuild(image, std::span<const std::uint32_t>(versions_.data(),
                                                       versions_.size()));

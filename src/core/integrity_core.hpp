@@ -8,14 +8,15 @@
 // Timing model: calibrated to Table II — 20 cycles of latency per integrity
 // operation and a sustained 1.31 bits/cycle (131 Mb/s @ 100 MHz).
 //
-// Setup cost: construction hashes nothing. A region format (format_from)
-// advances the versions at once but defers the tree until something reads
-// it — update_line, verify_line, tree() or build_tree(). A core whose
-// policy bypasses integrity (plaintext, cipher-only) only moves versions,
-// so it never pays for a tree; if a later policy switches integrity on,
-// the first read builds exactly the format-time tree. Even then a core
-// hashes no more than its lines: it shares a cached snapshot's tree, or
-// hashes each leaf from the snapshot image on that line's first read.
+// Setup cost: construction hashes nothing, and neither does a region format
+// (format_from): it advances the versions and makes the tree a lazy one
+// over the snapshot image, on a FormatCache hit and miss alike. A job then
+// hashes only the lines it writes and the lines it reads after they were
+// written or tampered with; a read of a line still as formatted is checked
+// by comparing it with the image (crypto::HashTree, compare before hash).
+// A core whose policy bypasses integrity (plaintext, cipher-only) only
+// moves versions; if a later policy switches integrity on, the tree it
+// finds is the format-time tree.
 #pragma once
 
 #include <cstdint>
@@ -83,21 +84,12 @@ class IntegrityCore {
   void rebuild_from(std::span<const std::uint8_t> image);
 
   // Formats a pristine core from `snap`, the stored image of the whole
-  // protected region: advances every line to version 1 now and keeps
-  // `snap` until the tree is first read. The tree is then the snapshot's
-  // tree: with `shared_tree` (a cache hit, so the key repeats) the one
-  // FormatSnapshot::tree() builds once for every core, whose node heap this
-  // core shares; otherwise one whose leaves are hashed from snap.image on
-  // first read (lazy leaves). The two are indistinguishable downstream
-  // (core::FormatCache relies on this). Stats are untouched: formatting is
-  // init-time work. Only valid on a pristine core, since snapshots bind
-  // version 1 into every leaf: a region is formatted once, at system
-  // initialization.
-  void format_from(std::shared_ptr<const FormatSnapshot> snap, bool shared_tree);
-
-  // Builds a tree deferred by format_from() now; a no-op otherwise. Lets
-  // the LCF charge the tree to setup when its policy checks integrity.
-  void build_tree() const;
+  // protected region: advances every line to version 1 and rebuilds the
+  // tree lazily over snap.image at version 1, hashing nothing; the tree
+  // holds `snap`. Stats are untouched: formatting is init-time work. Only
+  // valid on a pristine core, since the format binds version 1 into every
+  // leaf: a region is formatted once, at system initialization.
+  void format_from(std::shared_ptr<const FormatSnapshot> snap);
 
   // True while no line's version has ever advanced (the only state
   // format_from accepts).
@@ -107,16 +99,7 @@ class IntegrityCore {
 
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  // The hash tree, built first if a format deferred it.
-  [[nodiscard]] const crypto::HashTree& tree() const {
-    build_tree();
-    return tree_;
-  }
-  // Geometry and hash work of the tree, read without building it.
-  [[nodiscard]] std::size_t tree_depth() const noexcept { return tree_.depth(); }
-  [[nodiscard]] std::uint64_t tree_hash_count() const noexcept {
-    return tree_.hash_count();
-  }
+  [[nodiscard]] const crypto::HashTree& tree() const noexcept { return tree_; }
   [[nodiscard]] std::uint64_t line_count() const noexcept { return versions_.size(); }
   void reset_stats() noexcept { stats_ = {}; }
 
@@ -127,10 +110,7 @@ class IntegrityCore {
   [[nodiscard]] std::size_t leaf_of(sim::Addr line_addr) const;
 
   Config cfg_;
-  // Mutable so const reads can build a deferred tree (see format_from).
-  mutable crypto::HashTree tree_;
-  mutable std::shared_ptr<const FormatSnapshot> deferred_format_;
-  bool deferred_shared_tree_ = false;
+  crypto::HashTree tree_;
   std::vector<std::uint32_t> versions_;  // on-chip time-stamp tags, per line
   Stats stats_;
 };

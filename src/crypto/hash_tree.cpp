@@ -19,7 +19,6 @@ Sha256Digest HashTree::stored_leaf(std::size_t leaf) const {
   if (!leaf_slot_.empty() && leaf_slot_[leaf] != 0) {
     return overlay_[leaf_slot_[leaf] - 1];
   }
-  if (base_ != nullptr) return (*base_)[cfg_.leaf_count + leaf];
   const Sha256Digest digest = lazy_leaf(leaf);
   set_overlay_leaf(leaf, digest);
   return digest;
@@ -29,6 +28,15 @@ Sha256Digest HashTree::lazy_leaf(std::size_t leaf) const {
   return leaf_hash(
       leaf, lazy_image_.subspan(leaf * cfg_.block_bytes, cfg_.block_bytes),
       lazy_version_);
+}
+
+bool HashTree::is_lazy_line(std::size_t leaf,
+                            std::span<const std::uint8_t> data,
+                            std::uint32_t version) const noexcept {
+  if (!sparse() || version != lazy_version_) return false;
+  if (!leaf_slot_.empty() && leaf_slot_[leaf] != 0) return false;
+  return std::memcmp(data.data(), lazy_image_.data() + leaf * cfg_.block_bytes,
+                     cfg_.block_bytes) == 0;
 }
 
 void HashTree::set_overlay_leaf(std::size_t leaf,
@@ -46,27 +54,20 @@ void HashTree::set_overlay_leaf(std::size_t leaf,
 std::vector<Sha256Digest>& HashTree::heap() const {
   if (!nodes_.empty()) return nodes_;
   const std::size_t leaves = cfg_.leaf_count;
-  if (base_ != nullptr) {
-    nodes_ = *base_;
-  } else {
-    // The lazy leaves not in the overlay, or the zero leaves of a tree
-    // never built; every parent follows below.
-    nodes_.resize(2 * leaves);
-    const std::vector<std::uint8_t> zero_block(cfg_.block_bytes, 0);
-    for (std::size_t leaf = 0; leaf < leaves; ++leaf) {
-      if (!leaf_slot_.empty() && leaf_slot_[leaf] != 0) continue;
+  // Each leaf from the overlay, else hashed from the lazy image or, in a
+  // tree never built, from a zero block; then every parent.
+  nodes_.resize(2 * leaves);
+  const std::vector<std::uint8_t> zero_block(cfg_.block_bytes, 0);
+  for (std::size_t leaf = 0; leaf < leaves; ++leaf) {
+    if (!leaf_slot_.empty() && leaf_slot_[leaf] != 0) {
+      nodes_[leaves + leaf] = overlay_[leaf_slot_[leaf] - 1];
+    } else {
       nodes_[leaves + leaf] = lazy_image_.empty()
                                   ? leaf_hash(leaf, zero_block, 0)
                                   : lazy_leaf(leaf);
     }
   }
-  for (std::size_t leaf = 0; leaf < leaf_slot_.size(); ++leaf) {
-    if (leaf_slot_[leaf] == 0) continue;
-    nodes_[leaves + leaf] = overlay_[leaf_slot_[leaf] - 1];
-    if (base_ != nullptr) mark_ancestors_dirty(leaves + leaf);
-  }
-  if (base_ == nullptr) rebuild_parents(nodes_);
-  base_ = nullptr;
+  rebuild_parents(nodes_);
   lazy_image_ = {};
   lazy_owner_ = nullptr;
   leaf_slot_ = {};
@@ -146,15 +147,15 @@ void HashTree::rebuild(std::span<const std::uint8_t> image,
   SECBUS_ASSERT(image.size() == cfg_.leaf_count * cfg_.block_bytes,
                 "image size mismatch");
   SECBUS_ASSERT(versions.size() == cfg_.leaf_count, "versions size mismatch");
-  auto nodes = std::make_shared<std::vector<Sha256Digest>>(2 * cfg_.leaf_count);
+  std::vector<Sha256Digest> nodes(2 * cfg_.leaf_count);
   for (std::size_t leaf = 0; leaf < cfg_.leaf_count; ++leaf) {
-    (*nodes)[cfg_.leaf_count + leaf] =
+    nodes[cfg_.leaf_count + leaf] =
         leaf_hash(leaf, image.subspan(leaf * cfg_.block_bytes, cfg_.block_bytes),
                   versions[leaf]);
   }
-  rebuild_parents(*nodes);
+  rebuild_parents(nodes);
   restore_from(HashTree(cfg_));  // drop every other state, keep the count
-  base_ = std::move(nodes);
+  nodes_ = std::move(nodes);
 }
 
 void HashTree::rebuild_lazy(std::span<const std::uint8_t> image,
@@ -200,14 +201,20 @@ HashTree::VerifyResult HashTree::verify(std::size_t leaf,
   result.cost.hashes = 1;
   result.cost.nodes_touched = 1;
 
-  // Level 0: the data itself against the stored leaf.
-  const Sha256Digest stored = stored_leaf(leaf);
-  const Sha256Digest computed_leaf = leaf_hash(leaf, data, version);
-  if (!util::ct_equal({computed_leaf.data(), computed_leaf.size()},
-                      {stored.data(), stored.size()})) {
-    result.ok = false;
-    result.first_bad_level = 0;
-    return result;
+  // Level 0: the data itself against the stored leaf. On an untampered
+  // tree, data equal to a still-lazy leaf's image line at the lazy version
+  // hashes to that leaf by construction: compare, hash nothing.
+  const bool known_leaf = consistent_ && is_lazy_line(leaf, data, version);
+  Sha256Digest computed_leaf{};
+  if (!known_leaf) {
+    const Sha256Digest stored = stored_leaf(leaf);
+    computed_leaf = leaf_hash(leaf, data, version);
+    if (!util::ct_equal({computed_leaf.data(), computed_leaf.size()},
+                        {stored.data(), stored.size()})) {
+      result.ok = false;
+      result.first_bad_level = 0;
+      return result;
+    }
   }
 
   // Walk to the root: recompute each parent from the stored children. With

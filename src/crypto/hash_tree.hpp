@@ -28,16 +28,20 @@
 // Host memory and hashing follow what a job touches, not the tree's size:
 // - Construction hashes nothing. A tree read before it is ever built reads
 //   the all-zero version-0 tree, computed on that first read.
-// - rebuild() publishes its heap as a shared read-only base. Copies and
-//   restore_from() share that base instead of copying it; each tree keeps
-//   the leaves it writes in its own small overlay.
 // - rebuild_lazy() hashes nothing: leaf i is H(image line i, version),
 //   computed from the caller's immutable image on its first read and kept
-//   in the overlay.
+//   in a small overlay with the leaves the tree writes. Copies and
+//   restore_from() share the image.
+// - Compare before hash: verify() of a leaf still lazy (never written,
+//   never hashed), on an untampered tree, at the lazy version, with data
+//   equal to its image line hashes nothing and stores nothing. Both sides
+//   of the leaf check would hash the same bytes at the same address and
+//   version, so the comparison gives the hash's verdict exactly. Any other
+//   data or version is hashed as above, and so caught.
 // The first read of an internal node materializes the whole heap in the
-// tree's own storage (base or lazy leaves, then the overlay, then parents);
-// no job does that, tests and tamper scenarios do. Because reads may build
-// or materialize the heap, and every hash is counted (hash_count()), even
+// tree's own storage (lazy or zero leaves, then the overlay, then parents);
+// no job does that, tests and tamper scenarios do. Because reads may
+// materialize the heap, and every hash is counted (hash_count()), even
 // const calls mutate: one tree must not be used from two threads at once.
 // A tree that is only copied from (restore_from's `other`) is only read.
 #pragma once
@@ -82,11 +86,11 @@ class HashTree {
                std::span<const std::uint32_t> versions);
 
   // rebuild() of `image` with every leaf at `version`, hashing nothing now:
-  // each leaf is computed from `image` on its first read, the parents when
-  // an internal node is read. `image` must stay unchanged while `owner`
-  // lives; the tree and its copies hold `owner`. Reading the image, never
-  // the memory it was stored to, is what keeps tampering with that memory
-  // before a line's first read detectable.
+  // a read compares against a leaf's image line, or hashes the leaf from
+  // it, the parents when an internal node is read. `image` must stay
+  // unchanged while `owner` lives; the tree and its copies hold `owner`.
+  // Checking against the image, never the memory it was stored to, is what
+  // keeps tampering with that memory before a line's first read detectable.
   void rebuild_lazy(std::span<const std::uint8_t> image, std::uint32_t version,
                     std::shared_ptr<const void> owner);
 
@@ -98,8 +102,8 @@ class HashTree {
 
   // Verifies block data against the tree: recomputes the leaf hash and, in
   // the model, walks to the root recomputing parents from stored siblings
-  // (the host walks only a tampered tree, see above). Called on every
-  // protected read.
+  // (the host walks only a tampered tree and skips the leaf hash of an
+  // untouched lazy line, see above). Called on every protected read.
   [[nodiscard]] VerifyResult verify(std::size_t leaf,
                                     std::span<const std::uint8_t> data,
                                     std::uint32_t version) const;
@@ -122,18 +126,16 @@ class HashTree {
     return flushed_heap();
   }
 
-  // Replaces this tree's nodes with `other`'s (setup memoization), together
-  // with whether they are consistent, which parents are still pending and
-  // which leaves are still lazy, so a heap taken from a tampered tree keeps
-  // its tamper verdicts. Shares `other`'s base heap and lazy image, copies
-  // only what `other` holds beyond them, hashes nothing and keeps this
-  // tree's hash_count(). `other` is only read, so a shared tree may be
-  // restored from on several threads at once. `other` must have the same
-  // Config.
+  // Replaces this tree's nodes with `other`'s, together with whether they
+  // are consistent, which parents are still pending and which leaves are
+  // still lazy, so a heap taken from a tampered tree keeps its tamper
+  // verdicts. Shares `other`'s lazy image, copies what `other` holds beyond
+  // it, hashes nothing and keeps this tree's hash_count(). `other` is only
+  // read. `other` must have the same Config.
   void restore_from(const HashTree& other);
 
   // Leaf and parent hashes this tree has computed so far: rebuilds, updates,
-  // verifies, lazy leaves, dirty parents and the lazy zero tree. Per
+  // verifies that hash, lazy leaves, dirty parents and the zero tree. Per
   // instance, so setup-cost tests can prove a build hashed nothing and a
   // job hashed one leaf per operation.
   [[nodiscard]] std::uint64_t hash_count() const noexcept { return hashes_; }
@@ -153,19 +155,25 @@ class HashTree {
                                          const Sha256Digest& right) const noexcept;
   // Flat heap index of (level, idx): leaves live at [leaf_count, 2*leaf_count).
   [[nodiscard]] std::size_t heap_index(std::size_t level, std::size_t idx) const;
-  // True while the leaves come from base_ or the lazy image plus the
-  // overlay, rather than from nodes_.
+  // True while the leaves come from the lazy image plus the overlay, rather
+  // than from nodes_.
   [[nodiscard]] bool sparse() const noexcept {
-    return nodes_.empty() && (base_ != nullptr || !lazy_image_.empty());
+    return nodes_.empty() && !lazy_image_.empty();
   }
+  // True when `leaf` is still lazy (no overlay slot) and `data` at
+  // `version` is exactly its image line at the lazy version, so its leaf
+  // hash would equal the lazy leaf's.
+  [[nodiscard]] bool is_lazy_line(std::size_t leaf,
+                                  std::span<const std::uint8_t> data,
+                                  std::uint32_t version) const noexcept;
   // The stored hash of `leaf`; a lazy leaf is computed on this first read.
   [[nodiscard]] Sha256Digest stored_leaf(std::size_t leaf) const;
   // H(lazy image line `leaf`, lazy version).
   [[nodiscard]] Sha256Digest lazy_leaf(std::size_t leaf) const;
   void set_overlay_leaf(std::size_t leaf, const Sha256Digest& digest) const;
-  // The whole node heap in nodes_, materialized on first use: copied from
-  // base_, or hashed from the lazy image or (never built) zero blocks, with
-  // the overlay's leaves on top and their parents due.
+  // The whole node heap in nodes_, materialized on first use: hashed from
+  // the lazy image or (never built) zero blocks, with the overlay's leaves
+  // on top, then every parent.
   [[nodiscard]] std::vector<Sha256Digest>& heap() const;
   // heap() with every dirty parent recomputed: what readers of internal
   // nodes see.
@@ -177,19 +185,17 @@ class HashTree {
   Config cfg_;
   std::size_t depth_ = 0;
   // 1-based heap: nodes_[1] root, children of n at 2n, 2n+1. nodes_[0] unused.
-  // Empty until an internal node is read (or the tree is used unbuilt).
+  // Empty while sparse, and in a tree never built until it is first read.
   mutable std::vector<Sha256Digest> nodes_;
   // dirty_[n] marks internal node n of nodes_ as stale since an update; a
   // dirty node's ancestors are all dirty. Empty when no parent is stale.
   mutable std::vector<std::uint8_t> dirty_;
-  // A consistent heap from rebuild(), shared read-only between copies.
-  mutable std::shared_ptr<const std::vector<Sha256Digest>> base_;
   // rebuild_lazy()'s source: leaf i is H(line i, lazy_version_).
   mutable std::span<const std::uint8_t> lazy_image_;
   mutable std::shared_ptr<const void> lazy_owner_;
   std::uint32_t lazy_version_ = 0;
-  // Leaves read or written since base_ or the lazy image: leaf_slot_[i] is
-  // 1 + the index of leaf i's hash in overlay_, 0 if it has none.
+  // Leaves hashed or written since the lazy rebuild: leaf_slot_[i] is 1 +
+  // the index of leaf i's hash in overlay_, 0 if it is still lazy.
   mutable std::vector<std::uint32_t> leaf_slot_;
   mutable std::vector<Sha256Digest> overlay_;
   // Every internal node equals the hash of its children (after dirty

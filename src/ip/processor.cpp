@@ -18,6 +18,9 @@ Processor::Processor(std::string name, sim::MasterId id, std::uint64_t seed,
   SECBUS_ASSERT(workload_.max_burst_beats >= 1, "burst beats must be >= 1");
   SECBUS_ASSERT(workload_.threads >= 1, "at least one thread");
   for (const Target& t : workload_.targets) target_weights_.push_back(t.weight);
+  target_total_ = util::Xoshiro256::weight_total(target_weights_);
+  format_weights_ = {workload_.w_byte, workload_.w_half, workload_.w_word};
+  format_total_ = util::Xoshiro256::weight_total(format_weights_);
   compute_remaining_ =
       rng_.range(workload_.compute_min, workload_.compute_max);
 }
@@ -25,14 +28,13 @@ Processor::Processor(std::string name, sim::MasterId id, std::uint64_t seed,
 bus::BusTransaction Processor::next_transaction(sim::Cycle now) {
   // Pick a target window, a direction, a format and a burst length, then an
   // aligned address such that the whole burst stays inside the window.
-  const std::size_t target_idx = rng_.weighted_pick(target_weights_);
+  const std::size_t target_idx =
+      rng_.weighted_pick(target_weights_, target_total_);
   const Target& target = workload_.targets[target_idx];
   pending_external_ = target.external;
 
-  const double fmt_weights[3] = {workload_.w_byte, workload_.w_half,
-                                 workload_.w_word};
   const std::size_t fmt_idx =
-      rng_.weighted_pick(std::span<const double>(fmt_weights, 3));
+      rng_.weighted_pick(format_weights_, format_total_);
   const bus::DataFormat fmt = fmt_idx == 0   ? bus::DataFormat::kByte
                               : fmt_idx == 1 ? bus::DataFormat::kHalfWord
                                              : bus::DataFormat::kWord;

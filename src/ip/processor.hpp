@@ -9,6 +9,7 @@
 // those two ratios as what determines the firewalls' end-to-end overhead.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -101,7 +102,12 @@ class Processor final : public Master {
 
   std::uint64_t seed_;
   Workload workload_;
-  std::vector<double> target_weights_;  // workload_.targets' weights
+  // The pick weights of workload_.targets and of the byte/half/word
+  // formats, with their totals: fixed at construction, summed once.
+  std::vector<double> target_weights_;
+  double target_total_ = 0.0;
+  std::array<double, 3> format_weights_{};
+  double format_total_ = 0.0;
   util::Xoshiro256 rng_;
 
   State state_ = State::kComputing;

@@ -245,7 +245,7 @@ JobResult run_scenario(const ScenarioSpec& spec, const RunHooks& hooks) {
     r.lcf.read_modify_writes = lcf.stats().read_modify_writes;
     r.lcf.cc_cycles = lcf.cc().stats().cycles_charged;
     r.lcf.ic_cycles = lcf.ic().stats().cycles_charged;
-    r.lcf.tree_depth = lcf.ic().tree_depth();
+    r.lcf.tree_depth = lcf.ic().tree().depth();
   }
 
   if (soc.manager() != nullptr) {

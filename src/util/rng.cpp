@@ -80,10 +80,15 @@ void Xoshiro256::fill(std::span<std::uint8_t> out) noexcept {
   }
 }
 
-std::size_t Xoshiro256::weighted_pick(std::span<const double> weights) noexcept {
-  SECBUS_ASSERT(!weights.empty(), "weighted_pick() requires at least one weight");
+double Xoshiro256::weight_total(std::span<const double> weights) noexcept {
   double total = 0.0;
   for (double w : weights) total += (w > 0.0 ? w : 0.0);
+  return total;
+}
+
+std::size_t Xoshiro256::weighted_pick(std::span<const double> weights,
+                                      double total) noexcept {
+  SECBUS_ASSERT(!weights.empty(), "weighted_pick() requires at least one weight");
   if (total <= 0.0) return below(weights.size());
   double target = uniform01() * total;
   for (std::size_t i = 0; i < weights.size(); ++i) {

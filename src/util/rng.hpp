@@ -51,9 +51,14 @@ class Xoshiro256 {
   // Fills a byte span with random data (used for payloads and keys).
   void fill(std::span<std::uint8_t> out) noexcept;
 
-  // Picks an index in [0, weights.size()) proportionally to weights.
-  // Zero-total weights fall back to uniform choice.
-  [[nodiscard]] std::size_t weighted_pick(std::span<const double> weights) noexcept;
+  // Picks an index in [0, weights.size()) proportionally to weights
+  // (negative weights count as zero); `total` must be weight_total(weights),
+  // which a caller with fixed weights computes once. Zero-total weights
+  // fall back to uniform choice.
+  [[nodiscard]] std::size_t weighted_pick(std::span<const double> weights,
+                                          double total) noexcept;
+  // Left-to-right sum of the weights, negatives counted as zero.
+  [[nodiscard]] static double weight_total(std::span<const double> weights) noexcept;
 
   // Long-jump: advances the state by 2^192 steps, giving an independent
   // stream; used to derive per-component generators from one master seed.

@@ -1,8 +1,9 @@
-// SoC setup hashes only what a later step reads: no zero tree at
-// construction, no tree for a policy that bypasses integrity, no re-hash on
-// a FormatCache hit, and on a miss no leaf before its line is read. The
-// per-instance HashTree hash counter measures it; the recorded digests pin
-// that deferring the tree changes no result.
+// SoC setup hashes nothing: no zero tree at construction, and a format,
+// FormatCache hit or miss, only makes the tree lazy over the snapshot
+// image. A job then hashes only lines written, or read after a write: a
+// read of a line as formatted is checked by comparison. The per-instance
+// HashTree hash counter measures it; the recorded digests pin that the
+// lazy tree changes no result.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -96,7 +97,7 @@ TEST(SetupCost, NeverFormattedIntegrityCoreReadsTheZeroTree) {
   cfg.protected_base = kBase;
   cfg.protected_size = 8 * 1024;
   const IntegrityCore ic(cfg);
-  EXPECT_EQ(ic.tree_hash_count(), 0u);
+  EXPECT_EQ(ic.tree().hash_count(), 0u);
   EXPECT_EQ(hex(ic.tree().root()),
             "df980194adab83feb27ca28e802f2f2701f8a7d86d93d11f604fa1cc67e0f745");
 }
@@ -120,8 +121,8 @@ soc::SocConfig distributed_cfg(std::uint64_t seed, soc::ProtectionLevel level) {
   return cfg;
 }
 
-std::uint64_t build_tree_hashes(soc::Soc& soc) {
-  return soc.lcf()->ic().tree_hash_count();
+std::uint64_t tree_hashes(soc::Soc& soc) {
+  return soc.lcf()->ic().tree().hash_count();
 }
 
 std::uint64_t full_tree_hashes(const soc::Soc& soc) {
@@ -130,37 +131,18 @@ std::uint64_t full_tree_hashes(const soc::Soc& soc) {
   return 2 * leaves - 1;
 }
 
-// Hashes spent on the shared tree of the cached snapshot a ciphered SoC
-// formatted from (the lookup counts as a cache hit); the tree must already
-// be built.
-std::uint64_t shared_tree_hashes(soc::Soc& soc) {
-  FormatKey key;
-  key.protected_base = soc.config().ddr_protected_base;
-  key.protected_size = soc.config().ddr_protected_size;
-  key.line_bytes = soc.config().line_bytes;
-  key.ciphered = true;
-  key.key = soc.config_mem().policy(soc::kFwLcf).key;
-  const std::shared_ptr<const FormatSnapshot> snap =
-      FormatCache::instance().find(key);
-  if (snap == nullptr) {
-    ADD_FAILURE() << "no cached snapshot";
-    return 0;
-  }
-  return snap->tree(soc.lcf()->ic().tree().config()).hash_count();
-}
-
-TEST_F(SetupCostSoc, CacheHitCipherIntegrityBuildHashesNothing) {
-  // A miss hashes no leaf before its line is read (lazy leaves); it was one
-  // full pass, 2 * leaves - 1, before.
+TEST_F(SetupCostSoc, CipherIntegrityBuildHashesNothingOnMissAndHit) {
   soc::Soc cold(distributed_cfg(11, soc::ProtectionLevel::kFull));
-  EXPECT_EQ(build_tree_hashes(cold), 0u);
-
   const std::uint64_t h = hits();
   soc::Soc warm(distributed_cfg(11, soc::ProtectionLevel::kFull));
   EXPECT_EQ(hits(), h + 1);
-  EXPECT_EQ(build_tree_hashes(warm), 0u);
+  EXPECT_EQ(tree_hashes(cold), 0u);
+  EXPECT_EQ(tree_hashes(warm), 0u);
+  // Reading the root hashes the whole tree from the image, the same work
+  // on a hit as on a miss.
   EXPECT_EQ(warm.lcf()->ic().tree().root(), cold.lcf()->ic().tree().root());
-  EXPECT_EQ(build_tree_hashes(warm), 0u);  // reading the restored tree
+  EXPECT_EQ(tree_hashes(cold), full_tree_hashes(cold));
+  EXPECT_EQ(tree_hashes(warm), full_tree_hashes(warm));
 }
 
 TEST_F(SetupCostSoc, BypassBuildsHashNothingOnMissAndHit) {
@@ -171,15 +153,15 @@ TEST_F(SetupCostSoc, BypassBuildsHashNothingOnMissAndHit) {
     const std::uint64_t h = hits();
     soc::Soc hit(distributed_cfg(12, level));
     EXPECT_EQ(hits(), h + 1);
-    EXPECT_EQ(build_tree_hashes(miss), 0u) << static_cast<int>(level);
-    EXPECT_EQ(build_tree_hashes(hit), 0u) << static_cast<int>(level);
+    EXPECT_EQ(tree_hashes(miss), 0u) << static_cast<int>(level);
+    EXPECT_EQ(tree_hashes(hit), 0u) << static_cast<int>(level);
   }
 }
 
 TEST_F(SetupCostSoc, BypassRunHashesNothingAndStillExposesTheFormatTree) {
   soc::Soc cipher(distributed_cfg(13, soc::ProtectionLevel::kCipherOnly));
   (void)cipher.run(5'000'000);
-  EXPECT_EQ(build_tree_hashes(cipher), 0u);
+  EXPECT_EQ(tree_hashes(cipher), 0u);
 
   // Reading the tree of a bypass build yields the format-time tree, the
   // same one a cipher+integrity build of the same key starts from.
@@ -188,39 +170,31 @@ TEST_F(SetupCostSoc, BypassRunHashesNothingAndStillExposesTheFormatTree) {
   EXPECT_EQ(cipher.lcf()->ic().tree().root(), full.lcf()->ic().tree().root());
 }
 
-TEST_F(SetupCostSoc, FullBuildAfterBypassMissHashesOnceThenRestores) {
-  // A cipher-only miss publishes an entry without a tree; the first
-  // cipher+integrity hit of that key builds the snapshot's shared tree
-  // (hashed there, not on the core), later ones share it.
-  soc::Soc cipher(distributed_cfg(14, soc::ProtectionLevel::kCipherOnly));
-  soc::Soc first(distributed_cfg(14, soc::ProtectionLevel::kFull));
-  soc::Soc second(distributed_cfg(14, soc::ProtectionLevel::kFull));
-  EXPECT_EQ(build_tree_hashes(first), 0u);
-  EXPECT_EQ(build_tree_hashes(second), 0u);
-  EXPECT_EQ(shared_tree_hashes(first), full_tree_hashes(first));
-  EXPECT_EQ(first.lcf()->ic().tree().root(), second.lcf()->ic().tree().root());
-  EXPECT_EQ(build_tree_hashes(first), 0u);  // reading the shared heap
-}
-
-TEST_F(SetupCostSoc, ConcurrentFullBuildsOnATreelessEntryHashOnce) {
-  // Batch-runner shape: threads race to build the tree of one shared
-  // snapshot; exactly one build hashes it, the others wait and share it.
+TEST_F(SetupCostSoc, ConcurrentFullBuildsAfterABypassMissHashNothing) {
+  // Batch-runner shape: a cipher-only miss publishes the image, then
+  // threads build cipher+integrity SoCs from it at once. Each hit hashes
+  // nothing; each tree reads the shared image and hashes only for itself.
   soc::Soc cipher(distributed_cfg(15, soc::ProtectionLevel::kCipherOnly));
   constexpr std::size_t kThreads = 8;
-  std::vector<std::uint64_t> hashes(kThreads);
+  std::vector<std::uint64_t> built(kThreads);
+  std::vector<std::uint64_t> rooted(kThreads);
   std::vector<crypto::Sha256Digest> roots(kThreads);
   std::vector<std::thread> pool;
   for (std::size_t t = 0; t < kThreads; ++t) {
-    pool.emplace_back([t, &hashes, &roots] {
+    pool.emplace_back([t, &built, &rooted, &roots] {
       soc::Soc full(distributed_cfg(15, soc::ProtectionLevel::kFull));
-      hashes[t] = build_tree_hashes(full);
+      built[t] = tree_hashes(full);
       roots[t] = full.lcf()->ic().tree().root();
+      rooted[t] = tree_hashes(full);
     });
   }
   for (auto& th : pool) th.join();
-  for (const std::uint64_t h : hashes) EXPECT_EQ(h, 0u);
-  EXPECT_EQ(shared_tree_hashes(cipher), full_tree_hashes(cipher));
-  for (const auto& root : roots) EXPECT_EQ(root, roots[0]);
+  EXPECT_EQ(hits(), kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(built[t], 0u);
+    EXPECT_EQ(rooted[t], full_tree_hashes(cipher));
+    EXPECT_EQ(roots[t], roots[0]);
+  }
   EXPECT_EQ(roots[0], cipher.lcf()->ic().tree().root());
 }
 
@@ -241,19 +215,20 @@ soc::SocConfig pinned_datapath_cfg() {
   return cfg;
 }
 
-// The tree hashes each update's leaf and each verify's leaf, and nothing
-// else: on an untampered tree the parents an update dirties are never read
-// during the job, and a verify stops at the trusted leaf. The full-path walk
-// this replaced hashed 1 + depth per operation, 46 284 for this job. The
-// modeled cost (hash_invocations) still charges the whole path. A cache
-// miss formats with lazy leaves: it hashes the 1 188 lines the job reads
-// before writing them, once each, instead of the whole tree (4 095) up
-// front; a hit shares the tree the first hit built.
-TEST_F(SetupCostSoc, PinnedDatapathJobHashesOneLeafPerOperation) {
+// The tree hashes each update's leaf and the leaf of each verify of a line
+// written before, and nothing else: on an untampered tree the parents an
+// update dirties are never read during the job, and a verify stops at the
+// trusted leaf. The full-path walk this replaced hashed 1 + depth per
+// operation, 46 284 for this job. The 1 387 verifies of lines still as
+// formatted compare the line with the snapshot image and hash nothing. A
+// hit and a miss build the same lazy tree and hash the same 2 470: 1 594
+// updates and 876 verifies of written lines. The modeled cost
+// (hash_invocations) still charges the whole path of every operation.
+TEST_F(SetupCostSoc, PinnedDatapathJobHashesOnlyWrittenLines) {
   for (const bool cold : {true, false}) {
     SCOPED_TRACE(cold ? "cache miss" : "cache hit");
     soc::Soc soc(pinned_datapath_cfg());
-    EXPECT_EQ(build_tree_hashes(soc), 0u);
+    EXPECT_EQ(tree_hashes(soc), 0u);
     const auto results = soc.run(30'000'000);
     ASSERT_TRUE(results.completed);
     const IntegrityCore& ic = soc.lcf()->ic();
@@ -261,10 +236,8 @@ TEST_F(SetupCostSoc, PinnedDatapathJobHashesOneLeafPerOperation) {
     EXPECT_EQ(ic.stats().verifies, 2263u);
     EXPECT_EQ(ic.stats().failures, 0u);
     EXPECT_EQ(ic.stats().hash_invocations,
-              (1 + ic.tree_depth()) * (ic.stats().updates + ic.stats().verifies));
-    const std::uint64_t lazy_leaves = cold ? 1188 : 0;
-    EXPECT_EQ(ic.tree_hash_count(),
-              lazy_leaves + ic.stats().updates + ic.stats().verifies);
+              (1 + ic.tree().depth()) * (ic.stats().updates + ic.stats().verifies));
+    EXPECT_EQ(ic.tree().hash_count(), 2470u);
   }
 }
 
@@ -349,7 +322,7 @@ void check_cipher_only_to_full_switch() {
   EXPECT_EQ(f.write(kDdrBase + 10 * kLine, pattern(32, 3)), bus::TransStatus::kOk);
   EXPECT_EQ(f.write(kDdrBase + 20 * kLine + 4, pattern(8, 4)),
             bus::TransStatus::kOk);
-  EXPECT_EQ(f.lcf->ic().tree_hash_count(), 0u);  // bypass: no tree yet
+  EXPECT_EQ(f.lcf->ic().tree().hash_count(), 0u);  // bypass: nothing hashed
 
   f.config_mem.install(
       kFw, lcf_policy(ConfidentialityMode::kCipher, IntegrityMode::kHashTree));

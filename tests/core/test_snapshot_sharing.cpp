@@ -1,8 +1,9 @@
-// SoCs built from one cached FormatSnapshot share its image pages and its
-// tree, and each copies only what it writes. Builds and runs on several
-// threads at once must leave the snapshot, and every other SoC, untouched;
-// a lazily formatted tree (a cache miss) must still catch memory tampered
-// before a line's first read. The sanitizer CI leg runs this file under
+// SoCs built from one cached FormatSnapshot share its image pages, which
+// their DDR stores and their lazily formatted trees both read, and each
+// copies only what it writes. Builds and runs on several threads at once
+// must leave the snapshot, and every other SoC, untouched; the lazy tree,
+// on a cache hit as on a miss, must still catch memory tampered before a
+// line's first read. The sanitizer CI leg runs this file under
 // ThreadSanitizer.
 #include <gtest/gtest.h>
 
@@ -72,7 +73,7 @@ TEST_F(SnapshotSharing, ConcurrentBuildsFromOneSnapshotWriteOnlyTheirOwnPages) {
   std::vector<std::thread> pool;
   for (std::size_t t = 0; t < kThreads; ++t) {
     pool.emplace_back([t, &results, &probes, &shared_left] {
-      soc::Soc soc(full_cfg());  // a hit: shared pages and shared tree
+      soc::Soc soc(full_cfg());  // a hit: shared pages, lazy tree
       results[t] = soc.run(5'000'000);
       // Odd threads also tamper with a shared page directly.
       if (t % 2 == 1) tamper_line(soc, last_line(soc));
@@ -101,17 +102,25 @@ TEST_F(SnapshotSharing, ConcurrentBuildsFromOneSnapshotWriteOnlyTheirOwnPages) {
   EXPECT_EQ(read_line(later, last_line(later)), bus::TransStatus::kOk);
 }
 
-// On a miss the tree hashes each leaf from the snapshot image on the line's
-// first read, never from the DDR: a line tampered with before that read is
-// caught.
+// The lazy tree checks a line's first read against the snapshot image,
+// never against the DDR: a line tampered with before that read differs
+// from the image, so it is hashed (its leaf from the image, then the read
+// data) and caught. An untouched line equals the image and hashes nothing.
+// A hit builds the same lazy tree as a miss.
 TEST_F(SnapshotSharing, LazyLeavesCatchTamperingBeforeTheFirstRead) {
-  FormatCache::instance().clear();  // this build is a miss
-  soc::Soc soc(full_cfg());
-  EXPECT_EQ(soc.lcf()->ic().tree_hash_count(), 0u);
-  tamper_line(soc, 7);
-  EXPECT_EQ(read_line(soc, 7), bus::TransStatus::kIntegrityError);
-  EXPECT_EQ(read_line(soc, 8), bus::TransStatus::kOk);
-  EXPECT_EQ(soc.lcf()->ic().tree_hash_count(), 4u);  // 2 leaves, 2 reads
+  for (const bool hit : {false, true}) {
+    SCOPED_TRACE(hit ? "cache hit" : "cache miss");
+    const std::uint64_t hits = FormatCache::instance().stats().hits;
+    soc::Soc soc(full_cfg());
+    EXPECT_EQ(FormatCache::instance().stats().hits, hit ? hits + 1 : hits);
+    EXPECT_EQ(soc.lcf()->ic().tree().hash_count(), 0u);
+    tamper_line(soc, 7);
+    EXPECT_EQ(read_line(soc, 7), bus::TransStatus::kIntegrityError);
+    EXPECT_EQ(read_line(soc, 8), bus::TransStatus::kOk);
+    EXPECT_EQ(soc.lcf()->ic().tree().hash_count(), 2u);  // line 7's two
+    EXPECT_EQ(read_line(soc, 7), bus::TransStatus::kIntegrityError);
+    EXPECT_EQ(soc.lcf()->ic().tree().hash_count(), 3u);  // leaf kept
+  }
 }
 
 }  // namespace

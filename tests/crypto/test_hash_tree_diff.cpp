@@ -4,7 +4,8 @@
 // path on every verify, the straightforward reading of the model. HashTree
 // hashes only what a verdict depends on (a leaf-only verify on an untampered
 // tree, parents recomputed when next read, leaves of a lazy rebuild hashed
-// on first read), so the two must agree on every observable: verify
+// when first needed, a read of a lazy line as formatted compared instead of
+// hashed), so the two must agree on every observable: verify
 // verdicts, first bad levels, OpCosts, the root and every node, across
 // updates, tampering at every level, eager and lazy rebuilds, restores,
 // copies and moves. The reference also bounds host work: HashTree never
@@ -480,9 +481,9 @@ Pair lazy_pair(std::uint64_t seed) {
   return p;
 }
 
-// The tree hashes a leaf from the image it was given, not from the memory
-// the image was stored to: a line changed there before its first read
-// fails at the leaf, exactly as against the eagerly built tree.
+// The tree checks a read against the image it was given, not against the
+// memory the image was stored to: a line changed there before its first
+// read fails at the leaf, exactly as against the eagerly built tree.
 TEST(HashTreeDiff, LazyLeafCatchesMemoryTamperedBeforeItsFirstRead) {
   Pair p = lazy_pair(21);
   std::vector<Bytes> memory = p.data;  // what a DDR holds after the format
@@ -493,16 +494,127 @@ TEST(HashTreeDiff, LazyLeafCatchesMemoryTamperedBeforeItsFirstRead) {
   EXPECT_EQ(tampered.first_bad_level, 0u);
   EXPECT_TRUE(p.tree.verify(4, memory[4], 1).ok);
   EXPECT_FALSE(p.tree.verify(4, memory[4], 2).ok);  // stale version
-  // Each read leaf hashed once from the image, plus the data of each verify.
-  EXPECT_EQ(p.tree.hash_count(), 2u + 3u);
+  // The honest read of line 4 compared with the image; the two failing
+  // reads each hashed their leaf from the image and the read data.
+  EXPECT_EQ(p.tree.hash_count(), 2u + 2u);
   EXPECT_FALSE(p.tree.verify(5, memory[5], 1).ok);  // still caught
-  EXPECT_EQ(p.tree.hash_count(), 2u + 4u);
+  EXPECT_EQ(p.tree.hash_count(), 2u + 3u);
+}
+
+// Same bytes as formatted, at a version the format did not bind: not the
+// lazy leaf's input, so the read hashes and fails, as on the eager tree.
+TEST(HashTreeDiff, LazyLineAtAnotherVersionFailsByHashing) {
+  Pair p = lazy_pair(27);
+  for (const std::uint32_t version : {0u, 2u, 0xFFFFFFFFu}) {
+    const std::uint64_t before = p.tree.hash_count();
+    const auto got = p.tree.verify(6, p.data[6], version);
+    expect_same_verify(got, p.ref.verify(6, p.data[6], version));
+    EXPECT_FALSE(got.ok) << version;
+    EXPECT_GT(p.tree.hash_count(), before) << version;
+  }
+  const std::uint64_t before = p.tree.hash_count();
+  EXPECT_TRUE(p.tree.verify(6, p.data[6], 1).ok);
+  EXPECT_EQ(p.tree.hash_count(), before + 1);  // the leaf is no longer lazy
+}
+
+// A poke makes the tree inconsistent: from then on even a line as
+// formatted is hashed and walked to the root, and a line under the poke
+// fails where the eager tree fails.
+TEST(HashTreeDiff, PokeThenAnUntouchedLineWalksThePath) {
+  Pair p = lazy_pair(28);
+  util::Xoshiro256 rng(29);
+  const Sha256Digest garbage = random_digest(rng);
+  p.tree.poke_node(1, 5, garbage);  // covers leaves 10 and 11
+  p.ref.poke(1, 5, garbage);
+  const std::uint64_t before = p.tree.hash_count();
+  const auto clean = p.tree.verify(0, p.data[0], 1);
+  expect_same_verify(clean, p.ref.verify(0, p.data[0], 1));
+  EXPECT_TRUE(clean.ok);
+  EXPECT_EQ(p.tree.hash_count(), before + 1 + p.ref.depth());
+  const auto under = p.tree.verify(10, p.data[10], 1);
+  expect_same_verify(under, p.ref.verify(10, p.data[10], 1));
+  EXPECT_FALSE(under.ok);
+  EXPECT_EQ(under.first_bad_level, 1u);
+}
+
+// A lazily formatted tree as a job drives it: writes, reads of what memory
+// holds, memory bytes flipped behind the tree's back, versions advanced
+// without a tree update (a line written while integrity was bypassed) and
+// poked nodes. Every read matches the reference's verdict, first bad level
+// and cost; in total the tree never hashes more than the reference; and a
+// read hashes nothing exactly when it is of a line as formatted (unwritten,
+// bytes and version as the format left them) on an untampered tree.
+void run_lazy_read_sequence(std::size_t leaves, std::uint64_t seed,
+                            std::size_t ops) {
+  constexpr std::size_t kBlock = 32;
+  util::Xoshiro256 rng(seed);
+  Pair p(leaves, kBlock);
+  start_lazily(p, rng, 1);
+  const std::vector<Bytes> image = p.data;  // the formatted lines
+  std::vector<Bytes> memory = p.data;       // what the DDR holds
+  std::vector<bool> written(leaves, false);
+  bool poked = false;
+  const std::size_t depth = p.ref.depth();
+  for (std::size_t op = 0; op < ops; ++op) {
+    SCOPED_TRACE(::testing::Message() << "leaves " << leaves << " seed "
+                                      << seed << " op " << op);
+    const std::uint64_t roll = rng.below(100);
+    const std::size_t leaf = static_cast<std::size_t>(rng.below(leaves));
+    if (roll < 20) {
+      Bytes data = random_block(rng, kBlock);
+      const auto version = static_cast<std::uint32_t>(p.versions[leaf] + 1);
+      const HashTree::OpCost got = p.tree.update(leaf, data, version);
+      const HashTree::OpCost want = p.ref.update(leaf, data, version);
+      EXPECT_EQ(got.hashes, want.hashes);
+      EXPECT_EQ(got.nodes_touched, want.nodes_touched);
+      memory[leaf] = data;
+      p.data[leaf] = std::move(data);
+      p.versions[leaf] = version;
+      written[leaf] = true;
+    } else if (roll < 85) {
+      const bool as_formatted = !poked && !written[leaf] &&
+                                memory[leaf] == image[leaf] &&
+                                p.versions[leaf] == 1;
+      const std::uint64_t before = p.tree.hash_count();
+      expect_same_verify(p.tree.verify(leaf, memory[leaf], p.versions[leaf]),
+                         p.ref.verify(leaf, memory[leaf], p.versions[leaf]));
+      EXPECT_EQ(p.tree.hash_count() == before, as_formatted);
+    } else if (roll < 92) {
+      // One bit of the stored line; flipping it again restores the line.
+      memory[leaf][rng.below(kBlock)] ^=
+          static_cast<std::uint8_t>(1u << rng.below(8));
+    } else if (roll < 97) {
+      ++p.versions[leaf];
+    } else {
+      const std::size_t level = static_cast<std::size_t>(rng.below(depth + 1));
+      const std::size_t idx =
+          static_cast<std::size_t>(rng.below(leaves >> level));
+      const Sha256Digest digest = random_digest(rng);
+      p.tree.poke_node(level, idx, digest);
+      p.ref.poke(level, idx, digest);
+      poked = true;
+    }
+    EXPECT_LE(p.tree.hash_count(), p.ref.hash_count());
+    if (::testing::Test::HasFailure()) return;
+  }
+  expect_same_nodes(p);
+}
+
+TEST(HashTreeDiff, LazyReadSequencesCompareOnlyLinesAsFormatted) {
+  for (const std::size_t leaves : {2u, 16u, 64u}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      run_lazy_read_sequence(leaves, seed * 6151 + leaves, 1500);
+      if (HasFailure()) return;
+    }
+  }
 }
 
 TEST(HashTreeDiff, RestoreFromAPartlyMaterializedLazyTree) {
   Pair p = lazy_pair(22);
   util::Xoshiro256 rng(23);
-  EXPECT_TRUE(p.tree.verify(2, p.data[2], 1).ok);  // materializes leaf 2
+  Bytes forged = p.data[2];
+  forged[0] ^= 0x01;
+  EXPECT_FALSE(p.tree.verify(2, forged, 1).ok);  // materializes leaf 2
   p.data[9] = random_block(rng, kLazyBlock);
   p.versions[9] = 2;
   p.tree.update(9, p.data[9], 2);  // written, never read
@@ -519,8 +631,9 @@ TEST(HashTreeDiff, RestoreFromAPartlyMaterializedLazyTree) {
         restored.tree.verify(leaf, restored.data[leaf], restored.versions[leaf]),
         restored.ref.verify(leaf, restored.data[leaf], restored.versions[leaf]));
   }
-  // Leaves 2 and 9 came along; the other 14 were hashed from the image.
-  EXPECT_EQ(restored.tree.hash_count(), kLazyLeaves + (kLazyLeaves - 2));
+  // Leaves 2 and 9 came along, so their reads hash the data; the other 14
+  // compared with the shared image.
+  EXPECT_EQ(restored.tree.hash_count(), 2u);
   expect_same_nodes(restored);
   // The source is unaffected by its copy's reads and keeps working.
   EXPECT_EQ(p.tree.hash_count(), 2u + 1u);
@@ -530,9 +643,10 @@ TEST(HashTreeDiff, RestoreFromAPartlyMaterializedLazyTree) {
 TEST(HashTreeDiff, RootAndPeekOfALazyTreeFillTheRest) {
   Pair peeked = lazy_pair(24);
   EXPECT_TRUE(peeked.tree.verify(0, peeked.data[0], 1).ok);
+  EXPECT_EQ(peeked.tree.hash_count(), 0u);  // compared with the image
   EXPECT_EQ(peeked.tree.peek_node(0, 11), peeked.ref.peek(0, 11));
-  // One read leaf + its data, then the 15 other leaves and 15 parents.
-  EXPECT_EQ(peeked.tree.hash_count(), 2u + (kLazyLeaves - 1) + (kLazyLeaves - 1));
+  // All 16 leaves, then 15 parents.
+  EXPECT_EQ(peeked.tree.hash_count(), 2 * kLazyLeaves - 1);
   for (std::size_t level = 0; level <= peeked.ref.depth(); ++level) {
     for (std::size_t idx = 0; idx < (kLazyLeaves >> level); ++idx) {
       EXPECT_EQ(peeked.tree.peek_node(level, idx), peeked.ref.peek(level, idx));

@@ -1,9 +1,9 @@
 // Pins the heap allocations a running SoC makes. Once a job is warm, a
 // simulated transaction must not touch the allocator: channel and booking
 // queues are grow-only rings, payloads up to 64 bytes live inline, and the
-// traffic generator builds its writes in place. What remains grows with
-// the simulated address footprint and latency spread, not with the number
-// of transactions:
+// traffic generators (processors, the flood attacker) build their writes in
+// place. What remains grows with the simulated address footprint and
+// latency spread, not with the number of transactions:
 //   * latency histogram blocks, allocated the first time a latency lands
 //     in a new block (util::LatencyHistogram);
 //   * backing-store pages, allocated on the first touch of each page
@@ -17,6 +17,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "attack/flood_master.hpp"
+#include "core/security_policy.hpp"
 #include "scenario/scenario.hpp"
 #include "soc/presets.hpp"
 #include "soc/soc.hpp"
@@ -48,16 +50,43 @@ namespace {
 
 // operator new calls made inside Soc::run only; building the SoC (and its
 // protected-region format) is setup, not per-transaction cost.
-std::uint64_t run_allocations(const soc::SocConfig& cfg) {
-  soc::Soc sys(cfg);
+std::uint64_t counted_run(soc::Soc& sys) {
   g_allocations.store(0);
   g_counting.store(true);
   const soc::SocResults r = sys.run(30'000'000);
   g_counting.store(false);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.transactions_ok + r.transactions_failed,
-            cfg.processors * cfg.transactions_per_cpu);
+            sys.config().processors * sys.config().transactions_per_cpu);
   return g_allocations.load();
+}
+
+std::uint64_t run_allocations(const soc::SocConfig& cfg) {
+  soc::Soc sys(cfg);
+  return counted_run(sys);
+}
+
+// The flood-in-policy attack of attack_grid (8-beat writes cycling over a
+// 4 KiB window of the shared scratchpad) beside a short section5 job.
+std::uint64_t flood_allocations(std::uint64_t flood_writes) {
+  soc::SocConfig cfg = soc::section5_config();
+  cfg.transactions_per_cpu = 100;
+  cfg.seed = scenario::derive_seed(1, 2);
+  soc::Soc sys(cfg);
+  const soc::AddressPlan::Window scratch = sys.plan().bram_scratch;
+  attack::FloodMaster::Config fc;
+  fc.target = scratch.base + scratch.size / 2;
+  fc.region = 4096;
+  fc.burst_beats = 8;
+  fc.total_writes = flood_writes;
+  attack::FloodMaster flood("flooder", 250, fc);
+  core::PolicyBuilder pb(0x600);
+  pb.allow(scratch.base, scratch.size, core::RwAccess::kReadWrite,
+           core::FormatMask::k32, "flood-window");
+  sys.attach_custom_master(flood, pb.build());
+  const std::uint64_t allocations = counted_run(sys);
+  EXPECT_EQ(flood.completed(), flood_writes);
+  return allocations;
 }
 
 // Job 1 of the ciphered_datapath benchmark workload (seed 1): distributed
@@ -87,7 +116,7 @@ soc::SocConfig star32_job(std::uint64_t transactions_per_cpu) {
 TEST(AllocBudget, CipheredJobAllocatesPerFootprintNotPerTransaction) {
   const std::uint64_t base = run_allocations(ciphered_job(1500));
   const std::uint64_t doubled = run_allocations(ciphered_job(3000));
-  EXPECT_EQ(base, 587u);
+  EXPECT_EQ(base, 586u);
   EXPECT_EQ(doubled, 613u);
   EXPECT_LE(doubled - base, 30u);
 }
@@ -95,9 +124,19 @@ TEST(AllocBudget, CipheredJobAllocatesPerFootprintNotPerTransaction) {
 TEST(AllocBudget, Star32JobAllocatesPerFootprintNotPerTransaction) {
   const std::uint64_t base = run_allocations(star32_job(30));
   const std::uint64_t doubled = run_allocations(star32_job(60));
-  EXPECT_EQ(base, 612u);
+  EXPECT_EQ(base, 611u);
   EXPECT_EQ(doubled, 686u);
   EXPECT_LE(doubled - base, 110u);
+}
+
+// A flood write builds its payload inline and its response is read in
+// place, so doubling the writes allocates nothing more.
+TEST(AllocBudget, FloodAllocatesPerFootprintNotPerWrite) {
+  const std::uint64_t base = flood_allocations(400);
+  const std::uint64_t doubled = flood_allocations(800);
+  EXPECT_EQ(base, 165u);
+  EXPECT_EQ(doubled, 165u);
+  EXPECT_LE(doubled - base, 10u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <vector>
 
 namespace secbus::util {
@@ -117,11 +118,15 @@ TEST(Xoshiro256, FillCoversAllBytesDeterministically) {
   EXPECT_TRUE(nonzero);
 }
 
+std::size_t pick(Xoshiro256& rng, std::span<const double> weights) {
+  return rng.weighted_pick(weights, Xoshiro256::weight_total(weights));
+}
+
 TEST(Xoshiro256, WeightedPickRespectsZeroWeights) {
   Xoshiro256 rng(13);
   const double weights[] = {0.0, 1.0, 0.0};
   for (int i = 0; i < 500; ++i) {
-    EXPECT_EQ(rng.weighted_pick(std::span<const double>(weights, 3)), 1u);
+    EXPECT_EQ(pick(rng, std::span<const double>(weights, 3)), 1u);
   }
 }
 
@@ -131,7 +136,7 @@ TEST(Xoshiro256, WeightedPickApproximatesRatios) {
   int counts[2] = {0, 0};
   constexpr int kTrials = 20000;
   for (int i = 0; i < kTrials; ++i) {
-    ++counts[rng.weighted_pick(std::span<const double>(weights, 2))];
+    ++counts[pick(rng, std::span<const double>(weights, 2))];
   }
   EXPECT_NEAR(static_cast<double>(counts[1]) / kTrials, 0.75, 0.02);
 }
@@ -141,9 +146,51 @@ TEST(Xoshiro256, WeightedPickAllZeroFallsBackToUniform) {
   const double weights[] = {0.0, 0.0, 0.0};
   std::set<std::size_t> seen;
   for (int i = 0; i < 300; ++i) {
-    seen.insert(rng.weighted_pick(std::span<const double>(weights, 3)));
+    seen.insert(pick(rng, std::span<const double>(weights, 3)));
   }
   EXPECT_EQ(seen.size(), 3u);
+}
+
+// Reference draw that re-sums the weights on every call.
+std::size_t resumming_pick(Xoshiro256& rng, std::span<const double> weights) {
+  double total = 0.0;
+  for (double w : weights) total += (w > 0.0 ? w : 0.0);
+  if (total <= 0.0) return rng.below(weights.size());
+  double target = rng.uniform01() * total;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
+    if (target < w) return i;
+    target -= w;
+  }
+  return weights.size() - 1;
+}
+
+// A total summed once (as ip::Processor does for its fixed weights) draws
+// exactly what re-summing draws: same index, same generator state after.
+TEST(Xoshiro256, WeightedPickWithCachedTotalMatchesResumming) {
+  Xoshiro256 gen(2024);
+  Xoshiro256 cached(77);
+  Xoshiro256 resummed(77);
+  std::size_t draws = 0;
+  while (draws < 100'000) {
+    std::vector<double> weights(1 + gen.below(8));
+    for (double& w : weights) {
+      switch (gen.below(6)) {
+        case 0: w = 0.0; break;
+        case 1: w = -gen.uniform01(); break;
+        case 2: w = gen.uniform01() * 1e-9; break;
+        case 3: w = gen.uniform01() * 1e9; break;
+        default: w = gen.uniform01(); break;
+      }
+    }
+    const double total = Xoshiro256::weight_total(weights);
+    for (int i = 0; i < 100; ++i, ++draws) {
+      ASSERT_EQ(cached.weighted_pick(weights, total),
+                resumming_pick(resummed, weights))
+          << "draw " << draws;
+    }
+  }
+  EXPECT_EQ(cached.next(), resummed.next());
 }
 
 TEST(Xoshiro256, SubstreamsAreIndependentAndStable) {
