@@ -66,7 +66,7 @@ sim::Cycle measure_sb_latency() {
   t.issued_at = 0;
   fw.ip_side().request.push(std::move(t));
   kernel.run_until_idle(1000);
-  (void)fw.ip_side().response.pop();
+  (void)fw.ip_side().response.take();
   return fw.stats().check_cycles;  // SB pipeline occupancy for one check
 }
 

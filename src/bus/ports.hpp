@@ -8,13 +8,13 @@
 // decorator.
 #pragma once
 
-#include <optional>
 #include <string_view>
 
 #include "bus/transaction.hpp"
 #include "sim/component.hpp"
 #include "sim/kernel.hpp"
 #include "sim/types.hpp"
+#include "util/assert.hpp"
 #include "util/ring.hpp"
 
 namespace secbus::bus {
@@ -27,12 +27,13 @@ namespace secbus::bus {
 // The consumer registers itself with set_consumer() when it is wired to the
 // channel; every push then notifies it through its kernel, which is how a
 // sleeping component learns that input has arrived (see sim::SimKernel).
+// A consumer serves the front in place (front()), then forwards it to the
+// next channel with move_front_to(), moves it out with take(), or discards
+// it with drop_front(); no hop copies a transaction.
 class TransactionChannel {
  public:
   void push(BusTransaction t) {
-    if (consumer_ != nullptr && consumer_->kernel() != nullptr) {
-      consumer_->kernel()->notify(*consumer_);
-    }
+    notify_consumer();
     q_.push_back(std::move(t));
   }
 
@@ -48,13 +49,20 @@ class TransactionChannel {
   [[nodiscard]] BusTransaction& front() { return q_.front(); }
   [[nodiscard]] const BusTransaction& front() const { return q_.front(); }
 
-  std::optional<BusTransaction> pop() {
-    std::optional<BusTransaction> t;
-    if (!q_.empty()) {
-      t.emplace(std::move(q_.front()));
-      q_.pop_front();
-    }
+  // Moves the front transaction out; the channel must not be empty.
+  [[nodiscard]] BusTransaction take() {
+    SECBUS_ASSERT(!q_.empty(), "take() from an empty channel");
+    BusTransaction t = std::move(q_.front());
+    q_.pop_front();
     return t;
+  }
+  // Moves the front transaction to the back of `next`, as push(take())
+  // would, in one move; the channel must not be empty.
+  void move_front_to(TransactionChannel& next) {
+    SECBUS_ASSERT(!q_.empty(), "move_front_to() from an empty channel");
+    next.notify_consumer();
+    next.q_.push_back(std::move(q_.front()));
+    q_.pop_front();
   }
   // Discards the front transaction (after front() was read in place).
   void drop_front() noexcept { q_.pop_front(); }
@@ -62,6 +70,12 @@ class TransactionChannel {
   void clear() { q_.clear(); }
 
  private:
+  void notify_consumer() {
+    if (consumer_ != nullptr && consumer_->kernel() != nullptr) {
+      consumer_->kernel()->notify(*consumer_);
+    }
+  }
+
   util::Ring<BusTransaction> q_;
   sim::Component* consumer_ = nullptr;
 };

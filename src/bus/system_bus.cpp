@@ -56,20 +56,22 @@ bool SystemBus::no_requests_waiting() const noexcept {
   return true;
 }
 
+BusTransaction& SystemBus::current() noexcept {
+  return endpoints_[current_master_]->request.front();
+}
+
 void SystemBus::start_transaction(sim::Cycle now, std::size_t master_index) {
-  auto popped = endpoints_[master_index]->request.pop();
-  SECBUS_ASSERT(popped.has_value(), "arbiter granted an empty request queue");
-  current_ = std::move(*popped);
   current_master_ = master_index;
-  current_.granted_at = now;
+  BusTransaction& t = current();
+  t.granted_at = now;
 
   MasterStats& ms = master_stats_[master_index];
   ++ms.grants;
-  ms.wait_cycles.add(static_cast<double>(now - current_.issued_at));
+  ms.wait_cycles.add(static_cast<double>(now - t.issued_at));
 
   if (trace_ != nullptr) {
-    trace_->record({now, sim::TraceKind::kTransOnBus, name().c_str(),
-                    current_.id, current_.addr, current_.payload_bytes()});
+    trace_->record({now, sim::TraceKind::kTransOnBus, name().c_str(), t.id,
+                    t.addr, t.payload_bytes()});
   }
 
   state_ = State::kAddress;
@@ -77,26 +79,25 @@ void SystemBus::start_transaction(sim::Cycle now, std::size_t master_index) {
 }
 
 void SystemBus::finish_transaction(sim::Cycle now) {
-  current_.completed_at = now;
-  if (current_.status == TransStatus::kPending) {
-    current_.status = pending_result_.status;
-  }
+  BusTransaction& t = current();
+  t.completed_at = now;
+  if (t.status == TransStatus::kPending) t.status = pending_result_.status;
   MasterStats& ms = master_stats_[current_master_];
-  if (current_.status != TransStatus::kOk) {
+  if (t.status != TransStatus::kOk) {
     ++ms.errors;
   } else {
-    stats_.bytes_transferred += current_.payload_bytes();
+    stats_.bytes_transferred += t.payload_bytes();
   }
-  ms.service_cycles.add(static_cast<double>(now - current_.granted_at));
-  ms.total_cycles.add(static_cast<double>(now - current_.issued_at));
+  ms.service_cycles.add(static_cast<double>(now - t.granted_at));
+  ms.total_cycles.add(static_cast<double>(now - t.issued_at));
   ++stats_.transactions;
 
   if (trace_ != nullptr) {
-    trace_->record({now, sim::TraceKind::kTransComplete, name().c_str(),
-                    current_.id, current_.addr,
-                    static_cast<std::uint64_t>(current_.status)});
+    trace_->record({now, sim::TraceKind::kTransComplete, name().c_str(), t.id,
+                    t.addr, static_cast<std::uint64_t>(t.status)});
   }
-  endpoints_[current_master_]->response.push(std::move(current_));
+  MasterEndpoint& ep = *endpoints_[current_master_];
+  ep.request.move_front_to(ep.response);
   state_ = State::kIdle;
 }
 
@@ -126,11 +127,11 @@ void SystemBus::tick(sim::Cycle now) {
       if (phase_remaining_ == 0) {
         // Address phase done at end of this cycle: decode and start the
         // data/slave phase next cycle.
-        const Region* region =
-            map_.region_for_range(current_.addr, current_.payload_bytes());
+        BusTransaction& t = current();
+        const Region* region = map_.region_for_range(t.addr, t.payload_bytes());
         if (region == nullptr) {
           ++stats_.decode_errors;
-          current_.status = TransStatus::kDecodeError;
+          t.status = TransStatus::kDecodeError;
           pending_result_ = AccessResult{1, TransStatus::kDecodeError};
           state_ = State::kDataAndSlave;
           current_is_crossing_ = false;
@@ -138,11 +139,11 @@ void SystemBus::tick(sim::Cycle now) {
         } else {
           SlaveDevice* dev = slaves_[region->slave];
           current_is_crossing_ = dev->is_bridge();
-          pending_result_ = dev->access(current_, now);
+          pending_result_ = dev->access(t, now);
           SECBUS_ASSERT(pending_result_.latency >= 1,
                         "slave access latency must be >= 1 cycle");
           state_ = State::kDataAndSlave;
-          phase_remaining_ = pending_result_.latency + current_.burst_len;
+          phase_remaining_ = pending_result_.latency + t.burst_len;
         }
       }
       break;

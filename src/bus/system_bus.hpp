@@ -168,6 +168,8 @@ class SystemBus final : public sim::Component {
   [[nodiscard]] bool no_requests_waiting() const noexcept;
   void start_transaction(sim::Cycle now, std::size_t master_index);
   void finish_transaction(sim::Cycle now);
+  // The transaction in service (state_ != kIdle).
+  BusTransaction& current() noexcept;
 
   RoundRobinArbiter arbiter_;
   AddressMap map_;
@@ -183,8 +185,9 @@ class SystemBus final : public sim::Component {
   // in-flight crossings (each master has at most one outstanding).
   util::Ring<std::pair<sim::Cycle, sim::Cycle>> bookings_;
   sim::Cycle booking_tail_ = 0;  // end of the last booked window
-  bool current_is_crossing_ = false;  // current_ is serviced by a Bridge
-  BusTransaction current_;
+  bool current_is_crossing_ = false;  // current() is serviced by a Bridge
+  // The granted master. Its transaction stays at the front of its request
+  // queue while in service, and moves to its response queue at the end.
   std::size_t current_master_ = 0;
   sim::Cycle phase_remaining_ = 0;
   AccessResult pending_result_;

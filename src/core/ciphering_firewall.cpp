@@ -79,38 +79,11 @@ bool LocalCipheringFirewall::in_protected_range(sim::Addr addr,
          addr - cfg_.protected_base <= cfg_.protected_size - len;
 }
 
-sim::Cycle LocalCipheringFirewall::raw_line_read(sim::Addr line_addr,
-                                                 std::span<std::uint8_t> out,
-                                                 sim::Cycle now,
-                                                 sim::MasterId master) {
-  bus::BusTransaction raw = bus::make_read(
-      master, line_addr, bus::DataFormat::kWord,
-      static_cast<std::uint16_t>(cfg_.line_bytes / 4));
-  const auto result = inner_->access(raw, now);
-  SECBUS_ASSERT(result.status == bus::TransStatus::kOk,
-                "raw DDR line read failed (LCF range vs DDR size mismatch)");
-  std::memcpy(out.data(), raw.data.data(), out.size());
-  return result.latency;
-}
-
-sim::Cycle LocalCipheringFirewall::raw_line_write(sim::Addr line_addr,
-                                                  std::span<const std::uint8_t> in,
-                                                  sim::Cycle now,
-                                                  sim::MasterId master) {
-  bus::BusTransaction raw =
-      bus::make_write(master, line_addr, bus::Payload(in), bus::DataFormat::kWord);
-  const auto result = inner_->access(raw, now);
-  SECBUS_ASSERT(result.status == bus::TransStatus::kOk,
-                "raw DDR line write failed (LCF range vs DDR size mismatch)");
-  return result.latency;
-}
-
 LocalCipheringFirewall::LineOp LocalCipheringFirewall::read_protected_line(
-    sim::Addr line_addr, std::span<std::uint8_t> plain, sim::Cycle now,
-    sim::MasterId master) {
+    sim::Addr line_addr, std::span<std::uint8_t> plain, sim::Cycle now) {
   LineOp op;
   std::vector<std::uint8_t>& stored = scratch_stored_;
-  op.cycles += raw_line_read(line_addr, stored, now, master);
+  op.cycles += inner_->read_line(line_addr, stored, now);
 
   // Integrity first (the tree authenticates what is actually stored), then
   // decryption of the authenticated bytes.
@@ -129,29 +102,30 @@ LocalCipheringFirewall::LineOp LocalCipheringFirewall::read_protected_line(
   }
   if (cm_ == ConfidentialityMode::kCipher) {
     op.cycles +=
-        cc_.decrypt(line_addr, ic_.version_of(line_addr), stored, stored);
+        cc_.decrypt(line_addr, ic_.version_of(line_addr), stored, plain);
     ++stats_.lines_decrypted;
     if (trace_ != nullptr) {
       trace_->record({now, sim::TraceKind::kCipherOp, name_.c_str(), 0,
                       line_addr, cfg_.line_bytes});
     }
+  } else {
+    std::memcpy(plain.data(), stored.data(), plain.size());
   }
-  std::memcpy(plain.data(), stored.data(), plain.size());
   return op;
 }
 
 LocalCipheringFirewall::LineOp LocalCipheringFirewall::write_protected_line(
-    sim::Addr line_addr, std::span<const std::uint8_t> plain, sim::Cycle now,
-    sim::MasterId master) {
+    sim::Addr line_addr, std::span<const std::uint8_t> plain, sim::Cycle now) {
   LineOp op;
-  std::vector<std::uint8_t>& stored = scratch_write_;
-  stored.assign(plain.begin(), plain.end());
+  // The bytes that go to memory: the plaintext itself, or its ciphertext.
+  std::span<const std::uint8_t> stored = plain;
 
   if (cm_ == ConfidentialityMode::kCipher) {
     // Encrypt under the *next* version; the IC update below advances its
     // stored tag to the same value, keeping CC and IC in lockstep.
     const std::uint32_t next_version = ic_.version_of(line_addr) + 1;
-    op.cycles += cc_.encrypt(line_addr, next_version, stored, stored);
+    op.cycles += cc_.encrypt(line_addr, next_version, plain, scratch_write_);
+    stored = scratch_write_;
     ++stats_.lines_encrypted;
     if (trace_ != nullptr) {
       trace_->record({now, sim::TraceKind::kCipherOp, name_.c_str(), 0,
@@ -170,7 +144,7 @@ LocalCipheringFirewall::LineOp LocalCipheringFirewall::write_protected_line(
     // per write (confidentiality does not degrade into a two-time pad).
     (void)ic_.advance_version(line_addr);
   }
-  op.cycles += raw_line_write(line_addr, stored, now, master);
+  op.cycles += inner_->write_line(line_addr, stored, now);
   return op;
 }
 
@@ -203,7 +177,7 @@ bus::AccessResult LocalCipheringFirewall::access(bus::BusTransaction& t,
     for (sim::Addr line = first_line; line <= last_line && ok;
          line += cfg_.line_bytes) {
       std::vector<std::uint8_t>& plain = scratch_plain_;
-      const auto lineop = read_protected_line(line, plain, now, t.master);
+      const auto lineop = read_protected_line(line, plain, now);
       cycles += lineop.cycles;
       ok = lineop.ok;
       if (!ok) break;
@@ -227,11 +201,11 @@ bus::AccessResult LocalCipheringFirewall::access(bus::BusTransaction& t,
       const sim::Addr copy_end =
           std::min<sim::Addr>(line + cfg_.line_bytes, t.end_addr());
       std::vector<std::uint8_t>& plain = scratch_plain_;
-      std::fill(plain.begin(), plain.end(), 0);
       if (copy_end - copy_begin < cfg_.line_bytes) {
-        // Partial-line write: read-modify-write of the full line.
+        // Partial-line write: read-modify-write of the full line (a whole
+        // line write overwrites all of `plain` below).
         ++stats_.read_modify_writes;
-        const auto rmw = read_protected_line(line, plain, now, t.master);
+        const auto rmw = read_protected_line(line, plain, now);
         cycles += rmw.cycles;
         if (!rmw.ok) {
           ok = false;
@@ -240,7 +214,7 @@ bus::AccessResult LocalCipheringFirewall::access(bus::BusTransaction& t,
       }
       std::memcpy(plain.data() + (copy_begin - line),
                   t.data.data() + (copy_begin - t.addr), copy_end - copy_begin);
-      const auto wr = write_protected_line(line, plain, now, t.master);
+      const auto wr = write_protected_line(line, plain, now);
       cycles += wr.cycles;
     }
     if (!ok) {
@@ -289,17 +263,11 @@ void LocalCipheringFirewall::format_protected_region() {
 std::vector<std::uint8_t> LocalCipheringFirewall::formatted_image(
     bool ciphered) {
   // Zero lines, enciphered under version 1 — the version the format
-  // advances every line of a pristine core to.
+  // advances every line of a pristine core to. Each block's keystream is
+  // tweaked by its own address, so one pass over the region stores the same
+  // bytes as one pass per line.
   std::vector<std::uint8_t> image(static_cast<std::size_t>(cfg_.protected_size), 0);
-  if (ciphered) {
-    const std::uint64_t lines = cfg_.protected_size / cfg_.line_bytes;
-    for (std::uint64_t i = 0; i < lines; ++i) {
-      const sim::Addr line_addr = cfg_.protected_base + i * cfg_.line_bytes;
-      const auto line = std::span<std::uint8_t>(
-          image.data() + i * cfg_.line_bytes, cfg_.line_bytes);
-      (void)cc_.encrypt(line_addr, 1, line, line);
-    }
-  }
+  if (ciphered) (void)cc_.encrypt(cfg_.protected_base, 1, image, image);
   return image;
 }
 

@@ -122,21 +122,16 @@ class LocalCipheringFirewall final : public bus::SlaveDevice {
   // format_protected_region); charges the CC, whose stats the format resets.
   [[nodiscard]] std::vector<std::uint8_t> formatted_image(bool ciphered);
 
-  // Raw line transfer to/from the inner DDR; returns the DDR latency.
-  sim::Cycle raw_line_read(sim::Addr line_addr, std::span<std::uint8_t> out,
-                           sim::Cycle now, sim::MasterId master);
-  sim::Cycle raw_line_write(sim::Addr line_addr, std::span<const std::uint8_t> in,
-                            sim::Cycle now, sim::MasterId master);
-
   struct LineOp {
     sim::Cycle cycles = 0;
     bool ok = true;
   };
+  // One protected line through the CC/IC; the raw line moves over the
+  // DDR's line port.
   LineOp read_protected_line(sim::Addr line_addr, std::span<std::uint8_t> plain,
-                             sim::Cycle now, sim::MasterId master);
+                             sim::Cycle now);
   LineOp write_protected_line(sim::Addr line_addr,
-                              std::span<const std::uint8_t> plain, sim::Cycle now,
-                              sim::MasterId master);
+                              std::span<const std::uint8_t> plain, sim::Cycle now);
 
   std::string name_;
   FirewallId id_;

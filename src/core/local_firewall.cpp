@@ -50,20 +50,18 @@ LocalFirewall::LocalFirewall(std::string name, FirewallId id,
 }
 
 void LocalFirewall::start_check(sim::Cycle now) {
-  auto popped = ip_side_.request.pop();
-  SECBUS_ASSERT(popped.has_value(), "start_check with empty queue");
-  in_check_ = std::move(*popped);
+  const bus::BusTransaction& t = ip_side_.request.front();
+  checking_ = true;
   ++stats_.secpol_reqs;
   if (trace_ != nullptr) {
     // The issue event is back-dated to when the IP handed the transaction
     // to the LFCB queue; detail carries the queue wait it saw.
-    trace_->record({in_check_->issued_at, sim::TraceKind::kTransIssued,
-                    name().c_str(), in_check_->id, in_check_->addr,
-                    now - in_check_->issued_at});
-    trace_->record({now, sim::TraceKind::kSecpolReq, name().c_str(),
-                    in_check_->id, in_check_->addr, 0});
+    trace_->record({t.issued_at, sim::TraceKind::kTransIssued, name().c_str(),
+                    t.id, t.addr, now - t.issued_at});
+    trace_->record({now, sim::TraceKind::kSecpolReq, name().c_str(), t.id,
+                    t.addr, 0});
   }
-  verdict_ = check(sb_, remote_, id_, *in_check_, now);
+  verdict_ = check(sb_, remote_, id_, t, now);
   SECBUS_ASSERT(verdict_.latency >= 1, "a check takes at least one cycle");
   stats_.check_cycles += verdict_.latency;
   // The SB starts checking in the request cycle, so its verdict is acted on
@@ -74,15 +72,16 @@ void LocalFirewall::start_check(sim::Cycle now) {
 }
 
 void LocalFirewall::finish_check(sim::Cycle now) {
-  SECBUS_ASSERT(in_check_.has_value(), "finish_check without a transaction");
+  SECBUS_ASSERT(checking_, "finish_check without a transaction");
   SECBUS_ASSERT(bus_side_ != nullptr, "firewall not connected to the bus");
-  bus::BusTransaction t = std::move(*in_check_);
-  in_check_.reset();
+  checking_ = false;
   SecurityPolicy::Decision& decision = verdict_.decision;
 
   if (trace_ != nullptr) {
-    trace_->record({now, sim::TraceKind::kCheckResult, name().c_str(), t.id,
-                    t.addr, static_cast<std::uint64_t>(decision.violation)});
+    const bus::BusTransaction& checked = ip_side_.request.front();
+    trace_->record({now, sim::TraceKind::kCheckResult, name().c_str(),
+                    checked.id, checked.addr,
+                    static_cast<std::uint64_t>(decision.violation)});
   }
 
   // DoS throttle: even rule-legal traffic is bounded per window.
@@ -101,13 +100,14 @@ void LocalFirewall::finish_check(sim::Cycle now) {
 
   if (decision.allowed) {
     ++stats_.passed;
-    bus_side_->request.push(std::move(t));
+    ip_side_.request.move_front_to(bus_side_->request);
     return;
   }
 
   // Discard path: the transaction never reaches the bus. The IP gets an
   // error response so it can continue (a hardware IP would see its strobe
   // acknowledged with an error code).
+  bus::BusTransaction t = ip_side_.request.take();
   ++stats_.blocked;
   stats_.count_violation(decision.violation);
   log_->raise(Alert{now, id_, name(), decision.violation, t.master, t.op,
@@ -129,7 +129,7 @@ void LocalFirewall::pump_responses() {
   if (bus_side_ == nullptr) return;
   while (!bus_side_->response.empty()) {
     ++stats_.responses_gated;
-    ip_side_.response.push(*bus_side_->response.pop());
+    bus_side_->response.move_front_to(ip_side_.response);
   }
 }
 
@@ -138,7 +138,7 @@ void LocalFirewall::tick(sim::Cycle now) {
   pump_responses();
 
   // One check at a time; new requests wait in the LFCB queue.
-  if (!in_check_.has_value()) {
+  if (!checking_) {
     if (ip_side_.request.empty()) return;
     start_check(now);
   }
@@ -148,7 +148,7 @@ void LocalFirewall::tick(sim::Cycle now) {
 
 sim::Cycle LocalFirewall::next_wake(sim::Cycle now) const {
   if (bus_side_ != nullptr && !bus_side_->response.empty()) return now;
-  if (in_check_.has_value()) return act_at_;
+  if (checking_) return act_at_;
   return ip_side_.request.empty() ? sim::kNeverCycle : now;
 }
 
@@ -160,7 +160,7 @@ void LocalFirewall::contribute_metrics(obs::Registry& reg,
 void LocalFirewall::reset() {
   ip_side_.clear();
   if (bus_side_ != nullptr) bus_side_->clear();
-  in_check_.reset();
+  checking_ = false;
   act_at_ = 0;
   rate_window_start_ = 0;
   rate_window_count_ = 0;

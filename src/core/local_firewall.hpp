@@ -142,8 +142,9 @@ class LocalFirewall final : public sim::Component {
   bus::MasterEndpoint* bus_side_ = nullptr;
 
   // One check in flight at a time (single SB pipeline), acted on at
-  // `act_at_`.
-  std::optional<bus::BusTransaction> in_check_;
+  // `act_at_`. The transaction under check stays at the front of the
+  // IP-side request queue until the verdict hands it on.
+  bool checking_ = false;
   Verdict verdict_;
   sim::Cycle act_at_ = 0;
 

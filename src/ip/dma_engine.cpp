@@ -48,7 +48,7 @@ void DmaEngine::tick(sim::Cycle now) {
         return;
       }
       if (port_->response.empty()) return;
-      bus::BusTransaction resp = *port_->response.pop();
+      bus::BusTransaction resp = port_->response.take();
       if (resp.status != bus::TransStatus::kOk) {
         ++stats_.errors;
         state_ = State::kIdle;  // abort the job on error
@@ -71,8 +71,9 @@ void DmaEngine::tick(sim::Cycle now) {
         return;
       }
       if (port_->response.empty()) return;
-      bus::BusTransaction resp = *port_->response.pop();
-      if (resp.status != bus::TransStatus::kOk) {
+      const bus::TransStatus status = port_->response.front().status;
+      port_->response.drop_front();
+      if (status != bus::TransStatus::kOk) {
         ++stats_.errors;
         state_ = State::kIdle;
         stats_.finished_at = now;

@@ -78,10 +78,9 @@ void Processor::tick(sim::Cycle now) {
         --compute_remaining_;
         return;
       }
-      bus::BusTransaction t = next_transaction(now);
+      port_->request.push(next_transaction(now));
       ++stats_.issued;
       (pending_external_ ? stats_.external_accesses : stats_.internal_accesses) += 1;
-      port_->request.push(std::move(t));
       state_ = State::kWaiting;
       break;
     }
@@ -90,15 +89,16 @@ void Processor::tick(sim::Cycle now) {
         ++stats_.stall_cycles;
         return;
       }
-      const auto resp = port_->response.pop();
-      stats_.latency.add(static_cast<double>(now - resp->issued_at));
-      stats_.latency_hist.add(now - resp->issued_at);
-      if (resp->status == bus::TransStatus::kOk) {
+      const bus::BusTransaction& resp = port_->response.front();
+      stats_.latency.add(static_cast<double>(now - resp.issued_at));
+      stats_.latency_hist.add(now - resp.issued_at);
+      if (resp.status == bus::TransStatus::kOk) {
         ++stats_.completed;
-        stats_.bytes_moved += resp->payload_bytes();
+        stats_.bytes_moved += resp.payload_bytes();
       } else {
         ++stats_.failed;
       }
+      port_->response.drop_front();
       compute_remaining_ =
           rng_.range(workload_.compute_min, workload_.compute_max);
       state_ = State::kComputing;

@@ -48,7 +48,7 @@ void ScriptedMaster::tick(sim::Cycle now) {
     }
     case State::kWaiting: {
       if (port_->response.empty()) return;
-      bus::BusTransaction resp = *port_->response.pop();
+      bus::BusTransaction resp = port_->response.take();
       stats_.latency.add(static_cast<double>(now - resp.issued_at));
       switch (resp.status) {
         case bus::TransStatus::kOk:

@@ -1,7 +1,11 @@
 // Sparse byte-addressable backing store for memory models.
 //
-// Pages are allocated on first touch so multi-gigabyte address spaces cost
-// only what the workload touches. The store also exposes peek/poke, which the
+// A store covers its device's address range [base, base + size) with one
+// page table indexed by (addr - base) / kPageBytes. The table is split in
+// chunks of slots, each allocated on the first write into it, and pages are
+// allocated on their first write: a multi-gigabyte device costs a pointer
+// per chunk plus what the workload touches. An address outside the range is
+// a simulator bug and asserts. The store also exposes peek/poke, which the
 // attack framework uses to model *physical* tampering with the external
 // memory (Section III.B: the attacker reaches the system only through the
 // external bus and external memory) — peek/poke bypass the bus, the
@@ -14,10 +18,10 @@
 // the shared bytes never change under any other reader.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -28,7 +32,8 @@ class BackingStore {
  public:
   static constexpr std::size_t kPageBytes = 4096;
 
-  BackingStore() = default;
+  // Covers [base, base + size); size must be nonzero.
+  BackingStore(sim::Addr base, std::uint64_t size);
   // A copy would alias the pages this store writes in place.
   BackingStore(const BackingStore&) = delete;
   BackingStore& operator=(const BackingStore&) = delete;
@@ -41,10 +46,9 @@ class BackingStore {
   void write(sim::Addr addr, std::span<const std::uint8_t> data);
 
   // Stores `data` at addr like write(), but every page it covers whole
-  // aliases `data` (kept alive by `owner`) until that page's first write or
-  // poke copies it; partial pages at either end are written. `data` must
-  // not change while `owner` lives. The range becomes the store's flat page
-  // index: lookups inside it skip the hash map.
+  // points at `data` until that page's first write or poke copies it;
+  // partial pages at either end are written. `data` must not change while
+  // `owner` lives; the store keeps `owner` until clear() or destruction.
   void share(sim::Addr addr, std::span<const std::uint8_t> data,
              std::shared_ptr<const void> owner);
 
@@ -67,25 +71,31 @@ class BackingStore {
   void clear();
 
  private:
-  // kPageBytes readable bytes: the store's own copy (`own` set, and equal
-  // to bytes.get()) or shared ones. Both null while the page is untouched.
-  struct Page {
-    std::shared_ptr<const std::uint8_t> bytes;
-    std::uint8_t* own = nullptr;
-  };
+  static constexpr unsigned kPageShift = 12;
+  static constexpr unsigned kChunkShift = 9;  // 512 pages (2 MiB) per chunk
+  static constexpr std::size_t kChunkPages = std::size_t{1} << kChunkShift;
+  static_assert(kPageBytes == std::size_t{1} << kPageShift);
 
+  // One page: null while untouched, else kPageBytes readable bytes, the
+  // store's own copy (`own`) or shared ones.
+  struct Slot {
+    const std::uint8_t* bytes = nullptr;
+    std::unique_ptr<std::uint8_t[]> own;
+  };
+  using Chunk = std::array<Slot, kChunkPages>;
+
+  // addr - base, asserting [addr, addr + len) lies inside the range.
+  [[nodiscard]] std::uint64_t offset_of(sim::Addr addr, std::uint64_t len) const;
   [[nodiscard]] const std::uint8_t* find_page(std::uint64_t page_index) const noexcept;
+  Slot& slot(std::uint64_t page_index);
   // The page's bytes for writing: copied first if shared, created filled if
   // untouched.
   std::uint8_t* writable_page(std::uint64_t page_index);
-  // Makes [first, first + count) the flat window. When it moves, pages
-  // leaving it go to the map and pages entering it are dropped (share()
-  // replaces them all).
-  void set_window(std::uint64_t first, std::size_t count);
 
-  std::uint64_t window_first_ = 0;  // page index of window_[0]
-  std::vector<Page> window_;        // the flat page index over the shared range
-  std::unordered_map<std::uint64_t, Page> pages_;  // every page outside it
+  sim::Addr base_;
+  std::uint64_t size_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;       // null until written
+  std::vector<std::shared_ptr<const void>> owners_;  // of shared bytes
   std::uint64_t bytes_written_ = 0;
   std::uint8_t fill_ = 0x00;
 };

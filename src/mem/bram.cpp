@@ -4,7 +4,8 @@
 
 namespace secbus::mem {
 
-Bram::Bram(std::string name, const Config& cfg) : name_(std::move(name)), cfg_(cfg) {
+Bram::Bram(std::string name, const Config& cfg)
+    : name_(std::move(name)), cfg_(cfg), store_(cfg.base, cfg.size) {
   SECBUS_ASSERT(cfg.size > 0, "BRAM must have nonzero size");
   SECBUS_ASSERT(cfg.access_latency >= 1, "BRAM latency must be >= 1");
 }

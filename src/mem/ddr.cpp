@@ -6,7 +6,10 @@
 namespace secbus::mem {
 
 DdrMemory::DdrMemory(std::string name, const Config& cfg)
-    : name_(std::move(name)), cfg_(cfg), bank_state_(cfg.banks) {
+    : name_(std::move(name)),
+      cfg_(cfg),
+      store_(cfg.base, cfg.size),
+      bank_state_(cfg.banks) {
   SECBUS_ASSERT(cfg.size > 0, "DDR must have nonzero size");
   SECBUS_ASSERT(cfg.banks > 0, "DDR needs at least one bank");
   SECBUS_ASSERT(cfg.row_bytes > 0, "DDR row size must be nonzero");
@@ -21,14 +24,9 @@ std::uint64_t DdrMemory::row_of(sim::Addr addr) const noexcept {
   return ((addr - cfg_.base) / cfg_.row_bytes) / cfg_.banks;
 }
 
-bus::AccessResult DdrMemory::access(bus::BusTransaction& t, sim::Cycle now) {
-  if (t.addr < cfg_.base || t.end_addr() > cfg_.base + cfg_.size) {
-    return {1, bus::TransStatus::kSlaveError};
-  }
-
-  const unsigned bank = bank_of(t.addr);
-  const std::uint64_t row = row_of(t.addr);
-  BankState& state = bank_state_[bank];
+sim::Cycle DdrMemory::open_row(sim::Addr addr, sim::Cycle now) {
+  const std::uint64_t row = row_of(addr);
+  BankState& state = bank_state_[bank_of(addr)];
 
   sim::Cycle latency;
   if (state.row_open && state.open_row == row) {
@@ -49,16 +47,39 @@ bus::AccessResult DdrMemory::access(bus::BusTransaction& t, sim::Cycle now) {
       ++stats_.refresh_stalls;
     }
   }
+  return latency;
+}
 
+bus::AccessResult DdrMemory::access(bus::BusTransaction& t, sim::Cycle now) {
+  if (t.addr < cfg_.base || t.end_addr() > cfg_.base + cfg_.size) {
+    return {1, bus::TransStatus::kSlaveError};
+  }
+  sim::Cycle latency;
   if (t.is_write()) {
-    store_.write(t.addr, std::span<const std::uint8_t>(t.data.data(), t.data.size()));
-    ++stats_.writes;
+    latency = write_line(
+        t.addr, std::span<const std::uint8_t>(t.data.data(), t.data.size()), now);
   } else {
     t.data.resize(t.payload_bytes());
-    store_.read(t.addr, std::span<std::uint8_t>(t.data.data(), t.data.size()));
-    ++stats_.reads;
+    latency = read_line(
+        t.addr, std::span<std::uint8_t>(t.data.data(), t.data.size()), now);
   }
   return {latency, bus::TransStatus::kOk};
+}
+
+sim::Cycle DdrMemory::read_line(sim::Addr addr, std::span<std::uint8_t> out,
+                                sim::Cycle now) {
+  const sim::Cycle latency = open_row(addr, now);
+  store_.read(addr, out);
+  ++stats_.reads;
+  return latency;
+}
+
+sim::Cycle DdrMemory::write_line(sim::Addr addr, std::span<const std::uint8_t> in,
+                                 sim::Cycle now) {
+  const sim::Cycle latency = open_row(addr, now);
+  store_.write(addr, in);
+  ++stats_.writes;
+  return latency;
 }
 
 void DdrMemory::contribute_metrics(obs::Registry& reg,

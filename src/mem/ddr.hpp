@@ -54,6 +54,14 @@ class DdrMemory final : public bus::SlaveDevice {
   bus::AccessResult access(bus::BusTransaction& t, sim::Cycle now) override;
   [[nodiscard]] std::string_view slave_name() const override { return name_; }
 
+  // Line port: the LCF's raw line transfers, with no transaction around
+  // them. Each returns the latency and counts the Stats that access() of a
+  // read or write of the same bytes would, through the same bank/row timing.
+  // The line must lie inside the device.
+  sim::Cycle read_line(sim::Addr addr, std::span<std::uint8_t> out, sim::Cycle now);
+  sim::Cycle write_line(sim::Addr addr, std::span<const std::uint8_t> in,
+                        sim::Cycle now);
+
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -81,6 +89,9 @@ class DdrMemory final : public bus::SlaveDevice {
 
   [[nodiscard]] unsigned bank_of(sim::Addr addr) const noexcept;
   [[nodiscard]] std::uint64_t row_of(sim::Addr addr) const noexcept;
+  // Latency of an access starting at addr in cycle `now`: opens the bank's
+  // row and counts the row hit or miss and any refresh stall.
+  sim::Cycle open_row(sim::Addr addr, sim::Cycle now);
 
   std::string name_;
   Config cfg_;

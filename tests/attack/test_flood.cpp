@@ -103,7 +103,7 @@ TEST(FloodMaster, StopsAtConfiguredTotal) {
     flood.tick(c);
     // Fake an immediate OK response.
     if (!ep.request.empty()) {
-      auto t = *ep.request.pop();
+      auto t = ep.request.take();
       t.status = bus::TransStatus::kOk;
       ep.response.push(std::move(t));
     }
@@ -119,7 +119,7 @@ TEST(FloodMaster, CountsRejections) {
   for (sim::Cycle c = 0; c < 100 && !flood.done(); ++c) {
     flood.tick(c);
     if (!ep.request.empty()) {
-      auto t = *ep.request.pop();
+      auto t = ep.request.take();
       t.status = bus::TransStatus::kSecurityViolation;
       ep.response.push(std::move(t));
     }

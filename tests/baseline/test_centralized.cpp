@@ -112,7 +112,7 @@ TEST_F(CentralizedMasterFixture, AllowedTransactionFlowsThrough) {
   fw->ip_side().request.push(std::move(t));
   EXPECT_TRUE(kernel.run_until_idle(200));
   ASSERT_FALSE(fw->ip_side().response.empty());
-  EXPECT_EQ(fw->ip_side().response.pop()->status, bus::TransStatus::kOk);
+  EXPECT_EQ(fw->ip_side().response.take().status, bus::TransStatus::kOk);
   EXPECT_EQ(fw->stats().passed, 1u);
   EXPECT_EQ(fw->stats().check_cycles, 16u);
   EXPECT_EQ(manager->checks_served(), 1u);
@@ -125,7 +125,7 @@ TEST_F(CentralizedMasterFixture, DeniedTransactionBlockedWithAlert) {
   fw->ip_side().request.push(std::move(t));
   EXPECT_TRUE(kernel.run_until_idle(200));
   ASSERT_FALSE(fw->ip_side().response.empty());
-  EXPECT_EQ(fw->ip_side().response.pop()->status,
+  EXPECT_EQ(fw->ip_side().response.take().status,
             bus::TransStatus::kSecurityViolation);
   EXPECT_EQ(log.count(), 1u);
   EXPECT_EQ(fw->stats().blocked, 1u);
@@ -172,7 +172,7 @@ struct VerdictTiming : public ::testing::Test {
           EXPECT_EQ(*wake, now);
         }
         if (!fw.ip_side().response.empty()) {
-          EXPECT_EQ(fw.ip_side().response.pop()->completed_at, now);
+          EXPECT_EQ(fw.ip_side().response.take().completed_at, now);
         }
         return now;
       }

@@ -78,7 +78,7 @@ TEST_F(BridgeFixture, WindowHitCrossSegmentRoundTrip) {
   ep->request.push(std::move(w));
   kernel.run(20);
   ASSERT_FALSE(ep->response.empty());
-  EXPECT_EQ(ep->response.pop()->status, TransStatus::kOk);
+  EXPECT_EQ(ep->response.take().status, TransStatus::kOk);
   EXPECT_EQ(slave.accesses, 1);
   EXPECT_EQ(slave.memory_[0x100], 0xAA);
   EXPECT_EQ(slave.memory_[0x103], 0xDD);
@@ -87,7 +87,7 @@ TEST_F(BridgeFixture, WindowHitCrossSegmentRoundTrip) {
   ep->request.push(std::move(r));
   kernel.run(20);
   ASSERT_FALSE(ep->response.empty());
-  const BusTransaction resp = *ep->response.pop();
+  const BusTransaction resp = ep->response.take();
   EXPECT_EQ(resp.status, TransStatus::kOk);
   EXPECT_EQ(resp.data, (std::vector<std::uint8_t>{0xAA, 0xBB, 0xCC, 0xDD}));
   EXPECT_EQ(bridge->stats().forwarded, 2u);
@@ -100,7 +100,7 @@ TEST_F(BridgeFixture, CrossingAddsHopLatency) {
   ep->request.push(std::move(r));
   kernel.run(30);
   ASSERT_FALSE(ep->response.empty());
-  const BusTransaction resp = *ep->response.pop();
+  const BusTransaction resp = ep->response.take();
   // Local timing is grant(addr) + latency + beats = completed at 5 (see
   // TransactionTimingMatchesModel); the crossing adds hop_latency = 2.
   EXPECT_EQ(resp.granted_at, 0u);
@@ -114,7 +114,7 @@ TEST_F(BridgeFixture, NestedWindowMissReturnsDecodeError) {
   ep->request.push(std::move(r));
   kernel.run(20);
   ASSERT_FALSE(ep->response.empty());
-  EXPECT_EQ(ep->response.pop()->status, TransStatus::kDecodeError);
+  EXPECT_EQ(ep->response.take().status, TransStatus::kDecodeError);
   EXPECT_EQ(bridge->stats().decode_errors, 1u);
   EXPECT_EQ(bridge->stats().forwarded, 0u);
   EXPECT_EQ(slave.accesses, 0);
@@ -131,7 +131,7 @@ TEST_F(BridgeFixture, NestedWindowResolvesFinerFarRegions) {
   ep->request.push(make_write(0, 0x1004, {7, 7, 7, 7}));
   kernel.run(20);
   ASSERT_FALSE(ep->response.empty());
-  EXPECT_EQ(ep->response.pop()->status, TransStatus::kOk);
+  EXPECT_EQ(ep->response.take().status, TransStatus::kOk);
   EXPECT_EQ(slave.accesses, 0);
   EXPECT_EQ(second.accesses, 1);
   EXPECT_EQ(second.memory_[0x4], 7);
@@ -149,7 +149,7 @@ TEST_F(BridgeFixture, ReservationMakesFarLocalMasterWait) {
   far_ep->request.push(make_read(1, 0x20));
   kernel.run(40);
   ASSERT_FALSE(far_ep->response.empty());
-  const BusTransaction resp = *far_ep->response.pop();
+  const BusTransaction resp = far_ep->response.take();
   EXPECT_EQ(resp.status, TransStatus::kOk);
   // Issued at cycle 1 but granted only after the reservation expired
   // (hop 2 + slave 10 + 4 beats => held through cycle 15).
@@ -168,7 +168,7 @@ TEST_F(BridgeFixture, CrossingWaitsForFarLocalTransaction) {
   ep->request.push(make_read(0, 0x0));
   kernel.run(60);
   ASSERT_FALSE(ep->response.empty());
-  EXPECT_EQ(ep->response.pop()->status, TransStatus::kOk);
+  EXPECT_EQ(ep->response.take().status, TransStatus::kOk);
   EXPECT_GT(bridge->stats().far_wait.max(), 0.0);
 }
 
@@ -189,7 +189,7 @@ TEST_F(BridgeFixture, TwoHopChainReachesRemoteSlave) {
   ep->request.push(make_write(0, 0x4010, {1, 2, 3, 4}));
   kernel.run(30);
   ASSERT_FALSE(ep->response.empty());
-  EXPECT_EQ(ep->response.pop()->status, TransStatus::kOk);
+  EXPECT_EQ(ep->response.take().status, TransStatus::kOk);
   EXPECT_EQ(remote.accesses, 1);
   EXPECT_EQ(remote.memory_[0x10], 1);
   EXPECT_EQ(bridge->stats().forwarded, 1u);

@@ -66,7 +66,7 @@ TEST_P(BusFuzz, EveryRequestGetsExactlyOneResponse) {
   std::uint64_t received = 0;
   for (int m = 0; m < kMasters; ++m) {
     while (!eps[static_cast<std::size_t>(m)]->response.empty()) {
-      const BusTransaction resp = *eps[static_cast<std::size_t>(m)]->response.pop();
+      const BusTransaction resp = eps[static_cast<std::size_t>(m)]->response.take();
       ++received;
       auto it = outstanding.find(resp.id);
       ASSERT_NE(it, outstanding.end()) << "duplicate or unknown response";
@@ -121,7 +121,7 @@ TEST_P(FirewallFuzz, ConservationThroughTheFirewall) {
 
   std::uint64_t received = 0;
   while (!fw.ip_side().response.empty()) {
-    (void)fw.ip_side().response.pop();
+    (void)fw.ip_side().response.take();
     ++received;
   }
   EXPECT_EQ(received, issued);

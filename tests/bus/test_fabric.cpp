@@ -122,8 +122,8 @@ TEST(Fabric, StarRoutesLeafTrafficThroughHub) {
 
   ASSERT_FALSE(leaf1.response.empty());
   ASSERT_FALSE(leaf2.response.empty());
-  EXPECT_EQ(leaf1.response.pop()->status, TransStatus::kOk);
-  EXPECT_EQ(leaf2.response.pop()->status, TransStatus::kOk);
+  EXPECT_EQ(leaf1.response.take().status, TransStatus::kOk);
+  EXPECT_EQ(leaf2.response.take().status, TransStatus::kOk);
   EXPECT_EQ(slave.accesses, 2);
   EXPECT_EQ(fabric.find_master("leaf1")->grants, 1u);
   EXPECT_EQ(fabric.find_master("leaf2")->grants, 1u);
@@ -170,7 +170,7 @@ TEST(Fabric, CrossSegmentLatencyGrowsWithHopCount) {
     ep.request.push(make_read(0, 0x40));
     kernel.run(30);
     ASSERT_FALSE(ep.response.empty());
-    completed[i] = ep.response.pop()->completed_at;
+    completed[i] = ep.response.take().completed_at;
   }
   EXPECT_LT(completed[0], completed[1]);
   EXPECT_LT(completed[1], completed[2]);

@@ -148,7 +148,7 @@ class ChannelReader final : public sim::Component {
     in.set_consumer(*this);
   }
   void tick(sim::Cycle now) override {
-    while (auto t = in_->pop()) popped.emplace_back(now, std::move(*t));
+    while (!in_->empty()) popped.emplace_back(now, in_->take());
   }
   [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override {
     return in_->empty() ? sim::kNeverCycle : now;
@@ -215,16 +215,16 @@ TEST(TransactionChannel, HeapBackedPayloadSurvivesWrapAndGrowth) {
       channel.push(make_write(1, 0x100, bytes));
     }
     while (channel.size() > 1) {
-      const auto t = channel.pop();
-      ASSERT_TRUE(t.has_value());
-      EXPECT_EQ(t->data, sent[received]);
-      EXPECT_EQ(t->burst_len, 32);
+      ASSERT_FALSE(channel.empty());
+      const BusTransaction t = channel.take();
+      EXPECT_EQ(t.data, sent[received]);
+      EXPECT_EQ(t.burst_len, 32);
       ++received;
     }
   }
-  while (auto t = channel.pop()) EXPECT_EQ(t->data, sent[received++]);
+  while (!channel.empty()) EXPECT_EQ(channel.take().data, sent[received++]);
   EXPECT_EQ(received, sent.size());
-  EXPECT_FALSE(channel.pop().has_value());
+  EXPECT_TRUE(channel.empty());
 }
 
 // Services every access in one cycle.
@@ -256,9 +256,9 @@ TEST(SystemBusBookings, WindowsStayAscendingAndArePruned) {
   ep.request.push(std::move(t));
   k.run(28);  // through cycle 39
   // The request waited out the abutting chain, then was granted at 30.
-  const auto resp = ep.response.pop();
-  ASSERT_TRUE(resp.has_value());
-  EXPECT_EQ(resp->granted_at, 30u);
+  ASSERT_FALSE(ep.response.empty());
+  const BusTransaction resp = ep.response.take();
+  EXPECT_EQ(resp.granted_at, 30u);
   EXPECT_EQ(bus.booked_windows(), 1u);  // [10, 30) pruned, [40, 50) ahead
   k.run(20);
   EXPECT_EQ(bus.booked_windows(), 0u);

@@ -32,7 +32,8 @@ crypto::Aes128Key test_key() {
 }
 
 struct LcfFixture {
-  explicit LcfFixture(ConfidentialityMode cm, IntegrityMode im) {
+  LcfFixture(ConfidentialityMode cm, IntegrityMode im,
+             std::uint64_t line_bytes = 32) {
     PolicyBuilder b(kFw);
     b.allow(kDdrBase, kDdrSize, RwAccess::kReadWrite, FormatMask::kAll, "ddr");
     b.confidentiality(cm);
@@ -48,7 +49,7 @@ struct LcfFixture {
     LocalCipheringFirewall::Config cfg;
     cfg.protected_base = kDdrBase;
     cfg.protected_size = kProtSize;
-    cfg.line_bytes = 32;
+    cfg.line_bytes = line_bytes;
     lcf = std::make_unique<LocalCipheringFirewall>("lcf", kFw, config_mem,
                                                    *ddr, cfg);
     fw = std::make_unique<SlaveFirewall>("lcf", kFw, config_mem, log, *lcf);
@@ -249,6 +250,27 @@ TEST(Lcf, FormatRegionZeroFills) {
   EXPECT_EQ(back.data, std::vector<std::uint8_t>(32, 0));
   // Stored form is ciphertext, not zeros.
   EXPECT_NE(f.raw(kDdrBase + 4 * 32, 32), std::vector<std::uint8_t>(32, 0));
+}
+
+// The format enciphers the whole region in one keystream pass. Each
+// block's tweak carries its own address, so the stored image must equal
+// the one made line by line: every zero line enciphered at version 1 under
+// the line's address.
+TEST(Lcf, OnePassFormatEqualsPerLineFormat) {
+  for (const std::uint64_t line : {16u, 32u, 64u, 128u}) {
+    SCOPED_TRACE(::testing::Message() << "line " << line);
+    LcfFixture f(ConfidentialityMode::kCipher, IntegrityMode::kHashTree, line);
+    f.lcf->format_protected_region();
+    ConfidentialityCore per_line(test_key(), f.lcf->cc().config());
+    std::vector<std::uint8_t> expected(kProtSize, 0);
+    for (std::uint64_t off = 0; off < kProtSize; off += line) {
+      const auto bytes = std::span<std::uint8_t>(expected.data() + off, line);
+      (void)per_line.encrypt(kDdrBase + off, 1, bytes, bytes);
+    }
+    EXPECT_EQ(f.raw(kDdrBase, kProtSize), expected);
+    EXPECT_EQ(f.read(kDdrBase + kProtSize - line, line).data,
+              std::vector<std::uint8_t>(line, 0));
+  }
 }
 
 TEST(Lcf, KeyRotationPreservesPlaintext) {

@@ -39,7 +39,7 @@ struct MasterFirewallFixture : public ::testing::Test {
     EXPECT_TRUE(kernel.run_until_idle(max))
         << "not idle within " << max << " cycles";
     EXPECT_EQ(fw->ip_side().response.size(), 1u);
-    return *fw->ip_side().response.pop();
+    return fw->ip_side().response.take();
   }
 
   sim::SimKernel kernel;
@@ -118,8 +118,8 @@ TEST_F(MasterFirewallFixture, ChecksSerializeAcrossRequests) {
   fw->ip_side().request.push(std::move(t2));
   kernel.run(100);
   ASSERT_EQ(fw->ip_side().response.size(), 2u);
-  const auto r1 = *fw->ip_side().response.pop();
-  const auto r2 = *fw->ip_side().response.pop();
+  const auto r1 = fw->ip_side().response.take();
+  const auto r2 = fw->ip_side().response.take();
   // Second response at least 12 cycles (one SB slot) after the first.
   EXPECT_GE(r2.completed_at, r1.completed_at + 12u);
   EXPECT_EQ(fw->stats().secpol_reqs, 2u);

@@ -41,7 +41,7 @@ struct RateLimitFixture : public ::testing::Test {
     EXPECT_EQ(fw->ip_side().response.size(), n);
     std::uint64_t ok = 0, limited = 0;
     while (!fw->ip_side().response.empty()) {
-      const auto resp = *fw->ip_side().response.pop();
+      const auto resp = fw->ip_side().response.take();
       if (resp.status == bus::TransStatus::kOk) {
         ++ok;
       } else {
@@ -105,7 +105,7 @@ TEST_F(RateLimitFixture, ViolationsDontConsumeBudget) {
   EXPECT_EQ(fw->ip_side().response.size(), 4u);
   std::uint64_t ok = 0;
   while (!fw->ip_side().response.empty()) {
-    if (fw->ip_side().response.pop()->status == bus::TransStatus::kOk) ++ok;
+    if (fw->ip_side().response.take().status == bus::TransStatus::kOk) ++ok;
   }
   // Both legal writes fit the budget: the violations didn't count.
   EXPECT_EQ(ok, 2u);

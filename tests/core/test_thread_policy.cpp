@@ -134,7 +134,7 @@ TEST(ThreadPolicy, FirewallEnforcesPerThread) {
     t.issued_at = kernel.now();
     fw.ip_side().request.push(std::move(t));
     EXPECT_TRUE(kernel.run_until_idle(500));
-    return *fw.ip_side().response.pop();
+    return fw.ip_side().response.take();
   };
 
   EXPECT_EQ(submit(0).status, bus::TransStatus::kOk);

@@ -8,8 +8,11 @@
 namespace secbus::mem {
 namespace {
 
+// A 16 MiB device at address 0, wide enough for every case below.
+constexpr std::uint64_t kRange = std::uint64_t{16} << 20;
+
 TEST(BackingStore, UntouchedMemoryReadsFill) {
-  BackingStore store;
+  BackingStore store(0, kRange);
   std::vector<std::uint8_t> buf(8, 0xFF);
   store.read(0x123456, buf);
   EXPECT_EQ(buf, std::vector<std::uint8_t>(8, 0x00));
@@ -17,13 +20,13 @@ TEST(BackingStore, UntouchedMemoryReadsFill) {
 }
 
 TEST(BackingStore, CustomFillByte) {
-  BackingStore store;
+  BackingStore store(0, kRange);
   store.set_fill_byte(0xCD);
   EXPECT_EQ(store.read_byte(0x10), 0xCD);
 }
 
 TEST(BackingStore, WriteReadRoundTrip) {
-  BackingStore store;
+  BackingStore store(0, kRange);
   const std::vector<std::uint8_t> data{1, 2, 3, 4, 5};
   store.write(0x1000, data);
   std::vector<std::uint8_t> back(5);
@@ -33,7 +36,7 @@ TEST(BackingStore, WriteReadRoundTrip) {
 }
 
 TEST(BackingStore, CrossPageAccess) {
-  BackingStore store;
+  BackingStore store(0, kRange);
   const sim::Addr addr = BackingStore::kPageBytes - 2;
   const std::vector<std::uint8_t> data{0xAA, 0xBB, 0xCC, 0xDD};
   store.write(addr, data);
@@ -44,7 +47,7 @@ TEST(BackingStore, CrossPageAccess) {
 }
 
 TEST(BackingStore, SparseAllocation) {
-  BackingStore store;
+  BackingStore store(0, (1ULL << 40) + BackingStore::kPageBytes);
   store.write_byte(0, 1);
   store.write_byte(1ULL << 40, 2);  // terabyte apart
   EXPECT_EQ(store.allocated_pages(), 2u);
@@ -53,7 +56,7 @@ TEST(BackingStore, SparseAllocation) {
 }
 
 TEST(BackingStore, OverwriteInPlace) {
-  BackingStore store;
+  BackingStore store(0, kRange);
   store.write_byte(0x10, 0x11);
   store.write_byte(0x10, 0x22);
   EXPECT_EQ(store.read_byte(0x10), 0x22);
@@ -61,7 +64,7 @@ TEST(BackingStore, OverwriteInPlace) {
 }
 
 TEST(BackingStore, PeekPokeAliasReadWrite) {
-  BackingStore store;
+  BackingStore store(0, kRange);
   const std::vector<std::uint8_t> data{9, 8, 7};
   store.poke(0x42, data);
   std::vector<std::uint8_t> back(3);
@@ -70,7 +73,7 @@ TEST(BackingStore, PeekPokeAliasReadWrite) {
 }
 
 TEST(BackingStore, ClearDropsEverything) {
-  BackingStore store;
+  BackingStore store(0, kRange);
   store.write_byte(5, 1);
   store.clear();
   EXPECT_EQ(store.allocated_pages(), 0u);
@@ -79,7 +82,7 @@ TEST(BackingStore, ClearDropsEverything) {
 }
 
 TEST(BackingStore, LargeMultiPageWrite) {
-  BackingStore store;
+  BackingStore store(0, kRange);
   std::vector<std::uint8_t> data(3 * BackingStore::kPageBytes + 17);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::uint8_t>(i * 13);
@@ -112,7 +115,7 @@ std::vector<std::uint8_t> read_back(const BackingStore& store, sim::Addr addr,
 
 TEST(BackingStore, SharedRangeReadsLikeAWrite) {
   const auto img = image(3);
-  BackingStore store;
+  BackingStore store(0, kRange);
   store.share(0x8000, *img, img);
   EXPECT_EQ(read_back(store, 0x8000, img->size()), *img);
   EXPECT_EQ(store.allocated_pages(), 3u);
@@ -124,8 +127,8 @@ TEST(BackingStore, SharedRangeReadsLikeAWrite) {
 TEST(BackingStore, WriteAndPokeToASharedPageLeaveTheSnapshotAlone) {
   const auto img = image(4);
   const std::vector<std::uint8_t> pristine = *img;
-  BackingStore first;
-  BackingStore second;
+  BackingStore first(0, kRange);
+  BackingStore second(0, kRange);
   first.share(0x10000, *img, img);
   second.share(0x10000, *img, img);
 
@@ -146,13 +149,13 @@ TEST(BackingStore, WriteAndPokeToASharedPageLeaveTheSnapshotAlone) {
   EXPECT_EQ(second.shared_pages(), 4u);
 
   // A store built from the snapshot after the writes still sees it intact.
-  BackingStore third;
+  BackingStore third(0, kRange);
   third.share(0x10000, *img, img);
   EXPECT_EQ(read_back(third, 0x10000, img->size()), pristine);
 }
 
 TEST(BackingStore, SharedPagesOutliveTheCallersHandle) {
-  BackingStore store;
+  BackingStore store(0, kRange);
   std::vector<std::uint8_t> expected;
   {
     const auto img = image(2);
@@ -164,7 +167,7 @@ TEST(BackingStore, SharedPagesOutliveTheCallersHandle) {
 
 TEST(BackingStore, UnalignedShareWritesItsPartialEdgePages) {
   const auto img = image(2, 100);  // 2 pages + 100 bytes, offset by 50
-  BackingStore store;
+  BackingStore store(0, kRange);
   store.write_byte(10, 0x77);  // outside the range, on the head page
   const sim::Addr addr = 50;
   store.share(addr, *img, img);
@@ -176,13 +179,13 @@ TEST(BackingStore, UnalignedShareWritesItsPartialEdgePages) {
   EXPECT_EQ(store.bytes_written(), 1 + img->size());
 }
 
-TEST(BackingStore, ReSharingMovesTheFlatIndexAndKeepsOtherPages) {
+TEST(BackingStore, ReSharingKeepsOtherPages) {
   const auto a = image(2);
   const auto b = image(1);
-  BackingStore store;
+  BackingStore store(0, kRange);
   store.share(0, *a, a);
   store.write_byte(BackingStore::kPageBytes + 3, 0x42);  // copies page 1
-  store.write_byte(9 * BackingStore::kPageBytes, 0x43);  // outside the window
+  store.write_byte(9 * BackingStore::kPageBytes, 0x43);  // outside both shares
   store.share(5 * BackingStore::kPageBytes, *b, b);
   EXPECT_EQ(read_back(store, 0, BackingStore::kPageBytes),
             std::vector<std::uint8_t>(a->begin(),
@@ -200,6 +203,33 @@ TEST(BackingStore, ReSharingMovesTheFlatIndexAndKeepsOtherPages) {
   store.clear();
   EXPECT_EQ(store.allocated_pages(), 0u);
   EXPECT_EQ(store.read_byte(0), 0x00);
+}
+
+TEST(BackingStore, PagesCountFromTheBaseOfTheRange) {
+  // A device whose base is not page-aligned: its pages start at the base.
+  const sim::Addr base = 0x8000'0000 + 100;
+  BackingStore store(base, 3 * BackingStore::kPageBytes);
+  store.write_byte(base + BackingStore::kPageBytes - 1, 0x11);
+  EXPECT_EQ(store.allocated_pages(), 1u);
+  store.write_byte(base + BackingStore::kPageBytes, 0x22);
+  EXPECT_EQ(store.allocated_pages(), 2u);
+  const auto img = image(1);
+  store.share(base + 2 * BackingStore::kPageBytes, *img, img);
+  EXPECT_EQ(store.shared_pages(), 1u);
+  EXPECT_EQ(read_back(store, base + 2 * BackingStore::kPageBytes, img->size()),
+            *img);
+  EXPECT_EQ(store.read_byte(base), 0x00);
+  EXPECT_EQ(store.read_byte(base + BackingStore::kPageBytes - 1), 0x11);
+}
+
+TEST(BackingStoreDeathTest, AccessOutsideTheRangeAsserts) {
+  BackingStore store(0x1000, 2 * BackingStore::kPageBytes);
+  std::vector<std::uint8_t> buf(8);
+  EXPECT_DEATH(store.read(0x1000 - 1, buf), "outside its device range");
+  EXPECT_DEATH(store.write(0x1000 + 2 * BackingStore::kPageBytes - 4, buf),
+               "outside its device range");
+  EXPECT_DEATH((void)store.read_byte(0x1000 + 2 * BackingStore::kPageBytes),
+               "outside its device range");
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace secbus::mem {
 namespace {
 
@@ -108,6 +112,62 @@ TEST(Ddr, ResetTimingClearsRowStateAndStats) {
   EXPECT_EQ(ddr.stats().reads, 0u);
   auto r2 = bus::make_read(0, 0x8000'0000);
   EXPECT_EQ(ddr.access(r2, 0).latency, 10u);  // row miss again
+}
+
+// Differential test of the line port: twin devices get the same random
+// line reads and writes at the same random cycles, one as word-burst
+// transactions through access(), the other through read_line/write_line.
+// Every op must cost the same latency and read the same bytes; the final
+// Stats and stored bytes must match. Refresh is on so its stalls count too.
+TEST(Ddr, LinePortMatchesTransactionAccess) {
+  for (const std::uint64_t line : {16u, 32u, 64u, 128u}) {
+    SCOPED_TRACE(::testing::Message() << "line " << line);
+    DdrMemory::Config cfg = base_config();
+    cfg.refresh_interval = 500;
+    DdrMemory by_access("ddr", cfg);
+    DdrMemory by_port("ddr", cfg);
+    util::Xoshiro256 rng(line * 7919);
+    sim::Cycle now = 0;
+    std::vector<std::uint8_t> data(line);
+    std::vector<std::uint8_t> out(line);
+    for (int op = 0; op < 2000; ++op) {
+      now += rng.below(40);
+      // Lines cluster in the first 64 KiB so rows hit as well as miss.
+      const std::uint64_t span = rng.chance(0.8) ? 64 * 1024 : cfg.size;
+      const sim::Addr addr = cfg.base + rng.below(span / line) * line;
+      const auto beats = static_cast<std::uint16_t>(line / 4);
+      if (rng.chance(0.5)) {
+        rng.fill(data);
+        auto w = bus::make_write(
+            0, addr, bus::Payload(std::span<const std::uint8_t>(data)));
+        const bus::AccessResult r = by_access.access(w, now);
+        ASSERT_EQ(r.status, bus::TransStatus::kOk);
+        ASSERT_EQ(by_port.write_line(addr, data, now), r.latency);
+      } else {
+        auto rd = bus::make_read(0, addr, bus::DataFormat::kWord, beats);
+        const bus::AccessResult r = by_access.access(rd, now);
+        ASSERT_EQ(r.status, bus::TransStatus::kOk);
+        ASSERT_EQ(by_port.read_line(addr, out, now), r.latency);
+        ASSERT_EQ(rd.data, out);
+      }
+    }
+    const DdrMemory::Stats& a = by_access.stats();
+    const DdrMemory::Stats& b = by_port.stats();
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.row_hits, b.row_hits);
+    EXPECT_EQ(a.row_misses, b.row_misses);
+    EXPECT_EQ(a.refresh_stalls, b.refresh_stalls);
+    EXPECT_GT(a.row_hits, 0u);
+    EXPECT_GT(a.refresh_stalls, 0u);
+    std::vector<std::uint8_t> image_a(cfg.size);
+    std::vector<std::uint8_t> image_b(cfg.size);
+    by_access.store().read(cfg.base, image_a);
+    by_port.store().read(cfg.base, image_b);
+    EXPECT_EQ(image_a, image_b);
+    EXPECT_EQ(by_access.store().allocated_pages(),
+              by_port.store().allocated_pages());
+  }
 }
 
 }  // namespace

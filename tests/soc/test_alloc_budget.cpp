@@ -6,7 +6,8 @@
 // latency spread, not with the number of transactions:
 //   * latency histogram blocks, allocated the first time a latency lands
 //     in a new block (util::LatencyHistogram);
-//   * backing-store pages, allocated on the first touch of each page
+//   * backing-store pages, allocated on the first write of each page, and
+//     the page table's chunk of slots, on the first write into it
 //     (mem::BackingStore);
 //   * ring growth up to a queue's peak depth.
 // So doubling a job's transactions may add only a few allocations.
@@ -116,16 +117,16 @@ soc::SocConfig star32_job(std::uint64_t transactions_per_cpu) {
 TEST(AllocBudget, CipheredJobAllocatesPerFootprintNotPerTransaction) {
   const std::uint64_t base = run_allocations(ciphered_job(1500));
   const std::uint64_t doubled = run_allocations(ciphered_job(3000));
-  EXPECT_EQ(base, 586u);
-  EXPECT_EQ(doubled, 613u);
+  EXPECT_EQ(base, 327u);
+  EXPECT_EQ(doubled, 341u);
   EXPECT_LE(doubled - base, 30u);
 }
 
 TEST(AllocBudget, Star32JobAllocatesPerFootprintNotPerTransaction) {
   const std::uint64_t base = run_allocations(star32_job(30));
   const std::uint64_t doubled = run_allocations(star32_job(60));
-  EXPECT_EQ(base, 611u);
-  EXPECT_EQ(doubled, 686u);
+  EXPECT_EQ(base, 533u);
+  EXPECT_EQ(doubled, 587u);
   EXPECT_LE(doubled - base, 110u);
 }
 
@@ -134,8 +135,8 @@ TEST(AllocBudget, Star32JobAllocatesPerFootprintNotPerTransaction) {
 TEST(AllocBudget, FloodAllocatesPerFootprintNotPerWrite) {
   const std::uint64_t base = flood_allocations(400);
   const std::uint64_t doubled = flood_allocations(800);
-  EXPECT_EQ(base, 165u);
-  EXPECT_EQ(doubled, 165u);
+  EXPECT_EQ(base, 120u);
+  EXPECT_EQ(doubled, 120u);
   EXPECT_LE(doubled - base, 10u);
 }
 
