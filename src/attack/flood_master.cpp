@@ -1,5 +1,7 @@
 #include "attack/flood_master.hpp"
 
+#include <algorithm>
+
 #include "bus/system_bus.hpp"
 
 namespace secbus::attack {
@@ -12,7 +14,7 @@ void FloodMaster::tick(sim::Cycle now) {
 
   // Drain responses (the flooder does not care about results, but counting
   // rejections shows firewall throttling).
-  while (!port_->response.empty()) {
+  while (port_->response.ready(now)) {
     if (port_->response.front().status == bus::TransStatus::kOk) {
       ++completed_;
     } else {
@@ -41,12 +43,10 @@ void FloodMaster::tick(sim::Cycle now) {
 
 sim::Cycle FloodMaster::next_wake(sim::Cycle now) const {
   if (port_ == nullptr) return sim::kNeverCycle;
-  if (!port_->response.empty()) return now;
-  if (done() || outstanding_) return sim::kNeverCycle;
-  if (cfg_.total_writes != 0 && issued_ >= cfg_.total_writes) {
-    return sim::kNeverCycle;
-  }
-  return now;
+  const bool can_issue =
+      !done() && !outstanding_ &&
+      (cfg_.total_writes == 0 || issued_ < cfg_.total_writes);
+  return can_issue ? now : std::max(now, port_->response.ready_at());
 }
 
 void FloodMaster::reset() {

@@ -25,7 +25,7 @@ class FloodMaster final : public ip::Master {
   FloodMaster(std::string name, sim::MasterId id, Config cfg);
 
   void tick(sim::Cycle now) override;
-  // Wakes to drain a response or to issue the next write; no per-cycle
+  // Wakes to drain a ready response or to issue the next write; no per-cycle
   // bookkeeping, so the default (empty) skip() is exact.
   [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
   void reset() override;

@@ -10,7 +10,10 @@
 //
 // The API is the std::vector subset the codebase uses; resize() matches
 // vector semantics (appended bytes are zero), and equality against
-// std::vector keeps tests and attack-outcome checks unchanged.
+// std::vector keeps tests and attack-outcome checks unchanged. Only the
+// live storage is initialised or copied: a new payload leaves the inline
+// buffer unfilled, and a copy or move takes the inline buffer or the heap
+// vector, whichever holds the bytes, never both.
 #pragma once
 
 #include <array>
@@ -26,7 +29,8 @@ inline constexpr std::size_t kPayloadInlineBytes = 64;
 
 class Payload {
  public:
-  Payload() = default;
+  // User-provided, so value-initialisation does not zero the buffer either.
+  Payload() noexcept {}  // NOLINT(modernize-use-equals-default)
 
   // Implicit on purpose: adopts a vector (moves the buffer when it is big
   // enough to live on the heap anyway) so call sites keep passing
@@ -47,17 +51,41 @@ class Payload {
     assign(std::span<const std::uint8_t>(bytes.begin(), bytes.size()));
   }
 
-  Payload(const Payload&) = default;
-  Payload& operator=(const Payload&) = default;
-  Payload(Payload&& other) noexcept
-      : size_(other.size_), inline_(other.inline_), heap_(std::move(other.heap_)) {
+  Payload(const Payload& other) : size_(other.size_) {
+    if (inline_held()) {
+      inline_ = other.inline_;
+    } else {
+      heap_ = other.heap_;
+    }
+  }
+  Payload& operator=(const Payload& other) {
+    if (this != &other) {
+      if (other.inline_held()) {
+        inline_ = other.inline_;
+      } else {
+        heap_ = other.heap_;
+      }
+      size_ = other.size_;
+    }
+    return *this;
+  }
+  // The source reads empty afterwards.
+  Payload(Payload&& other) noexcept : size_(other.size_) {
+    if (inline_held()) {
+      inline_ = other.inline_;
+    } else {
+      heap_ = std::move(other.heap_);
+    }
     other.size_ = 0;
   }
   Payload& operator=(Payload&& other) noexcept {
     if (this != &other) {
+      if (other.inline_held()) {
+        inline_ = other.inline_;
+      } else {
+        heap_ = std::move(other.heap_);
+      }
       size_ = other.size_;
-      inline_ = other.inline_;
-      heap_ = std::move(other.heap_);
       other.size_ = 0;
     }
     return *this;
@@ -66,10 +94,10 @@ class Payload {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::uint8_t* data() noexcept {
-    return size_ <= kPayloadInlineBytes ? inline_.data() : heap_.data();
+    return inline_held() ? inline_.data() : heap_.data();
   }
   [[nodiscard]] const std::uint8_t* data() const noexcept {
-    return size_ <= kPayloadInlineBytes ? inline_.data() : heap_.data();
+    return inline_held() ? inline_.data() : heap_.data();
   }
   [[nodiscard]] std::uint8_t* begin() noexcept { return data(); }
   [[nodiscard]] std::uint8_t* end() noexcept { return data() + size_; }
@@ -145,9 +173,15 @@ class Payload {
   }
 
  private:
+  // The bytes live in inline_ (else in heap_, whose size is then size_).
+  [[nodiscard]] bool inline_held() const noexcept {
+    return size_ <= kPayloadInlineBytes;
+  }
+
   std::size_t size_ = 0;
-  std::array<std::uint8_t, kPayloadInlineBytes> inline_{};
-  std::vector<std::uint8_t> heap_;  // engaged only while size_ > inline
+  // Bytes past size_ are indeterminate: copies carry them, nothing reads them.
+  std::array<std::uint8_t, kPayloadInlineBytes> inline_;
+  std::vector<std::uint8_t> heap_;  // holds the bytes only while size_ > inline
 };
 
 }  // namespace secbus::bus

@@ -97,7 +97,11 @@ void SystemBus::finish_transaction(sim::Cycle now) {
                     t.addr, static_cast<std::uint64_t>(t.status)});
   }
   MasterEndpoint& ep = *endpoints_[current_master_];
-  ep.request.move_front_to(ep.response);
+  if (ep.gate != nullptr) {
+    ep.gate->pass_response(ep.request, *this, now);
+  } else {
+    ep.request.move_front_to(ep.response);
+  }
   state_ = State::kIdle;
 }
 

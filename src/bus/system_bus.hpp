@@ -187,7 +187,8 @@ class SystemBus final : public sim::Component {
   sim::Cycle booking_tail_ = 0;  // end of the last booked window
   bool current_is_crossing_ = false;  // current() is serviced by a Bridge
   // The granted master. Its transaction stays at the front of its request
-  // queue while in service, and moves to its response queue at the end.
+  // queue while in service, and moves to its response queue, or through
+  // its endpoint's gate, at the end.
   std::size_t current_master_ = 0;
   sim::Cycle phase_remaining_ = 0;
   AccessResult pending_result_;

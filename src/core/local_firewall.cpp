@@ -1,5 +1,7 @@
 #include "core/local_firewall.hpp"
 
+#include <algorithm>
+
 #include "obs/registry.hpp"
 #include "util/assert.hpp"
 
@@ -41,12 +43,16 @@ LocalFirewall::LocalFirewall(std::string name, FirewallId id,
       sb_(std::in_place, config_mem, id, cfg.check_cycles),
       log_(&log) {
   ip_side_.request.set_consumer(*this);
+  // An IP waits for one response at a time; reserving here keeps the
+  // first delivery from allocating inside a run.
+  gate_cycles_.reserve(4);
 }
 
 LocalFirewall::LocalFirewall(std::string name, FirewallId id,
                              VerdictSource& remote, SecurityEventLog& log)
     : Component(std::move(name)), id_(id), remote_(&remote), log_(&log) {
   ip_side_.request.set_consumer(*this);
+  gate_cycles_.reserve(4);
 }
 
 void LocalFirewall::start_check(sim::Cycle now) {
@@ -125,17 +131,28 @@ void LocalFirewall::finish_check(sim::Cycle now) {
   ip_side_.response.push(std::move(t));
 }
 
-void LocalFirewall::pump_responses() {
-  if (bus_side_ == nullptr) return;
-  while (!bus_side_->response.empty()) {
+void LocalFirewall::pass_response(bus::TransactionChannel& from,
+                                  const sim::Component& bus, sim::Cycle now) {
+  const sim::Cycle gate = now + sim::SimKernel::hand_off_delay(bus, *this);
+  const sim::Component* ip = ip_side_.response.consumer();
+  // With an IP to wake, the firewall is left asleep: the record changes
+  // only what its clock counts from the gate cycle on, not yet passed.
+  if (ip == nullptr && kernel() != nullptr) kernel()->notify(*this);
+  gate_cycles_.push_back(gate);
+  from.move_front_to(
+      ip_side_.response,
+      ip == nullptr ? gate : gate + sim::SimKernel::hand_off_delay(*this, *ip));
+}
+
+void LocalFirewall::count_gated(sim::Cycle end) noexcept {
+  while (!gate_cycles_.empty() && gate_cycles_.front() < end) {
     ++stats_.responses_gated;
-    bus_side_->response.move_front_to(ip_side_.response);
+    gate_cycles_.pop_front();
   }
 }
 
 void LocalFirewall::tick(sim::Cycle now) {
-  // Responses flow back to the IP.
-  pump_responses();
+  count_gated(now + 1);
 
   // One check at a time; new requests wait in the LFCB queue.
   if (!checking_) {
@@ -147,10 +164,18 @@ void LocalFirewall::tick(sim::Cycle now) {
 }
 
 sim::Cycle LocalFirewall::next_wake(sim::Cycle now) const {
-  if (bus_side_ != nullptr && !bus_side_->response.empty()) return now;
-  if (checking_) return act_at_;
-  return ip_side_.request.empty() ? sim::kNeverCycle : now;
+  sim::Cycle wake = checking_                  ? act_at_
+                    : ip_side_.request.empty() ? sim::kNeverCycle
+                                               : now;
+  // No consumer on the IP side: the firewall stands in for it and wakes
+  // at each gate cycle, so a run lasts until the response passed it.
+  if (ip_side_.response.consumer() == nullptr && !gate_cycles_.empty()) {
+    wake = std::min(wake, std::max(now, gate_cycles_.front()));
+  }
+  return wake;
 }
+
+void LocalFirewall::skip(sim::Cycle now, sim::Cycle n) { count_gated(now + n); }
 
 void LocalFirewall::contribute_metrics(obs::Registry& reg,
                                        const std::string& prefix) const {
@@ -162,6 +187,7 @@ void LocalFirewall::reset() {
   if (bus_side_ != nullptr) bus_side_->clear();
   checking_ = false;
   act_at_ = 0;
+  gate_cycles_.clear();
   rate_window_start_ = 0;
   rate_window_count_ = 0;
   reset_stats();

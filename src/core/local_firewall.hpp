@@ -16,7 +16,11 @@
 // response so the IP never deadlocks. Write data is therefore checked
 // *before it reaches the bus* (containment: a hijacked IP's traffic dies in
 // its own interface); read data returning from the bus flows back to the IP
-// on the strength of the request-time decision.
+// on the strength of the request-time decision. Nothing is checked on the
+// way back, so the response gate is a delivery cycle, not a tick: the bus
+// hands each response straight to the IP-side channel (bus::ResponseGate),
+// ready at the cycle the FI passes it on plus the hop to the IP, and the
+// firewall counts it as gated once its own clock passes the gate cycle.
 //
 // Slave-side firewalls (in front of memories / slave IPs) are SlaveDevice
 // decorators: the check happens between bus delivery and the device, adding
@@ -40,6 +44,7 @@
 #include "core/security_builder.hpp"
 #include "sim/component.hpp"
 #include "sim/trace.hpp"
+#include "util/ring.hpp"
 
 namespace secbus::obs {
 class Registry;
@@ -52,7 +57,7 @@ struct FirewallStats {
   std::uint64_t passed = 0;        // transactions forwarded by the FI
   std::uint64_t blocked = 0;       // transactions discarded by the FI
   std::uint64_t check_cycles = 0;  // cycles spent waiting for verdicts
-  std::uint64_t responses_gated = 0;  // read data returned to the IP
+  std::uint64_t responses_gated = 0;  // bus responses passed to the IP
   std::array<std::uint64_t, kViolationKindCount> violations{};  // by Violation
 
   void count_violation(Violation v) noexcept {
@@ -83,7 +88,7 @@ struct LocalFirewallConfig {
 };
 
 // Master-side Local Firewall.
-class LocalFirewall final : public sim::Component {
+class LocalFirewall final : public sim::Component, public bus::ResponseGate {
  public:
   using Config = LocalFirewallConfig;
 
@@ -98,18 +103,29 @@ class LocalFirewall final : public sim::Component {
   // IP-facing endpoint: the IP pushes requests and pops responses here.
   [[nodiscard]] bus::MasterEndpoint& ip_side() noexcept { return ip_side_; }
 
-  // Bus-facing endpoint obtained from SystemBus::attach_master.
+  // Bus-facing endpoint obtained from SystemBus::attach_master; the bus
+  // then delivers its responses through this firewall's gate.
   void connect_bus(bus::MasterEndpoint& bus_endpoint) noexcept {
     bus_side_ = &bus_endpoint;
-    bus_side_->response.set_consumer(*this);
+    bus_side_->gate = this;
   }
 
   void set_trace(sim::EventTrace* trace) noexcept { trace_ = trace; }
 
+  // The gate acts in the bus's completion cycle if the firewall ticks after
+  // the bus, else one cycle later; the IP sees the response at that gate
+  // cycle, or one later if it ticks before the firewall. With no consumer
+  // registered on the IP side (a test taking responses by hand), the
+  // response is ready at the gate cycle and the firewall wakes then.
+  void pass_response(bus::TransactionChannel& from, const sim::Component& bus,
+                     sim::Cycle now) override;
+
   void tick(sim::Cycle now) override;
-  // Wakes on the cycle the verdict in flight is acted on, or when a
-  // response or request is waiting. A skipped cycle changes nothing.
+  // Wakes on the cycle the verdict in flight is acted on, or when a request
+  // is waiting (and at a gate cycle when the IP side has no consumer).
   [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
+  // Counts the responses whose gate cycles it passes.
+  void skip(sim::Cycle now, sim::Cycle n) override;
   void reset() override;
 
   [[nodiscard]] const FirewallStats& stats() const noexcept { return stats_; }
@@ -129,7 +145,8 @@ class LocalFirewall final : public sim::Component {
  private:
   void start_check(sim::Cycle now);
   void finish_check(sim::Cycle now);
-  void pump_responses();
+  // Counts the responses whose gate cycle precedes `end` as gated.
+  void count_gated(sim::Cycle end) noexcept;
 
   FirewallId id_;
   Config cfg_;
@@ -151,6 +168,9 @@ class LocalFirewall final : public sim::Component {
   // DoS throttle state.
   sim::Cycle rate_window_start_ = 0;
   std::uint32_t rate_window_count_ = 0;
+
+  // Gate cycles of the responses delivered but not yet counted, ascending.
+  util::Ring<sim::Cycle> gate_cycles_;
 
   FirewallStats stats_;
 };

@@ -1,5 +1,7 @@
 #include "ip/dma_engine.hpp"
 
+#include <algorithm>
+
 #include "bus/system_bus.hpp"
 #include "obs/registry.hpp"
 #include "util/assert.hpp"
@@ -47,7 +49,7 @@ void DmaEngine::tick(sim::Cycle now) {
         pending_issue_ = false;
         return;
       }
-      if (port_->response.empty()) return;
+      if (!port_->response.ready(now)) return;
       bus::BusTransaction resp = port_->response.take();
       if (resp.status != bus::TransStatus::kOk) {
         ++stats_.errors;
@@ -70,7 +72,7 @@ void DmaEngine::tick(sim::Cycle now) {
         pending_issue_ = false;
         return;
       }
-      if (port_->response.empty()) return;
+      if (!port_->response.ready(now)) return;
       const bus::TransStatus status = port_->response.front().status;
       port_->response.drop_front();
       if (status != bus::TransStatus::kOk) {
@@ -96,7 +98,7 @@ void DmaEngine::tick(sim::Cycle now) {
 
 sim::Cycle DmaEngine::next_wake(sim::Cycle now) const {
   if (port_ == nullptr || state_ == State::kIdle) return sim::kNeverCycle;
-  return pending_issue_ || !port_->response.empty() ? now : sim::kNeverCycle;
+  return pending_issue_ ? now : std::max(now, port_->response.ready_at());
 }
 
 void DmaEngine::contribute_metrics(obs::Registry& reg,

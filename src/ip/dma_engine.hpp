@@ -39,7 +39,7 @@ class DmaEngine final : public Master {
   void start(const Job& job);
 
   void tick(sim::Cycle now) override;
-  // Wakes to issue the next burst or to take its response; no per-cycle
+  // Wakes to issue the next burst or when its response is ready; no per-cycle
   // bookkeeping, so the default (empty) skip() is exact.
   [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
   void reset() override;

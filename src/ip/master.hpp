@@ -20,7 +20,8 @@ class Master : public sim::Component {
 
   // Connects the master to its interface (a Local Firewall's ip_side in a
   // secured SoC, or a raw bus endpoint in the unsecured baseline) and makes
-  // it the consumer of its responses.
+  // it the consumer of its responses. A response counts as arrived from its
+  // ready cycle on (TransactionChannel::ready), not from its push.
   void connect(bus::MasterEndpoint& endpoint) noexcept {
     port_ = &endpoint;
     port_->response.set_consumer(*this);

@@ -1,5 +1,7 @@
 #include "ip/processor.hpp"
 
+#include <algorithm>
+
 #include "bus/system_bus.hpp"
 #include "obs/registry.hpp"
 #include "util/assert.hpp"
@@ -23,6 +25,13 @@ Processor::Processor(std::string name, sim::MasterId id, std::uint64_t seed,
   format_total_ = util::Xoshiro256::weight_total(format_weights_);
   compute_remaining_ =
       rng_.range(workload_.compute_min, workload_.compute_max);
+}
+
+bus::Payload Processor::random_payload(std::size_t n) {
+  bus::Payload payload;
+  payload.resize(n);
+  rng_.fill(payload.span());
+  return payload;
 }
 
 bus::BusTransaction Processor::next_transaction(sim::Cycle now) {
@@ -50,17 +59,11 @@ bus::BusTransaction Processor::next_transaction(sim::Cycle now) {
       target.base + rng_.below(slots) * bus::beat_bytes(fmt);
 
   const bool is_write = rng_.chance(workload_.write_fraction);
-  bus::BusTransaction t;
-  if (is_write) {
-    bus::Payload payload;
-    payload.resize(bytes);
-    rng_.fill(payload.span());
-    t = bus::make_write(id_, addr, std::move(payload), fmt);
-    ++stats_.writes;
-  } else {
-    t = bus::make_read(id_, addr, fmt, burst);
-    ++stats_.reads;
-  }
+  // Built in place: both branches are prvalues, so nothing is moved into t.
+  bus::BusTransaction t =
+      is_write ? bus::make_write(id_, addr, random_payload(bytes), fmt)
+               : bus::make_read(id_, addr, fmt, burst);
+  ++(is_write ? stats_.writes : stats_.reads);
   t.id = bus::make_trans_id(id_, ++seq_);
   t.thread = static_cast<bus::ThreadId>(seq_ % workload_.threads);
   t.issued_at = now;
@@ -85,7 +88,7 @@ void Processor::tick(sim::Cycle now) {
       break;
     }
     case State::kWaiting: {
-      if (port_->response.empty()) {
+      if (!port_->response.ready(now)) {
         ++stats_.stall_cycles;
         return;
       }
@@ -112,7 +115,7 @@ sim::Cycle Processor::next_wake(sim::Cycle now) const {
   if (state_ == State::kComputing) {
     return done() ? sim::kNeverCycle : now + compute_remaining_;
   }
-  return port_->response.empty() ? sim::kNeverCycle : now;
+  return std::max(now, port_->response.ready_at());
 }
 
 void Processor::skip(sim::Cycle /*now*/, sim::Cycle n) {

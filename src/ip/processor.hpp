@@ -73,7 +73,7 @@ class Processor final : public Master {
             Workload workload);
 
   void tick(sim::Cycle now) override;
-  // Wakes when the compute gap runs out or a response is waiting; skipped
+  // Wakes when the compute gap runs out or a response is ready; skipped
   // cycles accrue compute_cycles (computing) or stall_cycles (waiting).
   [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
   void skip(sim::Cycle now, sim::Cycle n) override;
@@ -99,6 +99,8 @@ class Processor final : public Master {
   enum class State { kComputing, kWaiting };
 
   [[nodiscard]] bus::BusTransaction next_transaction(sim::Cycle now);
+  // `n` bytes of write data drawn from the processor's RNG.
+  [[nodiscard]] bus::Payload random_payload(std::size_t n);
 
   std::uint64_t seed_;
   Workload workload_;

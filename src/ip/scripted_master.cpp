@@ -1,5 +1,7 @@
 #include "ip/scripted_master.hpp"
 
+#include <algorithm>
+
 #include "bus/system_bus.hpp"
 
 namespace secbus::ip {
@@ -47,7 +49,7 @@ void ScriptedMaster::tick(sim::Cycle now) {
       break;
     }
     case State::kWaiting: {
-      if (port_->response.empty()) return;
+      if (!port_->response.ready(now)) return;
       bus::BusTransaction resp = port_->response.take();
       stats_.latency.add(static_cast<double>(now - resp.issued_at));
       switch (resp.status) {
@@ -77,7 +79,7 @@ sim::Cycle ScriptedMaster::next_wake(sim::Cycle now) const {
     case State::kDelay:
       return now + delay_remaining_;
     case State::kWaiting:
-      return port_->response.empty() ? sim::kNeverCycle : now;
+      return std::max(now, port_->response.ready_at());
   }
   return now;
 }

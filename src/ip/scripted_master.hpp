@@ -47,7 +47,7 @@ class ScriptedMaster final : public Master {
 
   void tick(sim::Cycle now) override;
   // Wakes when a step is due to start, its delay runs out, or its response
-  // is waiting; skipped cycles count the delay down.
+  // is ready; skipped cycles count the delay down.
   [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
   void skip(sim::Cycle now, sim::Cycle n) override;
   void reset() override;

@@ -88,6 +88,14 @@ class SimKernel {
   // re-read wholesale at run entry and after callbacks.
   void notify(Component& c);
 
+  // Cycles after the current one until `to` can act on input `from` hands
+  // it while ticking, as notify() times it: 0 when `to` ticks later in a
+  // cycle, 1 when it ticks earlier (it has already executed this cycle).
+  [[nodiscard]] static Cycle hand_off_delay(const Component& from,
+                                            const Component& to) noexcept {
+    return to.index_ <= from.index_ ? 1 : 0;
+  }
+
   // Schedules `fn` to run at cycle `now + delay`, before components tick.
   // delay 0 means "at the start of the next step()" when called outside a
   // step, or "this cycle, before ticks" when called from another callback.

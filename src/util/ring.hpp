@@ -34,13 +34,22 @@ class Ring {
 
   template <typename U>
   void push_back(U&& value) {
-    if (size_ == buf_.size()) grow();
-    (*this)[size_] = std::forward<U>(value);
-    ++size_;
+    extend_back() = std::forward<U>(value);
   }
+  // Appends a slot and returns it for the caller to assign in place; it
+  // still holds whatever element a pop left there.
+  [[nodiscard]] T& extend_back() {
+    if (size_ == buf_.size()) grow();
+    return (*this)[size_++];
+  }
+  [[nodiscard]] const T& back() const noexcept { return (*this)[size_ - 1]; }
   void pop_front() noexcept {
     head_ = (head_ + 1) & (buf_.size() - 1);
     --size_;
+  }
+  // Grows the buffer to hold at least n elements without another allocation.
+  void reserve(std::size_t n) {
+    while (buf_.size() < n) grow();
   }
   void clear() noexcept {
     head_ = 0;

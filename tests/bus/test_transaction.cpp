@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <utility>
 #include <vector>
@@ -138,6 +139,135 @@ TEST(Ring, ClearKeepsCapacity) {
   EXPECT_EQ(ring.capacity(), 16u);
   ring.push_back(42);
   EXPECT_EQ(ring.front(), 42);
+}
+
+TEST(Ring, ReserveAllocatesAheadOfPushes) {
+  util::Ring<int> ring;
+  ring.reserve(5);
+  EXPECT_EQ(ring.capacity(), 8u);
+  for (int i = 0; i < 8; ++i) ring.push_back(i);
+  EXPECT_EQ(ring.capacity(), 8u);
+  EXPECT_EQ(ring.back(), 7);
+  ring.reserve(3);
+  EXPECT_EQ(ring.capacity(), 8u);
+}
+
+// `n` bytes counting up from `seed`.
+std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(seed + i);
+  }
+  return bytes;
+}
+
+// Sizes on both sides of the inline buffer's edge.
+constexpr std::size_t kPayloadSizes[] = {0, 1, kPayloadInlineBytes,
+                                         kPayloadInlineBytes + 1, 128};
+
+TEST(Payload, MoveConstructTakesTheBytesAndEmptiesTheSource) {
+  for (const std::size_t n : kPayloadSizes) {
+    const std::vector<std::uint8_t> bytes = pattern(n, 3);
+    Payload src(bytes);
+    Payload dst(std::move(src));
+    EXPECT_EQ(dst, bytes) << n;
+    EXPECT_TRUE(src.empty()) << n;  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(src.size(), 0u) << n;
+  }
+}
+
+TEST(Payload, MoveAssignOverEverySizeTakesTheBytes) {
+  // Every source size into every destination size, heap-held ones included,
+  // so an inline payload lands on a slot whose vector still holds bytes.
+  for (const std::size_t from : kPayloadSizes) {
+    for (const std::size_t into : kPayloadSizes) {
+      const std::vector<std::uint8_t> bytes = pattern(from, 11);
+      Payload src(bytes);
+      Payload dst(pattern(into, 200));
+      dst = std::move(src);
+      EXPECT_EQ(dst, bytes) << from << " into " << into;
+      EXPECT_TRUE(src.empty()) << from << " into " << into;  // NOLINT
+      // The slot serves again: grow it past the inline edge and back.
+      dst.resize(from + 70);
+      EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), dst.begin()));
+      for (std::size_t i = from; i < dst.size(); ++i) {
+        ASSERT_EQ(dst[i], 0) << from << " into " << into << " byte " << i;
+      }
+      dst = Payload(pattern(5, 1));
+      EXPECT_EQ(dst, pattern(5, 1));
+    }
+  }
+}
+
+TEST(Payload, CopiesKeepBothSides) {
+  for (const std::size_t n : kPayloadSizes) {
+    const std::vector<std::uint8_t> bytes = pattern(n, 90);
+    const Payload src(bytes);
+    Payload copy(src);
+    Payload assigned(pattern(128, 0));
+    assigned = src;
+    EXPECT_EQ(copy, bytes) << n;
+    EXPECT_EQ(assigned, bytes) << n;
+    EXPECT_EQ(src, bytes) << n;
+  }
+}
+
+TEST(Payload, GrowthAfterDefaultConstructionReadsZero) {
+  for (const std::size_t n : kPayloadSizes) {
+    Payload p;
+    EXPECT_TRUE(p.empty());
+    p.resize(n);
+    EXPECT_EQ(p, std::vector<std::uint8_t>(n, 0)) << n;
+  }
+  // Growing in steps zeroes only what each step appends.
+  Payload p;
+  p.resize(3);
+  p[0] = 7;
+  p.resize(40);
+  p.resize(100);
+  std::vector<std::uint8_t> expected(100, 0);
+  expected[0] = 7;
+  EXPECT_EQ(p, expected);
+  // A default-constructed transaction's payload reads empty, as does a
+  // value-initialised one.
+  EXPECT_TRUE(BusTransaction{}.data.empty());
+  BusTransaction t;
+  EXPECT_EQ(t.payload_bytes(), 4u);
+  EXPECT_TRUE(t.data.empty());
+}
+
+TEST(TransactionChannel, EntriesAreAbsentBeforeTheirReadyCycle) {
+  TransactionChannel from;
+  TransactionChannel to;
+  EXPECT_FALSE(to.ready(0));
+  EXPECT_EQ(to.ready_at(), sim::kNeverCycle);
+  from.push(make_read(0, 0x10));
+  from.push(make_read(0, 0x20));
+  from.push(make_read(0, 0x30));
+  EXPECT_TRUE(from.ready(0));  // a plain push is ready at once
+  from.move_front_to(to, 12);
+  EXPECT_FALSE(to.ready(11));
+  EXPECT_TRUE(to.ready(12));
+  EXPECT_EQ(to.ready_at(), 12u);
+  // A plain hand-off behind it inherits its ready cycle.
+  from.move_front_to(to);
+  from.move_front_to(to, 15);
+  EXPECT_EQ(to.take().addr, 0x10u);
+  EXPECT_EQ(to.ready_at(), 12u);
+  EXPECT_EQ(to.take().addr, 0x20u);
+  EXPECT_EQ(to.ready_at(), 15u);
+  EXPECT_FALSE(to.ready(14));
+  EXPECT_EQ(to.take().addr, 0x30u);
+  EXPECT_EQ(to.ready_at(), sim::kNeverCycle);
+}
+
+TEST(TransactionChannelDeathTest, ReadyCyclesNeverDecrease) {
+  TransactionChannel from;
+  TransactionChannel to;
+  from.push(make_read(0, 0x10));
+  from.push(make_read(0, 0x20));
+  from.move_front_to(to, 20);
+  EXPECT_DEATH(from.move_front_to(to, 19), "ready cycles must not decrease");
 }
 
 // Pops the channel whenever it holds something; asleep otherwise.

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "bus/system_bus.hpp"
+#include "ip/scripted_master.hpp"
 #include "mem/bram.hpp"
 #include "sim/kernel.hpp"
 
@@ -141,6 +145,94 @@ TEST_F(MasterFirewallFixture, ResetClearsState) {
   EXPECT_EQ(fw->stats().secpol_reqs, 0u);
   EXPECT_EQ(fw->next_wake(kernel.now()), sim::kNeverCycle);
 }
+
+// One read through a firewall on a bus, with the master (M), the firewall
+// (L) and the bus (B) registered in a given order.
+struct DeliveryRig {
+  explicit DeliveryRig(const std::string& order) {
+    config_mem.install(1, PolicyBuilder(1)
+                              .allow(0x0000, 0x1000, RwAccess::kReadWrite)
+                              .build());
+    const auto sid = bus_obj.add_slave(bram);
+    bus_obj.map_region(0x0000, 0x1000, sid, "bram");
+    fw.connect_bus(bus_obj.attach_master(0, "m0"));
+    master.connect(fw.ip_side());
+    master.enqueue_read(0, 0x100);
+    for (const char c : order) {
+      kernel.add(c == 'M'   ? static_cast<sim::Component&>(master)
+                 : c == 'L' ? static_cast<sim::Component&>(fw)
+                            : static_cast<sim::Component&>(bus_obj));
+    }
+  }
+
+  sim::SimKernel kernel;
+  ConfigurationMemory config_mem;
+  SecurityEventLog log;
+  mem::Bram bram{"bram", mem::Bram::Config{0x0000, 0x1000, 1}};
+  bus::SystemBus bus_obj{"bus"};
+  LocalFirewall fw{"lf", 1, config_mem, log};
+  ip::ScriptedMaster master{"m", 0};
+};
+
+struct DeliveryCase {
+  const char* order;
+  sim::Cycle completed;  // the bus completes the read
+  sim::Cycle gate;       // the firewall passes the response on
+  sim::Cycle consumed;   // the master takes it
+};
+
+// The cycles below were pinned from the firewall that moved each response
+// to its IP side in a tick of its own, woken by the bus: it ticked in the
+// bus's completion cycle when registered after the bus, else one later,
+// and its master saw the response one cycle later again when registered
+// before the firewall. A SoC registers its CPUs before their firewalls
+// and both before the buses (MLB); a custom master comes after its
+// firewall, both after the buses (BLM).
+class DeliveryCycle
+    : public ::testing::TestWithParam<std::tuple<DeliveryCase, bool>> {
+ protected:
+  void TearDown() override { sim::set_lockstep_for_testing(false); }
+};
+
+TEST_P(DeliveryCycle, MasterTakesTheResponseAtThePinnedCycle) {
+  const auto [c, lockstep] = GetParam();
+  sim::set_lockstep_for_testing(lockstep);
+  DeliveryRig rig(c.order);
+  ASSERT_TRUE(rig.kernel.run_until_idle(1000));
+  ASSERT_EQ(rig.master.stats().responses.size(), 1u);
+  const bus::BusTransaction& resp = rig.master.stats().responses.front();
+  EXPECT_EQ(resp.status, TransStatus::kOk);
+  EXPECT_EQ(resp.completed_at, c.completed);
+  EXPECT_EQ(resp.issued_at +
+                static_cast<sim::Cycle>(rig.master.stats().latency.mean()),
+            c.consumed);
+  EXPECT_EQ(rig.fw.stats().responses_gated, 1u);
+  EXPECT_EQ(rig.kernel.now(), c.consumed + 1);
+}
+
+TEST_P(DeliveryCycle, ResponseCountsAsGatedOnceTheGateCycleRan) {
+  const auto [c, lockstep] = GetParam();
+  sim::set_lockstep_for_testing(lockstep);
+  // A run capped at cycle `cap` executes the cycles before it.
+  for (const sim::Cycle cap : {c.gate - 1, c.gate, c.gate + 1}) {
+    DeliveryRig rig(c.order);
+    (void)rig.kernel.run_until_idle(cap);
+    EXPECT_EQ(rig.fw.stats().responses_gated, cap > c.gate ? 1u : 0u)
+        << "capped at " << cap;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Orders, DeliveryCycle,
+    ::testing::Combine(::testing::Values(DeliveryCase{"MLB", 13, 14, 15},
+                                         DeliveryCase{"MBL", 14, 14, 15},
+                                         DeliveryCase{"LBM", 14, 15, 15},
+                                         DeliveryCase{"BLM", 15, 15, 15}),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).order) +
+             (std::get<1>(info.param) ? "_lockstep" : "_wake");
+    });
 
 // Slave-side firewall decorating a BRAM.
 struct SlaveFirewallFixture : public ::testing::Test {

@@ -117,16 +117,16 @@ soc::SocConfig star32_job(std::uint64_t transactions_per_cpu) {
 TEST(AllocBudget, CipheredJobAllocatesPerFootprintNotPerTransaction) {
   const std::uint64_t base = run_allocations(ciphered_job(1500));
   const std::uint64_t doubled = run_allocations(ciphered_job(3000));
-  EXPECT_EQ(base, 327u);
-  EXPECT_EQ(doubled, 341u);
+  EXPECT_EQ(base, 324u);
+  EXPECT_EQ(doubled, 338u);
   EXPECT_LE(doubled - base, 30u);
 }
 
 TEST(AllocBudget, Star32JobAllocatesPerFootprintNotPerTransaction) {
   const std::uint64_t base = run_allocations(star32_job(30));
   const std::uint64_t doubled = run_allocations(star32_job(60));
-  EXPECT_EQ(base, 533u);
-  EXPECT_EQ(doubled, 587u);
+  EXPECT_EQ(base, 501u);
+  EXPECT_EQ(doubled, 555u);
   EXPECT_LE(doubled - base, 110u);
 }
 
@@ -135,8 +135,8 @@ TEST(AllocBudget, Star32JobAllocatesPerFootprintNotPerTransaction) {
 TEST(AllocBudget, FloodAllocatesPerFootprintNotPerWrite) {
   const std::uint64_t base = flood_allocations(400);
   const std::uint64_t doubled = flood_allocations(800);
-  EXPECT_EQ(base, 120u);
-  EXPECT_EQ(doubled, 120u);
+  EXPECT_EQ(base, 116u);
+  EXPECT_EQ(doubled, 116u);
   EXPECT_LE(doubled - base, 10u);
 }
 

@@ -19,10 +19,14 @@
 namespace secbus {
 namespace {
 
-// The IP-facing endpoint of a firewall (distributed or centralized), or
-// null for a plain master.
-const bus::MasterEndpoint* ip_side_of(sim::Component* c) {
-  if (auto* fw = dynamic_cast<core::LocalFirewall*>(c)) return &fw->ip_side();
+// The master-side firewall the SoC built for `master`: "lf_<master>" under
+// distributed security, "gate_<master>" under centralized.
+core::LocalFirewall* firewall_of(const soc::Soc& sys, const std::string& master) {
+  for (const auto& fw : sys.master_firewalls()) {
+    if (fw->name() == "lf_" + master || fw->name() == "gate_" + master) {
+      return fw.get();
+    }
+  }
   return nullptr;
 }
 
@@ -61,17 +65,31 @@ TEST_P(WiringAudit, EveryChannelHasARegisteredConsumer) {
           bus.name() + " master " + bus.master_stats()[i].name;
       const bus::MasterEndpoint& ep = bus.endpoint(i);
       EXPECT_EQ(ep.request.consumer(), &bus) << where << " request";
-      sim::Component* next = ep.response.consumer();
-      expect_registered(next, sys, where + " response");
-      if (next == nullptr) continue;
-      // Behind a firewall: its IP side has two more channels.
-      if (const bus::MasterEndpoint* ip = ip_side_of(next)) {
-        EXPECT_EQ(ip->request.consumer(), next) << where << " ip request";
-        next = ip->response.consumer();
-        expect_registered(next, sys, where + " ip response");
-        if (next == nullptr) continue;
+      const bus::TransactionChannel* responses = &ep.response;
+      if (security == soc::SecurityMode::kNone) {
+        EXPECT_EQ(ep.gate, nullptr) << where << ": gated without security";
+      } else {
+        // Behind its firewall (distributed or centralized): the bus
+        // delivers responses through the firewall's gate into its IP side,
+        // whose requests the firewall consumes, and the bus-side response
+        // channel stays unused.
+        core::LocalFirewall* fw = firewall_of(sys, bus.master_stats()[i].name);
+        if (fw == nullptr) {
+          ADD_FAILURE() << where << ": no firewall built for the master";
+          continue;
+        }
+        expect_registered(fw, sys, where + " firewall");
+        EXPECT_EQ(ep.gate, fw) << where << ": responses bypass its firewall";
+        EXPECT_EQ(fw->ip_side().request.consumer(), fw) << where << " ip request";
+        EXPECT_EQ(ep.response.consumer(), nullptr)
+            << where << ": bus-side response channel has a consumer";
+        responses = &fw->ip_side().response;
       }
-      masters.push_back(next->name());
+      sim::Component* master = responses->consumer();
+      expect_registered(master, sys, where + " response");
+      if (master == nullptr) continue;
+      EXPECT_EQ(master->name(), bus.master_stats()[i].name) << where;
+      masters.push_back(master->name());
     }
   }
   std::vector<std::string> expected;
@@ -106,10 +124,11 @@ TEST(WakeKernel, PinnedStar32JobHostWorkIsExact) {
   EXPECT_EQ(r.transactions_ok + r.transactions_failed, 960u);
   EXPECT_EQ(k.now(), 120'479u);
   const std::uint64_t stepped = k.now() - k.cycles_skipped();
-  EXPECT_EQ(stepped, 4'618u);
-  // Seven ticks per transaction: CPU issue, LF check start and finish, bus
-  // grant and completion, LF response, CPU response.
-  EXPECT_EQ(k.ticks_dispatched(), 6'720u);
+  EXPECT_EQ(stepped, 4'614u);
+  // Six ticks per transaction: CPU issue, LF check start and finish, bus
+  // grant and completion, CPU response. The response passes the LF at a
+  // delivery cycle, without a tick.
+  EXPECT_EQ(k.ticks_dispatched(), 5'760u);
   EXPECT_LE(k.ticks_dispatched(), 10 * stepped);
   EXPECT_LE(k.wake_reads(), 2 * k.ticks_dispatched());
 }
