@@ -31,8 +31,9 @@ std::uint16_t DmaEngine::beats_for_chunk() const noexcept {
 void DmaEngine::tick(sim::Cycle now) {
   if (port_ == nullptr || state_ == State::kIdle) return;
 
-  if (stats_.started_at == 0 && stats_.bursts == 0 && progress_ == 0 &&
-      pending_issue_) {
+  // Stamped when the job's first read issues: the only issue in kReading
+  // at progress 0.
+  if (state_ == State::kReading && progress_ == 0 && pending_issue_) {
     stats_.started_at = now;
   }
 

@@ -84,6 +84,10 @@ void Processor::tick(sim::Cycle now) {
       port_->request.push(next_transaction(now));
       ++stats_.issued;
       (pending_external_ ? stats_.external_accesses : stats_.internal_accesses) += 1;
+      // The gap after this transaction, drawn now: nothing else draws from
+      // rng_ before the response, so the sequence is the receive-time one.
+      compute_remaining_ =
+          rng_.range(workload_.compute_min, workload_.compute_max);
       state_ = State::kWaiting;
       break;
     }
@@ -92,22 +96,29 @@ void Processor::tick(sim::Cycle now) {
         ++stats_.stall_cycles;
         return;
       }
-      const bus::BusTransaction& resp = port_->response.front();
-      stats_.latency.add(static_cast<double>(now - resp.issued_at));
-      stats_.latency_hist.add(now - resp.issued_at);
-      if (resp.status == bus::TransStatus::kOk) {
-        ++stats_.completed;
-        stats_.bytes_moved += resp.payload_bytes();
-      } else {
-        ++stats_.failed;
-      }
-      port_->response.drop_front();
-      compute_remaining_ =
-          rng_.range(workload_.compute_min, workload_.compute_max);
-      state_ = State::kComputing;
+      receive(now);
       break;
     }
   }
+}
+
+void Processor::receive(sim::Cycle now) {
+  const bus::BusTransaction& resp = port_->response.front();
+  stats_.latency.add(static_cast<double>(now - resp.issued_at));
+  stats_.latency_hist.add(now - resp.issued_at);
+  if (resp.status == bus::TransStatus::kOk) {
+    ++stats_.completed;
+    stats_.bytes_moved += resp.payload_bytes();
+  } else {
+    ++stats_.failed;
+  }
+  port_->response.drop_front();
+  state_ = State::kComputing;
+}
+
+bool Processor::last_response() const noexcept {
+  return workload_.total_transactions != 0 &&
+         stats_.completed + stats_.failed + 1 >= workload_.total_transactions;
 }
 
 sim::Cycle Processor::next_wake(sim::Cycle now) const {
@@ -115,14 +126,30 @@ sim::Cycle Processor::next_wake(sim::Cycle now) const {
   if (state_ == State::kComputing) {
     return done() ? sim::kNeverCycle : now + compute_remaining_;
   }
-  return std::max(now, port_->response.ready_at());
+  const sim::Cycle ready = port_->response.ready_at();
+  if (ready == sim::kNeverCycle) return sim::kNeverCycle;
+  const sim::Cycle v = std::max(now, ready);
+  return last_response() ? v : v + 1 + compute_remaining_;
 }
 
-void Processor::skip(sim::Cycle /*now*/, sim::Cycle n) {
+void Processor::skip(sim::Cycle now, sim::Cycle n) {
   if (port_ == nullptr) return;
+  const sim::Cycle end = now + n;
   if (state_ == State::kWaiting) {
-    stats_.stall_cycles += n;
-  } else if (!done()) {
+    const sim::Cycle ready = port_->response.ready_at();
+    if (ready >= end) {
+      stats_.stall_cycles += n;
+      return;
+    }
+    // The response is taken at v inside the span, as tick(v) would; the
+    // cycles after it count down the gap drawn at issue.
+    const sim::Cycle v = std::max(now, ready);
+    stats_.stall_cycles += v - now;
+    receive(v);
+    now = v + 1;
+    n = end - now;
+  }
+  if (!done()) {
     stats_.compute_cycles += n;
     compute_remaining_ -= n;
   }

@@ -73,9 +73,16 @@ class Processor final : public Master {
             Workload workload);
 
   void tick(sim::Cycle now) override;
-  // Wakes when the compute gap runs out or a response is ready; skipped
-  // cycles accrue compute_cycles (computing) or stall_cycles (waiting).
+  // One wake per transaction: the cycle that issues the next request. The
+  // gap after a transaction is drawn when it issues, so while waiting the
+  // wake is v + 1 + gap, v being the cycle the response is taken (the later
+  // of `now` and its ready cycle); it is v itself when that response
+  // completes the transaction budget, so a bounded run ends where a
+  // per-cycle run does.
   [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const override;
+  // Skipped cycles accrue stall_cycles before v and compute_cycles after
+  // it; a span that passes v takes the response at v (receive(v)), exactly
+  // as tick(v) would.
   void skip(sim::Cycle now, sim::Cycle n) override;
   void reset() override;
 
@@ -99,6 +106,11 @@ class Processor final : public Master {
   enum class State { kComputing, kWaiting };
 
   [[nodiscard]] bus::BusTransaction next_transaction(sim::Cycle now);
+  // Takes the ready response at cycle `now`: latency sample, counters, and
+  // the gap drawn at issue starts counting down.
+  void receive(sim::Cycle now);
+  // True when the response awaited completes the transaction budget.
+  [[nodiscard]] bool last_response() const noexcept;
   // `n` bytes of write data drawn from the processor's RNG.
   [[nodiscard]] bus::Payload random_payload(std::size_t n);
 
@@ -113,6 +125,8 @@ class Processor final : public Master {
   util::Xoshiro256 rng_;
 
   State state_ = State::kComputing;
+  // The compute gap left; while waiting, the whole gap that follows the
+  // response.
   sim::Cycle compute_remaining_ = 0;
   std::uint64_t seq_ = 0;
   bool pending_external_ = false;

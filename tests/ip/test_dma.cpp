@@ -71,6 +71,22 @@ TEST_F(DmaFixture, TimestampsRecorded) {
   EXPECT_GT(dma->stats().finished_at, dma->stats().started_at);
 }
 
+TEST_F(DmaFixture, StartedAtIsTheFirstReadIssueCycle) {
+  // A job started at cycle 0 must not read as unset and be stamped again
+  // by its first write.
+  dma->start(DmaEngine::Job{0x0000, 0x1000, 64, 4});
+  ASSERT_TRUE(kernel.run_until_idle(50'000));
+  EXPECT_EQ(dma->stats().started_at, 0u);
+  EXPECT_GT(dma->stats().finished_at, 0u);
+
+  kernel.reset();
+  kernel.run(100);
+  dma->start(DmaEngine::Job{0x0000, 0x1000, 64, 4});
+  ASSERT_TRUE(kernel.run_until_idle(50'000));
+  EXPECT_EQ(dma->stats().started_at, 100u);
+  EXPECT_GT(dma->stats().finished_at, 100u);
+}
+
 TEST(ScriptedMaster, RunsScriptInOrder) {
   sim::SimKernel kernel;
   mem::Bram bram{"bram", mem::Bram::Config{0x0000, 0x1000, 1}};

@@ -7,6 +7,8 @@
 #include <tuple>
 #include <vector>
 
+#include "lockstep_guard.hpp"
+
 namespace secbus::sim {
 namespace {
 
@@ -146,15 +148,6 @@ class Poker final : public Component {
  private:
   std::vector<Poke> pokes_;
   std::size_t next_ = 0;
-};
-
-// Sets the lockstep oracle for one test and restores the default after.
-class LockstepGuard {
- public:
-  explicit LockstepGuard(bool lockstep) { set_lockstep_for_testing(lockstep); }
-  ~LockstepGuard() { set_lockstep_for_testing(false); }
-  LockstepGuard(const LockstepGuard&) = delete;
-  LockstepGuard& operator=(const LockstepGuard&) = delete;
 };
 
 TEST(Kernel, TicksComponentsInRegistrationOrder) {

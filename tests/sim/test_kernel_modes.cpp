@@ -24,17 +24,10 @@
 #include "soc/presets.hpp"
 #include "soc/soc.hpp"
 
+#include "lockstep_guard.hpp"
+
 namespace secbus::sim {
 namespace {
-
-// Restores the default (next-event) mode even when an assertion bails out.
-class LockstepGuard {
- public:
-  explicit LockstepGuard(bool lockstep) { set_lockstep_for_testing(lockstep); }
-  ~LockstepGuard() { set_lockstep_for_testing(false); }
-  LockstepGuard(const LockstepGuard&) = delete;
-  LockstepGuard& operator=(const LockstepGuard&) = delete;
-};
 
 struct ModeRun {
   std::vector<std::string> results;  // job_result_to_json per job

@@ -124,11 +124,12 @@ TEST(WakeKernel, PinnedStar32JobHostWorkIsExact) {
   EXPECT_EQ(r.transactions_ok + r.transactions_failed, 960u);
   EXPECT_EQ(k.now(), 120'479u);
   const std::uint64_t stepped = k.now() - k.cycles_skipped();
-  EXPECT_EQ(stepped, 4'614u);
-  // Six ticks per transaction: CPU issue, LF check start and finish, bus
-  // grant and completion, CPU response. The response passes the LF at a
-  // delivery cycle, without a tick.
-  EXPECT_EQ(k.ticks_dispatched(), 5'760u);
+  EXPECT_EQ(stepped, 3'750u);
+  // Five ticks per transaction: CPU issue, LF check start and finish, bus
+  // grant and completion. The response passes the LF at a delivery cycle,
+  // without a tick, and the CPU takes it in the tick that issues its next
+  // request; only each CPU's last response gets a tick of its own (32).
+  EXPECT_EQ(k.ticks_dispatched(), 4'832u);
   EXPECT_LE(k.ticks_dispatched(), 10 * stepped);
   EXPECT_LE(k.wake_reads(), 2 * k.ticks_dispatched());
 }
